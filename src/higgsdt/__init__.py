@@ -9,7 +9,7 @@ from .algebra import (VarTable, var_table, LaurentPoly, BinomialFactor, Fraction
                       canonical_binomial, exact_divide, t_expand,
                       AlgebraError, NotDivisibleError, TableMismatchError,
                       ZeroDenominatorError)
-from .series import TruncSeries, pleth_exp, pleth_log, mobius
+from .series import TruncSeries, pleth_exp, pleth_log, scaled_pleth_log, mobius
 from .dt import (CurveParams, HalfPowerValue, IntegralityError, idt_star,
                  moduli_volume, omega, rank_one_idt)
 from .positive import omega_plus, stabilization_check

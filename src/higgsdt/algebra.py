@@ -12,12 +12,20 @@ drive the whole module and are relied on by callers:
   removed, larger monomial first in lexicographic order), which makes multiset
   intersection meaningful and keeps signs deterministic.
 
-Coefficients are exact rationals (int or fractions.Fraction); no floats enter
-the kernel.
+Coefficients are exact rationals; no floats enter the kernel.  On the
+symbolic pipeline they stay Python ints end to end: the hook-product series
+has integer numerators, `series.scaled_pleth_log` carries r * Log_r instead
+of Log_r, and exact division by a binomial only forms running sums.  The
+single division by r happens per cleared coefficient in `dt` (checked by
+`LaurentPoly.divide_coefficients`), or once per coefficient in
+`series.pleth_log` when the true Log is asked for.  fractions.Fraction
+coefficients still work everywhere, for hand-built inputs.
 """
 
+import math
 from fractions import Fraction as Q
 from functools import lru_cache
+from operator import add, sub
 from typing import NamedTuple
 
 
@@ -115,12 +123,6 @@ def _check_tables(a, b):
                                  % (a.table, b.table))
 
 
-def _norm_coeff(c):
-    if isinstance(c, Q) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class LaurentPoly:
     """Laurent polynomial: dict from exponent tuple to nonzero rational."""
 
@@ -179,21 +181,38 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        for ea, ca in a.items():
+        if not a:
+            return LaurentPoly(self.table, {})
+        rows = iter(a.items())
+        ea, ca = next(rows)
+        # the first row cannot collide with itself: no lookups needed
+        out = {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
+        get = out.get
+        for ea, ca in rows:
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return LaurentPoly(self.table, out)
+                e = tuple(map(add, ea, eb))
+                out[e] = get(e, 0) + ca * cb
+        return LaurentPoly(self.table, {e: c for e, c in out.items() if c})
 
     def scale(self, c):
         if not c:
             return self.table.zero()
         return LaurentPoly(self.table, {e: co * c for e, co in self.terms.items()})
+
+    def divide_coefficients(self, n):
+        """Divide every coefficient by the nonzero integer n, exactly.
+
+        Raises NotDivisibleError naming a monomial whose quotient is not an
+        integer; the result has int coefficients.
+        """
+        out = {}
+        for e, c in self.terms.items():
+            quo, rem = divmod(c, n)
+            if rem:
+                raise NotDivisibleError("coefficient %s of %s is not divisible by %d"
+                                        % (c, self.table.format_exps(e), n))
+            out[e] = quo
+        return LaurentPoly(self.table, out)
 
     def mono_mul(self, exps, coeff=1):
         """Multiply by coeff * x^exps (a single monomial)."""
@@ -202,7 +221,7 @@ class LaurentPoly:
         if coeff == 1 and not any(exps):
             return self
         return LaurentPoly(self.table,
-                           {tuple(x + y for x, y in zip(e, exps)): c * coeff
+                           {tuple(map(add, e, exps)): c * coeff
                             for e, c in self.terms.items()})
 
     def __pow__(self, n):
@@ -345,33 +364,49 @@ def exact_divide(poly, factor):
     term-order descent, valid for genuinely Laurent supports.
     """
     m1, m2 = factor
-    v = tuple(a - b for a, b in zip(m1, m2))
+    v = tuple(map(sub, m1, m2))
     i0 = next(i for i, x in enumerate(v) if x)
     vi = v[i0]
+    terms = poly.terms
+    if not terms:
+        return poly
+    lead = [e[i0] for e in terms]
+    # j -> j * v for every class index that can occur, shared by all classes
+    multiples = {j: tuple(j * x for x in v)
+                 for j in range(min(lead) // vi, max(lead) // vi + 1)}
     classes = {}
-    for e, c in poly.terms.items():
+    for e, c in terms.items():
         j = e[i0] // vi
-        key = tuple(a - j * b for a, b in zip(e, v))
-        classes.setdefault(key, {})[j] = c
+        key = tuple(map(sub, e, multiples[j]))
+        col = classes.get(key)
+        if col is None:
+            classes[key] = {j: c}
+        else:
+            col[j] = c
+    for key, col in classes.items():
+        if sum(col.values()):
+            raise NotDivisibleError("remainder in class %s" % (key,))
+    # keys have their i0 entry in [0, vi), so distinct (key, j) pairs give
+    # distinct quotient exponents and each one is written exactly once
     out = {}
     for key, col in classes.items():
-        js = sorted(col)
-        lo, hi = js[0], js[-1]
-        base = tuple(k - b for k, b in zip(key, m2))
+        base = tuple(map(sub, key, m2))
         d = 0
-        for j in range(lo, hi + 1):
-            d = d - col.get(j, 0)
-            if j == hi:
-                if d:
-                    raise NotDivisibleError("remainder in class %s" % (key,))
-            elif d:
-                e = tuple(x + j * y for x, y in zip(base, v))
-                s = out.get(e, 0) + d
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+        for j in range(min(col), max(col)):
+            c = col.get(j)
+            if c is not None:
+                d -= c
+            if d:
+                out[tuple(map(add, base, multiples[j]))] = d
     return LaurentPoly(poly.table, out)
+
+
+@lru_cache(maxsize=None)
+def _direction(factor):
+    """Primitive direction of m1 - m2 (its first nonzero entry is positive)."""
+    v = tuple(map(sub, factor.m1, factor.m2))
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def _reduce_fraction(num, den):
@@ -436,6 +471,31 @@ class Fraction:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
+        """Sum over the least common denominator, reduced.
+
+        With lcd = C + A + B (C the common multiset, A and B the factors of
+        one side only), the sum is (na * prod B + nb * prod A) / lcd.  A
+        factor f of A that has no factor of B in its primitive direction is
+        never tried, because it cannot divide that numerator:
+
+        * f divides nb * prod A, so f | sum-numerator iff f | na * prod B;
+        * up to a unit, f = X^k - 1 with X = x^w, w primitive; its
+          irreducible factors are the cyclotomic Phi_d(X), which are
+          irreducible in the Laurent ring and differ from those of any
+          binomial of another primitive direction, so f is coprime to
+          prod B and f | na * prod B iff f | na;
+        * f is not cancelled from self, so f does not divide na.
+
+        The same holds for B with the roles swapped.  "Not cancelled" holds
+        for every Fraction built with reduce=True, and scale, mono_mul, neg
+        and adams (the reduce=False paths) multiply by units or apply an
+        injective ring map, which keeps it.  (A Fraction built directly
+        with reduce=False around a cancellable factor may keep that factor
+        through a sum; the value is unaffected.)  Skipped factors leave the
+        numerator alone, so the tried ones see exactly the divisions they
+        would see anyway and the result is the one trying every factor
+        gives.
+        """
         _check_tables(self, other)
         if self.is_zero():
             return other
@@ -458,7 +518,18 @@ class Fraction:
         nb = other.num
         for f in only_a:
             nb = nb * f.to_poly(self.table)
-        return Fraction(na + nb, tuple(common) + tuple(only_a) + tuple(only_b))
+        num = na + nb
+        if not num.terms:
+            return Fraction(num)
+        dirs_a = {_direction(f) for f in only_a}
+        dirs_b = {_direction(f) for f in only_b}
+        tried, kept = list(common), []
+        for f in only_a:
+            (tried if _direction(f) in dirs_b else kept).append(f)
+        for f in only_b:
+            (tried if _direction(f) in dirs_a else kept).append(f)
+        num, left = _reduce_fraction(num, tuple(tried))
+        return Fraction(num, left + tuple(kept), reduce=False)
 
     def __neg__(self):
         return Fraction(-self.num, self.den, reduce=False)

@@ -6,8 +6,9 @@ Subcommands:
   oracle-p1   finite-field recount on the line vs the formula
   specialize  numeric values at explicit Frobenius eigenvalues
 
-Exit status: 0 on success, 1 when a verification or comparison fails,
-2 on usage errors (argparse's convention).
+Exit status: 0 on success, 1 when a verification or comparison fails or a
+numeric value cannot be certified, 2 on usage errors (argparse's convention)
+and on rejected input values.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 from .dt import CurveParams, idt_star, moduli_volume, omega
 from .oracle_p1 import SUPPORTED_Q, compare_with_formula
 from .verify import SUITES, run_suites
-from .zeta import ZetaData, specialize_integer
+from .zeta import NumericDriftError, ZetaData, specialize_integer
 
 SCHEMA_VERSION = 1
 
@@ -221,21 +222,27 @@ def _cmd_oracle(args, parser):
 
 
 def _cmd_specialize(args, parser):
-    if args.trace is not None:
-        zd = ZetaData.from_trace(args.q0, args.trace)
-    elif args.weil:
-        alphas = [complex(w) for w in args.weil.split(",")]
-        zd = ZetaData.numeric(args.q0, alphas)
-    else:
+    if args.trace is None and not args.weil:
         parser.error("give either --trace (genus 1) or --weil a1,a2,...")
-    cp = (CurveParams(genus=zd.genus, ell=2 * zd.genus - 2, mode="canonical")
-          if args.canonical else CurveParams(genus=zd.genus, ell=args.ell))
-    print("curve over F_%d with point counts %s"
-          % (args.q0, zd.point_counts(3)))
-    polys = idt_star(cp, args.rmax)
-    for r in sorted(polys):
-        val = specialize_integer(polys[r].set_var_one("t"), zd)
-        print("rank %d value at t = 1: %d" % (r, val))
+    try:
+        if args.trace is not None:
+            zd = ZetaData.from_trace(args.q0, args.trace)
+        else:
+            zd = ZetaData.numeric(args.q0, [complex(w) for w in args.weil.split(",")])
+        cp = (CurveParams(genus=zd.genus, ell=2 * zd.genus - 2, mode="canonical")
+              if args.canonical else CurveParams(genus=zd.genus, ell=args.ell))
+        print("curve over F_%d with point counts %s"
+              % (args.q0, zd.point_counts(3)))
+        polys = idt_star(cp, args.rmax)
+        for r in sorted(polys):
+            val = specialize_integer(polys[r].set_var_one("t"), zd)
+            print("rank %d value at t = 1: %d" % (r, val))
+    except NumericDriftError as e:
+        print("higgsdt specialize: value cannot be certified: %s" % e, file=sys.stderr)
+        return 1
+    except ValueError as e:
+        print("higgsdt specialize: error: %s" % e, file=sys.stderr)
+        return 2
     return 0
 
 

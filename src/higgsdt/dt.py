@@ -27,7 +27,7 @@ from fractions import Fraction as Q
 from .algebra import (AlgebraError, Fraction, LaurentPoly, NotDivisibleError,
                       canonical_binomial, var_table)
 from .partitions import Partition, enumerate_partitions
-from .series import TruncSeries, pleth_log
+from .series import TruncSeries, scaled_pleth_log
 
 
 class IntegralityError(AlgebraError):
@@ -161,19 +161,27 @@ def _clearing_poly(table, kind):
     return _CLEAR_CACHE[key]
 
 
-def _clear_coeff(frac, clearer, r, what):
-    f = frac.mul_poly(clearer)
-    try:
-        poly = f.clear_denominator()
-    except NotDivisibleError as e:
-        raise IntegralityError("%s coefficient r=%d is not polynomial: %s"
-                               % (what, r, e)) from e
-    if not poly.has_integer_coefficients():
-        raise IntegralityError("%s coefficient r=%d has non-integer coefficients"
-                               % (what, r))
-    return LaurentPoly(poly.table,
-                       {e: int(c) if isinstance(c, Q) else c
-                        for e, c in poly.terms.items()})
+def _clear_log(series, clearer, what):
+    """Coefficients r >= 1 of clearer * Log(series) as integer polynomials.
+
+    Clears clearer * r * Log_r (integer numerators) and then divides every
+    coefficient by r; a nonzero remainder is exactly a non-integer
+    coefficient of clearer * Log_r.
+    """
+    R = scaled_pleth_log(series)
+    out = {}
+    for r in range(1, series.order + 1):
+        try:
+            poly = R.coeffs[r].mul_poly(clearer).clear_denominator()
+        except NotDivisibleError as e:
+            raise IntegralityError("%s coefficient r=%d is not polynomial: %s"
+                                   % (what, r, e)) from e
+        try:
+            out[r] = poly.divide_coefficients(r)
+        except NotDivisibleError as e:
+            raise IntegralityError("%s coefficient r=%d has non-integer "
+                                   "coefficients: %s" % (what, r, e)) from e
+    return out
 
 
 def idt_star(cp, order, series=None):
@@ -183,10 +191,7 @@ def idt_star(cp, order, series=None):
     is meaningful (it falsifies the integrality property), never masked.
     """
     Z = series if series is not None else zstar_series(cp, order)
-    L = pleth_log(Z)
-    clearer = _clearing_poly(cp.table(), "main")
-    return {r: _clear_coeff(L.coeffs[r], clearer, r, "idt")
-            for r in range(1, order + 1)}
+    return _clear_log(Z, _clearing_poly(cp.table(), "main"), "idt")
 
 
 def rank_one_idt(cp, table=None):
@@ -323,10 +328,7 @@ def alt_h_series(cp, order):
 def alt_idt(cp, order, series=None):
     """Coefficients of (1 - t)(1 - qt) Log H, cleared; integer Laurent in t."""
     H = series if series is not None else alt_h_series(cp, order)
-    L = pleth_log(H)
-    clearer = _clearing_poly(cp.table(), "alt")
-    return {r: _clear_coeff(L.coeffs[r], clearer, r, "alt-idt")
-            for r in range(1, order + 1)}
+    return _clear_log(H, _clearing_poly(cp.table(), "alt"), "alt-idt")
 
 
 def substitution_identity_check(cp, max_weight):

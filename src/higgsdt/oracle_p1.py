@@ -218,9 +218,28 @@ def _count_chunk(q, e11s, e22_space, e12_space, e21_space, pairs_by_m, add, mul,
     return count
 
 
-def semistable_count(typ, ell, q, cap=2 ** 28):
+def thread_count(environ=os.environ):
+    """Worker count from HIGGSDT_THREADS: unset or empty means 1, anything
+    but a positive integer is refused, and the value is capped at the CPU
+    count."""
+    raw = environ.get("HIGGSDT_THREADS", "").strip()
+    if not raw:
+        return 1
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError("HIGGSDT_THREADS must be a positive integer, got %r" % raw)
+    return min(n, os.cpu_count() or 1)
+
+
+def semistable_count(typ, ell, q, cap=2 ** 28, threads=None):
     """#{semistable twisted endomorphisms} of the split bundle, by listing
     every matrix and testing all potentially destabilizing sub-line-bundles.
+
+    threads=None reads HIGGSDT_THREADS (see thread_count); a process pool
+    is used only for at least 2^16 matrices.
     """
     if ell < 0:
         raise ValueError("twist degree must be nonnegative")
@@ -251,7 +270,8 @@ def semistable_count(typ, ell, q, cap=2 ** 28):
     e12_space = _sections(q, degs[0][1])
     e21_space = _sections(q, degs[1][0])
 
-    threads = int(os.environ.get("HIGGSDT_THREADS", "1") or "1")
+    if threads is None:
+        threads = thread_count()
     if threads > 1 and total >= 1 << 16:
         from multiprocessing import Pool
         chunks = [e11_space[i::threads] for i in range(threads)]
@@ -286,17 +306,19 @@ def stack_volume_p1(r, d, ell, q, cap=2 ** 28):
     if r != 2:
         raise NotImplementedError("oracle covers rank <= 2")
     bound = (r - 1) * ell
+    threads = thread_count()
     total = Q(0)
     s = d % 2
     while s <= bound:
         typ = ((d + s) // 2, (d - s) // 2)
-        total += Q(semistable_count(typ, ell, q, cap=cap), aut_count(typ, q))
+        total += Q(semistable_count(typ, ell, q, cap=cap, threads=threads),
+                   aut_count(typ, q))
         s += 2
     # boundary check: widen until an honest zero, warn if the bound lied
     widened = 0
     while True:
         typ = ((d + s) // 2, (d - s) // 2)
-        c = semistable_count(typ, ell, q, cap=cap)
+        c = semistable_count(typ, ell, q, cap=cap, threads=threads)
         if c == 0:
             break
         widened += 1

@@ -20,7 +20,8 @@ normalization recorded on the table.
 from dataclasses import dataclass
 from itertools import permutations
 
-from .algebra import Fraction, ZeroDenominatorError, t_expand, var_table
+from .algebra import (Fraction, NotDivisibleError, ZeroDenominatorError, t_expand,
+                      var_table)
 from .partitions import Partition, enumerate_partitions
 from .series import TruncSeries, pleth_log
 from .dt import CurveParams, idt_star, zstar_series, zstar_term
@@ -123,7 +124,7 @@ def laurent_property_check(n, genus, max_n=MAX_SN):
     try:
         f.clear_denominator()
         return True
-    except Exception:
+    except NotDivisibleError:
         return False
 
 

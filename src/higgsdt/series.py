@@ -129,20 +129,6 @@ def _exp(series):
     return TruncSeries(series.table, R, E)
 
 
-def _log(series):
-    """Ordinary log of a series with constant term 1, via B L' = B'."""
-    R = series.order
-    L = [Fraction.zero(series.table)]
-    for r in range(1, R + 1):
-        acc = series.coeffs[r]
-        for k in range(1, r):
-            b = series.coeffs[r - k]
-            if not L[k].is_zero() and not b.is_zero():
-                acc = acc - (L[k] * b).scale(Q(k, r))
-        L.append(acc)
-    return TruncSeries(series.table, R, L)
-
-
 def pleth_exp(series):
     """Plethystic exponential Exp[A] = exp(sum_n psi_n(A)/n).
 
@@ -157,19 +143,46 @@ def pleth_exp(series):
     return _exp(acc)
 
 
-def pleth_log(series):
-    """Plethystic logarithm, inverse of pleth_exp.
+def scaled_pleth_log(series):
+    """The series R with R_r = r * Log_r, where Log is the plethystic log.
 
-    Log[B] = sum_n mu(n)/n * psi_n(log B); requires constant term 1.
+    With M_r = r * L_r for the ordinary log L = log B, the relation B L' = B'
+    reads M_r = r * B_r - sum_{k<r} M_k * B_{r-k}, and Log = sum_n mu(n)/n *
+    psi_n(L) becomes R_r = sum_{n | r} mu(n) * psi_n(M_{r/n}).  Neither
+    recurrence divides, so integer numerators in B give integer numerators
+    in R.  Requires constant term 1.
     """
     c0 = series.coeffs[0]
     if not (not c0.den and c0.num.is_one()):
         raise ValueError("pleth_log needs constant term 1")
     R = series.order
-    L = _log(series)
-    out = L
+    B = series.coeffs
+    M = [Fraction.zero(series.table)]
+    for r in range(1, R + 1):
+        acc = B[r].scale(r)
+        for k in range(1, r):
+            b = B[r - k]
+            if not M[k].is_zero() and not b.is_zero():
+                acc = acc - M[k] * b
+        M.append(acc)
+    out = list(M)
     for n in range(2, R + 1):
         m = mobius(n)
         if m:
-            out = out + L.adams(n).scale(Q(m, n))
-    return out
+            for d in range(1, R // n + 1):
+                if not M[d].is_zero():
+                    out[n * d] = out[n * d] + M[d].adams(n).scale(m)
+    return TruncSeries(series.table, R, out)
+
+
+def pleth_log(series):
+    """Plethystic logarithm, inverse of pleth_exp; requires constant term 1.
+
+    Log[B] = sum_n mu(n)/n * psi_n(log B).  The coefficients are those of
+    scaled_pleth_log, each divided by r once at the end; nothing before
+    that leaves the numerators' coefficient ring.
+    """
+    R = scaled_pleth_log(series)
+    return TruncSeries(R.table, R.order,
+                       [c if r < 2 else c.scale(Q(1, r))
+                        for r, c in enumerate(R.coeffs)])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -285,3 +286,64 @@ def test_t_expand_hand_series():
     for d in range(1, 5):
         want = Fraction(LaurentPoly(T2, {T2.exps(q=k): 1 for k in range(d)}))
         assert coeffs[d] == want
+
+
+# -- exact division and the addition skip on wider tables --------------------
+
+T4 = var_table(genus=2)   # q, t, a1, a2
+
+
+def test_exact_divide_laurent_three_coordinate_direction():
+    rng = random.Random(1234)
+    fac, _, _ = canonical_binomial((2, -1, 0, 1), (0, 0, 1, -2))
+    assert sum(1 for a, b in zip(fac.m1, fac.m2) if a != b) == 4
+    fac3, _, _ = canonical_binomial((1, 0, -2, 0), (0, 1, 0, 0))
+    v = tuple(a - b for a, b in zip(fac3.m1, fac3.m2))
+    assert sum(1 for x in v if x) == 3
+    for f in (fac3, fac):
+        for _ in range(25):
+            a = rand_poly(rng, T4, nterms=8, span=4)
+            prod = a * f.to_poly(T4)
+            assert exact_divide(prod, f) == a
+            if not a.is_zero():
+                assert any(x < 0 for e in prod.terms for x in e)
+                with pytest.raises(NotDivisibleError):
+                    exact_divide(prod + T4.monomial((-3, 1, 2, -1)), f)
+
+
+def _lcd_sum(a, b):
+    """a + b over the least common denominator, trying every factor."""
+    ca, cb = Counter(a.den), Counter(b.den)
+    na = a.num
+    for f in (cb - ca).elements():
+        na = na * f.to_poly(a.table)
+    nb = b.num
+    for f in (ca - cb).elements():
+        nb = nb * f.to_poly(a.table)
+    return Fraction(na + nb, tuple((ca | cb).elements()))
+
+
+def test_fraction_add_skip_matches_trying_every_factor():
+    rng = random.Random(99)
+    # parallel directions (q - 1, q^2 - 1, q^3 - 1) mixed with other ones
+    pool = [canonical_binomial(e1, e2)[0] for e1, e2 in (
+        ((1, 0, 0, 0), (0, 0, 0, 0)), ((2, 0, 0, 0), (0, 0, 0, 0)),
+        ((3, 0, 0, 0), (0, 0, 0, 0)), ((0, 1, 0, 0), (0, 0, 0, 0)),
+        ((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 2, 0, 0)),
+        ((0, 0, 1, 0), (0, 1, 0, 1)), ((2, 0, 0, 0), (0, 2, 0, 0)))]
+
+    def rand_frac():
+        num = rand_poly(rng, T4, nterms=5, span=2)
+        for f in rng.sample(pool, rng.randint(0, 2)):
+            num = num * f.to_poly(T4)
+        return Fraction(num, [rng.choice(pool) for _ in range(rng.randint(0, 4))])
+
+    cancelled = 0
+    for _ in range(300):
+        a, b = rand_frac(), rand_frac()
+        got, want = a + b, _lcd_sum(a, b)
+        assert got.den == want.den
+        assert got.num == want.num
+        lcd = Counter(a.den) | Counter(b.den)
+        cancelled += len(got.den) < sum(lcd.values())
+    assert cancelled >= 20

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -157,3 +158,48 @@ def test_specialize_needs_curve_data(capsys):
         main(["specialize", "--q0", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# sha256 of `compute --format json` output (with its trailing newline), taken
+# before the integer-scaled log replaced the rational one; any kernel change
+# must reproduce these bytes exactly.
+COMPUTE_JSON_SHA256 = {
+    (0, 1, 5): "1f90a8ef8863ce1210444da367ddc06c3f67449611eaef4465862cfaf8dfdca6",
+    (1, 1, 3): "33d0aae46295db83d07580e3cd6d0acc5e9d6e672bf334c6ec1a04fddb2625e7",
+    (2, 3, 2): "ed41a5148895db0453b9c98afb694004e5cc7800803d12d662399af3be5beb0e",
+}
+
+
+@pytest.mark.parametrize("genus,ell,rmax", sorted(COMPUTE_JSON_SHA256))
+def test_compute_json_bytes_are_pinned(capsys, genus, ell, rmax):
+    code, out, _ = run(capsys, "compute", "--genus", str(genus), "--ell",
+                       str(ell), "--rmax", str(rmax), "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == COMPUTE_JSON_SHA256[(genus, ell, rmax)]
+
+
+def test_specialize_refuses_non_prime_power(capsys):
+    code, out, err = run(capsys, "specialize", "--q0", "6", "--trace", "0")
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "higgsdt specialize: error: q0 must be a prime power, got 6"]
+
+
+def test_specialize_reports_drift_in_one_line(capsys):
+    code, out, err = run(capsys, "specialize", "--q0", "10007", "--trace", "1",
+                         "--rmax", "3")
+    assert code == 1
+    assert "rank 2 value at t = 1:" in out and "rank 3" not in out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("higgsdt specialize: value cannot be certified:")
+
+
+def test_oracle_names_bad_thread_setting(capsys, monkeypatch):
+    monkeypatch.setenv("HIGGSDT_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-p1", "--rank", "2", "--deg", "1", "--ell", "1", "--q", "2"])
+    assert exc.value.code == 2
+    assert "HIGGSDT_THREADS must be a positive integer" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 
 from higgsdt.algebra import Fraction, LaurentPoly, var_table
 from higgsdt.partitions import Partition
+from higgsdt.series import TruncSeries
 from higgsdt.dt import (CurveParams, IntegralityError, alt_idt, alt_h_term,
                         idt_star, jacobian_poly, moduli_volume, n_lambda,
                         omega, rank_one_idt, substitution_identity_check,
@@ -226,3 +227,41 @@ def test_alt_term_weight_one_genus_zero():
 
 def test_hook_product_empty_partition():
     assert n_lambda(T0, Partition(())) == T0.one()
+
+
+# -- clearing the scaled log ----------------------------------------------------
+
+
+def _series(table, order, coeffs):
+    return TruncSeries.from_terms(table, order, {0: Fraction.one(table), **coeffs})
+
+
+def test_idt_star_refuses_coefficient_not_divisible_by_rank():
+    # Log of 1 + T^2/2 starts T^2/2: its cleared numerator (q - 1)(1 - t)
+    # times 2 * Log_2 is integral but not divisible by 2
+    cp = CurveParams(genus=0, ell=1)
+    half = Fraction(T0.monomial(T0.zero_exps(), Q(1, 2)))
+    with pytest.raises(IntegralityError, match="r=2 has non-integer"):
+        idt_star(cp, 2, series=_series(T0, 2, {2: half}))
+    with pytest.raises(IntegralityError, match="r=2 has non-integer"):
+        alt_idt(cp, 2, series=_series(T0, 2, {2: half}))
+
+
+def test_idt_star_refuses_uncleared_denominator():
+    cp = CurveParams(genus=0, ell=1)
+    # 1 / (1 - q^2) keeps the factor 1 + q after (q - 1)(1 - t) clears
+    frac = Fraction.one(T0).div_binomial(T0.zero_exps(), T0.exps(q=2))
+    with pytest.raises(IntegralityError, match="r=1 is not polynomial"):
+        idt_star(cp, 1, series=_series(T0, 1, {1: frac}))
+
+
+def test_idt_star_divides_exact_multiples_of_the_rank():
+    # B = 1 + 3 T^3 gives 3 * Log_3 = 9, which clears to 3 (q - 1)(1 - t)
+    cp = CurveParams(genus=0, ell=1)
+    three = Fraction(T0.monomial(T0.zero_exps(), 3))
+    polys = idt_star(cp, 3, series=_series(T0, 3, {3: three}))
+    clearer = ((T0.monomial(T0.exps(q=1)) - T0.one())
+               * (T0.one() - T0.monomial(T0.exps(t=1))))
+    assert polys[1].is_zero() and polys[2].is_zero()
+    assert polys[3] == clearer.scale(3)
+    assert all(type(c) is int for c in polys[3].terms.values())

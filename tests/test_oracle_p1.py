@@ -143,3 +143,25 @@ def test_rank_two_twist_two_formula_agreement():
     lhs, rhs, ok = compare_with_formula(2, 1, 2, 2)
     assert ok, (lhs, rhs)
     assert lhs == 768
+
+
+def test_thread_count_parses_and_bounds(monkeypatch):
+    from higgsdt.oracle_p1 import thread_count
+    assert thread_count({}) == 1
+    assert thread_count({"HIGGSDT_THREADS": ""}) == 1
+    assert thread_count({"HIGGSDT_THREADS": " 1 "}) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert thread_count({"HIGGSDT_THREADS": "3"}) == 3
+    assert thread_count({"HIGGSDT_THREADS": "100000"}) == 4
+    for bad in ("abc", "0", "-2", "1.5"):
+        with pytest.raises(ValueError, match="HIGGSDT_THREADS"):
+            thread_count({"HIGGSDT_THREADS": bad})
+
+
+def test_stack_volume_refuses_bad_thread_setting(monkeypatch):
+    # 2^7 matrices at (1, 0), far below the pool threshold: no pool starts
+    monkeypatch.setenv("HIGGSDT_THREADS", "abc")
+    with pytest.raises(ValueError, match="HIGGSDT_THREADS"):
+        stack_volume_p1(2, 1, 1, 2)
+    monkeypatch.setenv("HIGGSDT_THREADS", "2")
+    assert semistable_count((1, 0), 1, 2) == semistable_count((1, 0), 1, 2, threads=1)

@@ -119,3 +119,12 @@ def test_nontrivial_stabilization_window():
     tab = omega_plus(cp, 2, 8)
     assert tab[(2, 0)] != tab[(2, 1)]
     assert tab[(2, 1)] == Fraction(idt_star(cp, 2)[2].set_var_one("t"))
+
+
+def test_laurent_property_check_lets_kernel_bugs_through(monkeypatch):
+    # only a failed exact division means "not Laurent"; anything else is a bug
+    def broken(self):
+        raise RuntimeError("kernel bug")
+    monkeypatch.setattr(Fraction, "clear_denominator", broken)
+    with pytest.raises(RuntimeError):
+        laurent_property_check(1, 1)

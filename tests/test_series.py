@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction as Q
 
 import pytest
 
 from higgsdt.algebra import Fraction, LaurentPoly, var_table
-from higgsdt.series import TruncSeries, mobius, pleth_exp, pleth_log
+from higgsdt.series import (TruncSeries, mobius, pleth_exp, pleth_log,
+                            scaled_pleth_log)
 
 T = var_table(genus=0)
 
@@ -105,3 +107,56 @@ def test_exp_with_fraction_coefficients():
     psi2 = qm1.adams(2)
     from fractions import Fraction as Q
     assert e.coefficient(2) == (psi2 + qm1 * qm1).scale(Q(1, 2))
+
+
+def _rand_series(rng, order, rational):
+    coeffs = {0: Fraction.one(T)}
+    for d in range(1, order + 1):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            c = rng.randint(-4, 4)
+            if rational:
+                c = Q(c, rng.randint(1, 4))
+            e = T.exps(q=rng.randint(-2, 2), t=rng.randint(0, 2))
+            terms[e] = terms.get(e, 0) + c
+        frac = Fraction(LaurentPoly(T, {e: c for e, c in terms.items() if c}))
+        if rng.random() < 0.5:
+            frac = frac.div_binomial(T.zero_exps(), T.exps(q=rng.randint(1, 2)))
+        coeffs[d] = frac
+    return TruncSeries.from_terms(T, order, coeffs)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_scaled_log_is_r_times_log(rational):
+    rng = random.Random(7 + rational)
+    for _ in range(15):
+        s = _rand_series(rng, 6, rational)
+        scaled = scaled_pleth_log(s)
+        lg = pleth_log(s)
+        assert scaled.coefficient(0).is_zero()
+        for r in range(1, 7):
+            assert lg.coefficient(r).scale(r) == scaled.coefficient(r)
+        # independent of the implementation: M_r = sum_{n | r} psi_n(R_{r/n})
+        # is r times the ordinary log, so r B_r = sum_{k=1}^r M_k B_{r-k}
+        M = [None] + [sum((scaled.coefficient(r // n).adams(n)
+                           for n in range(1, r + 1) if r % n == 0),
+                          Fraction.zero(T)) for r in range(1, 7)]
+        for r in range(1, 7):
+            rhs = Fraction.zero(T)
+            for k in range(1, r + 1):
+                rhs = rhs + M[k] * s.coefficient(r - k)
+            assert rhs == s.coefficient(r).scale(r)
+
+
+def test_scaled_log_keeps_integer_coefficients():
+    rng = random.Random(11)
+    for _ in range(10):
+        scaled = scaled_pleth_log(_rand_series(rng, 5, False))
+        for c in scaled.coeffs:
+            assert all(type(v) is int for v in c.num.terms.values())
+
+
+def test_scaled_log_needs_unit_constant():
+    s = TruncSeries.from_terms(T, 3, {0: Fraction(T.monomial(T.exps(q=1)))})
+    with pytest.raises(ValueError):
+        scaled_pleth_log(s)

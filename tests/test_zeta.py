@@ -128,3 +128,14 @@ def test_specialize_integer_rejects_asymmetric_poly():
         specialize_integer(table.monomial(table.exps(a1=1)), zd)
     with pytest.raises(ValueError):
         specialize_integer(table.monomial(table.exps(t=1)), zd)
+
+
+def test_numeric_needs_a_prime_power():
+    from higgsdt.zeta import is_prime_power
+    assert [n for n in range(30) if is_prime_power(n)] == [
+        2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
+    assert is_prime_power(10007) and is_prime_power(134217689)
+    assert is_prime_power(3 ** 20) and not is_prime_power(10007 * 10009)
+    for q0 in (6, 10, 12, 100):
+        with pytest.raises(ValueError, match="prime power"):
+            ZetaData.from_trace(q0, 0)
