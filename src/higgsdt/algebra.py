@@ -182,7 +182,7 @@ class LaurentPoly:
         if len(a) > len(b):
             a, b = b, a
         if not a:
-            return LaurentPoly(self.table, {})
+            return self.table.zero()
         rows = iter(a.items())
         ea, ca = next(rows)
         # the first row cannot collide with itself: no lookups needed
@@ -383,6 +383,7 @@ def exact_divide(poly, factor):
             classes[key] = {j: c}
         else:
             col[j] = c
+    # most trial divisions fail: refuse before building any of the quotient
     for key, col in classes.items():
         if sum(col.values()):
             raise NotDivisibleError("remainder in class %s" % (key,))
