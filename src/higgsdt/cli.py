@@ -231,18 +231,19 @@ def _cmd_specialize(args, parser):
             zd = ZetaData.numeric(args.q0, [complex(w) for w in args.weil.split(",")])
         cp = (CurveParams(genus=zd.genus, ell=2 * zd.genus - 2, mode="canonical")
               if args.canonical else CurveParams(genus=zd.genus, ell=args.ell))
+    except ValueError as e:
+        print("higgsdt specialize: error: %s" % e, file=sys.stderr)
+        return 2
+    polys = idt_star(cp, args.rmax)
+    try:
         print("curve over F_%d with point counts %s"
               % (args.q0, zd.point_counts(3)))
-        polys = idt_star(cp, args.rmax)
         for r in sorted(polys):
             val = specialize_integer(polys[r].set_var_one("t"), zd)
             print("rank %d value at t = 1: %d" % (r, val))
     except NumericDriftError as e:
         print("higgsdt specialize: value cannot be certified: %s" % e, file=sys.stderr)
         return 1
-    except ValueError as e:
-        print("higgsdt specialize: error: %s" % e, file=sys.stderr)
-        return 2
     return 0
 
 

@@ -161,8 +161,8 @@ def _clearing_poly(table, kind):
     return _CLEAR_CACHE[key]
 
 
-def _clear_log(series, clearer, what):
-    """Coefficients r >= 1 of clearer * Log(series) as integer polynomials.
+def _clear_log(series, order, clearer, what):
+    """Coefficients r = 1..order of clearer * Log(series) as integer polynomials.
 
     Clears clearer * r * Log_r (integer numerators) and then divides every
     coefficient by r; a nonzero remainder is exactly a non-integer
@@ -170,7 +170,7 @@ def _clear_log(series, clearer, what):
     """
     R = scaled_pleth_log(series)
     out = {}
-    for r in range(1, series.order + 1):
+    for r in range(1, order + 1):
         try:
             poly = R.coeffs[r].mul_poly(clearer).clear_denominator()
         except NotDivisibleError as e:
@@ -191,7 +191,7 @@ def idt_star(cp, order, series=None):
     is meaningful (it falsifies the integrality property), never masked.
     """
     Z = series if series is not None else zstar_series(cp, order)
-    return _clear_log(Z, _clearing_poly(cp.table(), "main"), "idt")
+    return _clear_log(Z, order, _clearing_poly(cp.table(), "main"), "idt")
 
 
 def rank_one_idt(cp, table=None):
@@ -328,7 +328,7 @@ def alt_h_series(cp, order):
 def alt_idt(cp, order, series=None):
     """Coefficients of (1 - t)(1 - qt) Log H, cleared; integer Laurent in t."""
     H = series if series is not None else alt_h_series(cp, order)
-    return _clear_log(H, _clearing_poly(cp.table(), "alt"), "alt-idt")
+    return _clear_log(H, order, _clearing_poly(cp.table(), "alt"), "alt-idt")
 
 
 def substitution_identity_check(cp, max_weight):

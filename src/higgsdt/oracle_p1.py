@@ -234,15 +234,16 @@ def thread_count(environ=os.environ):
     return min(n, os.cpu_count() or 1)
 
 
-def semistable_count(typ, ell, q, cap=2 ** 28, threads=None):
+def semistable_count(typ, ell, q, cap=2 ** 28):
     """#{semistable twisted endomorphisms} of the split bundle, by listing
     every matrix and testing all potentially destabilizing sub-line-bundles.
 
-    threads=None reads HIGGSDT_THREADS (see thread_count); a process pool
-    is used only for at least 2^16 matrices.
+    HIGGSDT_THREADS sets the worker count (see thread_count); a process
+    pool is used only for at least 2^16 matrices.
     """
     if ell < 0:
         raise ValueError("twist degree must be nonnegative")
+    threads = thread_count()
     typ = tuple(sorted(typ, reverse=True))
     if len(typ) == 1:
         return q ** (ell + 1)
@@ -270,8 +271,6 @@ def semistable_count(typ, ell, q, cap=2 ** 28, threads=None):
     e12_space = _sections(q, degs[0][1])
     e21_space = _sections(q, degs[1][0])
 
-    if threads is None:
-        threads = thread_count()
     if threads > 1 and total >= 1 << 16:
         from multiprocessing import Pool
         chunks = [e11_space[i::threads] for i in range(threads)]
@@ -306,19 +305,17 @@ def stack_volume_p1(r, d, ell, q, cap=2 ** 28):
     if r != 2:
         raise NotImplementedError("oracle covers rank <= 2")
     bound = (r - 1) * ell
-    threads = thread_count()
     total = Q(0)
     s = d % 2
     while s <= bound:
         typ = ((d + s) // 2, (d - s) // 2)
-        total += Q(semistable_count(typ, ell, q, cap=cap, threads=threads),
-                   aut_count(typ, q))
+        total += Q(semistable_count(typ, ell, q, cap=cap), aut_count(typ, q))
         s += 2
     # boundary check: widen until an honest zero, warn if the bound lied
     widened = 0
     while True:
         typ = ((d + s) // 2, (d - s) // 2)
-        c = semistable_count(typ, ell, q, cap=cap, threads=threads)
+        c = semistable_count(typ, ell, q, cap=cap)
         if c == 0:
             break
         widened += 1

@@ -29,54 +29,14 @@ class NumericDriftError(ArithmeticError):
     """A value that must be a real integer failed the tolerance check."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n):
-    """Miller-Rabin over the first twelve primes: exact below 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _iroot(n, k):
-    """Largest m with m ** k <= n, for n >= 1."""
-    lo, hi = 1, 1 << (n.bit_length() // k + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid ** k <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def is_prime_power(n):
     """True when n = p^k for a prime p and k >= 1."""
     if n < 2:
         return False
-    for k in range(1, n.bit_length()):
-        m = _iroot(n, k)
-        if m ** k == n and _is_prime(m):
-            return True
-    return False
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,15 @@ def test_specialize_reports_drift_in_one_line(capsys):
     assert lines[0].startswith("higgsdt specialize: value cannot be certified:")
 
 
+def test_specialize_does_not_mask_kernel_errors(capsys, monkeypatch):
+    # only user input is reported as rejected; a ValueError from the
+    # evaluation itself is a bug and must surface as a traceback
+    def broken(poly, zd):
+        raise ValueError("kernel bug")
+    monkeypatch.setattr("higgsdt.cli.specialize_integer", broken)
+    with pytest.raises(ValueError, match="kernel bug"):
+        main(["specialize", "--q0", "2", "--trace", "0", "--rmax", "1"])
+
 def test_oracle_names_bad_thread_setting(capsys, monkeypatch):
     monkeypatch.setenv("HIGGSDT_THREADS", "abc")
     with pytest.raises(SystemExit) as exc:

@@ -265,3 +265,11 @@ def test_idt_star_divides_exact_multiples_of_the_rank():
     assert polys[1].is_zero() and polys[2].is_zero()
     assert polys[3] == clearer.scale(3)
     assert all(type(c) is int for c in polys[3].terms.values())
+
+
+def test_idt_star_returns_ranks_up_to_order_of_a_longer_series():
+    cp = CurveParams(genus=0, ell=1)
+    three = Fraction(T0.monomial(T0.zero_exps(), 3))
+    series = _series(T0, 3, {3: three})
+    assert sorted(idt_star(cp, 2, series=series)) == [1, 2]
+    assert sorted(alt_idt(cp, 2, series=series)) == [1, 2]

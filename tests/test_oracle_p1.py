@@ -163,5 +163,9 @@ def test_stack_volume_refuses_bad_thread_setting(monkeypatch):
     monkeypatch.setenv("HIGGSDT_THREADS", "abc")
     with pytest.raises(ValueError, match="HIGGSDT_THREADS"):
         stack_volume_p1(2, 1, 1, 2)
+    with pytest.raises(ValueError, match="HIGGSDT_THREADS"):
+        semistable_count((1, 0), 1, 2)
     monkeypatch.setenv("HIGGSDT_THREADS", "2")
-    assert semistable_count((1, 0), 1, 2) == semistable_count((1, 0), 1, 2, threads=1)
+    two = semistable_count((1, 0), 1, 2)
+    monkeypatch.delenv("HIGGSDT_THREADS")
+    assert two == semistable_count((1, 0), 1, 2)
