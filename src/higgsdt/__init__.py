@@ -1,5 +1,5 @@
 """Exact Donaldson-Thomas invariants and moduli volumes of twisted Higgs
-bundles on a smooth projective curve, with a brute-force point-counting
+bundles on a smooth projective curve, with a finite-field point-counting
 oracle on the projective line for independent verification."""
 
 __version__ = "0.1.0"

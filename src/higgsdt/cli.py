@@ -3,7 +3,7 @@
 Subcommands:
   compute     invariant table for one curve (text, json, csv or latex)
   verify      run the self-check suites
-  oracle-p1   finite-field recount on the line vs the formula
+  oracle-p1   finite-field count on the line vs the formula
   specialize  numeric values at explicit Frobenius eigenvalues
 
 Exit status: 0 on success, 1 when a verification or comparison fails or a
@@ -271,7 +271,8 @@ def build_parser():
     pv.set_defaults(fn=_cmd_verify)
 
     po = sub.add_parser("oracle-p1",
-                        help="brute-force recount on the line vs the formula")
+                        help="closed-form semistable count over F_q on the line "
+                             "vs the formula")
     po.add_argument("--rank", type=int, required=True, choices=(1, 2))
     po.add_argument("--deg", type=int, required=True)
     po.add_argument("--ell", type=int, required=True)

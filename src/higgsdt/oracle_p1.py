@@ -1,4 +1,4 @@
-"""Brute-force point count of twisted Higgs bundles on the projective line.
+"""Point count of twisted Higgs bundles on the projective line over F_q.
 
 Everything here is finite linear algebra over a small field F_q.  A rank-r
 bundle on the line splits as O(b_1) + ... + O(b_r), a twisted endomorphism
@@ -13,13 +13,16 @@ zero, the top summand becomes invariant, and nothing is semistable.
 
 This module is deliberately independent of the symbolic engine: it shares
 no code with it beyond Python itself, so agreement between the two is
-evidence, not circularity.  Rank 1 and 2 only; the rank-2 instability test
-enumerates maps from every line bundle of more than half the total degree
-and checks the coefficient-wise vanishing of the induced cross form.
+evidence, not circularity.  Rank 1 and 2 only.  The rank-2 semistable count
+is a closed form: the only saturated line subbundle of more than half the
+degree is the top summand, invariant exactly when the lower corner entry
+vanishes (proof in semistable_count).  semistable_count_by_enumeration, used by the tests,
+recounts by listing every matrix and checking, for every line bundle of more
+than half the total degree, the coefficient-wise vanishing of the induced
+cross form.
 """
 
 import math
-import os
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
@@ -53,6 +56,11 @@ def _polymod(ds, mod, p):
     return tuple(ds[:n])
 
 
+def _check_field(q):
+    if q not in SUPPORTED_Q:
+        raise ValueError("unsupported field size %d (have %s)" % (q, list(SUPPORTED_Q)))
+
+
 @lru_cache(maxsize=None)
 def gf_tables(q):
     """(ADD, MUL, NEG) lookup tables for F_q, elements encoded as 0..q-1.
@@ -60,8 +68,7 @@ def gf_tables(q):
     Prime q is arithmetic mod q; prime powers use the fixed irreducible
     modulus, encoding a polynomial by its base-p digit string.
     """
-    if q not in SUPPORTED_Q:
-        raise ValueError("unsupported field size %d (have %s)" % (q, list(SUPPORTED_Q)))
+    _check_field(q)
     if q in _IRREDUCIBLE:
         p, mod = _IRREDUCIBLE[q]
         n = len(mod) - 1
@@ -202,131 +209,103 @@ def _cross_vanishes(f21, diag, f12, pair, add, mul, neg):
     return True
 
 
-def _count_chunk(q, e11s, e22_space, e12_space, e21_space, pairs_by_m, add, mul, neg):
-    count = 0
-    for f11 in e11s:
-        neg_f11 = tuple(neg[c] for c in f11)
-        for f22 in e22_space:
-            diag = tuple(add[a][b] for a, b in zip(f22, neg_f11))
-            for f12 in e12_space:
-                for f21 in e21_space:
-                    unstable = any(
-                        _cross_vanishes(f21, diag, f12, pair, add, mul, neg)
-                        for pairs in pairs_by_m for pair in pairs)
-                    if not unstable:
-                        count += 1
-    return count
-
-
-def thread_count(environ=os.environ):
-    """Worker count from HIGGSDT_THREADS: unset or empty means 1, anything
-    but a positive integer is refused, and the value is capped at the CPU
-    count."""
-    raw = environ.get("HIGGSDT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError("HIGGSDT_THREADS must be a positive integer, got %r" % raw)
-    return min(n, os.cpu_count() or 1)
-
-
-def semistable_count(typ, ell, q, cap=2 ** 28):
+def semistable_count_by_enumeration(typ, ell, q, cap=2 ** 28):
     """#{semistable twisted endomorphisms} of the split bundle, by listing
     every matrix and testing all potentially destabilizing sub-line-bundles.
 
-    HIGGSDT_THREADS sets the worker count (see thread_count); a process
-    pool is used only for at least 2^16 matrices.
+    The reference that semistable_count is tested against; it refuses more
+    than `cap` matrices.
     """
     if ell < 0:
         raise ValueError("twist degree must be nonnegative")
-    threads = thread_count()
     typ = tuple(sorted(typ, reverse=True))
     if len(typ) == 1:
         return q ** (ell + 1)
     if len(typ) != 2:
         raise NotImplementedError("instability test implemented for rank <= 2")
     a1, a2 = typ
-    d, s = a1 + a2, a1 - a2
-    if s > ell and s > 0:
-        # the lower corner entry lives in H0(O(ell - s)) = 0, so the top
-        # summand is invariant and its degree exceeds d/2: nothing survives
-        return 0
+    d = a1 + a2
     degs = _phi_degrees(typ, ell)
-    dims = [max(0, degs[i][j] + 1) for i in range(2) for j in range(2)]
-    total = q ** sum(dims)
+    total = q ** sum(max(0, deg + 1) for row in degs for deg in row)
     if total > cap:
         raise ValueError("enumeration of %d matrices exceeds the cap" % total)
     add, mul, neg = gf_tables(q)
-    m_candidates = range(d // 2 + 1, a1 + 1)
-    pairs_by_m = [_projective_pairs(q, a1 - m, a2 - m, add, mul)
-                  for m in m_candidates]
-    if not any(pairs_by_m):
+    pairs = [pair for m in range(d // 2 + 1, a1 + 1)
+             for pair in _projective_pairs(q, a1 - m, a2 - m, add, mul)]
+    if not pairs:
         return total  # no line bundle can exceed half the degree
-    e11_space = _sections(q, degs[0][0])
-    e22_space = _sections(q, degs[1][1])
-    e12_space = _sections(q, degs[0][1])
-    e21_space = _sections(q, degs[1][0])
+    count = 0
+    for f11 in _sections(q, degs[0][0]):
+        neg_f11 = tuple(neg[c] for c in f11)
+        for f22 in _sections(q, degs[1][1]):
+            diag = tuple(add[a][b] for a, b in zip(f22, neg_f11))
+            for f12 in _sections(q, degs[0][1]):
+                for f21 in _sections(q, degs[1][0]):
+                    if not any(_cross_vanishes(f21, diag, f12, pair, add, mul, neg)
+                               for pair in pairs):
+                        count += 1
+    return count
 
-    if threads > 1 and total >= 1 << 16:
-        from multiprocessing import Pool
-        chunks = [e11_space[i::threads] for i in range(threads)]
-        args = [(q, ch, e22_space, e12_space, e21_space, pairs_by_m, add, mul, neg)
-                for ch in chunks if ch]
-        with Pool(len(args)) as pool:
-            return sum(pool.starmap(_count_chunk, args))
-    return _count_chunk(q, e11_space, e22_space, e12_space, e21_space,
-                        pairs_by_m, add, mul, neg)
+
+def semistable_count(typ, ell, q):
+    """#{semistable twisted endomorphisms} of the split bundle, in closed form.
+
+    Write E = O(a1) + O(a2) with a1 >= a2, d = a1 + a2, s = a1 - a2, and let
+    D be the total dimension of the four entry spaces, so there are q^D
+    fields phi.  A line subbundle L with deg L > d/2 >= a2 has
+    Hom(L, O(a2)) = 0, so L lies in O(a1); if it is saturated, L = O(a1).
+    When s = 0 no such L exists and every phi is semistable.  When s > 0,
+    O(a1) is the only candidate, so by the uniqueness of the maximal
+    destabilizing subbundle (Harder-Narasimhan) phi is unstable exactly when
+    phi(O(a1)) lies in O(a1)(ell), that is when the corner entry f21, a
+    section of O(ell - s), vanishes.  Hence
+
+        #semistable = q^D - q^(D - max(0, ell - s + 1))   (s > 0),
+
+    which is 0 once s > ell.  semistable_count_by_enumeration checks this
+    against a direct listing in the tests.
+    """
+    if ell < 0:
+        raise ValueError("twist degree must be nonnegative")
+    if len(typ) == 1:
+        return q ** (ell + 1)
+    if len(typ) != 2:
+        raise NotImplementedError("instability test implemented for rank <= 2")
+    _check_field(q)
+    a1, a2 = sorted(typ, reverse=True)
+    s = a1 - a2
+    dim = sum(max(0, deg + 1) for row in _phi_degrees(typ, ell) for deg in row)
+    if s == 0:
+        return q ** dim
+    return q ** dim - q ** (dim - max(0, ell - s + 1))
 
 
 def splitting_types(r, d, spread_cap):
-    """Decreasing r-tuples with the given sum and b_1 - b_r <= spread_cap."""
+    """Decreasing r-tuples (r <= 2) with the given sum and b_1 - b_r <= spread_cap."""
     if r == 1:
         return [(d,)]
-    out = []
-    for s in range(d % 2 if r == 2 else 0, spread_cap + 1, 2 if r == 2 else 1):
-        if r == 2 and (d + s) % 2 == 0:
-            out.append(((d + s) // 2, (d - s) // 2))
-    return out
+    if r != 2:
+        raise NotImplementedError("splitting types listed for rank <= 2")
+    return [((d + s) // 2, (d - s) // 2) for s in range(d % 2, spread_cap + 1, 2)]
 
 
-def stack_volume_p1(r, d, ell, q, cap=2 ** 28):
+def stack_volume_p1(r, d, ell, q):
     """Groupoid volume sum #semistable / #Aut over all contributing types.
 
     The spread window is validated, not assumed: the first type past the
-    theoretical bound is recounted and must come out empty (the fast zero
-    path is itself a proof, being forced by an empty section space).
+    bound (r - 1) ell is recounted and must come out empty.
     """
     if r == 1:
         return Q(semistable_count((d,), ell, q), aut_count((d,), q))
     if r != 2:
         raise NotImplementedError("oracle covers rank <= 2")
-    bound = (r - 1) * ell
-    total = Q(0)
-    s = d % 2
-    while s <= bound:
-        typ = ((d + s) // 2, (d - s) // 2)
-        total += Q(semistable_count(typ, ell, q, cap=cap), aut_count(typ, q))
-        s += 2
-    # boundary check: widen until an honest zero, warn if the bound lied
-    widened = 0
-    while True:
-        typ = ((d + s) // 2, (d - s) // 2)
-        c = semistable_count(typ, ell, q, cap=cap)
-        if c == 0:
-            break
-        widened += 1
-        total += Q(c, aut_count(typ, q))
-        s += 2
-        if widened > 4:
-            raise ArithmeticError("spread window refuses to close at s = %d" % s)
-    if widened:
-        import warnings
-        warnings.warn("spread bound %d was too small; widened %d steps"
-                      % (bound, widened))
+    total = sum((Q(semistable_count(typ, ell, q), aut_count(typ, q))
+                 for typ in splitting_types(2, d, ell)), Q(0))
+    # the spreads ell + 1 and ell + 2 hold exactly one type of parity d
+    boundary = splitting_types(2, d, ell + 2)[-1]
+    if semistable_count(boundary, ell, q):
+        raise ArithmeticError("type %s past the spread bound %d counts semistable fields"
+                              % (boundary, ell))
     return total
 
 

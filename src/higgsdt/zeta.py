@@ -97,7 +97,11 @@ class ZetaData:
 
 
 def _as_integer(value, tol):
+    """The integer a float computation stands for.  From 2^53 on a double no
+    longer holds every integer, so no tolerance can certify the value."""
     value = complex(value)
+    if abs(value) >= 2 ** 53:
+        raise NumericDriftError("%r is too large to certify in floating point" % value)
     r = round(value.real)
     if abs(value.imag) > tol or abs(value.real - r) > tol:
         raise NumericDriftError("%r is not an integer within %g" % (value, tol))

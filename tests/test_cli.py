@@ -121,6 +121,13 @@ def test_oracle_match(capsys):
     assert "MATCH" in out and "MISMATCH" not in out
 
 
+def test_oracle_rank_two_past_the_old_enumeration_cap(capsys):
+    code, out, _ = run(capsys, "oracle-p1", "--rank", "2", "--deg", "1",
+                       "--ell", "4", "--q", "9")
+    assert code == 0
+    assert "MATCH" in out and "MISMATCH" not in out
+
+
 def test_oracle_rejects_bad_field(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle-p1", "--rank", "1", "--deg", "0", "--ell", "1",
@@ -206,9 +213,12 @@ def test_specialize_does_not_mask_kernel_errors(capsys, monkeypatch):
     with pytest.raises(ValueError, match="kernel bug"):
         main(["specialize", "--q0", "2", "--trace", "0", "--rmax", "1"])
 
-def test_oracle_names_bad_thread_setting(capsys, monkeypatch):
-    monkeypatch.setenv("HIGGSDT_THREADS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle-p1", "--rank", "2", "--deg", "1", "--ell", "1", "--q", "2"])
-    assert exc.value.code == 2
-    assert "HIGGSDT_THREADS must be a positive integer" in capsys.readouterr().err
+
+def test_specialize_refuses_counts_past_double_precision(capsys):
+    code, out, err = run(capsys, "specialize", "--q0", "134217689", "--trace", "1",
+                         "--rmax", "1")
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("higgsdt specialize: value cannot be certified:")

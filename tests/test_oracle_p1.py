@@ -1,12 +1,18 @@
+import json
 from fractions import Fraction as Q
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from higgsdt.oracle_p1 import (SUPPORTED_Q, aut_count, aut_count_by_enumeration,
                                compare_with_formula, formula_volume_p1,
                                gf_tables, gl_order, semistable_count,
+                               semistable_count_by_enumeration,
                                splitting_types, stack_volume_p1)
+
+# the closed form and the brute-force reference it is checked against
+COUNTS = (semistable_count, semistable_count_by_enumeration)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
@@ -35,6 +41,9 @@ def test_unsupported_field_size():
         gf_tables(6)
     with pytest.raises(ValueError):
         gf_tables(11)
+    for count in COUNTS:
+        with pytest.raises(ValueError, match="unsupported field size"):
+            count((1, 0), 1, 6)
 
 
 def test_gl_orders():
@@ -59,26 +68,29 @@ def test_aut_hand_values():
 
 
 def test_rank_one_everything_is_semistable():
-    for d in (-1, 0, 3):
-        for ell in (0, 1, 2):
-            for q in (2, 3):
-                assert semistable_count((d,), ell, q) == q ** (ell + 1)
+    for count in COUNTS:
+        for d in (-1, 0, 3):
+            for ell in (0, 1, 2):
+                for q in (2, 3):
+                    assert count((d,), ell, q) == q ** (ell + 1)
 
 
 def test_spread_beyond_twist_kills_everything():
-    assert semistable_count((3, 0), 1, 2) == 0
-    assert semistable_count((2, 0), 1, 3) == 0
-    assert semistable_count((4, 1), 2, 2) == 0
+    for count in COUNTS:
+        assert count((3, 0), 1, 2) == 0
+        assert count((2, 0), 1, 3) == 0
+        assert count((4, 1), 2, 2) == 0
 
 
 def test_hand_counts_balanced_type():
-    # type (1,0), twist 1: the single destabilizing direction forces the
-    # lower corner to vanish, one section space of dimension 1
-    for q in (2, 3):
-        assert semistable_count((1, 0), 1, q) == q ** 7 * (q - 1)
-    # twist 2: same direction, corner space now has dimension 2
-    assert semistable_count((1, 0), 2, 2) == 2 ** 10 * 3
-    assert semistable_count((1, 0), 2, 3) == 3 ** 10 * 8
+    for count in COUNTS:
+        # type (1,0), twist 1: the single destabilizing direction forces the
+        # lower corner to vanish, one section space of dimension 1
+        for q in (2, 3):
+            assert count((1, 0), 1, q) == q ** 7 * (q - 1)
+        # twist 2: same direction, corner space now has dimension 2
+        assert count((1, 0), 2, 2) == 2 ** 10 * 3
+        assert count((1, 0), 2, 3) == 3 ** 10 * 8
 
 
 def test_negative_twist_rejected():
@@ -95,7 +107,24 @@ def test_rank_cap():
 
 def test_enumeration_cap_guard():
     with pytest.raises(ValueError):
-        semistable_count((1, 0), 5, 2, cap=100)
+        semistable_count_by_enumeration((1, 0), 5, 2, cap=100)
+
+
+def _matrix_space(typ, ell, q):
+    return q ** sum(max(0, ell + bi - bj + 1) for bi in typ for bj in typ)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_closed_form_matches_enumeration(q):
+    checked = 0
+    for ell in range(5):
+        for d in (0, 1):
+            for typ in splitting_types(2, d, ell + 3):
+                if _matrix_space(typ, ell, q) <= 2 ** 16:
+                    assert (semistable_count(typ, ell, q)
+                            == semistable_count_by_enumeration(typ, ell, q)), (typ, ell)
+                    checked += 1
+    assert checked >= 3
 
 
 def test_splitting_types():
@@ -145,27 +174,26 @@ def test_rank_two_twist_two_formula_agreement():
     assert lhs == 768
 
 
-def test_thread_count_parses_and_bounds(monkeypatch):
-    from higgsdt.oracle_p1 import thread_count
-    assert thread_count({}) == 1
-    assert thread_count({"HIGGSDT_THREADS": ""}) == 1
-    assert thread_count({"HIGGSDT_THREADS": " 1 "}) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert thread_count({"HIGGSDT_THREADS": "3"}) == 3
-    assert thread_count({"HIGGSDT_THREADS": "100000"}) == 4
-    for bad in ("abc", "0", "-2", "1.5"):
-        with pytest.raises(ValueError, match="HIGGSDT_THREADS"):
-            thread_count({"HIGGSDT_THREADS": bad})
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_rank_two_formula_agreement_grid(q):
+    for ell in range(5):
+        for d in (-1, 1):
+            lhs, rhs, ok = compare_with_formula(2, d, ell, q)
+            assert ok, (d, ell, lhs, rhs)
 
 
-def test_stack_volume_refuses_bad_thread_setting(monkeypatch):
-    # 2^7 matrices at (1, 0), far below the pool threshold: no pool starts
-    monkeypatch.setenv("HIGGSDT_THREADS", "abc")
-    with pytest.raises(ValueError, match="HIGGSDT_THREADS"):
-        stack_volume_p1(2, 1, 1, 2)
-    with pytest.raises(ValueError, match="HIGGSDT_THREADS"):
-        semistable_count((1, 0), 1, 2)
-    monkeypatch.setenv("HIGGSDT_THREADS", "2")
-    two = semistable_count((1, 0), 1, 2)
-    monkeypatch.delenv("HIGGSDT_THREADS")
-    assert two == semistable_count((1, 0), 1, 2)
+def test_oracle_suite_keeps_its_check_count():
+    # the benchmark's verify golden counts exactly these checks
+    from higgsdt.verify import run_suites
+    results, failures = run_suites(["oracle"])
+    assert sum(1 for r in results if r.ok is not None) == 13
+    assert failures == 0
+
+
+@pytest.mark.parametrize("d", (1, 3, -1, 5))
+def test_stack_volume_matches_benchmark_golden(d):
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    volumes = json.loads(golden.read_text())["oracle-rank2"]
+    for point, volume in volumes.items():
+        ell, q = map(int, point.split(","))
+        assert stack_volume_p1(2, d, ell, q) == Q(volume), point

@@ -139,3 +139,11 @@ def test_numeric_needs_a_prime_power():
     for q0 in (6, 10, 12, 100):
         with pytest.raises(ValueError, match="prime power"):
             ZetaData.from_trace(q0, 0)
+
+
+def test_point_counts_refuse_values_past_double_precision():
+    # q0 ~ 2^27: N_1 is exact in a double, N_2 = q0^2 + 2 q0 is not
+    zd = ZetaData.from_trace(134217689, 1)
+    assert zd.point_counts(1) == [134217689]
+    with pytest.raises(NumericDriftError, match="too large"):
+        zd.point_counts(2)
