@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .partitions import Partition, enumerate_partitions
 from .algebra import (VarTable, var_table, LaurentPoly, BinomialFactor, Fraction,
                       canonical_binomial, exact_divide, t_expand,
-                      AlgebraError, NotDivisibleError, TableMismatchError,
-                      ZeroDenominatorError)
+                      AlgebraError, ExponentRangeError, NotDivisibleError,
+                      TableMismatchError, ZeroDenominatorError)
 from .series import TruncSeries, pleth_exp, pleth_log, scaled_pleth_log, mobius
 from .dt import (CurveParams, HalfPowerValue, IntegralityError, idt_star,
                  moduli_volume, omega, rank_one_idt)

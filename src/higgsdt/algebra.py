@@ -12,6 +12,23 @@ drive the whole module and are relied on by callers:
   removed, larger monomial first in lexicographic order), which makes multiset
   intersection meaningful and keeps signs deterministic.
 
+Monomials are packed: the exponent vector (e_0, ..., e_{n-1}) of a table with
+n variables is the single Python int sum_i e_i * 2^(32 (n - 1 - i)), that is
+base 2^32 with balanced (signed) digits and q as the most significant digit.
+Integer order on packed monomials is the lexicographic order on exponent
+vectors, and the packing is linear, so multiplying monomials adds their
+packed ints, an Adams operation multiplies them, and a monomial substitution
+is a linear map.  Only `VarTable` knows the format: `exps`, `pack`, `unpack`
+and the digit readers are the way in and out.
+
+Every stored exponent lies in [-2^30, 2^30) (`EXP_LIMIT`).  `exps` and `pack`
+refuse anything outside with `ExponentRangeError`, and so does every kernel
+operation whose result would leave the range: products, monomial shifts,
+Adams operations, substitutions and t-expansions check their results (or,
+for Adams operations, their inputs) before anything is stored.  A digit never
+carries into its neighbour silently: the sum or difference of two in-range
+exponents still has digits within +-2^31, where the check is exact.
+
 Coefficients are exact rationals; no floats enter the kernel.  On the
 symbolic pipeline they stay Python ints end to end: the hook-product series
 has integer numerators, `series.scaled_pleth_log` carries r * Log_r instead
@@ -25,8 +42,13 @@ coefficients still work everywhere, for hand-built inputs.
 import math
 from fractions import Fraction as Q
 from functools import lru_cache
-from operator import add, sub
 from typing import NamedTuple
+
+DIGIT_BITS = 32                 # width of one packed exponent
+EXP_BITS = 30
+EXP_LIMIT = 1 << EXP_BITS       # stored exponents lie in [-EXP_LIMIT, EXP_LIMIT)
+_HALF = 1 << (DIGIT_BITS - 1)   # balanced digits are exact in [-_HALF, _HALF)
+_DIGIT_MASK = (1 << DIGIT_BITS) - 1
 
 
 class AlgebraError(Exception):
@@ -45,16 +67,22 @@ class ZeroDenominatorError(AlgebraError):
     """A denominator factor degenerated to zero under substitution."""
 
 
+class ExponentRangeError(AlgebraError):
+    """An exponent would leave the packed range [-EXP_LIMIT, EXP_LIMIT)."""
+
+
 class VarTable:
     """Ordered variable table shared by all objects of one computation.
 
     Order is fixed as q, t, (u), a1..ag, z1..zn; the induced lexicographic
-    order on exponent tuples is the monomial order used to orient binomial
-    factors.  Tables compare by their name tuple, and `var_table` memoizes
-    construction so identical requests share one instance.
+    order on exponent vectors is the monomial order used to orient binomial
+    factors, and it is the integer order of packed monomials.  Tables compare
+    by their name tuple, and `var_table` memoizes construction so identical
+    requests share one instance.
     """
 
-    __slots__ = ("names", "index", "arity", "genus", "nz", "with_u")
+    __slots__ = ("names", "index", "arity", "genus", "nz", "with_u",
+                 "_shifts", "_bias", "_guards")
 
     def __init__(self, genus=0, nz=0, with_u=False):
         names = ["q", "t"]
@@ -68,6 +96,11 @@ class VarTable:
         self.genus = genus
         self.nz = nz
         self.with_u = with_u
+        self._shifts = tuple(DIGIT_BITS * (self.arity - 1 - i)
+                             for i in range(self.arity))
+        # adding _bias turns balanced digits into plain base-2^32 digits
+        self._bias = self._spread(_HALF)
+        self._guards = {}
 
     def __eq__(self, other):
         return isinstance(other, VarTable) and self.names == other.names
@@ -78,38 +111,108 @@ class VarTable:
     def __repr__(self):
         return "VarTable(%s)" % ", ".join(self.names)
 
+    # -- the packed format ------------------------------------------------
+
+    def _spread(self, digit):
+        """The packed int with every digit equal to `digit`."""
+        return sum(digit << s for s in self._shifts)
+
+    def pack(self, exps):
+        """Packed monomial of an exponent vector; refuses out-of-range entries."""
+        exps = tuple(exps)
+        if len(exps) != self.arity:
+            raise ValueError("expected %d exponents, got %d" % (self.arity, len(exps)))
+        for e in exps:
+            if not -EXP_LIMIT <= e < EXP_LIMIT:
+                raise ExponentRangeError("exponent %d outside [-2^%d, 2^%d)"
+                                         % (e, EXP_BITS, EXP_BITS))
+        return sum(e << s for e, s in zip(exps, self._shifts))
+
+    def unpack(self, e):
+        """Exponent vector of a packed monomial."""
+        x = e + self._bias
+        return tuple((x >> s & _DIGIT_MASK) - _HALF for s in self._shifts)
+
+    def digit(self, e, i):
+        """Exponent of variable i in the packed monomial e."""
+        return ((e + self._bias) >> self._shifts[i] & _DIGIT_MASK) - _HALF
+
+    def digits(self, keys, i):
+        """Exponent of variable i in every packed monomial of keys, in order."""
+        bias, s = self._bias, self._shifts[i]
+        return [((e + bias) >> s & _DIGIT_MASK) - _HALF for e in keys]
+
+    def digit_range(self, keys, i):
+        """(min, max) exponent of variable i over the nonempty collection keys."""
+        if i == 0:
+            # the leading exponent grows with the packed int
+            return self.digit(min(keys), 0), self.digit(max(keys), 0)
+        # digit i and the ones below it, unsigned: ordered by digit i first
+        s = self._shifts[i]
+        off, low = sum(_HALF << t for t in self._shifts[i:]), (1 << s + DIGIT_BITS) - 1
+        xs = [(e + off) & low for e in keys]
+        return (min(xs) >> s) - _HALF, (max(xs) >> s) - _HALF
+
+    def check_range(self, keys, scale=1):
+        """Refuse unless scale * e stays in range for every key e of keys.
+
+        keys is a collection (it is read twice on failure).  For scale 1 the
+        test is exact on any packed value whose digits lie within +-2^31,
+        such as a sum or difference of two in-range monomials; a larger
+        scale demands |e_i| below EXP_LIMIT / 2^ceil(log2 scale).
+        """
+        bits = EXP_BITS - (scale - 1).bit_length()
+        guard = self._guards.get(bits)
+        if guard is None:
+            # in range iff e + bias has no bit at or above `bits + 1` in any digit
+            high = _DIGIT_MASK ^ ((2 << bits) - 1)
+            guard = self._guards[bits] = (self._spread(1 << bits), self._spread(high))
+        bias, mask = guard
+        seen = 0
+        for e in keys:
+            seen |= e + bias
+        if seen & mask:
+            bad = next(e for e in keys if (e + bias) & mask)
+            raise ExponentRangeError(
+                "exponent range [-2^%d, 2^%d) exceeded%s at %s"
+                % (EXP_BITS, EXP_BITS, " after scaling by %d" % scale if scale != 1 else "",
+                   self.unpack(bad)))
+
     def exps(self, **kw):
-        """Exponent tuple with the named exponents set, all others zero."""
+        """Packed monomial with the named exponents set, all others zero."""
         e = [0] * self.arity
         for nm, v in kw.items():
             e[self.index[nm]] = v
-        return tuple(e)
+        return self.pack(e)
 
     def zero_exps(self):
-        return (0,) * self.arity
+        return 0
 
     def unit_exps(self, name):
-        return self.exps(**{name: 1})
+        return 1 << self._shifts[self.index[name]]
+
+    def format_exps(self, exps):
+        """Render a packed monomial as e.g. 'q^2 t a1^-1'; constant is '1'."""
+        bits = [nm if e == 1 else "%s^%d" % (nm, e)
+                for nm, e in zip(self.names, self.unpack(exps)) if e]
+        return " ".join(bits) if bits else "1"
+
+    # -- constructors -----------------------------------------------------
 
     def zero(self):
         return LaurentPoly(self, {})
 
     def one(self):
-        return LaurentPoly(self, {self.zero_exps(): 1})
+        return LaurentPoly(self, {0: 1})
 
     def monomial(self, exps, coeff=1):
         if not coeff:
             return self.zero()
-        return LaurentPoly(self, {tuple(exps): coeff})
+        self.check_range((exps,))
+        return LaurentPoly(self, {exps: coeff})
 
     def var(self, name):
         return self.monomial(self.unit_exps(name))
-
-    def format_exps(self, exps):
-        """Render an exponent tuple as e.g. 'q^2 t a1^-1'; constant is '1'."""
-        bits = [nm if e == 1 else "%s^%d" % (nm, e)
-                for nm, e in zip(self.names, exps) if e]
-        return " ".join(bits) if bits else "1"
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +226,34 @@ def _check_tables(a, b):
                                  % (a.table, b.table))
 
 
+def _substitute(table, keys, images):
+    """Packed images of the monomials in keys under a monomial substitution.
+
+    images maps a variable index to the packed image of that variable;
+    unmapped variables stay themselves.  The substitution is linear on
+    exponents, so the image of e is e + sum over mapped i of
+    e_i * (image_i - x_i): one digit read per mapped variable and term.
+    """
+    keys = list(keys)
+    out = keys
+    # |digit j of an image| <= bound[j]; below 2^31 the range check is exact
+    bound = [0 if i in images else EXP_LIMIT for i in range(table.arity)]
+    for i, img in images.items():
+        d = table.digits(keys, i)
+        reach = max(map(abs, d), default=0)
+        for j, c in enumerate(table.unpack(img)):
+            bound[j] += reach * abs(c)
+        step = img - table.unit_exps(table.names[i])
+        out = [e + x * step for e, x in zip(out, d)]
+    if max(bound) >= _HALF:
+        raise ExponentRangeError("substitution may leave the exponent range "
+                                 "[-2^%d, 2^%d)" % (EXP_BITS, EXP_BITS))
+    table.check_range(out)
+    return out
+
+
 class LaurentPoly:
-    """Laurent polynomial: dict from exponent tuple to nonzero rational."""
+    """Laurent polynomial: dict from packed monomial to nonzero rational."""
 
     __slots__ = ("table", "terms")
 
@@ -141,10 +270,7 @@ class LaurentPoly:
         return bool(self.terms)
 
     def is_one(self):
-        return self.terms == {self.table.zero_exps(): 1}
-
-    def constant_term(self):
-        return self.terms.get(self.table.zero_exps(), 0)
+        return self.terms == {0: 1}
 
     def has_integer_coefficients(self):
         return all(isinstance(c, int) or c.denominator == 1
@@ -186,13 +312,15 @@ class LaurentPoly:
         rows = iter(a.items())
         ea, ca = next(rows)
         # the first row cannot collide with itself: no lookups needed
-        out = {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
+        out = {ea + eb: ca * cb for eb, cb in b.items()}
         get = out.get
         for ea, ca in rows:
             for eb, cb in b.items():
-                e = tuple(map(add, ea, eb))
+                e = ea + eb
                 out[e] = get(e, 0) + ca * cb
-        return LaurentPoly(self.table, {e: c for e, c in out.items() if c})
+        out = {e: c for e, c in out.items() if c}
+        self.table.check_range(out)
+        return LaurentPoly(self.table, out)
 
     def scale(self, c):
         if not c:
@@ -216,13 +344,14 @@ class LaurentPoly:
 
     def mono_mul(self, exps, coeff=1):
         """Multiply by coeff * x^exps (a single monomial)."""
+        if not exps:
+            return self if coeff == 1 else self.scale(coeff)
         if not coeff:
             return self.table.zero()
-        if coeff == 1 and not any(exps):
-            return self
-        return LaurentPoly(self.table,
-                           {tuple(map(add, e, exps)): c * coeff
-                            for e, c in self.terms.items()})
+        self.table.check_range((exps,))
+        out = {e + exps: c * coeff for e, c in self.terms.items()}
+        self.table.check_range(out)
+        return LaurentPoly(self.table, out)
 
     def __pow__(self, n):
         if n < 0:
@@ -235,35 +364,25 @@ class LaurentPoly:
     # -- structure maps ---------------------------------------------------
 
     def adams(self, n):
-        """Adams operation: every variable exponent is multiplied by n."""
+        """Adams operation: every variable exponent is multiplied by n >= 1."""
         if n == 1:
             return self
-        return LaurentPoly(self.table,
-                           {tuple(n * x for x in e): c for e, c in self.terms.items()})
+        if n < 1:
+            raise ValueError("Adams operations need n >= 1, got %d" % n)
+        self.table.check_range(self.terms, scale=n)
+        return LaurentPoly(self.table, {n * e: c for e, c in self.terms.items()})
 
     def substitute_monomials(self, images):
         """Substitute variables by monomials.
 
-        images maps a variable index to the exponent tuple of its image;
+        images maps a variable index to the packed monomial of its image;
         unmapped variables stay themselves.  Images are monomials with
         coefficient 1, which keeps the map a ring homomorphism on the
         Laurent ring.
         """
-        arity = self.table.arity
         out = {}
-        for e, c in self.terms.items():
-            new = [0] * arity
-            for i, ei in enumerate(e):
-                if not ei:
-                    continue
-                img = images.get(i)
-                if img is None:
-                    new[i] += ei
-                else:
-                    for j, fj in enumerate(img):
-                        if fj:
-                            new[j] += ei * fj
-            k = tuple(new)
+        for k, c in zip(_substitute(self.table, self.terms, images),
+                        self.terms.values()):
             s = out.get(k, 0) + c
             if s:
                 out[k] = s
@@ -272,7 +391,7 @@ class LaurentPoly:
         return LaurentPoly(self.table, out)
 
     def set_var_one(self, name):
-        return self.substitute_monomials({self.table.index[name]: self.table.zero_exps()})
+        return self.substitute_monomials({self.table.index[name]: 0})
 
     def eval(self, values):
         """Evaluate at a full vector of values (exact rationals or complex).
@@ -285,7 +404,7 @@ class LaurentPoly:
         total = 0
         for e, c in self.terms.items():
             acc = c
-            for x, ei in zip(values, e):
+            for x, ei in zip(values, self.table.unpack(e)):
                 if ei:
                     acc = acc * x ** ei
             total = total + acc
@@ -295,15 +414,12 @@ class LaurentPoly:
 
     def var_range(self, name):
         """(min, max) exponent of one variable over the support; (0, 0) if absent."""
-        i = self.table.index[name]
         if not self.terms:
             return (0, 0)
-        es = [e[i] for e in self.terms]
-        return (min(es), max(es))
+        return self.table.digit_range(self.terms, self.table.index[name])
 
     def uses_var(self, name):
-        i = self.table.index[name]
-        return any(e[i] for e in self.terms)
+        return any(self.table.digits(self.terms, self.table.index[name]))
 
     def sorted_terms(self):
         """Deterministic descending-lex term order, for printing and hashing."""
@@ -319,36 +435,32 @@ class LaurentPoly:
 
 
 class BinomialFactor(NamedTuple):
-    """Canonical difference of monomials m1 - m2.
+    """Canonical difference of monomials m1 - m2, both packed.
 
     Invariants: m1 != m2, componentwise min(m1, m2) == 0 (no monomial
-    content), and m1 > m2 lexicographically.
+    content), and m1 > m2 lexicographically (as packed ints).
     """
 
-    m1: tuple
-    m2: tuple
+    m1: int
+    m2: int
 
     def to_poly(self, table):
         return LaurentPoly(table, {self.m1: 1, self.m2: -1})
 
-    def adams(self, n):
-        # scaling by n > 0 preserves both canonicality conditions
-        return BinomialFactor(tuple(n * x for x in self.m1),
-                              tuple(n * x for x in self.m2))
 
-
-def canonical_binomial(e1, e2):
+def canonical_binomial(table, e1, e2):
     """Decompose x^e1 - x^e2 as sign * x^unit * (m1 - m2) with (m1, m2) canonical.
 
-    Returns (factor, unit_exps, sign).  Raises ZeroDenominatorError when the
-    two monomials coincide.
+    Returns (factor, unit_exps, sign), all packed over table.  Raises
+    ZeroDenominatorError when the two monomials coincide.
     """
-    e1, e2 = tuple(e1), tuple(e2)
+    table.check_range((e1, e2))
     if e1 == e2:
-        raise ZeroDenominatorError("binomial degenerated: %s - %s" % (e1, e2))
-    unit = tuple(min(a, b) for a, b in zip(e1, e2))
-    r1 = tuple(a - u for a, u in zip(e1, unit))
-    r2 = tuple(b - u for b, u in zip(e2, unit))
+        raise ZeroDenominatorError("binomial degenerated: %s - %s"
+                                   % (table.format_exps(e1), table.format_exps(e2)))
+    unit = table.pack(map(min, table.unpack(e1), table.unpack(e2)))
+    r1, r2 = e1 - unit, e2 - unit
+    table.check_range((r1, r2))
     if r1 > r2:
         return BinomialFactor(r1, r2), unit, 1
     return BinomialFactor(r2, r1), unit, -1
@@ -357,57 +469,90 @@ def canonical_binomial(e1, e2):
 def exact_divide(poly, factor):
     """Divide a LaurentPoly by a canonical BinomialFactor, exactly.
 
-    The terms of the dividend are grouped into classes modulo the direction
-    v = m1 - m2; each class is a univariate Laurent polynomial in X = x^v and
-    the factor is m2*(X - 1), so the class divides iff its coefficients sum
-    to zero, with the quotient given by running sums.  Linear time, no
-    term-order descent, valid for genuinely Laurent supports.
+    With v = m1 - m2 the factor is x^m2 * (x^v - 1), so p = quotient * factor
+    reads quo(e - m2) = quo(e - m1) - p(e) along every line e + Z*v: the
+    quotient is the negated running sum of the dividend's coefficients along
+    each line, and the division is exact iff every line sums to zero.
+    Linear time, no term-order descent, valid for genuinely Laurent supports.
+
+    The sums are taken run by run, a run being a maximal stretch e, e + v,
+    ..., e + k*v of the support, walked from its lowest term.  A run whose
+    sum is not zero carries it through the gap to the next run of its line,
+    which must exist.  Runs start in increasing packed order, which is
+    increasing along each line (v > 0 as a packed int), so a carried sum
+    always reaches a run that has not been walked yet.  The quotient of an
+    exact division has, in every variable, its exponents within the
+    dividend's range (its Newton polytope plus the factor's segment is the
+    dividend's, and the factor's smaller end is 0), so it needs no range
+    check.
     """
-    m1, m2 = factor
-    v = tuple(map(sub, m1, m2))
-    i0 = next(i for i, x in enumerate(v) if x)
-    vi = v[i0]
     terms = poly.terms
     if not terms:
         return poly
-    lead = [e[i0] for e in terms]
-    # j -> j * v for every class index that can occur, shared by all classes
-    multiples = {j: tuple(j * x for x in v)
-                 for j in range(min(lead) // vi, max(lead) // vi + 1)}
-    classes = {}
-    for e, c in terms.items():
-        j = e[i0] // vi
-        key = tuple(map(sub, e, multiples[j]))
-        col = classes.get(key)
-        if col is None:
-            classes[key] = {j: c}
-        else:
-            col[j] = c
-    # most trial divisions fail: refuse before building any of the quotient
-    for key, col in classes.items():
-        if sum(col.values()):
-            raise NotDivisibleError("remainder in class %s" % (key,))
-    # keys have their i0 entry in [0, vi), so distinct (key, j) pairs give
-    # distinct quotient exponents and each one is written exactly once
+    m1, m2 = factor
+    v = m1 - m2
+    # membership tests are exact: every point tested is a term plus at most
+    # max(1, max_gap) steps of v (see _max_gap)
+    starts = sorted([e for e in terms if e - v not in terms])
     out = {}
-    for key, col in classes.items():
-        base = tuple(map(sub, key, m2))
+    joined = set()    # run starts reached by a carried sum
+    max_gap = None
+    for e in starts:
+        if e in joined:
+            continue
         d = 0
-        for j in range(min(col), max(col)):
-            c = col.get(j)
-            if c is not None:
-                d -= c
+        while True:
+            d -= terms[e]
+            nxt = e + v
             if d:
-                out[tuple(map(add, base, multiples[j]))] = d
+                out[e - m2] = d
+                if nxt not in terms:
+                    if max_gap is None:
+                        max_gap = _max_gap(poly.table, terms, factor)
+                    # the next run starts within max_gap steps of e, or never
+                    for _ in range(max_gap - 1):
+                        out[nxt - m2] = d
+                        nxt += v
+                        if nxt in terms:
+                            break
+                    else:
+                        raise NotDivisibleError("remainder on the line through %s"
+                                                % poly.table.format_exps(e))
+                    joined.add(nxt)
+            elif nxt not in terms:
+                break
+            e = nxt
     return LaurentPoly(poly.table, out)
 
 
+def _max_gap(table, terms, factor):
+    """How many steps along v = m1 - m2 a walk from a term may take and stay
+    within the support's range.
+
+    Past that many steps the walk has left the dividend.  A point at most
+    that many steps from a term differs from every term by less than
+    2^31 + steps * max|v_i| in each digit, and two packed points that
+    differ by less than 2^32 in every digit are equal only if they agree
+    (read the lowest digit, subtract, repeat).  A dividend spread too wide
+    along v for that bound is refused.
+    """
+    vs = table.unpack(factor.m1 - factor.m2)
+    i0 = next(i for i, x in enumerate(vs) if x)
+    lo, hi = table.digit_range(terms, i0)
+    steps = (hi - lo) // vs[i0]
+    if steps * max(map(abs, vs)) > _HALF:
+        raise ExponentRangeError("exact division by %s - %s: the dividend is spread "
+                                 "too wide along the factor's direction"
+                                 % (table.format_exps(factor.m1),
+                                    table.format_exps(factor.m2)))
+    return steps
+
+
 @lru_cache(maxsize=None)
-def _direction(factor):
+def _direction(table, factor):
     """Primitive direction of m1 - m2 (its first nonzero entry is positive)."""
-    v = tuple(map(sub, factor.m1, factor.m2))
-    g = math.gcd(*v)
-    return tuple(x // g for x in v)
+    v = factor.m1 - factor.m2
+    return v // math.gcd(*table.unpack(v))
 
 
 def _reduce_fraction(num, den):
@@ -459,10 +604,6 @@ class Fraction:
     def one(cls, table):
         return cls(table.one())
 
-    @classmethod
-    def from_poly(cls, poly):
-        return cls(poly)
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -504,6 +645,7 @@ class Fraction:
             return self
         if self.den == other.den:
             return Fraction(self.num + other.num, self.den)
+        table = self.table
         common = []
         da = list(self.den)
         for f in other.den:
@@ -515,20 +657,20 @@ class Fraction:
         only_b = _multiset_diff(other.den, tuple(common))
         na = self.num
         for f in only_b:
-            na = na * f.to_poly(self.table)
+            na = na * f.to_poly(table)
         nb = other.num
         for f in only_a:
-            nb = nb * f.to_poly(self.table)
+            nb = nb * f.to_poly(table)
         num = na + nb
         if not num.terms:
             return Fraction(num)
-        dirs_a = {_direction(f) for f in only_a}
-        dirs_b = {_direction(f) for f in only_b}
+        dirs_a = {_direction(table, f) for f in only_a}
+        dirs_b = {_direction(table, f) for f in only_b}
         tried, kept = list(common), []
         for f in only_a:
-            (tried if _direction(f) in dirs_b else kept).append(f)
+            (tried if _direction(table, f) in dirs_b else kept).append(f)
         for f in only_b:
-            (tried if _direction(f) in dirs_a else kept).append(f)
+            (tried if _direction(table, f) in dirs_a else kept).append(f)
         num, left = _reduce_fraction(num, tuple(tried))
         return Fraction(num, left + tuple(kept), reduce=False)
 
@@ -560,8 +702,8 @@ class Fraction:
 
     def div_binomial(self, e1, e2):
         """Divide by (x^e1 - x^e2)."""
-        factor, unit, sign = canonical_binomial(e1, e2)
-        num = self.num.mono_mul(tuple(-u for u in unit), sign)
+        factor, unit, sign = canonical_binomial(self.table, e1, e2)
+        num = self.num.mono_mul(-unit, sign)
         return Fraction(num, self.den + (factor,))
 
     def __eq__(self, other):
@@ -589,17 +731,22 @@ class Fraction:
     # -- structure maps ---------------------------------------------------
 
     def adams(self, n):
-        return Fraction(self.num.adams(n),
-                        tuple(f.adams(n) for f in self.den), reduce=False)
+        if n == 1:
+            return self
+        num = self.num.adams(n)
+        self.table.check_range([m for f in self.den for m in f], scale=n)
+        # scaling by n > 0 keeps every factor canonical
+        return Fraction(num, tuple(BinomialFactor(n * f.m1, n * f.m2) for f in self.den),
+                        reduce=False)
 
     def substitute_monomials(self, images):
+        table = self.table
         num = self.num.substitute_monomials(images)
         den = []
         for f in self.den:
-            i1 = _image_exps(f.m1, images, self.table.arity)
-            i2 = _image_exps(f.m2, images, self.table.arity)
-            g, unit, sign = canonical_binomial(i1, i2)
-            num = num.mono_mul(tuple(-u for u in unit), sign)
+            i1, i2 = _substitute(table, f, images)
+            g, unit, sign = canonical_binomial(table, i1, i2)
+            num = num.mono_mul(-unit, sign)
             den.append(g)
         return Fraction(num, den)
 
@@ -611,25 +758,26 @@ class Fraction:
         to the monomial on the other side (canonical factors never carry the
         variable on both sides).
         """
-        i = self.table.index[name]
+        table = self.table
+        i = table.index[name]
         terms = {}
-        for e, c in self.num.terms.items():
-            if e[i] < 0:
+        for (e, c), d in zip(self.num.terms.items(), table.digits(self.num.terms, i)):
+            if d < 0:
                 raise ZeroDenominatorError("negative %s-exponent at %s = 0"
                                            % (name, name))
-            if e[i] == 0:
+            if d == 0:
                 terms[e] = c
-        num = LaurentPoly(self.table, terms)
+        num = LaurentPoly(table, terms)
         den = []
         for f in self.den:
-            d1, d2 = f.m1[i], f.m2[i]
+            d1, d2 = table.digit(f.m1, i), table.digit(f.m2, i)
             if d1 == 0 and d2 == 0:
                 den.append(f)
             elif d1 > 0:
                 # factor value at 0 is -m2
-                num = num.mono_mul(tuple(-x for x in f.m2), -1)
+                num = num.mono_mul(-f.m2, -1)
             else:
-                num = num.mono_mul(tuple(-x for x in f.m1), 1)
+                num = num.mono_mul(-f.m1, 1)
         return Fraction(num, den)
 
     def clear_denominator(self):
@@ -640,18 +788,16 @@ class Fraction:
             num, den = _reduce_fraction(self.num, self.den)
             if den:
                 raise NotDivisibleError(
-                    "denominator does not clear: %d factor(s) remain, e.g. %s"
-                    % (len(den), den[0],))
+                    "denominator does not clear: %d factor(s) remain, e.g. %s - %s"
+                    % (len(den), self.table.format_exps(den[0].m1),
+                       self.table.format_exps(den[0].m2)))
             return num
         return self.num
-
-    def as_poly(self):
-        return self.clear_denominator()
 
     def eval(self, values):
         top = self.num.eval(values)
         for f in self.den:
-            b = LaurentPoly(self.table, {f.m1: 1, f.m2: -1}).eval(values)
+            b = f.to_poly(self.table).eval(values)
             if not b:
                 raise ZeroDivisionError("denominator factor vanishes at the given point")
             top = top / b
@@ -660,22 +806,9 @@ class Fraction:
     def __repr__(self):
         if not self.den:
             return repr(self.num)
-        return "(%r) / %s" % (self.num, list(self.den))
-
-
-def _image_exps(e, images, arity):
-    new = [0] * arity
-    for i, ei in enumerate(e):
-        if not ei:
-            continue
-        img = images.get(i)
-        if img is None:
-            new[i] += ei
-        else:
-            for j, fj in enumerate(img):
-                if fj:
-                    new[j] += ei * fj
-    return tuple(new)
+        return "(%r) / [%s]" % (self.num, ", ".join(
+            "%s - %s" % (self.table.format_exps(f.m1), self.table.format_exps(f.m2))
+            for f in self.den))
 
 
 def t_expand(frac, depth, lo=0):
@@ -692,50 +825,57 @@ def t_expand(frac, depth, lo=0):
     """
     table = frac.table
     ti = table.index["t"]
+    tu = table.unit_exps("t")
     tfree, mixed = [], []
     for f in frac.den:
-        d1, d2 = f.m1[ti], f.m2[ti]
+        d1, d2 = table.digit(f.m1, ti), table.digit(f.m2, ti)
         if d1 == 0 and d2 == 0:
             tfree.append(f)
         elif d1 > 0 and d2 > 0:
-            raise ZeroDenominatorError("denominator factor vanishes at t = 0: %s" % (f,))
+            raise ZeroDenominatorError("denominator factor vanishes at t = 0: %s - %s"
+                                       % (table.format_exps(f.m1),
+                                          table.format_exps(f.m2)))
         else:
-            mixed.append(f)
+            mixed.append((f, d1, d2))
     # seed: numerator split by t-degree, t stripped from the exponent
     cur = {}
-    for e, c in frac.num.terms.items():
-        d = e[ti]
-        e0 = tuple(0 if i == ti else x for i, x in enumerate(e))
+    terms = frac.num.terms
+    for (e, c), d in zip(terms.items(), table.digits(terms, ti)):
+        e0 = e - d * tu
         lev = cur.setdefault(d, {})
         s = lev.get(e0, 0) + c
         if s:
             lev[e0] = s
         elif e0 in lev:
             del lev[e0]
-    for f in mixed:
-        d1, d2 = f.m1[ti], f.m2[ti]
+    for f, d1, d2 in mixed:
         if d2 == 0:
             # 1/(m1 - m2) = -(1/m2) * sum_j (m1/m2)^j, t-degree step d1
-            sign, pref, step, dstep = -1, f.m2, tuple(a - b for a, b in zip(f.m1, f.m2)), d1
+            sign, pref, step, dstep = -1, f.m2, f.m1 - f.m2, d1
         else:
             # 1/(m1 - m2) = (1/m1) * sum_j (m2/m1)^j, t-degree step d2
-            sign, pref, step, dstep = 1, f.m1, tuple(b - a for a, b in zip(f.m1, f.m2)), d2
-        pref = tuple(-x for x in pref)
-        step0 = tuple(0 if i == ti else x for i, x in enumerate(step))
+            sign, pref, step, dstep = 1, f.m1, f.m2 - f.m1, d2
+        step0 = step - dstep * tu
         nxt = {}
         for d, level in cur.items():
             jmax = (depth - d) // dstep
             for j in range(jmax + 1):
                 nd = d + j * dstep
-                shift = tuple(p + j * s for p, s in zip(pref, step0))
+                # shifts advance by less than 2^30 a digit, so this check is
+                # exact, and with the shift in range every sum below is
+                # exactly packed for the level check after the loop
+                shift = j * step0 - pref
+                table.check_range((shift,))
                 lev = nxt.setdefault(nd, {})
                 for e0, c in level.items():
-                    e = tuple(x + y for x, y in zip(e0, shift))
+                    e = e0 + shift
                     s = lev.get(e, 0) + c * sign
                     if s:
                         lev[e] = s
                     elif e in lev:
                         del lev[e]
+        for lev in nxt.values():
+            table.check_range(lev)
         cur = nxt
     out = []
     tfree = tuple(tfree)

@@ -43,7 +43,7 @@ def _latex_var(name):
 
 def _mono_latex(table, exps):
     bits = []
-    for nm, e in zip(table.names, exps):
+    for nm, e in zip(table.names, table.unpack(exps)):
         if not e:
             continue
         v = _latex_var(nm)

@@ -77,21 +77,17 @@ def _box_data(lam):
 def n_lambda(table, lam, u_exps=None):
     """Hook product N_la(u, q, t), expanded.
 
-    u_exps is the exponent tuple of an invertible monomial standing for u
+    u_exps is the packed exponent of an invertible monomial standing for u
     (None means u = 1).  Each box contributes
     (q^a - u t^{l+1})(q^{a+1} - u^{-1} t^l).
     """
     if u_exps is None:
         u_exps = table.zero_exps()
-    neg_u = tuple(-x for x in u_exps)
     out = table.one()
     for a, l in _box_data(lam):
-        e1 = table.exps(q=a)
-        e2 = tuple(x + y for x, y in zip(table.exps(t=l + 1), u_exps))
-        f1 = table.monomial(e1) - table.monomial(e2)
-        e3 = table.exps(q=a + 1)
-        e4 = tuple(x + y for x, y in zip(table.exps(t=l), neg_u))
-        f2 = table.monomial(e3) - table.monomial(e4)
+        f1 = table.monomial(table.exps(q=a)) - table.monomial(table.exps(t=l + 1) + u_exps)
+        f2 = (table.monomial(table.exps(q=a + 1))
+              - table.monomial(table.exps(t=l) - u_exps))
         out = out * f1 * f2
     return out
 
@@ -108,9 +104,9 @@ def n_lambda_den(table, lam):
     for a, l in _box_data(lam):
         for e1, e2 in ((table.exps(q=a), table.exps(t=l + 1)),
                        (table.exps(q=a + 1), table.exps(t=l))):
-            f, u, s = canonical_binomial(e1, e2)
+            f, u, s = canonical_binomial(table, e1, e2)
             sign *= s
-            unit = tuple(x + y for x, y in zip(unit, u))
+            unit += u
             factors.append(f)
     return sign, unit, tuple(factors)
 
@@ -128,20 +124,25 @@ def zstar_term(cp, lam, table=None):
     for i in range(1, cp.genus + 1):
         num = num * n_lambda(table, lam, table.exps(**{"a%d" % i: -1}))
     dsign, dunit, dfactors = n_lambda_den(table, lam)
-    num = num.mono_mul(tuple(x - u for x, u in zip(pref, dunit)), sign * dsign)
+    num = num.mono_mul(pref - dunit, sign * dsign)
     return Fraction(num, dfactors)
 
 
-def zstar_series(cp, order):
-    """Main series to T^order: coefficient r sums zstar_term over |la| = r."""
+def partition_series(cp, order, term):
+    """Series to T^order whose coefficient r sums term(cp, la, table) over |la| = r."""
     table = cp.table()
     s = TruncSeries.one(table, order)
     for r in range(1, order + 1):
         acc = Fraction.zero(table)
         for lam in enumerate_partitions(r):
-            acc = acc + zstar_term(cp, lam, table)
+            acc = acc + term(cp, lam, table)
         s.coeffs[r] = acc
     return s
+
+
+def zstar_series(cp, order):
+    """Main series to T^order: coefficient r sums zstar_term over |la| = r."""
+    return partition_series(cp, order, zstar_term)
 
 
 _CLEAR_CACHE = {}
@@ -300,29 +301,21 @@ def alt_h_term(cp, lam, table=None):
         mq = table.exps(q=a + 1, t=h)     # q times it
         for i in range(1, g + 1):
             ai = "a%d" % i
-            e = tuple(x + y for x, y in zip(m, table.exps(**{ai: 1})))
-            num = num * (table.one() - table.monomial(e))
-            e = tuple(x + y for x, y in zip(mq, table.exps(**{ai: -1})))
-            num = num * (table.one() - table.monomial(e))
+            num = num * (table.one() - table.monomial(m + table.exps(**{ai: 1})))
+            num = num * (table.one() - table.monomial(mq + table.exps(**{ai: -1})))
         for e in (m, mq):
-            f, u, s = canonical_binomial(table.zero_exps(), e)
+            f, u, s = canonical_binomial(table, table.zero_exps(), e)
             den_sign *= s
-            den_unit = tuple(x + y for x, y in zip(den_unit, u))
+            den_unit += u
             factors.append(f)
     pref = table.exps(q=qexp, t=texp)
-    num = num.mono_mul(tuple(x - u for x, u in zip(pref, den_unit)), sign * den_sign)
+    num = num.mono_mul(pref - den_unit, sign * den_sign)
     return Fraction(num, factors)
 
 
 def alt_h_series(cp, order):
-    table = cp.table()
-    s = TruncSeries.one(table, order)
-    for r in range(1, order + 1):
-        acc = Fraction.zero(table)
-        for lam in enumerate_partitions(r):
-            acc = acc + alt_h_term(cp, lam, table)
-        s.coeffs[r] = acc
-    return s
+    """Zeta-value series to T^order: coefficient r sums alt_h_term over |la| = r."""
+    return partition_series(cp, order, alt_h_term)
 
 
 def alt_idt(cp, order, series=None):

@@ -22,19 +22,10 @@ from itertools import permutations
 
 from .algebra import (Fraction, NotDivisibleError, ZeroDenominatorError, t_expand,
                       var_table)
-from .partitions import Partition, enumerate_partitions
-from .series import TruncSeries, pleth_log
-from .dt import CurveParams, idt_star, zstar_series, zstar_term
+from .series import pleth_log
+from .dt import CurveParams, idt_star, partition_series, zstar_term
 
 MAX_SN = 4  # n! symmetrization terms; raise deliberately, not by accident
-
-
-def _add(e1, e2):
-    return tuple(x + y for x, y in zip(e1, e2))
-
-
-def _sub(e1, e2):
-    return tuple(x - y for x, y in zip(e1, e2))
 
 
 def f_sum(table, genus, values, max_n=MAX_SN):
@@ -42,7 +33,7 @@ def f_sum(table, genus, values, max_n=MAX_SN):
     n = len(values)
     if n > max_n:
         raise ValueError("n = %d exceeds the S_n cap %d" % (n, max_n))
-    values = [tuple(v) for v in values]
+    values = list(values)
     if len(set(values)) != n:
         raise ZeroDenominatorError("specialized z-values must be pairwise distinct")
     zero = table.zero_exps()
@@ -54,7 +45,7 @@ def f_sum(table, genus, values, max_n=MAX_SN):
     for w in values:
         for ak in ainv:
             pref = pref.mul_binomial(zero, ak)
-            pref = pref.div_binomial(zero, _add(ak, w))
+            pref = pref.div_binomial(zero, ak + w)
 
     total = Fraction.zero(table)
     for sigma in permutations(range(n)):
@@ -62,13 +53,13 @@ def f_sum(table, genus, values, max_n=MAX_SN):
         term = Fraction.one(table)
         for i in range(n):
             for j in range(i):
-                ratio = _sub(w[i], w[j])
+                ratio = w[i] - w[j]
                 term = term.div_binomial(zero, ratio)
                 for ak in ainv:
-                    term = term.mul_binomial(zero, _add(ak, ratio))
-                    term = term.div_binomial(zero, _add(qe, _add(ak, ratio)))
+                    term = term.mul_binomial(zero, ak + ratio)
+                    term = term.div_binomial(zero, qe + ak + ratio)
                 if i > j + 1:
-                    term = term.mul_binomial(zero, _add(qe, ratio))
+                    term = term.mul_binomial(zero, qe + ratio)
         for i in range(1, n):
             term = term.mul_binomial(zero, w[i])
         total = total + term
@@ -103,7 +94,7 @@ def inductive_property_check(n, genus, max_n=MAX_SN + 1):
     zs = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
     lhs = f_sum(table, genus, [table.zero_exps()] + zs, max_n=max_n)
     qe = table.exps(q=1)
-    rhs = f_sum(table, genus, [_add(qe, z) for z in zs], max_n=max_n)
+    rhs = f_sum(table, genus, [qe + z for z in zs], max_n=max_n)
     return lhs == rhs
 
 
@@ -117,10 +108,10 @@ def laurent_property_check(n, genus, max_n=MAX_SN):
     for k in range(1, genus + 1):
         ak = table.exps(**{"a%d" % k: -1})
         for i in range(n):
-            f = f.mul_binomial(zero, _add(ak, zs[i]))
+            f = f.mul_binomial(zero, ak + zs[i])
             for j in range(n):
                 if i != j:
-                    f = f.mul_binomial(zero, _add(qe, _add(ak, _sub(zs[i], zs[j]))))
+                    f = f.mul_binomial(zero, qe + ak + zs[i] - zs[j])
     try:
         f.clear_denominator()
         return True
@@ -139,26 +130,26 @@ def alpha_zero_check(n, genus, max_n=MAX_SN):
     qe = table.exps(q=1)
     ue = table.exps(u=1)
     values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
-    ainv = [_add(ue, table.exps(**{"a%d" % k: -1})) for k in range(1, genus + 1)]
+    ainv = [ue + table.exps(**{"a%d" % k: -1}) for k in range(1, genus + 1)]
 
     pref = Fraction.one(table)
     for w in values:
         for ak in ainv:
             pref = pref.mul_binomial(zero, ak)
-            pref = pref.div_binomial(zero, _add(ak, w))
+            pref = pref.div_binomial(zero, ak + w)
     total = Fraction.zero(table)
     for sigma in permutations(range(n)):
         w = [values[s] for s in sigma]
         term = Fraction.one(table)
         for i in range(n):
             for j in range(i):
-                ratio = _sub(w[i], w[j])
+                ratio = w[i] - w[j]
                 term = term.div_binomial(zero, ratio)
                 for ak in ainv:
-                    term = term.mul_binomial(zero, _add(ak, ratio))
-                    term = term.div_binomial(zero, _add(qe, _add(ak, ratio)))
+                    term = term.mul_binomial(zero, ak + ratio)
+                    term = term.div_binomial(zero, qe + ak + ratio)
                 if i > j + 1:
-                    term = term.mul_binomial(zero, _add(qe, ratio))
+                    term = term.mul_binomial(zero, qe + ratio)
         for i in range(1, n):
             term = term.mul_binomial(zero, w[i])
         total = total + term
@@ -171,15 +162,11 @@ def zplus_series(cp, order, max_n=MAX_SN):
     """Positive series: the main term times f_{lambda'} per partition."""
     if cp.mode != "twisted":
         raise ValueError("positive series is defined in twisted mode")
-    table = cp.table()
-    s = TruncSeries.one(table, order)
-    for r in range(1, order + 1):
-        acc = Fraction.zero(table)
-        for lam in enumerate_partitions(r):
-            acc = acc + zstar_term(cp, lam, table) * f_lambda(cp, lam.conjugate(),
-                                                              max_n=max_n)
-        s.coeffs[r] = acc
-    return s
+
+    def term(cp, lam, table):
+        return zstar_term(cp, lam, table) * f_lambda(cp, lam.conjugate(), max_n=max_n)
+
+    return partition_series(cp, order, term)
 
 
 @dataclass

@@ -89,9 +89,6 @@ class TruncSeries:
     def scale(self, c):
         return TruncSeries(self.table, self.order, [f.scale(c) for f in self.coeffs])
 
-    def mul_coeff(self, frac):
-        return TruncSeries(self.table, self.order, [f * frac for f in self.coeffs])
-
     def adams(self, n):
         """psi_n: T -> T^n and every table variable exponent scaled by n."""
         out = [Fraction.zero(self.table) for _ in range(self.order + 1)]

@@ -169,11 +169,14 @@ def test_specialize_needs_curve_data(capsys):
 
 # sha256 of `compute --format json` output (with its trailing newline), taken
 # before the integer-scaled log replaced the rational one; any kernel change
-# must reproduce these bytes exactly.
+# must reproduce these bytes exactly.  (0, 1, 8) and (3, 5, 3) are the
+# benchmark's compute workloads, copied from perfbench/golden.json.
 COMPUTE_JSON_SHA256 = {
     (0, 1, 5): "1f90a8ef8863ce1210444da367ddc06c3f67449611eaef4465862cfaf8dfdca6",
+    (0, 1, 8): "9288f3fe48962faffd097d44b4fc35479cd33da03c491c7b02d22dc3b8032e0c",
     (1, 1, 3): "33d0aae46295db83d07580e3cd6d0acc5e9d6e672bf334c6ec1a04fddb2625e7",
     (2, 3, 2): "ed41a5148895db0453b9c98afb694004e5cc7800803d12d662399af3be5beb0e",
+    (3, 5, 3): "bebbdfe7672da99345ac204652932f8b786eb3aa83de13cba7b6c09ab83c2eed",
 }
 
 

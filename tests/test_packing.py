@@ -1,0 +1,383 @@
+"""Packed monomials: format, range guard, and the kernel against tuple references."""
+
+import random
+
+import pytest
+
+from higgsdt.algebra import (EXP_LIMIT, BinomialFactor, ExponentRangeError, Fraction,
+                             LaurentPoly, NotDivisibleError, canonical_binomial,
+                             exact_divide, t_expand, var_table)
+
+TABLES = [var_table(), var_table(genus=1), var_table(genus=3),
+          var_table(genus=2, nz=4, with_u=True)]
+WIDE = TABLES[-1]   # q, t, u, a1, a2, z1..z4
+
+
+def rand_exps(rng, arity):
+    """Exponent vectors mixing small entries with entries near the limit."""
+    out = []
+    for _ in range(arity):
+        kind = rng.random()
+        if kind < 0.4:
+            out.append(rng.randint(-3, 3))
+        elif kind < 0.7:
+            out.append(rng.randint(-EXP_LIMIT, EXP_LIMIT - 1))
+        else:
+            out.append(rng.choice((-EXP_LIMIT, -EXP_LIMIT + 1, EXP_LIMIT - 2,
+                                   EXP_LIMIT - 1, -1, 0, 1)))
+    return tuple(out)
+
+
+# -- the format ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("table", TABLES, ids=lambda t: "arity%d" % t.arity)
+def test_pack_round_trip_and_order(table):
+    rng = random.Random(table.arity)
+    vecs = [rand_exps(rng, table.arity) for _ in range(400)]
+    vecs += [tuple(rng.randint(-2, 2) for _ in range(table.arity)) for _ in range(200)]
+    packed = [table.pack(v) for v in vecs]
+    for v, e in zip(vecs, packed):
+        assert table.unpack(e) == v
+        assert [table.digit(e, i) for i in range(table.arity)] == list(v)
+    for i in range(table.arity):
+        assert table.digits(packed, i) == [v[i] for v in vecs]
+        assert table.digit_range(packed, i) == (min(v[i] for v in vecs),
+                                                max(v[i] for v in vecs))
+        assert table.digit_range(packed[:1], i) == (vecs[0][i], vecs[0][i])
+    for _ in range(3000):
+        a, b = rng.randrange(len(vecs)), rng.randrange(len(vecs))
+        assert (packed[a] < packed[b]) == (vecs[a] < vecs[b])
+        assert (packed[a] == packed[b]) == (vecs[a] == vecs[b])
+    assert sorted(packed) == [table.pack(v) for v in sorted(vecs)]
+
+
+@pytest.mark.parametrize("table", TABLES, ids=lambda t: "arity%d" % t.arity)
+def test_packing_is_linear(table):
+    rng = random.Random(100 + table.arity)
+    half = EXP_LIMIT // 2
+    for _ in range(300):
+        a = tuple(rng.randint(-half, half - 1) for _ in range(table.arity))
+        b = tuple(rng.randint(-half, half - 1) for _ in range(table.arity))
+        n = rng.randint(-1, 1) or 1
+        assert table.pack(a) + table.pack(b) == table.pack(x + y for x, y in zip(a, b))
+        assert table.pack(a) - table.pack(b) == table.pack(x - y for x, y in zip(a, b))
+        assert n * table.pack(a) == table.pack(n * x for x in a)
+
+
+def test_named_exponents_and_rendering():
+    t = WIDE
+    e = t.exps(q=2, u=-1, z4=EXP_LIMIT - 1)
+    assert t.unpack(e) == (2, 0, -1, 0, 0, 0, 0, 0, EXP_LIMIT - 1)
+    assert t.format_exps(e) == "q^2 u^-1 z4^%d" % (EXP_LIMIT - 1)
+    assert t.format_exps(t.zero_exps()) == "1"
+    assert t.unit_exps("a2") == t.exps(a2=1)
+    assert t.unpack(t.zero_exps()) == (0,) * t.arity
+
+
+# -- the range guard ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("table", TABLES, ids=lambda t: "arity%d" % t.arity)
+def test_pack_refuses_out_of_range(table):
+    for i in range(table.arity):
+        for bad in (EXP_LIMIT, -EXP_LIMIT - 1, 2 ** 40):
+            v = [0] * table.arity
+            v[i] = bad
+            with pytest.raises(ExponentRangeError):
+                table.pack(v)
+            with pytest.raises(ExponentRangeError):
+                table.exps(**{table.names[i]: bad})
+        for good in (EXP_LIMIT - 1, -EXP_LIMIT):
+            v = [0] * table.arity
+            v[i] = good
+            assert table.unpack(table.pack(v)) == tuple(v)
+            assert table.exps(**{table.names[i]: good}) == table.pack(v)
+    with pytest.raises(ValueError):
+        table.pack([0] * (table.arity + 1))
+
+
+def test_monomial_refuses_a_packed_sum_past_the_limit():
+    t = WIDE
+    over = t.exps(u=EXP_LIMIT - 1) + t.exps(u=1)
+    with pytest.raises(ExponentRangeError):
+        t.monomial(over)
+    with pytest.raises(ExponentRangeError):
+        t.one().mono_mul(over)
+
+
+@pytest.mark.parametrize("name", ["q", "t", "u", "a1", "z4"])
+def test_products_refuse_to_leave_the_range(name):
+    t = WIDE
+    i = t.index[name]
+
+    def mono(e):
+        # e in variable `name`, and digits of both signs around it
+        v = [3 if k % 2 else -1 for k in range(t.arity)]
+        v[i] = e
+        return t.pack(v)
+
+    step = t.monomial(t.unit_exps(name))
+    with pytest.raises(ExponentRangeError):
+        t.monomial(mono(EXP_LIMIT - 1)) * step
+    with pytest.raises(ExponentRangeError):
+        t.monomial(mono(EXP_LIMIT - 1)).mono_mul(t.unit_exps(name))
+    with pytest.raises(ExponentRangeError):
+        t.monomial(mono(-EXP_LIMIT)) * t.monomial(-t.unit_exps(name))
+    with pytest.raises(ExponentRangeError):
+        (t.monomial(t.exps(**{name: EXP_LIMIT // 2})) + t.one()) ** 2
+    # right at the edge nothing spills into a neighbouring variable
+    assert t.monomial(mono(EXP_LIMIT - 2)) * step == t.monomial(mono(EXP_LIMIT - 1))
+    low = t.monomial(t.exps(**{name: -EXP_LIMIT // 2})) ** 2
+    assert low == t.monomial(t.exps(**{name: -EXP_LIMIT}))
+
+
+def test_adams_refuses_to_leave_the_range():
+    t = WIDE
+    p = t.monomial(t.exps(a1=EXP_LIMIT // 2, q=1)) + t.one()
+    with pytest.raises(ExponentRangeError):
+        p.adams(2)
+    with pytest.raises(ExponentRangeError):
+        t.monomial(t.exps(z2=-EXP_LIMIT // 2 - 1)).adams(2)
+    ok = t.monomial(t.exps(a1=EXP_LIMIT // 2 - 1, q=1)).adams(2)
+    assert ok == t.monomial(t.exps(a1=EXP_LIMIT - 2, q=2))
+    # a denominator factor is scaled too
+    f = Fraction.one(t).div_binomial(t.exps(t=EXP_LIMIT // 2), t.zero_exps())
+    with pytest.raises(ExponentRangeError):
+        f.adams(2)
+    with pytest.raises(ValueError):
+        t.one().adams(0)
+
+
+def test_substitution_refuses_to_leave_the_range():
+    t = WIDE
+    p = t.monomial(t.exps(q=EXP_LIMIT - 1, a1=-1))
+    # a1 -> q a1^-1 sends q^(L-1) a1^-1 to q^(L-2) a1, but q^(L-1) a1 to q^L a1^-1
+    assert (p.substitute_monomials({t.index["a1"]: t.exps(q=1, a1=-1)})
+            == t.monomial(t.exps(q=EXP_LIMIT - 2, a1=1)))
+    p = t.monomial(t.exps(q=EXP_LIMIT - 1, a1=1))
+    with pytest.raises(ExponentRangeError):
+        p.substitute_monomials({t.index["a1"]: t.exps(q=1, a1=-1)})
+    # a1 -> a1^4 takes a1^(L-1) to a1^(4L-4), which would wrap to a1^-4 times
+    # one more u were it packed unchecked
+    p = t.monomial(t.exps(a1=EXP_LIMIT - 1))
+    with pytest.raises(ExponentRangeError):
+        p.substitute_monomials({t.index["a1"]: t.exps(a1=4)})
+
+
+def test_t_expand_refuses_to_leave_the_range():
+    # 1/(a1^K - t) = sum_j t^j a1^(-(j+1) K); at j = 8 the a1 digit would wrap
+    t = var_table(genus=1)
+    k = EXP_LIMIT // 2
+    f = Fraction.one(t).div_binomial(t.exps(a1=k), t.exps(t=1))
+    assert t_expand(f, 1) == [Fraction(t.monomial(t.exps(a1=-k))),
+                              Fraction(t.monomial(t.exps(a1=-2 * k)))]
+    for depth in (2, 8):
+        with pytest.raises(ExponentRangeError):
+            t_expand(f, depth)
+    # every shift in range, but a numerator term pushed out by one
+    g = Fraction(t.monomial(t.exps(a1=-k))).div_binomial(t.exps(a1=k // 2), t.exps(t=1))
+    assert t_expand(g, 1)[1] == Fraction(t.monomial(t.exps(a1=-2 * k)))
+    with pytest.raises(ExponentRangeError):
+        t_expand(g, 2)
+
+
+def test_exact_divide_refuses_a_support_spread_too_wide():
+    # a carried sum walks the gap at q; the q-spread 21 times the t-step 2^28
+    # passes 2^31, where packed membership tests could alias: refused
+    t = var_table()
+    for k, exact in ((2 ** 28, False), (2 ** 20, True)):
+        f, _, _ = canonical_binomial(t, t.exps(q=1), t.exps(t=k))
+        a = t.one() + t.monomial(t.exps(q=1, t=-k)) + t.monomial(t.exps(q=20))
+        if exact:
+            assert exact_divide(a * f.to_poly(t), f) == a
+        else:
+            with pytest.raises(ExponentRangeError):
+                exact_divide(a * f.to_poly(t), f)
+
+
+# -- the kernel against tuple-keyed references --------------------------------
+
+
+def tuple_poly(rng, arity, nterms, span):
+    terms = {}
+    for _ in range(rng.randint(0, nterms)):
+        e = tuple(rng.randint(-span, span) for _ in range(arity))
+        terms[e] = terms.get(e, 0) + rng.randint(-6, 6)
+    return {e: c for e, c in terms.items() if c}
+
+
+def tuple_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_exact_divide(terms, m1, m2):
+    """Class-by-class division by x^m1 - x^m2 on exponent tuples."""
+    v = tuple(x - y for x, y in zip(m1, m2))
+    i0 = next(i for i, x in enumerate(v) if x)
+    classes = {}
+    for e, c in terms.items():
+        j = e[i0] // v[i0]
+        key = tuple(x - j * y for x, y in zip(e, v))
+        classes.setdefault(key, {})[j] = c
+    out = {}
+    for key, col in classes.items():
+        if sum(col.values()):
+            raise NotDivisibleError("remainder")
+        d = 0
+        for j in range(min(col), max(col)):
+            d -= col.get(j, 0)
+            if d:
+                out[tuple(k - y + j * x for k, x, y in zip(key, v, m2))] = d
+    return out
+
+
+def packed(table, terms):
+    return LaurentPoly(table, {table.pack(e): c for e, c in terms.items()})
+
+
+def unpacked(poly):
+    return {poly.table.unpack(e): c for e, c in poly.terms.items()}
+
+
+def offset(terms, shift):
+    return {tuple(x + s for x, s in zip(e, shift)): c for e, c in terms.items()}
+
+
+def test_mul_matches_tuple_reference():
+    rng = random.Random(7)
+    t = WIDE
+    for trial in range(150):
+        a = tuple_poly(rng, t.arity, 8, 3)
+        b = tuple_poly(rng, t.arity, 8, 3)
+        if trial % 2:
+            # far from zero, with digits of both signs next to each other
+            a = offset(a, [rng.choice((-1, 1)) * (EXP_LIMIT // 2 - 8) for _ in range(t.arity)])
+            b = offset(b, [rng.randint(-5, 5) for _ in range(t.arity)])
+        assert unpacked(packed(t, a) * packed(t, b)) == tuple_mul(a, b)
+
+
+def test_exact_divide_matches_tuple_reference():
+    rng = random.Random(8)
+    t = WIDE
+    done = refused = 0
+    while done < 150:
+        a = tuple_poly(rng, t.arity, 8, 3)
+        while True:
+            e1 = tuple(rng.randint(-2, 2) for _ in range(t.arity))
+            e2 = tuple(rng.randint(-2, 2) for _ in range(t.arity))
+            if e1 != e2:
+                break
+        if done % 2:
+            shift = [rng.choice((-1, 1)) * (EXP_LIMIT // 4) for _ in range(t.arity)]
+            a = offset(a, shift)
+        fac, _, _ = canonical_binomial(t, t.pack(e1), t.pack(e2))
+        m1, m2 = t.unpack(fac.m1), t.unpack(fac.m2)
+        num = tuple_mul(a, {m1: 1, m2: -1})
+        assert unpacked(exact_divide(packed(t, num), fac)) == tuple_exact_divide(num, m1, m2) == a
+        if a:
+            extra = dict(num)
+            e = next(iter(a))
+            extra[e] = extra.get(e, 0) + 1
+            extra = {k: c for k, c in extra.items() if c}
+            with pytest.raises(NotDivisibleError):
+                tuple_exact_divide(extra, m1, m2)
+            with pytest.raises(NotDivisibleError):
+                exact_divide(packed(t, extra), fac)
+            refused += 1
+        done += 1
+    assert refused > 100
+
+
+def test_factor_orientation_matches_tuple_order():
+    rng = random.Random(9)
+    t = WIDE
+    for _ in range(300):
+        e1, e2 = rand_exps(rng, t.arity), rand_exps(rng, t.arity)
+        e1 = tuple(x // 2 for x in e1)
+        e2 = tuple(x // 2 for x in e2)
+        if e1 == e2:
+            continue
+        fac, unit, sign = canonical_binomial(t, t.pack(e1), t.pack(e2))
+        lo = tuple(map(min, e1, e2))
+        r1 = tuple(x - u for x, u in zip(e1, lo))
+        r2 = tuple(x - u for x, u in zip(e2, lo))
+        want = (r1, r2, 1) if r1 > r2 else (r2, r1, -1)
+        assert (t.unpack(fac.m1), t.unpack(fac.m2), sign) == want
+        assert t.unpack(unit) == lo
+        assert isinstance(fac, BinomialFactor)
+
+
+def test_substitution_matches_tuple_reference():
+    rng = random.Random(10)
+    t = WIDE
+    images = {t.index["q"]: (1, 1, 0, 0, 0, 0, 0, 0, 0),
+              t.index["t"]: (0, -1, 0, 0, 0, 0, 0, 0, 0),
+              t.index["a1"]: (0, 0, 0, 0, 1, 0, 0, 0, 0),
+              t.index["a2"]: (1, 0, 0, -1, 0, 0, 0, 0, 2),
+              t.index["u"]: (0,) * t.arity}
+    for _ in range(100):
+        a = tuple_poly(rng, t.arity, 8, 3)
+        want = {}
+        for e, c in a.items():
+            new = [0] * t.arity
+            for i, x in enumerate(e):
+                img = images.get(i)
+                if img is None:
+                    new[i] += x
+                else:
+                    for j, y in enumerate(img):
+                        new[j] += x * y
+            k = tuple(new)
+            want[k] = want.get(k, 0) + c
+        want = {k: c for k, c in want.items() if c}
+        got = packed(t, a).substitute_monomials({i: t.pack(img)
+                                                 for i, img in images.items()})
+        assert unpacked(got) == want
+
+
+def test_exact_divide_carries_sums_across_gaps():
+    # quotients sparse along the direction give dividends with long gaps on
+    # each line; a sum carried across them must land on the next run
+    rng = random.Random(11)
+    t = WIDE
+    for _ in range(100):
+        while True:
+            e1 = tuple(rng.randint(0, 2) for _ in range(t.arity))
+            e2 = tuple(rng.randint(0, 2) for _ in range(t.arity))
+            if e1 != e2:
+                break
+        fac, _, _ = canonical_binomial(t, t.pack(e1), t.pack(e2))
+        m1, m2 = t.unpack(fac.m1), t.unpack(fac.m2)
+        v = tuple(x - y for x, y in zip(m1, m2))
+        a = {}
+        for _ in range(rng.randint(1, 4)):
+            base = tuple(rng.randint(-3, 3) for _ in range(t.arity))
+            for k in rng.sample(range(12), rng.randint(1, 4)):
+                e = tuple(b + k * x for b, x in zip(base, v))
+                a[e] = a.get(e, 0) + rng.choice((-2, -1, 1, 3))
+        a = {e: c for e, c in a.items() if c}
+        num = tuple_mul(a, {m1: 1, m2: -1})
+        assert unpacked(exact_divide(packed(t, num), fac)) == a
+        if num:
+            far = tuple(x + 20 * y for x, y in zip(next(iter(num)), v))
+            with pytest.raises(NotDivisibleError):
+                exact_divide(packed(t, {**num, far: 1}), fac)
+
+
+def test_exact_divide_walks_the_longest_gap():
+    # x^(k v) - 1 over x^v - 1: one line whose only gap spans the support
+    t = WIDE
+    for v in (t.exps(q=1), t.exps(t=2, a1=-1), t.exps(z3=1, z4=-3)):
+        f, _, _ = canonical_binomial(t, v, t.zero_exps())
+        for k in range(1, 6):
+            num = t.monomial(k * f.m1) - t.monomial(k * f.m2)
+            want = LaurentPoly(t, {j * f.m1 + (k - 1 - j) * f.m2: 1 for j in range(k)})
+            assert exact_divide(num, f) == want
+            with pytest.raises(NotDivisibleError):
+                exact_divide(num + t.monomial((k + 1) * f.m1), f)
