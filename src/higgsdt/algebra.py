@@ -391,6 +391,8 @@ class LaurentPoly:
         return LaurentPoly(self.table, out)
 
     def set_var_one(self, name):
+        if not self.uses_var(name):
+            return self
         return self.substitute_monomials({self.table.index[name]: 0})
 
     def eval(self, values):
@@ -464,6 +466,20 @@ def canonical_binomial(table, e1, e2):
     if r1 > r2:
         return BinomialFactor(r1, r2), unit, 1
     return BinomialFactor(r2, r1), unit, -1
+
+
+def factored_binomials(table, pairs):
+    """prod (x^e1 - x^e2) over pairs as (sign, unit_exps, canonical factor tuple).
+
+    The product equals sign * x^unit * prod(factors), nothing expanded.
+    """
+    sign, unit, factors = 1, table.zero_exps(), []
+    for e1, e2 in pairs:
+        f, u, s = canonical_binomial(table, e1, e2)
+        sign *= s
+        unit += u
+        factors.append(f)
+    return sign, unit, tuple(factors)
 
 
 def exact_divide(poly, factor):
@@ -741,13 +757,9 @@ class Fraction:
 
     def substitute_monomials(self, images):
         table = self.table
-        num = self.num.substitute_monomials(images)
-        den = []
-        for f in self.den:
-            i1, i2 = _substitute(table, f, images)
-            g, unit, sign = canonical_binomial(table, i1, i2)
-            num = num.mono_mul(-unit, sign)
-            den.append(g)
+        sign, unit, den = factored_binomials(
+            table, [_substitute(table, f, images) for f in self.den])
+        num = self.num.substitute_monomials(images).mono_mul(-unit, sign)
         return Fraction(num, den)
 
     def specialize_var_zero(self, name):

@@ -6,6 +6,10 @@ Subcommands:
   oracle-p1   finite-field count on the line vs the formula
   specialize  numeric values at explicit Frobenius eigenvalues
 
+compute renders every polynomial through poly_render (text and latex differ
+only in the monomial style and the coefficient separator) or, for csv and
+json, poly_pairs; coefficients print as str() of the exact int or Fraction.
+
 Exit status: 0 on success, 1 when a verification or comparison fails or a
 numeric value cannot be certified, 2 on usage errors (argparse's convention)
 and on rejected input values.
@@ -15,6 +19,7 @@ import argparse
 import json
 import sys
 
+from .algebra import VarTable
 from .dt import CurveParams, idt_star, moduli_volume, omega
 from .oracle_p1 import SUPPORTED_Q, compare_with_formula
 from .verify import SUITES, run_suites
@@ -23,79 +28,41 @@ from .zeta import NumericDriftError, ZetaData, specialize_integer
 SCHEMA_VERSION = 1
 
 
-def _coeff_str(c):
-    try:
-        if c == int(c):
-            return str(int(c))
-    except (TypeError, ValueError):
-        pass
-    return str(c)
-
-
-_LATEX_NAMES = {"q": "q", "t": "t", "u": "u"}
-
-
-def _latex_var(name):
-    if name in _LATEX_NAMES:
-        return _LATEX_NAMES[name]
-    return "\\%s_{%s}" % ("alpha" if name[0] == "a" else "z", name[1:])
-
-
 def _mono_latex(table, exps):
     bits = []
     for nm, e in zip(table.names, table.unpack(exps)):
-        if not e:
-            continue
-        v = _latex_var(nm)
-        bits.append(v if e == 1 else "%s^{%d}" % (v, e))
+        if e:
+            # q, t, u keep their names; a_i and z_i become \alpha_{i}, \z_{i}
+            v = nm if len(nm) == 1 else "\\%s_{%s}" % (
+                "alpha" if nm[0] == "a" else "z", nm[1:])
+            bits.append(v if e == 1 else "%s^{%d}" % (v, e))
     return " ".join(bits) if bits else "1"
 
 
-def poly_text(poly):
-    if not poly.terms:
-        return "0"
-    pieces = []
-    for e, c in poly.sorted_terms():
-        mono = poly.table.format_exps(e)
-        mag = _coeff_str(abs(c))
-        if mono == "1":
-            body = mag
-        elif mag == "1":
-            body = mono
-        else:
-            body = "%s %s" % (mag, mono)
-        pieces.append(("-" if c < 0 else "+", body))
-    head_sign, head = pieces[0]
-    out = ("-" if head_sign == "-" else "") + head
-    for sign, body in pieces[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+# per style: monomial renderer, separator between coefficient and monomial
+_STYLES = {"text": (VarTable.format_exps, " "),
+           "latex": (_mono_latex, " \\, ")}
 
 
-def poly_latex(poly):
+def poly_render(poly, style):
+    """One line for poly in the "text" or "latex" style, leading term first."""
     if not poly.terms:
         return "0"
-    pieces = []
+    mono_of, sep = _STYLES[style]
+    out = []
     for e, c in poly.sorted_terms():
-        mono = _mono_latex(poly.table, e)
-        mag = _coeff_str(abs(c))
-        if mono == "1":
-            body = mag
-        elif mag == "1":
-            body = mono
+        mono, mag = mono_of(poly.table, e), str(abs(c))
+        body = mag if mono == "1" else mono if mag == "1" else mag + sep + mono
+        if not out:
+            out.append("-" + body if c < 0 else body)
         else:
-            body = "%s \\, %s" % (mag, mono)
-        pieces.append(("-" if c < 0 else "+", body))
-    head_sign, head = pieces[0]
-    out = ("-" if head_sign == "-" else "") + head
-    for sign, body in pieces[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+            out.append("%s %s" % ("-" if c < 0 else "+", body))
+    return " ".join(out)
 
 
 def poly_pairs(poly):
     """Deterministic [monomial string, coefficient string] pairs."""
-    return [[poly.table.format_exps(e), _coeff_str(c)]
+    return [[poly.table.format_exps(e), str(c)]
             for e, c in poly.sorted_terms()]
 
 
@@ -118,14 +85,15 @@ def _cmd_compute(args, parser):
     rows = []
     for r in sorted(polys):
         poly = polys[r]
+        # t1 is t-free, so omega and moduli_volume substitute nothing again
         t1 = poly.set_var_one("t")
-        hp = omega(cp, r, idt_poly=poly)
+        hp = omega(cp, r, idt_poly=t1)
         row = {
             "r": r,
             "idt": poly,
             "idt_t1": t1,
             "omega": hp,
-            "volume": (moduli_volume(cp, r, 1, idt_poly=poly)
+            "volume": (moduli_volume(cp, r, 1, idt_poly=t1)
                        if cp.mode == "twisted" else None),
         }
         if cp.mode == "canonical":
@@ -169,7 +137,9 @@ def _cmd_compute(args, parser):
                     print("%d,%s,%s,%s" % (row["r"], field, mono, c))
         return 0
 
-    render = poly_latex if args.format == "latex" else poly_text
+    def render(poly):
+        return poly_render(poly, args.format)
+
     print("curve: genus %d, twist degree %d, %s mode"
           % (cp.genus, cp.ell, cp.mode))
     for row in rows:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .algebra import (AlgebraError, Fraction, LaurentPoly, NotDivisibleError,
-                      canonical_binomial, var_table)
+                      factored_binomials, var_table)
 from .partitions import Partition, enumerate_partitions
 from .series import TruncSeries, scaled_pleth_log
 
@@ -93,22 +93,13 @@ def n_lambda(table, lam, u_exps=None):
 
 
 def n_lambda_den(table, lam):
-    """N_la(1, q, t) as (sign, unit_exps, canonical factor tuple).
-
-    The product equals sign * x^unit * prod(factors); used as a denominator
-    multiset so nothing is ever expanded.
-    """
-    sign = 1
-    unit = table.zero_exps()
-    factors = []
+    """N_la(1, q, t) as factored_binomials returns it: a denominator multiset,
+    never expanded."""
+    pairs = []
     for a, l in _box_data(lam):
-        for e1, e2 in ((table.exps(q=a), table.exps(t=l + 1)),
-                       (table.exps(q=a + 1), table.exps(t=l))):
-            f, u, s = canonical_binomial(table, e1, e2)
-            sign *= s
-            unit += u
-            factors.append(f)
-    return sign, unit, tuple(factors)
+        pairs += [(table.exps(q=a), table.exps(t=l + 1)),
+                  (table.exps(q=a + 1), table.exps(t=l))]
+    return factored_binomials(table, pairs)
 
 
 def zstar_term(cp, lam, table=None):
@@ -209,14 +200,20 @@ def rank_one_idt(cp, table=None):
     return out
 
 
-def jacobian_poly(table):
-    """prod_i (1 - a_i)(1 - q a_i^{-1}): the Jacobian point-count polynomial."""
+def zeta_numerator(table, m):
+    """prod_i (1 - x^m a_i)(1 - x^m q a_i^{-1}): the numerator of the curve's
+    zeta function Z_X(s) at s = x^m (m packed)."""
     out = table.one()
     for i in range(1, table.genus + 1):
         ai = "a%d" % i
-        out = out * (table.one() - table.monomial(table.exps(**{ai: 1})))
-        out = out * (table.one() - table.monomial(table.exps(q=1, **{ai: -1})))
+        out = out * (table.one() - table.monomial(m + table.exps(**{ai: 1})))
+        out = out * (table.one() - table.monomial(m + table.exps(q=1, **{ai: -1})))
     return out
+
+
+def jacobian_poly(table):
+    """prod_i (1 - a_i)(1 - q a_i^{-1}): the Jacobian point-count polynomial."""
+    return zeta_numerator(table, table.zero_exps())
 
 
 @dataclass(frozen=True)
@@ -250,7 +247,8 @@ def omega(cp, r, idt_poly=None):
     """Rank-r invariant as a half-power value over IDT_r(q, 1).
 
     Twisted mode: q^{pr/2} * IDT_r(q, 1); canonical mode: q * IDT_r(q, 1).
-    The value is independent of the degree d.
+    The value is independent of the degree d.  idt_poly may be IDT_r or
+    already its value at t = 1.
     """
     if idt_poly is None:
         idt_poly = idt_star(cp, r)[r]
@@ -261,7 +259,10 @@ def omega(cp, r, idt_poly=None):
 
 def moduli_volume(cp, r, d, idt_poly=None):
     """Volume polynomial of the smooth coprime moduli space:
-    (-1)^{pr} q^{(g-1)r^2 + p r(r+1)/2} * IDT_r(q, 1)."""
+    (-1)^{pr} q^{(g-1)r^2 + p r(r+1)/2} * IDT_r(q, 1).
+
+    idt_poly may be IDT_r or already its value at t = 1.
+    """
     if cp.mode != "twisted":
         raise ValueError("volume formula applies in twisted mode")
     if math.gcd(r, d) != 1:
@@ -292,22 +293,12 @@ def alt_h_term(cp, lam, table=None):
     texp = (p * (lam.conjugate().n_stat() - lam.n_stat())
             + (1 - g) * (2 * lam.n_stat() + w))
     num = table.one()
-    den_sign = 1
-    den_unit = table.zero_exps()
-    factors = []
+    den = []
     for a, l in _box_data(lam):
-        h = a + l + 1
-        m = table.exps(q=a, t=h)          # the argument monomial t^h q^a
-        mq = table.exps(q=a + 1, t=h)     # q times it
-        for i in range(1, g + 1):
-            ai = "a%d" % i
-            num = num * (table.one() - table.monomial(m + table.exps(**{ai: 1})))
-            num = num * (table.one() - table.monomial(mq + table.exps(**{ai: -1})))
-        for e in (m, mq):
-            f, u, s = canonical_binomial(table, table.zero_exps(), e)
-            den_sign *= s
-            den_unit += u
-            factors.append(f)
+        m = table.exps(q=a, t=a + l + 1)  # t^h q^a, h the hook length
+        num = num * zeta_numerator(table, m)
+        den += [(table.zero_exps(), m), (table.zero_exps(), m + table.exps(q=1))]
+    den_sign, den_unit, factors = factored_binomials(table, den)
     pref = table.exps(q=qexp, t=texp)
     num = num.mono_mul(pref - den_unit, sign * den_sign)
     return Fraction(num, factors)

@@ -10,6 +10,10 @@ f in auxiliary variables z_1..z_n:
 
 evaluated at z_i = q^{i-n} t^{lambda_i}.  Each sigma-term is specialized
 before summation, so only distinct-monomial denominators ever appear.
+f_sum is the one implementation of this sum: the series, the formal f and
+every property check call it, the check at vanishing a_k^{-1} with the
+inverse eigenvalues deformed to u a_k^{-1}.  MAX_SN caps n, since the sum
+has n! terms.
 
 The degree-d slices of (q - 1) Log of the resulting T-series stabilize, for
 d large, to the d-independent invariant of the main pipeline; entries are
@@ -28,17 +32,22 @@ from .dt import CurveParams, idt_star, partition_series, zstar_term
 MAX_SN = 4  # n! symmetrization terms; raise deliberately, not by accident
 
 
-def f_sum(table, genus, values, max_n=MAX_SN):
-    """The symmetrized sum with w_i = x^values[i] (monomials, pairwise distinct)."""
+def f_sum(table, genus, values, ainv=None):
+    """The symmetrized sum with w_i = x^values[i] (monomials, pairwise distinct).
+
+    ainv holds the packed inverse eigenvalues, a_k^{-1} for k = 1..genus
+    unless given (alpha_zero_check deforms them to u a_k^{-1}).
+    """
     n = len(values)
-    if n > max_n:
-        raise ValueError("n = %d exceeds the S_n cap %d" % (n, max_n))
+    if n > MAX_SN:
+        raise ValueError("n = %d exceeds the S_n cap %d" % (n, MAX_SN))
     values = list(values)
     if len(set(values)) != n:
         raise ZeroDenominatorError("specialized z-values must be pairwise distinct")
     zero = table.zero_exps()
     qe = table.exps(q=1)
-    ainv = [table.exps(**{"a%d" % k: -1}) for k in range(1, genus + 1)]
+    if ainv is None:
+        ainv = [table.exps(**{"a%d" % k: -1}) for k in range(1, genus + 1)]
 
     # prefactor prod_i prod_k (1 - a_k^{-1}) / (1 - a_k^{-1} w_i)
     pref = Fraction.one(table)
@@ -66,14 +75,14 @@ def f_sum(table, genus, values, max_n=MAX_SN):
     return pref * total
 
 
-def f_symbolic(n, genus, max_n=MAX_SN):
+def f_symbolic(n, genus):
     """f with formal z_1..z_n; returns (table, Fraction)."""
     table = var_table(genus=genus, nz=n)
     values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
-    return table, f_sum(table, genus, values, max_n=max_n)
+    return table, f_sum(table, genus, values)
 
 
-def f_lambda(cp, lam, n=None, max_n=MAX_SN):
+def f_lambda(cp, lam, n=None):
     """f specialized at z_i = q^{i-n} t^{lambda_i} (parts padded with zeros).
 
     Independent of the choice of n >= len(lam).
@@ -85,23 +94,26 @@ def f_lambda(cp, lam, n=None, max_n=MAX_SN):
         raise ValueError("n must be at least the number of parts")
     parts = lam.parts + (0,) * (n - lam.length)
     values = [table.exps(q=i - n, t=parts[i - 1]) for i in range(1, n + 1)]
-    return f_sum(table, cp.genus, values, max_n=max_n)
+    return f_sum(table, cp.genus, values)
 
 
-def inductive_property_check(n, genus, max_n=MAX_SN + 1):
-    """f(1, z_1..z_n) == f(q z_1, ..., q z_n), checked symbolically."""
+def inductive_property_check(n, genus):
+    """f(1, z_1..z_n) == f(q z_1, ..., q z_n), checked symbolically.
+
+    The left side has n + 1 arguments, so n is at most MAX_SN - 1.
+    """
     table = var_table(genus=genus, nz=n)
     zs = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
-    lhs = f_sum(table, genus, [table.zero_exps()] + zs, max_n=max_n)
+    lhs = f_sum(table, genus, [table.zero_exps()] + zs)
     qe = table.exps(q=1)
-    rhs = f_sum(table, genus, [qe + z for z in zs], max_n=max_n)
+    rhs = f_sum(table, genus, [qe + z for z in zs])
     return lhs == rhs
 
 
-def laurent_property_check(n, genus, max_n=MAX_SN):
+def laurent_property_check(n, genus):
     """f times prod_k [prod_i (1 - a_k^{-1} z_i) prod_{i != j} (1 - q a_k^{-1} z_i/z_j)]
     clears to a Laurent polynomial (all difference denominators cancel)."""
-    table, f = f_symbolic(n, genus, max_n=max_n)
+    table, f = f_symbolic(n, genus)
     zero = table.zero_exps()
     qe = table.exps(q=1)
     zs = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
@@ -119,52 +131,27 @@ def laurent_property_check(n, genus, max_n=MAX_SN):
         return False
 
 
-def alpha_zero_check(n, genus, max_n=MAX_SN):
+def alpha_zero_check(n, genus):
     """f equals 1 when every a_k^{-1} is set to 0.
 
     Implemented honestly by deforming a_k^{-1} to u a_k^{-1} with a fresh
     variable u and evaluating the summed fraction at u = 0.
     """
     table = var_table(genus=genus, nz=n, with_u=True)
-    zero = table.zero_exps()
-    qe = table.exps(q=1)
     ue = table.exps(u=1)
     values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
     ainv = [ue + table.exps(**{"a%d" % k: -1}) for k in range(1, genus + 1)]
-
-    pref = Fraction.one(table)
-    for w in values:
-        for ak in ainv:
-            pref = pref.mul_binomial(zero, ak)
-            pref = pref.div_binomial(zero, ak + w)
-    total = Fraction.zero(table)
-    for sigma in permutations(range(n)):
-        w = [values[s] for s in sigma]
-        term = Fraction.one(table)
-        for i in range(n):
-            for j in range(i):
-                ratio = w[i] - w[j]
-                term = term.div_binomial(zero, ratio)
-                for ak in ainv:
-                    term = term.mul_binomial(zero, ak + ratio)
-                    term = term.div_binomial(zero, qe + ak + ratio)
-                if i > j + 1:
-                    term = term.mul_binomial(zero, qe + ratio)
-        for i in range(1, n):
-            term = term.mul_binomial(zero, w[i])
-        total = total + term
-    f = pref * total
-    at_zero = f.specialize_var_zero("u")
-    return at_zero == Fraction.one(table)
+    f = f_sum(table, genus, values, ainv)
+    return f.specialize_var_zero("u") == Fraction.one(table)
 
 
-def zplus_series(cp, order, max_n=MAX_SN):
+def zplus_series(cp, order):
     """Positive series: the main term times f_{lambda'} per partition."""
     if cp.mode != "twisted":
         raise ValueError("positive series is defined in twisted mode")
 
     def term(cp, lam, table):
-        return zstar_term(cp, lam, table) * f_lambda(cp, lam.conjugate(), max_n=max_n)
+        return zstar_term(cp, lam, table) * f_lambda(cp, lam.conjugate())
 
     return partition_series(cp, order, term)
 
@@ -189,9 +176,9 @@ class OmegaPlusTable:
         return self.entries[key]
 
 
-def omega_plus(cp, order, depth, max_n=MAX_SN):
+def omega_plus(cp, order, depth):
     """Degree table of the positive invariants, t-expanded to the given depth."""
-    Z = zplus_series(cp, order, max_n=max_n)
+    Z = zplus_series(cp, order)
     L = pleth_log(Z)
     table = cp.table()
     qminus1 = table.monomial(table.exps(q=1)) - table.one()
@@ -221,10 +208,10 @@ class StabilizationReport:
         return self.stable_from >= 0 and self.matches
 
 
-def stabilization_check(cp, r, depth=8, table=None, max_n=MAX_SN):
+def stabilization_check(cp, r, depth=8, table=None):
     """Locate the degree from which the entries become constant and compare
     the constant with the main invariant at t = 1."""
-    tab = table if table is not None else omega_plus(cp, r, depth, max_n=max_n)
+    tab = table if table is not None else omega_plus(cp, r, depth)
     target = Fraction(idt_star(cp, r)[r].set_var_one("t"))
     entries = [tab[(r, d)] for d in range(depth + 1)]
     stable_from = depth

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .algebra import Fraction, t_expand, var_table
-from .dt import weil_symmetry_check
+from .dt import weil_symmetry_check, zeta_numerator
 
-DEFAULT_TOL = 1e-6
+TOL = 1e-6  # float-to-integer certification tolerance
 
 
 class NumericDriftError(ArithmeticError):
@@ -52,12 +52,12 @@ class ZetaData:
         return cls(genus=genus)
 
     @classmethod
-    def numeric(cls, q0, alphas, tol=DEFAULT_TOL):
+    def numeric(cls, q0, alphas):
         if not is_prime_power(q0):
             raise ValueError("q0 must be a prime power, got %d" % q0)
         alphas = tuple(complex(a) for a in alphas)
         for a in alphas:
-            if abs(abs(a) * abs(a) - q0) > tol * q0:
+            if abs(abs(a) * abs(a) - q0) > TOL * q0:
                 raise ValueError("|alpha|^2 = %r is not q0 = %r" % (abs(a) ** 2, q0))
         return cls(genus=len(alphas), q0=q0, alphas=alphas)
 
@@ -83,7 +83,7 @@ class ZetaData:
             raise ValueError("symbolic curve has no numeric Frobenius values")
         return [Q(self.q0) ** n, Q(1)] + [a ** n for a in self.alphas]
 
-    def point_counts(self, nmax, tol=DEFAULT_TOL):
+    def point_counts(self, nmax):
         """#X(F_{q0^n}) for n = 1..nmax, verified real integers."""
         if not self.is_numeric:
             raise ValueError("point counts need a numeric curve")
@@ -92,7 +92,7 @@ class ZetaData:
             v = 1 + self.q0 ** n
             for a in self.alphas:
                 v -= a ** n + (self.q0 / a) ** n
-            out.append(_as_integer(v, tol * self.q0 ** n))
+            out.append(_as_integer(v, TOL * self.q0 ** n))
         return out
 
 
@@ -113,18 +113,13 @@ def zx_fraction(table):
 
         Z(t) = prod_i (1 - a_i t)(1 - q a_i^{-1} t) / ((1 - t)(1 - q t))
     """
-    num = table.one()
-    for i in range(1, table.genus + 1):
-        ai = "a%d" % i
-        num = num * (table.one() - table.monomial(table.exps(t=1, **{ai: 1})))
-        num = num * (table.one() - table.monomial(table.exps(q=1, t=1, **{ai: -1})))
-    f = Fraction(num)
+    f = Fraction(zeta_numerator(table, table.exps(t=1)))
     f = f.div_binomial(table.zero_exps(), table.exps(t=1))
     f = f.div_binomial(table.zero_exps(), table.exps(q=1, t=1))
     return f
 
 
-def zx_series(zd, order, tol=DEFAULT_TOL):
+def zx_series(zd, order):
     """Coefficients of Z(t) up to t^order.
 
     Symbolic curve: list of Laurent polynomials in q and the eigenvalue
@@ -135,7 +130,7 @@ def zx_series(zd, order, tol=DEFAULT_TOL):
         table = zd.table()
         coeffs = t_expand(zx_fraction(table), order)
         return [c.clear_denominator() for c in coeffs]
-    counts = zd.point_counts(order if order > 0 else 1, tol=tol)
+    counts = zd.point_counts(order if order > 0 else 1)
     out = [Q(1)]
     for n in range(1, order + 1):
         # exp of the logarithmic series: n b_n = sum_m N_m b_{n-m}
@@ -143,7 +138,7 @@ def zx_series(zd, order, tol=DEFAULT_TOL):
         for m in range(1, n + 1):
             s += counts[m - 1] * out[n - m]
         out.append(s / n)
-    return [_as_integer(b, tol * float(max(1, abs(b)))) for b in out]
+    return [_as_integer(b, TOL * float(max(1, abs(b)))) for b in out]
 
 
 @dataclass(frozen=True)
@@ -175,29 +170,22 @@ class CountingSequence:
         return CountingSequence(tuple(self.entries[m * n - 1]
                                       for n in range(1, len(self) // m + 1)))
 
-    def approx_eq(self, other, tol=DEFAULT_TOL):
-        k = min(len(self), len(other))
-        if k == 0:
-            return False
-        return all(abs(complex(a) - complex(b)) <= tol * max(1.0, abs(complex(a)))
-                   for a, b in zip(self.entries[:k], other.entries[:k]))
-
-    def rounded(self, tol=DEFAULT_TOL):
+    def rounded(self):
         return CountingSequence(tuple(
-            _as_integer(v, tol * max(1.0, abs(complex(v)))) for v in self.entries))
+            _as_integer(v, TOL * max(1.0, abs(complex(v)))) for v in self.entries))
 
 
-def counting_sequence(poly, zd, nmax, tol=DEFAULT_TOL):
+def counting_sequence(poly, zd, nmax):
     """Evaluate an invariant polynomial over F_{q0^n} for n = 1..nmax."""
     if poly.uses_var("t"):
         raise ValueError("invariant still involves t; specialize it first")
     if poly.table.genus != zd.genus:
         raise ValueError("genus mismatch between polynomial and curve")
     vals = [poly.eval(zd.frobenius_values(n)) for n in range(1, nmax + 1)]
-    return CountingSequence(tuple(vals)).rounded(tol)
+    return CountingSequence(tuple(vals)).rounded()
 
 
-def specialize_integer(poly, zd, tol=DEFAULT_TOL):
+def specialize_integer(poly, zd):
     """Numeric value of a curve invariant; demands eigenvalue symmetry first.
 
     Only polynomials invariant under permuting the eigenvalue pairs and under
@@ -208,4 +196,4 @@ def specialize_integer(poly, zd, tol=DEFAULT_TOL):
         raise ValueError("invariant still involves t; specialize it first")
     if not weil_symmetry_check(poly):
         raise ValueError("polynomial is not symmetric in the eigenvalue pairs")
-    return _as_integer(poly.eval(zd.frobenius_values(1)), tol)
+    return _as_integer(poly.eval(zd.frobenius_values(1)), TOL)

@@ -170,12 +170,15 @@ def test_specialize_needs_curve_data(capsys):
 # sha256 of `compute --format json` output (with its trailing newline), taken
 # before the integer-scaled log replaced the rational one; any kernel change
 # must reproduce these bytes exactly.  (0, 1, 8) and (3, 5, 3) are the
-# benchmark's compute workloads, copied from perfbench/golden.json.
+# benchmark's compute workloads, copied from perfbench/golden.json; with
+# (1, 1, 6) and (2, 3, 4) they make up the whole benchmark grid.
 COMPUTE_JSON_SHA256 = {
     (0, 1, 5): "1f90a8ef8863ce1210444da367ddc06c3f67449611eaef4465862cfaf8dfdca6",
     (0, 1, 8): "9288f3fe48962faffd097d44b4fc35479cd33da03c491c7b02d22dc3b8032e0c",
     (1, 1, 3): "33d0aae46295db83d07580e3cd6d0acc5e9d6e672bf334c6ec1a04fddb2625e7",
+    (1, 1, 6): "714515f211d193ad411b13ef35a5337686a612bd013a91bb9dc98f0e713ec7fa",
     (2, 3, 2): "ed41a5148895db0453b9c98afb694004e5cc7800803d12d662399af3be5beb0e",
+    (2, 3, 4): "c3e34e66d59daa6795b787014cba2a948d1af492fffd9fe202786cf73c12d256",
     (3, 5, 3): "bebbdfe7672da99345ac204652932f8b786eb3aa83de13cba7b6c09ab83c2eed",
 }
 
@@ -187,6 +190,36 @@ def test_compute_json_bytes_are_pinned(capsys, genus, ell, rmax):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == COMPUTE_JSON_SHA256[(genus, ell, rmax)]
+
+
+# sha256 of `compute` output in the other formats (trailing newline included),
+# taken before text and latex shared one renderer; a refactor must reproduce
+# these bytes exactly.
+COMPUTE_RENDER_SHA256 = {
+    (0, 1, 4, "text"): "bbb2eee7c1e776c085e3ba135cda836866789f2a8d68b60d8606b6fa6741a19c",
+    (0, 1, 4, "latex"): "154f68151ffc4ea4227d8a6e6eb13a9c348681dd8b217efba13d66686ea9566e",
+    (0, 1, 4, "csv"): "78004aa5a089339378b362659334e23495c7fbd71f5d127d767699dfca7a4379",
+    (1, 1, 3, "text"): "32873d2592354d24027a838c40d961b2aeaf132b61dd22b1ecd81cccb9b41993",
+    (1, 1, 3, "latex"): "0755ac0714f5d8992e88d3e34fc0ae250422399af844601a7b4eee8304848d3c",
+    (1, 1, 3, "csv"): "fd3f06dc1c19fc73bcf5ae6b70bdfa04a4ae0fa49115f8cd67972217c9c59242",
+    (2, 3, 2, "text"): "65106f6a96db46158e36d21d36f9fbe04247877c890f29245d2342032e61a5e8",
+    (2, 3, 2, "latex"): "e906f59f2373571c86fae81a0a67ae3d92eee71691a414c2bd5157ab9bf8d804",
+    (2, 3, 2, "csv"): "48a943177914aca993e98d9e7d842611005d39c133543e45a1f8e7930936de35",
+    (1, "canonical", 2, "text"): "034a4db1b6c25454253c1ee6a70b390f5b6ecee694e5e7791f48e7cc733ab6c3",
+    (1, "canonical", 2, "latex"): "5713bbf038bf62caaec86173039f3ac21742dfac59100b22ddff199ea7a6b144",
+    (1, "canonical", 2, "csv"): "ab0464f24e47978e70ef0627ba25febeb0c9d10058ea852bd4b8043dbb1c54ac",
+    (1, "canonical", 2, "json"): "98f76a12ed2a12f240f4a6a02e6116cdbcb44e752380501f50a78442a1ef5214",
+}
+
+
+@pytest.mark.parametrize("genus,twist,rmax,fmt", list(COMPUTE_RENDER_SHA256))
+def test_compute_render_bytes_are_pinned(capsys, genus, twist, rmax, fmt):
+    curve = ["--canonical"] if twist == "canonical" else ["--ell", str(twist)]
+    code, out, _ = run(capsys, "compute", "--genus", str(genus), *curve,
+                       "--rmax", str(rmax), "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == COMPUTE_RENDER_SHA256[(genus, twist, rmax, fmt)]
 
 
 def test_specialize_refuses_non_prime_power(capsys):

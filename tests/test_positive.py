@@ -1,6 +1,7 @@
 import pytest
 
-from higgsdt.algebra import Fraction, ZeroDenominatorError, var_table
+from higgsdt.algebra import (BinomialFactor, Fraction, LaurentPoly,
+                             ZeroDenominatorError, var_table)
 from higgsdt.partitions import Partition
 from higgsdt.dt import CurveParams, idt_star
 from higgsdt.positive import (alpha_zero_check, f_lambda, f_sum, f_symbolic,
@@ -63,6 +64,34 @@ def test_alpha_zero_degeneration():
     for g in (1, 2):
         for n in (1, 2, 3):
             assert alpha_zero_check(n, g)
+
+
+def _drop_u(frac, table):
+    """A fraction free of u, moved to the same variables without u."""
+    src = frac.table
+
+    def move(e):
+        exps = dict(zip(src.names, src.unpack(e)))
+        assert exps.pop("u") == 0
+        return table.pack(exps[nm] for nm in table.names)
+
+    num = LaurentPoly(table, {move(e): c for e, c in frac.num.terms.items()})
+    den = [BinomialFactor(move(f.m1), move(f.m2)) for f in frac.den]
+    return Fraction(num, den, reduce=False)
+
+
+def test_deformed_inverse_eigenvalues_at_u_one_give_f():
+    for g in (1, 2):
+        for n in (1, 2, 3):
+            tu = var_table(genus=g, nz=n, with_u=True)
+            ue = tu.exps(u=1)
+            values = [tu.unit_exps("z%d" % i) for i in range(1, n + 1)]
+            ainv = [ue + tu.exps(**{"a%d" % k: -1}) for k in range(1, g + 1)]
+            deformed = f_sum(tu, g, values, ainv)
+            at_one = deformed.substitute_monomials({tu.index["u"]: tu.zero_exps()})
+            table, f = f_symbolic(n, g)
+            assert _drop_u(at_one, table) == f, (g, n)
+            assert deformed.num.uses_var("u"), (g, n)
 
 
 def test_positive_series_needs_twisted_mode():
