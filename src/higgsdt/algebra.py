@@ -396,7 +396,7 @@ class LaurentPoly:
         return self.substitute_monomials({self.table.index[name]: 0})
 
     def eval(self, values):
-        """Evaluate at a full vector of values (exact rationals or complex).
+        """Evaluate at a full vector of exact rational values.
 
         Integer values are coerced to Fraction so negative exponents stay exact.
         """

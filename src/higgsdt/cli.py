@@ -4,15 +4,14 @@ Subcommands:
   compute     invariant table for one curve (text, json, csv or latex)
   verify      run the self-check suites
   oracle-p1   finite-field count on the line vs the formula
-  specialize  numeric values at explicit Frobenius eigenvalues
+  specialize  exact values at a curve over F_q given by its L-polynomial
 
 compute renders every polynomial through poly_render (text and latex differ
 only in the monomial style and the coefficient separator) or, for csv and
 json, poly_pairs; coefficients print as str() of the exact int or Fraction.
 
-Exit status: 0 on success, 1 when a verification or comparison fails or a
-numeric value cannot be certified, 2 on usage errors (argparse's convention)
-and on rejected input values.
+Exit status: 0 on success, 1 when a verification or comparison fails, 2 on
+usage errors (argparse's convention) and on rejected input values.
 """
 
 import argparse
@@ -23,7 +22,7 @@ from .algebra import VarTable
 from .dt import CurveParams, idt_star, moduli_volume, omega
 from .oracle_p1 import SUPPORTED_Q, compare_with_formula
 from .verify import SUITES, run_suites
-from .zeta import NumericDriftError, ZetaData, specialize_integer
+from .zeta import ZetaData, specialize_integer
 
 SCHEMA_VERSION = 1
 
@@ -192,28 +191,21 @@ def _cmd_oracle(args, parser):
 
 
 def _cmd_specialize(args, parser):
-    if args.trace is None and not args.weil:
-        parser.error("give either --trace (genus 1) or --weil a1,a2,...")
     try:
-        if args.trace is not None:
+        if args.lpoly is None:
             zd = ZetaData.from_trace(args.q0, args.trace)
         else:
-            zd = ZetaData.numeric(args.q0, [complex(w) for w in args.weil.split(",")])
+            zd = ZetaData.from_lpoly(args.q0, args.lpoly)
         cp = (CurveParams(genus=zd.genus, ell=2 * zd.genus - 2, mode="canonical")
               if args.canonical else CurveParams(genus=zd.genus, ell=args.ell))
     except ValueError as e:
         print("higgsdt specialize: error: %s" % e, file=sys.stderr)
         return 2
     polys = idt_star(cp, args.rmax)
-    try:
-        print("curve over F_%d with point counts %s"
-              % (args.q0, zd.point_counts(3)))
-        for r in sorted(polys):
-            val = specialize_integer(polys[r].set_var_one("t"), zd)
-            print("rank %d value at t = 1: %d" % (r, val))
-    except NumericDriftError as e:
-        print("higgsdt specialize: value cannot be certified: %s" % e, file=sys.stderr)
-        return 1
+    print("curve over F_%d with point counts %s" % (args.q0, zd.point_counts(3)))
+    for r in sorted(polys):
+        val = specialize_integer(polys[r].set_var_one("t"), zd)
+        print("rank %d value at t = 1: %d" % (r, val))
     return 0
 
 
@@ -250,13 +242,14 @@ def build_parser():
     po.set_defaults(fn=_cmd_oracle)
 
     ps = sub.add_parser("specialize",
-                        help="numeric invariants at chosen Frobenius eigenvalues")
+                        help="exact invariants of a curve over F_q0")
     ps.add_argument("--q0", type=int, required=True, help="base field size")
-    ps.add_argument("--trace", type=int, default=None,
-                    help="genus-1 Frobenius trace (Hasse bound enforced)")
-    ps.add_argument("--weil", type=str, default=None,
-                    help="comma-separated eigenvalues, one per pair, "
-                         "e.g. '1+1j' for genus 1")
+    curve = ps.add_mutually_exclusive_group(required=True)
+    curve.add_argument("--trace", type=int,
+                       help="genus-1 Frobenius trace (Hasse bound enforced)")
+    curve.add_argument("--lpoly", type=int, nargs="+", metavar="C",
+                       help="L-polynomial coefficients c_1 .. c_g of a genus-g "
+                            "curve, e.g. '-1' for the genus-1 curve of trace 1")
     ps.add_argument("--ell", type=int, default=1)
     ps.add_argument("--canonical", action="store_true")
     ps.add_argument("--rmax", type=int, default=2)

@@ -253,18 +253,18 @@ def _check_numeric():
     out = []
     cp = CurveParams(genus=1, ell=1)
     body = idt_star(cp, 1)[1].set_var_one("t")
+    curves = [ZetaData.from_trace(q0, tr) for q0 in (2, 1000003) for tr in range(-2, 3)]
     ok = True
-    for tr in range(-2, 3):
-        zd = ZetaData.from_trace(2, tr)
-        want = -(2 + 1 - tr)   # (-1)^p N_1 with p = 1
+    for zd in curves:
+        want = -(zd.q0 + 1 + zd.lpoly[0])   # (-1)^p N_1 with p = 1
         if specialize_integer(body, zd) != want:
             ok = False
-    out.append(_res("numeric", "rank-1 value is a signed point count, q0 = 2", ok))
+    out.append(_res("numeric", "rank-1 value is a signed point count, "
+                    "q0 = 2 and 1000003", ok))
     can = CurveParams(genus=1, ell=0, mode="canonical")
     cbody = idt_star(can, 1)[1].set_var_one("t")
     ok2 = True
-    for tr in range(-2, 3):
-        zd = ZetaData.from_trace(2, tr)
+    for zd in curves:
         if specialize_integer(cbody, zd) != zd.point_counts(1)[0]:
             ok2 = False
     out.append(_res("numeric", "canonical rank-1 value counts curve points", ok2))

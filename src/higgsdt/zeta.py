@@ -1,32 +1,28 @@
-"""Curve zeta functions and numeric specialization of the invariants.
+"""Curve zeta functions and exact specialization of the invariants.
 
-A genus-g curve over F_{q0} enters the engine only through its Frobenius
-eigenvalues: g complex numbers a_1..a_g of absolute value sqrt(q0), the
-other half of each conjugate pair being q0 / a_i.  Point counts over all
-extensions follow from the trace formula
+A genus-g curve over F_{q0} enters the engine through its L-polynomial
 
-    #X(F_{q0^n}) = 1 + q0^n - sum_i (a_i^n + (q0 / a_i)^n)
+    L(t) = prod_i (1 - a_i t)(1 - (q0 / a_i) t) = sum_{k=0}^{2g} c_k t^k,
 
-and any invariant produced by the symbolic pipeline specializes to a number
-by substituting q -> q0, a_i -> the chosen eigenvalues.  Invariants of the
-curve itself are symmetric in the eigenvalue pairs and invariant under
-a_i -> q0 / a_i, so the specialized values come out as real integers; the
-numeric layer checks both to a tolerance instead of trusting float noise.
+whose Frobenius eigenvalues a_i have absolute value sqrt(q0).  L has integer
+coefficients with c_0 = 1 and c_{2g-k} = q0^{g-k} c_k, so c_1..c_g fix the
+curve's data.  Point counts over all extensions follow from the trace formula
+
+    #X(F_{q0^n}) = 1 + q0^n - S_n,   S_n = sum_i (a_i^n + (q0 / a_i)^n),
+
+with the power sums S_n read off L by Newton's identities.  Invariants of the
+curve are symmetric in the eigenvalue pairs and invariant under
+a_i -> q a_i^{-1}, which makes them polynomials in q and the coefficients of
+the symbolic L-polynomial; specialize_integer rewrites them so and
+substitutes q0 and c_1..c_g.  All of it is exact integer arithmetic.
 """
 
-import cmath
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
-from .algebra import Fraction, t_expand, var_table
+from .algebra import Fraction, LaurentPoly, t_expand, var_table
 from .dt import weil_symmetry_check, zeta_numerator
-
-TOL = 1e-6  # float-to-integer certification tolerance
-
-
-class NumericDriftError(ArithmeticError):
-    """A value that must be a real integer failed the tolerance check."""
 
 
 def is_prime_power(n):
@@ -41,33 +37,35 @@ def is_prime_power(n):
 
 @dataclass(frozen=True)
 class ZetaData:
-    """Frobenius data of one curve: None q0 means the symbolic curve."""
+    """Frobenius data of one curve: q0 and c_1..c_g of its L-polynomial;
+    None q0 means the symbolic curve."""
 
     genus: int
     q0: object = None
-    alphas: tuple = ()
+    lpoly: tuple = ()
 
     @classmethod
     def symbolic(cls, genus):
         return cls(genus=genus)
 
     @classmethod
-    def numeric(cls, q0, alphas):
+    def from_lpoly(cls, q0, coeffs):
+        """Curve over F_q0 whose L-polynomial begins 1 + c_1 t + ... + c_g t^g."""
         if not is_prime_power(q0):
             raise ValueError("q0 must be a prime power, got %d" % q0)
-        alphas = tuple(complex(a) for a in alphas)
-        for a in alphas:
-            if abs(abs(a) * abs(a) - q0) > TOL * q0:
-                raise ValueError("|alpha|^2 = %r is not q0 = %r" % (abs(a) ** 2, q0))
-        return cls(genus=len(alphas), q0=q0, alphas=alphas)
+        coeffs = tuple(map(operator.index, coeffs))  # integers only
+        g = len(coeffs)
+        for k, c in enumerate(coeffs, start=1):
+            # c_k sums C(2g, k) products of k eigenvalues of modulus sqrt(q0)
+            if c * c > math.comb(2 * g, k) ** 2 * q0 ** k:
+                raise ValueError("c_%d = %d violates |c_k| <= C(2g, k) q0^(k/2) "
+                                 "at genus %d, q0 = %d" % (k, c, g, q0))
+        return cls(genus=g, q0=q0, lpoly=coeffs)
 
     @classmethod
     def from_trace(cls, q0, trace):
-        """Genus-1 curve with #X(F_q0) = q0 + 1 - trace."""
-        if trace * trace > 4 * q0:
-            raise ValueError("trace %d violates |trace| <= 2 sqrt(%d)" % (trace, q0))
-        a = complex(trace, math.sqrt(4 * q0 - trace * trace)) / 2
-        return cls.numeric(q0, (a,))
+        """Genus-1 curve with #X(F_q0) = q0 + 1 - trace (the bound is Hasse's)."""
+        return cls.from_lpoly(q0, (-trace,))
 
     @property
     def is_numeric(self):
@@ -76,36 +74,22 @@ class ZetaData:
     def table(self):
         return var_table(genus=self.genus)
 
-    def frobenius_values(self, n=1):
-        """Evaluation vector (q, t, a_1..a_g) at the F_{q0^n} point; t is set
-        to 1 and callers must reject polynomials that still involve t."""
-        if not self.is_numeric:
-            raise ValueError("symbolic curve has no numeric Frobenius values")
-        return [Q(self.q0) ** n, Q(1)] + [a ** n for a in self.alphas]
+    def lpoly_coeffs(self):
+        """c_0..c_2g, the upper half from the functional equation."""
+        c = (1,) + self.lpoly
+        return list(c) + [self.q0 ** (self.genus - k) * c[k]
+                          for k in range(self.genus - 1, -1, -1)]
 
     def point_counts(self, nmax):
-        """#X(F_{q0^n}) for n = 1..nmax, verified real integers."""
+        """#X(F_{q0^n}) for n = 1..nmax."""
         if not self.is_numeric:
             raise ValueError("point counts need a numeric curve")
-        out = []
-        for n in range(1, nmax + 1):
-            v = 1 + self.q0 ** n
-            for a in self.alphas:
-                v -= a ** n + (self.q0 / a) ** n
-            out.append(_as_integer(v, TOL * self.q0 ** n))
-        return out
-
-
-def _as_integer(value, tol):
-    """The integer a float computation stands for.  From 2^53 on a double no
-    longer holds every integer, so no tolerance can certify the value."""
-    value = complex(value)
-    if abs(value) >= 2 ** 53:
-        raise NumericDriftError("%r is too large to certify in floating point" % value)
-    r = round(value.real)
-    if abs(value.imag) > tol or abs(value.real - r) > tol:
-        raise NumericDriftError("%r is not an integer within %g" % (value, tol))
-    return r
+        c = self.lpoly_coeffs() + [0] * nmax
+        s = [0]
+        for m in range(1, nmax + 1):
+            # Newton's identity for the power sums of L's reciprocal roots
+            s.append(-m * c[m] - sum(c[k] * s[m - k] for k in range(1, m)))
+        return [1 + self.q0 ** m - s[m] for m in range(1, nmax + 1)]
 
 
 def zx_fraction(table):
@@ -130,15 +114,12 @@ def zx_series(zd, order):
         table = zd.table()
         coeffs = t_expand(zx_fraction(table), order)
         return [c.clear_denominator() for c in coeffs]
-    counts = zd.point_counts(order if order > 0 else 1)
-    out = [Q(1)]
-    for n in range(1, order + 1):
-        # exp of the logarithmic series: n b_n = sum_m N_m b_{n-m}
-        s = Q(0)
-        for m in range(1, n + 1):
-            s += counts[m - 1] * out[n - m]
-        out.append(s / n)
-    return [_as_integer(b, TOL * float(max(1, abs(b)))) for b in out]
+    # Z = L / ((1 - t)(1 - q0 t)); the second factor's t^n coefficient is
+    # 1 + q0 + ... + q0^n
+    c, q0 = zd.lpoly_coeffs(), zd.q0
+    return [sum(ck * ((q0 ** (n - k + 1) - 1) // (q0 - 1))
+                for k, ck in enumerate(c[:n + 1]))
+            for n in range(order + 1)]
 
 
 @dataclass(frozen=True)
@@ -170,30 +151,55 @@ class CountingSequence:
         return CountingSequence(tuple(self.entries[m * n - 1]
                                       for n in range(1, len(self) // m + 1)))
 
-    def rounded(self):
-        return CountingSequence(tuple(
-            _as_integer(v, TOL * max(1.0, abs(complex(v)))) for v in self.entries))
-
 
 def counting_sequence(poly, zd, nmax):
     """Evaluate an invariant polynomial over F_{q0^n} for n = 1..nmax."""
-    if poly.uses_var("t"):
-        raise ValueError("invariant still involves t; specialize it first")
-    if poly.table.genus != zd.genus:
-        raise ValueError("genus mismatch between polynomial and curve")
-    vals = [poly.eval(zd.frobenius_values(n)) for n in range(1, nmax + 1)]
-    return CountingSequence(tuple(vals)).rounded()
+    return CountingSequence(tuple(specialize_integer(poly.adams(n), zd)
+                                  for n in range(1, nmax + 1)))
 
 
 def specialize_integer(poly, zd):
-    """Numeric value of a curve invariant; demands eigenvalue symmetry first.
+    """Exact value of a curve invariant at a numeric curve; demands eigenvalue
+    symmetry first.
 
     Only polynomials invariant under permuting the eigenvalue pairs and under
     a_i -> q a_i^{-1} define numbers independent of labeling choices, so
-    anything else is rejected rather than silently evaluated.
+    anything else is rejected rather than silently evaluated.  Such a
+    polynomial is one in q and G_k = (-1)^k C_k, k = 1..g, where C_k is the
+    t^k coefficient of the symbolic L-polynomial: G_k is the k-th elementary
+    symmetric function of a_1..a_g, q/a_1..q/a_g, its lex-leading a-part is
+    a_1...a_k with coefficient 1, and G_k takes the value (-1)^k c_k.  The
+    lex-leading a-part of a symmetric polynomial is a_1^l_1...a_g^l_g with
+    l_1 >= ... >= l_g >= 0; subtracting its q-coefficient times
+    prod_k G_k^(l_k - l_{k+1}) lowers it, and only finitely many such parts
+    lie below it.
     """
+    table, g = poly.table, zd.genus
+    if not zd.is_numeric or table != var_table(genus=g):
+        raise ValueError("need a numeric curve and a polynomial over its "
+                         "variables, got %r and %r" % (zd, table))
     if poly.uses_var("t"):
         raise ValueError("invariant still involves t; specialize it first")
     if not weil_symmetry_check(poly):
         raise ValueError("polynomial is not symmetric in the eigenvalue pairs")
-    return _as_integer(poly.eval(zd.frobenius_values(1)), TOL)
+    t1, q1 = table.exps(t=1), table.exps(q=1)
+    L = zeta_numerator(table, t1)
+    gens = [LaurentPoly(table, {e - k * t1: (-1) ** k * c for e, c in L.terms.items()
+                                if table.digit(e, 1) == k})
+            for k in range(1, g + 1)]
+    vals = [(-1) ** k * c for k, c in enumerate(zd.lpoly, start=1)]
+    value = 0
+    while poly:
+        apart = {e: e - table.digit(e, 0) * q1 for e in poly.terms}
+        lead = max(apart.values())
+        coeff = LaurentPoly(table, {e - lead: c for e, c in poly.terms.items()
+                                    if apart[e] == lead})
+        lam = table.unpack(lead)[2:] + (0,)
+        step, v = coeff, coeff.eval([zd.q0] + [1] * (g + 1))
+        for k in range(g):
+            step = step * gens[k] ** (lam[k] - lam[k + 1])
+            v *= vals[k] ** (lam[k] - lam[k + 1])
+        poly, value = poly - step, value + v
+    if value.denominator != 1:
+        raise ValueError("value %s is not an integer" % value)
+    return value.numerator

@@ -1,8 +1,7 @@
 """End-to-end checks, one per headline property of the engine.
 
 Run with -v to get one pass/fail line per property.  Everything is exact
-rational arithmetic except the numeric specialization, which demands a
-residual below 1e-6 before rounding to an integer.
+rational arithmetic, the numeric specialization at a curve over F_q included.
 """
 
 import random
@@ -124,7 +123,7 @@ def test_numeric_specialization_matches_point_counts():
     poly = idt_star(cp, 1)[1].set_var_one("t")
     for trace in range(-2, 3):
         zd = ZetaData.from_trace(2, trace)
-        val = specialize_integer(poly, zd)  # tolerance 1e-6 inside
+        val = specialize_integer(poly, zd)
         assert val == -(3 - trace), trace
         assert abs(val) == zd.point_counts(1)[0]
 

@@ -146,10 +146,32 @@ def test_specialize_by_trace(capsys):
 
 
 def test_specialize_by_eigenvalue(capsys):
-    code, out, _ = run(capsys, "specialize", "--q0", "4", "--weil", "2j",
+    # L = 1 + 4 t^2: the eigenvalues are +-2i
+    code, out, _ = run(capsys, "specialize", "--q0", "4", "--lpoly", "0",
                        "--ell", "1", "--rmax", "1")
     assert code == 0
     assert "rank 1 value at t = 1: -5" in out
+
+
+def test_specialize_lpoly_takes_negative_coefficients(capsys):
+    by_trace = run(capsys, "specialize", "--q0", "3", "--trace", "1", "--rmax", "2")
+    by_lpoly = run(capsys, "specialize", "--q0", "3", "--lpoly", "-1", "--rmax", "2")
+    assert by_trace == by_lpoly
+    assert by_lpoly[0] == 0 and "rank 2 value at t = 1: 12" in by_lpoly[1]
+    # genus 2, beta = 1 and 0: L = (1 - t + 2 t^2)(1 + 2 t^2); rank 1 is
+    # -prod_i (q0 + 1 - beta_i)
+    code, out, _ = run(capsys, "specialize", "--q0", "2", "--lpoly", "-1", "4",
+                       "--ell", "3", "--rmax", "1")
+    assert code == 0
+    assert "point counts [2, 12, 14]" in out
+    assert "rank 1 value at t = 1: -6" in out
+
+
+def test_specialize_takes_exactly_one_curve(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["specialize", "--q0", "3", "--trace", "1", "--lpoly", "-1"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_specialize_canonical_counts_points(capsys):
@@ -231,13 +253,25 @@ def test_specialize_refuses_non_prime_power(capsys):
 
 
 def test_specialize_reports_drift_in_one_line(capsys):
+    # rank 3 at q0 = 10007 is about 1e16, past what a double holds exactly
     code, out, err = run(capsys, "specialize", "--q0", "10007", "--trace", "1",
                          "--rmax", "3")
-    assert code == 1
-    assert "rank 2 value at t = 1:" in out and "rank 3" not in out
-    lines = err.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("higgsdt specialize: value cannot be certified:")
+    assert code == 0 and err == ""
+    assert "rank 3 value at t = 1: -10029031615332793" in out
+
+
+def test_specialize_is_exact_where_floats_refused(capsys):
+    code, out, _ = run(capsys, "specialize", "--q0", "1009", "--trace", "1",
+                       "--ell", "1", "--rmax", "3")
+    assert code == 0
+    assert "rank 3 value at t = 1: -1037517184371" in out
+    code, out, _ = run(capsys, "specialize", "--q0", "1000003", "--trace", "1",
+                       "--rmax", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "curve over F_1000003 with point counts "
+        "[1000003, 1000008000015, 1000009000030000036]",
+        "rank 1 value at t = 1: -1000003"]
 
 
 def test_specialize_does_not_mask_kernel_errors(capsys, monkeypatch):
@@ -253,8 +287,6 @@ def test_specialize_does_not_mask_kernel_errors(capsys, monkeypatch):
 def test_specialize_refuses_counts_past_double_precision(capsys):
     code, out, err = run(capsys, "specialize", "--q0", "134217689", "--trace", "1",
                          "--rmax", "1")
-    assert code == 1
-    assert out == ""
-    lines = err.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("higgsdt specialize: value cannot be certified:")
+    assert code == 0 and err == ""
+    assert "point counts [134217689, 18014388308936099, " in out
+    assert "rank 1 value at t = 1: -134217689" in out
