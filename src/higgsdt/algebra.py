@@ -7,7 +7,9 @@ drive the whole module and are relied on by callers:
 
 * rational functions are stored as an expanded numerator over a *multiset of
   binomial factors*, never as an expanded denominator, so cancellation is a
-  sequence of exact divisions rather than a multivariate gcd;
+  sequence of exact divisions rather than a multivariate gcd; a sum's common
+  denominator matches factors of one direction by divisibility (x^aw - 1
+  divides x^bw - 1 when a | b) rather than taking the multiset union;
 * every denominator factor is kept in a canonical form (monomial content
   removed, larger monomial first in lexicographic order), which makes multiset
   intersection meaningful and keeps signs deterministic.
@@ -193,9 +195,21 @@ class VarTable:
 
     def format_exps(self, exps):
         """Render a packed monomial as e.g. 'q^2 t a1^-1'; constant is '1'."""
-        bits = [nm if e == 1 else "%s^%d" % (nm, e)
-                for nm, e in zip(self.names, self.unpack(exps)) if e]
-        return " ".join(bits) if bits else "1"
+        return self.format_monomials((exps,))[0]
+
+    def format_monomials(self, keys):
+        """format_exps of every packed monomial of keys, in order, built a
+        variable at a time from the digit columns."""
+        keys = list(keys)
+        cols = []
+        for i, nm in enumerate(self.names):
+            col = self.digits(keys, i)
+            if any(col):
+                text = {e: nm if e == 1 else "%s^%d" % (nm, e) for e in set(col) if e}
+                cols.append([text.get(e) for e in col])
+        if not cols:
+            return ["1"] * len(keys)
+        return [" ".join(filter(None, bits)) or "1" for bits in zip(*cols)]
 
     # -- constructors -----------------------------------------------------
 
@@ -571,6 +585,50 @@ def _direction(table, factor):
     return v // math.gcd(*table.unpack(v))
 
 
+@lru_cache(maxsize=None)
+def _binomial_quotient(table, big, small):
+    """big / small for canonical factors of one direction, small's k dividing
+    big's: x^(big.m2 - small.m2) (1 + X^a + ... + X^(b - a)), b/a terms."""
+    return exact_divide(big.to_poly(table), small)
+
+
+def _lcd_parts(table, only_a, only_b):
+    """The factors of one side only, matched by divisibility.
+
+    Returns (tried, kept, mul_a, mul_b).  tried + kept is the matched common
+    multiple of prod(only_a) and prod(only_b), tried holding its factors in
+    the directions both lists share; mul_a and mul_b are polynomials whose
+    products are that multiple over prod(only_a) and over prod(only_b).  A
+    factor is x^neg(kw) (X^k - 1) with X = x^w, w = _direction.  Within a
+    direction, taken largest k first, a factor is matched with the largest
+    unmatched factor of the other list whose k divides its own and stands in
+    for both: the other side takes the quotient, 1 + X^a + ... up to a
+    monomial, instead of the whole binomial.
+    """
+    by_dir = {}
+    for side, fs in enumerate((only_a, only_b)):
+        for f in fs:
+            w = _direction(table, f)
+            by_dir.setdefault(w, []).append(((f.m1 - f.m2) // w, side, f))
+    tried, kept, mul = [], [], ([], [])
+    for group in by_dir.values():
+        group.sort(reverse=True)
+        out = tried if len({side for _, side, _ in group}) == 2 else kept
+        matched = set()
+        for i, (k, side, f) in enumerate(group):
+            if i in matched:
+                continue
+            out.append(f)
+            j = next((j for j in range(i + 1, len(group)) if j not in matched
+                      and group[j][1] != side and k % group[j][0] == 0), None)
+            if j is None:
+                mul[1 - side].append(f.to_poly(table))
+            else:
+                matched.add(j)
+                mul[1 - side].append(_binomial_quotient(table, f, group[j][2]))
+    return tried, kept, mul[0], mul[1]
+
+
 def _reduce_fraction(num, den):
     """Cancel denominator factors that divide the numerator exactly."""
     if not num.terms:
@@ -582,14 +640,6 @@ def _reduce_fraction(num, den):
         except NotDivisibleError:
             kept.append(f)
     return num, tuple(kept)
-
-
-def _multiset_diff(a, b):
-    """Multiset difference of two sorted factor tuples."""
-    out = list(a)
-    for f in b:
-        out.remove(f)
-    return out
 
 
 class Fraction:
@@ -629,30 +679,41 @@ class Fraction:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        """Sum over the least common denominator, reduced.
+        """Sum over a divisibility-matched common denominator, reduced.
 
-        With lcd = C + A + B (C the common multiset, A and B the factors of
-        one side only), the sum is (na * prod B + nb * prod A) / lcd.  A
-        factor f of A that has no factor of B in its primitive direction is
-        never tried, because it cannot divide that numerator:
+        With C the common multiset of the two denominators and A, B the
+        factors of one side only, the lcd is C + L, L from `_lcd_parts`:
+        within a primitive direction w a factor is x^neg(kw) (X^k - 1),
+        X = x^w, and X^a - 1 divides X^b - 1 when a | b, so a factor of A
+        and one of B whose k divide one another are matched and L keeps
+        only the larger; unmatched factors enter L whole.  The sum is
+        (na * L/A + nb * L/B) / lcd, where L/A is the product of the
+        quotients of the pairs whose smaller factor is in A and of the
+        unmatched factors of B.  C and the factors of L in a direction that
+        both A and B have are tried.  A factor f of L in a direction that
+        only A has is never tried, because it cannot divide that numerator:
 
-        * f divides nb * prod A, so f | sum-numerator iff f | na * prod B;
+        * f is an unmatched factor of A, so f divides L/B, and
+          f | sum-numerator iff f | na * L/A;
         * up to a unit, f = X^k - 1 with X = x^w, w primitive; its
           irreducible factors are the cyclotomic Phi_d(X), which are
           irreducible in the Laurent ring and differ from those of any
-          binomial of another primitive direction, so f is coprime to
-          prod B and f | na * prod B iff f | na;
+          binomial of another primitive direction; every factor of L/A,
+          a whole binomial or a quotient 1 + X'^a + ..., lies in a
+          direction of B, so f is coprime to L/A and f | na * L/A iff
+          f | na;
         * f is not cancelled from self, so f does not divide na.
 
         The same holds for B with the roles swapped.  "Not cancelled" holds
         for every Fraction built with reduce=True, and scale, mono_mul, neg
         and adams (the reduce=False paths) multiply by units or apply an
-        injective ring map, which keeps it.  (A Fraction built directly
-        with reduce=False around a cancellable factor may keep that factor
-        through a sum; the value is unaffected.)  Skipped factors leave the
-        numerator alone, so the tried ones see exactly the divisions they
-        would see anyway and the result is the one trying every factor
-        gives.
+        injective ring map, which keeps it.  (A Fraction built with
+        reduce=False around a cancellable factor, as the products of
+        series.scaled_pleth_log are, may keep that factor through a sum;
+        the value is unaffected, and clear_denominator tries every factor
+        again.)  Skipped factors leave the numerator alone, so the tried
+        ones see exactly the divisions they would see anyway and the result
+        is the one trying every factor of C + L gives.
         """
         _check_tables(self, other)
         if self.is_zero():
@@ -661,33 +722,24 @@ class Fraction:
             return self
         if self.den == other.den:
             return Fraction(self.num + other.num, self.den)
-        table = self.table
-        common = []
-        da = list(self.den)
+        common, only_a, only_b = [], list(self.den), []
         for f in other.den:
-            if f in da:
-                da.remove(f)
+            if f in only_a:
+                only_a.remove(f)
                 common.append(f)
-        # lcd = common + (self.den - common) + (other.den - common)
-        only_a = da
-        only_b = _multiset_diff(other.den, tuple(common))
+            else:
+                only_b.append(f)
+        tried, kept, mul_a, mul_b = _lcd_parts(self.table, only_a, only_b)
         na = self.num
-        for f in only_b:
-            na = na * f.to_poly(table)
+        for p in mul_a:
+            na = na * p
         nb = other.num
-        for f in only_a:
-            nb = nb * f.to_poly(table)
+        for p in mul_b:
+            nb = nb * p
         num = na + nb
         if not num.terms:
             return Fraction(num)
-        dirs_a = {_direction(table, f) for f in only_a}
-        dirs_b = {_direction(table, f) for f in only_b}
-        tried, kept = list(common), []
-        for f in only_a:
-            (tried if _direction(table, f) in dirs_b else kept).append(f)
-        for f in only_b:
-            (tried if _direction(table, f) in dirs_a else kept).append(f)
-        num, left = _reduce_fraction(num, tuple(tried))
+        num, left = _reduce_fraction(num, tuple(common + tried))
         return Fraction(num, left + tuple(kept), reduce=False)
 
     def __neg__(self):
@@ -795,8 +847,10 @@ class Fraction:
     def clear_denominator(self):
         """Return the numerator as a LaurentPoly; the denominator must cancel."""
         if self.den:
-            # construction already reduced once; a retry is still cheap and
-            # catches fractions built with reduce=False
+            # construction already reduced once; the retry catches factors
+            # left by fractions built with reduce=False (the products of
+            # series.scaled_pleth_log) and kept through a sum that never
+            # tried them
             num, den = _reduce_fraction(self.num, self.den)
             if den:
                 raise NotDivisibleError(

@@ -27,30 +27,34 @@ from .zeta import ZetaData, specialize_integer
 SCHEMA_VERSION = 1
 
 
-def _mono_latex(table, exps):
-    bits = []
-    for nm, e in zip(table.names, table.unpack(exps)):
-        if e:
-            # q, t, u keep their names; a_i and z_i become \alpha_{i}, \z_{i}
-            v = nm if len(nm) == 1 else "\\%s_{%s}" % (
-                "alpha" if nm[0] == "a" else "z", nm[1:])
-            bits.append(v if e == 1 else "%s^{%d}" % (v, e))
-    return " ".join(bits) if bits else "1"
+def _latex_monomials(table, keys):
+    out = []
+    for exps in keys:
+        bits = []
+        for nm, e in zip(table.names, table.unpack(exps)):
+            if e:
+                # q, t, u keep their names; a_i and z_i become \alpha_{i}, \z_{i}
+                v = nm if len(nm) == 1 else "\\%s_{%s}" % (
+                    "alpha" if nm[0] == "a" else "z", nm[1:])
+                bits.append(v if e == 1 else "%s^{%d}" % (v, e))
+        out.append(" ".join(bits) if bits else "1")
+    return out
 
 
 # per style: monomial renderer, separator between coefficient and monomial
-_STYLES = {"text": (VarTable.format_exps, " "),
-           "latex": (_mono_latex, " \\, ")}
+_STYLES = {"text": (VarTable.format_monomials, " "),
+           "latex": (_latex_monomials, " \\, ")}
 
 
 def poly_render(poly, style):
     """One line for poly in the "text" or "latex" style, leading term first."""
     if not poly.terms:
         return "0"
-    mono_of, sep = _STYLES[style]
+    monos_of, sep = _STYLES[style]
+    terms = poly.sorted_terms()
     out = []
-    for e, c in poly.sorted_terms():
-        mono, mag = mono_of(poly.table, e), str(abs(c))
+    for mono, (_, c) in zip(monos_of(poly.table, [e for e, _ in terms]), terms):
+        mag = str(abs(c))
         body = mag if mono == "1" else mono if mag == "1" else mag + sep + mono
         if not out:
             out.append("-" + body if c < 0 else body)
@@ -61,8 +65,31 @@ def poly_render(poly, style):
 
 def poly_pairs(poly):
     """Deterministic [monomial string, coefficient string] pairs."""
-    return [[poly.table.format_exps(e), str(c)]
-            for e, c in poly.sorted_terms()]
+    terms = poly.sorted_terms()
+    monos = poly.table.format_monomials(e for e, _ in terms)
+    return [[m, str(c)] for m, (_, c) in zip(monos, terms)]
+
+
+_ENCODE = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, ind="\n"):
+    """json.dumps(value, indent=2) for the compute payload: dicts, lists,
+    strings, ints and None.  A list of lists is a list of poly_pairs and
+    goes out one format per pair, not through json's pure-Python indent
+    encoder."""
+    if not value or not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    inner = ind + "  "
+    if isinstance(value, dict):
+        items = (_ENCODE(k) + ": " + _json_text(v, inner) for k, v in value.items())
+    elif isinstance(value[0], list):
+        pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+        items = (pair % (_ENCODE(m), _ENCODE(c)) for m, c in value)
+    else:
+        items = (_json_text(v, inner) for v in value)
+    body = inner + ("," + inner).join(items) + ind
+    return "{%s}" % body if isinstance(value, dict) else "[%s]" % body
 
 
 def _curve_from_args(args, parser):
@@ -107,22 +134,24 @@ def _cmd_compute(args, parser):
             "results": [],
         }
         for row in rows:
+            # omega's body and A are idt_t1 itself
+            t1 = poly_pairs(row["idt_t1"])
             entry = {
                 "r": row["r"],
                 "idt": poly_pairs(row["idt"]),
-                "idt_t1": poly_pairs(row["idt_t1"]),
+                "idt_t1": t1,
                 "omega": {
                     "sign": row["omega"].sign,
                     "half_power_exponent": row["omega"].half,
-                    "poly": poly_pairs(row["omega"].body),
+                    "poly": t1,
                 },
                 "volume": poly_pairs(row["volume"]) if row["volume"] is not None
                           else None,
             }
             if "A" in row:
-                entry["A"] = poly_pairs(row["A"])
+                entry["A"] = t1
             payload["results"].append(entry)
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return 0
 
     if args.format == "csv":

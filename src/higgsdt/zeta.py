@@ -10,16 +10,22 @@ curve's data.  Point counts over all extensions follow from the trace formula
 
     #X(F_{q0^n}) = 1 + q0^n - S_n,   S_n = sum_i (a_i^n + (q0 / a_i)^n),
 
-with the power sums S_n read off L by Newton's identities.  Invariants of the
+with the power sums S_n read off L by Newton's identities.  ZetaData.from_lpoly
+accepts c_1..c_g only if every beta_i = a_i + q0 / a_i is real with
+|beta_i| <= 2 sqrt(q0), which is |a_i| = sqrt(q0) (a Sturm count, in exact
+rationals, of the beta_i^2 in [0, 4 q0]), and 0 <= N_1 <= N_m for m <= g;
+both are necessary for a curve, not sufficient.  Invariants of the
 curve are symmetric in the eigenvalue pairs and invariant under
 a_i -> q a_i^{-1}, which makes them polynomials in q and the coefficients of
 the symbolic L-polynomial; specialize_integer rewrites them so and
-substitutes q0 and c_1..c_g.  All of it is exact integer arithmetic.
+substitutes q0 and c_1..c_g.  All of it is exact arithmetic.
 """
 
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction as Q
+from itertools import zip_longest
 
 from .algebra import Fraction, LaurentPoly, t_expand, var_table
 from .dt import weil_symmetry_check, zeta_numerator
@@ -33,6 +39,80 @@ def is_prime_power(n):
     while n % p == 0:
         n //= p
     return n == 1
+
+
+def _weil_squares(q0, coeffs):
+    """prod_i (z - beta_i^2), beta_i = a_i + q0 / a_i, from c_1..c_g (g >= 1);
+    ascending integer coefficients.
+
+    With x = T + q0/T, T^m + (q0/T)^m = D_m(x), where D_0 = 2, D_1 = x and
+    D_m = x D_{m-1} - q0 D_{m-2}.  So T^{2g} L(1/T) = T^g h(T + q0/T) for the
+    real Weil polynomial h(x) = prod_i (x - beta_i) = c_g + sum_{j<g} c_j
+    D_{g-j}(x), and writing h(x) = E(x^2) + x O(x^2), h(x) h(-x) =
+    E(x^2)^2 - x^2 O(x^2)^2 = (-1)^g prod_i (x^2 - beta_i^2).
+    """
+    g, c = len(coeffs), (1,) + tuple(coeffs)
+    h, d_prev, d = [c[g]] + [0] * g, [2], [0, 1]
+    for m in range(1, g + 1):
+        for i, x in enumerate(d):
+            h[i] += c[g - m] * x
+        d_prev, d = d, [b - q0 * a for a, b in zip(d_prev + [0, 0], [0] + d)]
+    ee, oo = _poly_mul(h[0::2], h[0::2]), [0] + _poly_mul(h[1::2], h[1::2])
+    return [(-1) ** g * (a - b) for a, b in zip_longest(ee, oo, fillvalue=0)]
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of ascending coefficient lists, b's last entry
+    nonzero; both come back without trailing zeros."""
+    rem, quo = [Q(x) for x in a], [Q(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        f = rem[-1] / b[-1]
+        quo[len(rem) - len(b)] = f
+        for i, x in enumerate(b[:-1]):
+            rem[len(rem) - len(b) + i] -= f * x
+        rem.pop()
+        while rem and not rem[-1]:
+            rem.pop()
+    return quo, rem
+
+
+def _sturm_chain(p):
+    """p, p' and the negated remainders down to gcd(p, p'), which ends it."""
+    chain = [p, [k * x for k, x in enumerate(p)][1:]]
+    while True:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            return chain
+        chain.append([-x for x in rem])
+
+
+def _real_roots(p, lo, hi):
+    """(distinct roots of p in [lo, hi], distinct complex roots of p), for a
+    nonconstant ascending coefficient list p.
+
+    Sturm's theorem on the squarefree part s = p / gcd(p, p'): the sign
+    changes of s's chain at lo, less those at hi, count its roots in
+    (lo, hi], zeros skipped.
+    """
+    s = _poly_divmod(p, _sturm_chain(p)[-1])[0]
+    chain = _sturm_chain(s)
+
+    def value(f, x):
+        return sum(c * x ** k for k, c in enumerate(f))
+
+    def changes(x):
+        signs = [v > 0 for v in (value(f, x) for f in chain) if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi) + (value(s, lo) == 0), len(s) - 1
 
 
 @dataclass(frozen=True)
@@ -50,7 +130,11 @@ class ZetaData:
 
     @classmethod
     def from_lpoly(cls, q0, coeffs):
-        """Curve over F_q0 whose L-polynomial begins 1 + c_1 t + ... + c_g t^g."""
+        """Curve over F_q0 whose L-polynomial begins 1 + c_1 t + ... + c_g t^g.
+
+        ValueError when q0 is not a prime power or the coefficients fail
+        one of the necessary conditions for a curve (module docstring).
+        """
         if not is_prime_power(q0):
             raise ValueError("q0 must be a prime power, got %d" % q0)
         coeffs = tuple(map(operator.index, coeffs))  # integers only
@@ -60,7 +144,23 @@ class ZetaData:
             if c * c > math.comb(2 * g, k) ** 2 * q0 ** k:
                 raise ValueError("c_%d = %d violates |c_k| <= C(2g, k) q0^(k/2) "
                                  "at genus %d, q0 = %d" % (k, c, g, q0))
-        return cls(genus=g, q0=q0, lpoly=coeffs)
+        zd = cls(genus=g, q0=q0, lpoly=coeffs)
+        if g:
+            # beta_i = a_i + q0/a_i is real with beta_i^2 <= 4 q0 exactly
+            # when |a_i| = sqrt(q0), and beta_i^2 is real and nonnegative
+            # only for real beta_i
+            inside, roots = _real_roots(_weil_squares(q0, coeffs), 0, 4 * q0)
+            if inside < roots:
+                raise ValueError("L-polynomial coefficients %s at q0 = %d are no "
+                                 "curve's: some a_i + q0/a_i is not real in "
+                                 "[-2 sqrt(q0), 2 sqrt(q0)]"
+                                 % (list(coeffs), q0))
+            counts = zd.point_counts(g)
+            if counts[0] < 0 or min(counts) < counts[0]:
+                raise ValueError("L-polynomial coefficients %s at q0 = %d are no "
+                                 "curve's: point counts %s break "
+                                 "0 <= N_1 <= N_m" % (list(coeffs), q0, counts))
+        return zd
 
     @classmethod
     def from_trace(cls, q0, trace):

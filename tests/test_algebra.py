@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -6,8 +7,9 @@ import pytest
 
 from higgsdt.algebra import (BinomialFactor, Fraction, LaurentPoly,
                              NotDivisibleError, TableMismatchError,
-                             ZeroDenominatorError, canonical_binomial,
-                             exact_divide, t_expand, var_table)
+                             ZeroDenominatorError, _lcd_parts,
+                             canonical_binomial, exact_divide, t_expand,
+                             var_table)
 
 T2 = var_table(genus=1)   # q, t, a1
 
@@ -348,3 +350,81 @@ def test_fraction_add_skip_matches_trying_every_factor():
         lcd = Counter(a.den) | Counter(b.den)
         cancelled += len(got.den) < sum(lcd.values())
     assert cancelled >= 20
+
+
+# -- the divisibility-matched common denominator ------------------------------
+
+# divisibility chains in three directions: q^k - 1, q^k - t^k and, with
+# negative entries, q^k - t^2k a1^k
+MATCH_POOL = [canonical_binomial(T2, e1, e2)[0] for e1, e2 in
+              [(T2.exps(q=k), 0) for k in (1, 2, 3, 4, 6)]
+              + [(T2.exps(q=k), T2.exps(t=k)) for k in (1, 2, 3)]
+              + [(T2.exps(q=k), T2.exps(t=2 * k, a1=k)) for k in (1, 2)]]
+
+
+def _prod(table, factors):
+    out = table.one()
+    for f in factors:
+        out = out * f.to_poly(table)
+    return out
+
+
+def _dir_k(f):
+    """(primitive direction, k) of a canonical factor x^neg(kw) (x^kw - 1)."""
+    v = T2.unpack(f.m1 - f.m2)
+    k = math.gcd(*v)
+    return tuple(x // k for x in v), k
+
+
+def _rand_matched_fraction(rng):
+    num = rand_poly(rng, nterms=5, span=2)
+    for f in rng.sample(MATCH_POOL, rng.randint(0, 2)):
+        num = num * f.to_poly(T2)
+    return Fraction(num, [rng.choice(MATCH_POOL) for _ in range(rng.randint(0, 4))])
+
+
+def test_fraction_add_matched_lcd_is_the_sum():
+    rng = random.Random(2027)
+    vals = [Q(3), Q(5, 7), Q(-2, 3)]
+    divisible_pairs = 0
+    for _ in range(300):
+        a, b = _rand_matched_fraction(rng), _rand_matched_fraction(rng)
+        got = a + b
+        # cross-multiplied over den(a) + den(b), no common denominator at all
+        want = Fraction(a.num * _prod(T2, b.den) + b.num * _prod(T2, a.den),
+                        a.den + b.den)
+        assert got == want
+        assert got.eval(vals) == a.eval(vals) + b.eval(vals)
+        assert got - b == a
+        for f in a.den:
+            for g in b.den:
+                (wf, kf), (wg, kg) = _dir_k(f), _dir_k(g)
+                divisible_pairs += wf == wg and kf != kg and (kf % kg == 0 or kg % kf == 0)
+    assert divisible_pairs >= 100
+
+
+def test_matched_lcd_is_a_common_multiple_no_larger_than_the_union():
+    rng = random.Random(2028)
+    smaller = 0
+    for _ in range(300):
+        only_a = [rng.choice(MATCH_POOL) for _ in range(rng.randint(0, 4))]
+        only_b = [f for f in (rng.choice(MATCH_POOL) for _ in range(rng.randint(0, 4)))
+                  if f not in only_a]
+        tried, kept, mul_a, mul_b = _lcd_parts(T2, only_a, only_b)
+        lcd = _prod(T2, tried + kept)
+        pa, pb = _prod(T2, only_a), _prod(T2, only_b)
+        for p in mul_a:
+            pa = pa * p
+        for p in mul_b:
+            pb = pb * p
+        assert pa == lcd and pb == lcd
+
+        def degree(factors):
+            return sum(abs(x) for f in factors for x in T2.unpack(f.m1 - f.m2))
+        assert degree(tried + kept) <= degree(only_a + only_b)
+        smaller += degree(tried + kept) < degree(only_a + only_b)
+        # a factor is tried exactly when both lists have its direction
+        shared = ({_dir_k(f)[0] for f in only_a} & {_dir_k(f)[0] for f in only_b})
+        assert all(_dir_k(f)[0] in shared for f in tried)
+        assert not any(_dir_k(f)[0] in shared for f in kept)
+    assert smaller >= 50

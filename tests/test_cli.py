@@ -252,6 +252,21 @@ def test_specialize_refuses_non_prime_power(capsys):
         "higgsdt specialize: error: q0 must be a prime power, got 6"]
 
 
+@pytest.mark.parametrize("lpoly", [("-5", "12"), ("0", "5")])
+def test_specialize_refuses_non_curves(capsys, lpoly):
+    # both meet |c_k| <= C(2g, k) q0^(k/2) but their beta-polynomials,
+    # x^2 - 5x + 8 and x^2 + 1, have complex roots; they used to print point
+    # counts [-2, 4, 34] and [3, 15, 9]
+    code, out, err = run(capsys, "specialize", "--q0", "2", "--lpoly", *lpoly,
+                         "--ell", "3", "--rmax", "1")
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "higgsdt specialize: error: L-polynomial coefficients [%s, %s] at q0 = 2 "
+        "are no curve's: some a_i + q0/a_i is not real in "
+        "[-2 sqrt(q0), 2 sqrt(q0)]" % lpoly]
+
+
 def test_specialize_reports_drift_in_one_line(capsys):
     # rank 3 at q0 = 10007 is about 1e16, past what a double holds exactly
     code, out, err = run(capsys, "specialize", "--q0", "10007", "--trace", "1",

@@ -160,3 +160,36 @@ def test_scaled_log_needs_unit_constant():
     s = TruncSeries.from_terms(T, 3, {0: Fraction(T.monomial(T.exps(q=1)))})
     with pytest.raises(ValueError):
         scaled_pleth_log(s)
+
+
+def test_scaled_log_matches_pointwise_recurrence():
+    # denominators from divisibility chains in two directions, so the sums
+    # of the log match factors; checked at a rational point, where psi_n is
+    # evaluation at the n-th powers and no fraction is added symbolically
+    pool = [(T.exps(q=k), T.zero_exps()) for k in (1, 2, 3, 4, 6)] + [
+        (T.exps(q=k), T.exps(t=k)) for k in (1, 2, 3)]
+    point = (Q(3), Q(5, 7))
+    rng = random.Random(31)
+    order = 5
+    for _ in range(6):
+        coeffs = {0: Fraction.one(T)}
+        for d in range(1, order + 1):
+            frac = Fraction(LaurentPoly(T, {T.exps(q=rng.randint(-2, 2),
+                                                   t=rng.randint(0, 2)): rng.randint(1, 4)}))
+            for _ in range(rng.randint(0, 3)):
+                frac = frac.div_binomial(*rng.choice(pool))
+            coeffs[d] = frac
+        s = TruncSeries.from_terms(T, order, coeffs)
+        scaled = scaled_pleth_log(s)
+        # M_r(x) = r B_r(x) - sum_{k<r} M_k(x) B_{r-k}(x) at x = point^n
+        M = {}
+        for n in range(1, order + 1):
+            x = [v ** n for v in point]
+            b = [c.eval(x) for c in s.coeffs]
+            m = [0]
+            for r in range(1, order + 1):
+                m.append(r * b[r] - sum(m[k] * b[r - k] for k in range(1, r)))
+            M[n] = m
+        for r in range(1, order + 1):
+            want = sum(mobius(n) * M[n][r // n] for n in range(1, r + 1) if r % n == 0)
+            assert scaled.coefficient(r).eval(list(point)) == want

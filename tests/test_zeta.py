@@ -22,15 +22,61 @@ def test_numeric_validates_eigenvalue_modulus():
     for c in ((6, 0), (-6, 0), (0, 13), (0, -13)):
         with pytest.raises(ValueError, match="violates"):
             ZetaData.from_lpoly(2, c)
-    zd = ZetaData.from_lpoly(2, (-5, 12))
+    # (-5, 12) meets the bound, but its beta-polynomial x^2 - 5x + 8 is not
+    # real-rooted; beta = 1 and 0 give a curve
+    with pytest.raises(ValueError, match="no curve's"):
+        ZetaData.from_lpoly(2, (-5, 12))
+    zd = ZetaData.from_lpoly(2, (-1, 4))
     assert zd.genus == 2 and zd.is_numeric
-    assert zd.lpoly_coeffs() == [1, -5, 12, -10, 4]
+    assert zd.lpoly_coeffs() == [1, -1, 4, -2, 4]
     with pytest.raises(ValueError, match="prime power"):
         ZetaData.from_lpoly(1, ())
     with pytest.raises(TypeError):
         ZetaData.from_lpoly(2, (1.0,))
     zd = ZetaData.from_lpoly(4, (0,))
     assert zd.genus == 1 and zd.point_counts(2) == [5, 25]
+
+
+def test_from_lpoly_refuses_non_curves():
+    # beta-polynomial x^2 + 1: beta = +-i
+    with pytest.raises(ValueError, match="not real"):
+        ZetaData.from_lpoly(2, (0, 5))
+    # beta = 2, 2, 2 over F_2: real and within 2 sqrt(2), but N_1 = -3
+    with pytest.raises(ValueError, match=r"point counts \[-3, 5, 21\]"):
+        ZetaData.from_lpoly(2, (-6, 18, -32))
+    # beta = -2, -2 over F_2: N_1 = 7 > N_2 = 5
+    with pytest.raises(ValueError, match=r"point counts \[7, 5\]"):
+        ZetaData.from_lpoly(2, (4, 8))
+    # roots on the boundary and repeated roots are accepted: beta = 0, 0 over
+    # F_3; beta = 4 = 2 sqrt(4) and 0, and beta = 2, 2 over F_4
+    assert ZetaData.from_lpoly(3, (0, 6)).point_counts(2) == [4, 22]
+    assert ZetaData.from_lpoly(4, (-4, 8)).point_counts(2) == [1, 17]
+    assert ZetaData.from_lpoly(4, (-4, 12)).point_counts(2) == [1, 25]
+
+
+@pytest.mark.parametrize("q0", [2, 3, 4, 5, 9])
+def test_from_lpoly_genus_two_matches_beta_roots(q0):
+    # genus 2: h(x) = x^2 + c_1 x + c_2 - 2 q0; a curve needs both roots real
+    # in [-2 sqrt(q0), 2 sqrt(q0)] and 0 <= N_1 <= N_2 (floats only here)
+    accepted = 0
+    for c1 in range(-4 * q0, 4 * q0 + 1):
+        for c2 in range(-6 * q0, 6 * q0 + 1):
+            if c1 * c1 > 16 * q0 or c2 * c2 > 36 * q0 * q0:
+                continue
+            disc = c1 * c1 - 4 * (c2 - 2 * q0)
+            real = disc >= 0 and all(abs(-c1 + s * math.sqrt(disc)) / 2
+                                     <= 2 * math.sqrt(q0) + 1e-9 for s in (1, -1))
+            n1 = q0 + 1 + c1
+            n2 = q0 * q0 + 1 - (c1 * c1 - 2 * c2)
+            want = real and 0 <= n1 <= n2
+            try:
+                ZetaData.from_lpoly(q0, (c1, c2))
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, (q0, c1, c2)
+            accepted += got
+    assert accepted > 10
 
 
 def test_symbolic_curve_has_no_numeric_side():
