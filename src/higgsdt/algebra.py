@@ -9,7 +9,10 @@ drive the whole module and are relied on by callers:
   binomial factors*, never as an expanded denominator, so cancellation is a
   sequence of exact divisions rather than a multivariate gcd; a sum's common
   denominator matches factors of one direction by divisibility (x^aw - 1
-  divides x^bw - 1 when a | b) rather than taking the multiset union;
+  divides x^bw - 1 when a | b) rather than taking the multiset union, and
+  a factor that coprimality rules out (binomials of distinct primitive
+  directions share no factor) is never tried; most trial divisions still
+  fail, and `exact_divide` refuses most of those from two line sums;
 * every denominator factor is kept in a canonical form (monomial content
   removed, larger monomial first in lexicographic order), which makes multiset
   intersection meaningful and keeps signs deterministic.
@@ -197,15 +200,19 @@ class VarTable:
         """Render a packed monomial as e.g. 'q^2 t a1^-1'; constant is '1'."""
         return self.format_monomials((exps,))[0]
 
-    def format_monomials(self, keys):
+    def format_monomials(self, keys, names=None, power="%s^%d"):
         """format_exps of every packed monomial of keys, in order, built a
-        variable at a time from the digit columns."""
+        variable at a time from the digit columns.
+
+        names (default: the table's) and the power format, applied to a
+        name and an exponent other than 0 and 1, set the style.
+        """
         keys = list(keys)
         cols = []
-        for i, nm in enumerate(self.names):
+        for i, nm in enumerate(names or self.names):
             col = self.digits(keys, i)
             if any(col):
-                text = {e: nm if e == 1 else "%s^%d" % (nm, e) for e in set(col) if e}
+                text = {e: nm if e == 1 else power % (nm, e) for e in set(col) if e}
                 cols.append([text.get(e) for e in col])
         if not cols:
             return ["1"] * len(keys)
@@ -505,28 +512,48 @@ def exact_divide(poly, factor):
     each line, and the division is exact iff every line sums to zero.
     Linear time, no term-order descent, valid for genuinely Laurent supports.
 
+    Most divisions the kernel tries fail, so two lines are probed first: the
+    ones through the first and the last stored term, each summed whole.  A
+    line leaves the dividend once its digit in the first nonzero coordinate
+    i0 of v leaves the support's range in that coordinate, so a line holds
+    at most steps + 1 terms, steps = (range width) // v_i0, and its sum is
+    that many dict lookups.  A nonzero sum is a remainder, so the refusal is
+    exact; zero sums prove nothing and the walk below decides.  The lookups
+    are exact only within the range guard of `_line_span`; a dividend spread
+    wider is not probed (it may still divide, if its walk meets no gap).
+
     The sums are taken run by run, a run being a maximal stretch e, e + v,
     ..., e + k*v of the support, walked from its lowest term.  A run whose
     sum is not zero carries it through the gap to the next run of its line,
-    which must exist.  Runs start in increasing packed order, which is
-    increasing along each line (v > 0 as a packed int), so a carried sum
-    always reaches a run that has not been walked yet.  The quotient of an
-    exact division has, in every variable, its exponents within the
-    dividend's range (its Newton polytope plus the factor's segment is the
-    dividend's, and the factor's smaller end is 0), so it needs no range
-    check.
+    which must exist within steps of it.  Runs start in increasing packed
+    order, which is increasing along each line (v > 0 as a packed int), so
+    a carried sum always reaches a run that has not been walked yet.  The
+    quotient of an exact division has, in every variable, its exponents
+    within the dividend's range (its Newton polytope plus the factor's
+    segment is the dividend's, and the factor's smaller end is 0), so it
+    needs no range check.
     """
     terms = poly.terms
     if not terms:
         return poly
+    table = poly.table
     m1, m2 = factor
     v = m1 - m2
-    # membership tests are exact: every point tested is a term plus at most
-    # max(1, max_gap) steps of v (see _max_gap)
+    i0, vi, lo, hi, steps, guarded = _line_span(table, terms, factor)
+    if guarded:
+        get = terms.get
+        for e in (next(iter(terms)), next(reversed(terms))):
+            # the whole line through e, every point of it within [lo, hi]
+            d = table.digit(e, i0)
+            line = range(-((d - lo) // vi), (hi - d) // vi + 1)
+            if sum(get(e + j * v, 0) for j in line):
+                raise NotDivisibleError("remainder on the line through %s"
+                                        % table.format_exps(e))
+    # membership tests are exact: every point tested is a term plus one step
+    # of v, or plus at most steps steps within the range guard
     starts = sorted([e for e in terms if e - v not in terms])
     out = {}
     joined = set()    # run starts reached by a carried sum
-    max_gap = None
     for e in starts:
         if e in joined:
             continue
@@ -537,46 +564,47 @@ def exact_divide(poly, factor):
             if d:
                 out[e - m2] = d
                 if nxt not in terms:
-                    if max_gap is None:
-                        max_gap = _max_gap(poly.table, terms, factor)
-                    # the next run starts within max_gap steps of e, or never
-                    for _ in range(max_gap - 1):
+                    if not guarded:
+                        raise ExponentRangeError(
+                            "exact division by %s - %s: the dividend is spread "
+                            "too wide along the factor's direction"
+                            % (table.format_exps(m1), table.format_exps(m2)))
+                    # the next run starts within steps of e, or never
+                    for _ in range(steps - 1):
                         out[nxt - m2] = d
                         nxt += v
                         if nxt in terms:
                             break
                     else:
                         raise NotDivisibleError("remainder on the line through %s"
-                                                % poly.table.format_exps(e))
+                                                % table.format_exps(e))
                     joined.add(nxt)
             elif nxt not in terms:
                 break
             e = nxt
-    return LaurentPoly(poly.table, out)
+    return LaurentPoly(table, out)
 
 
-def _max_gap(table, terms, factor):
-    """How many steps along v = m1 - m2 a walk from a term may take and stay
-    within the support's range.
+def _line_span(table, terms, factor):
+    """(i0, v_i0, lo, hi, steps, guarded) for the lines of v = m1 - m2 through
+    the support.
 
-    Past that many steps the walk has left the dividend.  A point at most
-    that many steps from a term differs from every term by less than
-    2^31 + steps * max|v_i| in each digit, and two packed points that
-    differ by less than 2^32 in every digit are equal only if they agree
-    (read the lowest digit, subtract, repeat).  A dividend spread too wide
-    along v for that bound is refused.
+    i0 is the first nonzero coordinate of v (v_i0 > 0), [lo, hi] the
+    support's range in it and steps = (hi - lo) // v_i0, how many steps along
+    v a walk from a term may take and stay within that range; past it the
+    walk has left the dividend.  A point at most steps steps from a term
+    differs from every term by less than 2^31 + steps * max|v_i| in each
+    digit, and two packed points that differ by less than 2^32 in every
+    digit are equal only if they agree (read the lowest digit, subtract,
+    repeat).  guarded says that bound holds, so that membership tests that
+    far out are exact; a dividend spread wider along v is refused only if a
+    walk needs them.
     """
     vs = table.unpack(factor.m1 - factor.m2)
     i0 = next(i for i, x in enumerate(vs) if x)
     lo, hi = table.digit_range(terms, i0)
     steps = (hi - lo) // vs[i0]
-    if steps * max(map(abs, vs)) > _HALF:
-        raise ExponentRangeError("exact division by %s - %s: the dividend is spread "
-                                 "too wide along the factor's direction"
-                                 % (table.format_exps(factor.m1),
-                                    table.format_exps(factor.m2)))
-    return steps
-
+    return i0, vs[i0], lo, hi, steps, steps * max(map(abs, vs)) <= _HALF
 
 @lru_cache(maxsize=None)
 def _direction(table, factor):
@@ -707,7 +735,11 @@ class Fraction:
         The same holds for B with the roles swapped.  "Not cancelled" holds
         for every Fraction built with reduce=True, and scale, mono_mul, neg
         and adams (the reduce=False paths) multiply by units or apply an
-        injective ring map, which keeps it.  (A Fraction built with
+        injective ring map, which keeps it.  mul_binomial and div_binomial
+        keep it too: they skip only factors that this argument shows
+        cannot divide.  dt.zstar_term and dt.alt_h_term build with
+        reduce=False around denominators with nothing to cancel (only
+        their numerators carry the a_i).  (A Fraction built with
         reduce=False around a cancellable factor, as the products of
         series.scaled_pleth_log are, may keep that factor through a sum;
         the value is unaffected, and clear_denominator tries every factor
@@ -764,15 +796,32 @@ class Fraction:
         return Fraction(self.num.mono_mul(exps, coeff), self.den, reduce=False)
 
     def mul_binomial(self, e1, e2):
-        """Multiply by (x^e1 - x^e2)."""
-        b = self.table.monomial(e1) + self.table.monomial(e2).scale(-1)
-        return Fraction(self.num * b, self.den)
+        """Multiply by (x^e1 - x^e2), trying only the denominator factors in
+        the binomial's primitive direction.
+
+        A factor of another direction is coprime to the binomial (see
+        __add__), and it does not divide the numerator (not cancelled), so
+        it cannot divide the product either.
+        """
+        table = self.table
+        if e1 == e2 or self.is_zero():
+            return Fraction.zero(table)
+        b = table.monomial(e1) + table.monomial(e2).scale(-1)
+        w = _direction(table, canonical_binomial(table, e1, e2)[0])
+        same, other = [], []
+        for f in self.den:
+            (same if _direction(table, f) == w else other).append(f)
+        num, left = _reduce_fraction(self.num * b, tuple(same))
+        return Fraction(num, tuple(other) + left, reduce=False)
 
     def div_binomial(self, e1, e2):
-        """Divide by (x^e1 - x^e2)."""
+        """Divide by (x^e1 - x^e2), trying only the new factor: the old ones
+        do not divide the numerator (not cancelled)."""
         factor, unit, sign = canonical_binomial(self.table, e1, e2)
-        num = self.num.mono_mul(-unit, sign)
-        return Fraction(num, self.den + (factor,))
+        if self.is_zero():
+            return Fraction.zero(self.table)
+        num, left = _reduce_fraction(self.num.mono_mul(-unit, sign), (factor,))
+        return Fraction(num, self.den + left, reduce=False)
 
     def __eq__(self, other):
         if not isinstance(other, Fraction):
@@ -850,7 +899,8 @@ class Fraction:
             # construction already reduced once; the retry catches factors
             # left by fractions built with reduce=False (the products of
             # series.scaled_pleth_log) and kept through a sum that never
-            # tried them
+            # tried them; the other reduce=False sites, dt.zstar_term and
+            # dt.alt_h_term, leave nothing that cancels
             num, den = _reduce_fraction(self.num, self.den)
             if den:
                 raise NotDivisibleError(

@@ -28,17 +28,11 @@ SCHEMA_VERSION = 1
 
 
 def _latex_monomials(table, keys):
-    out = []
-    for exps in keys:
-        bits = []
-        for nm, e in zip(table.names, table.unpack(exps)):
-            if e:
-                # q, t, u keep their names; a_i and z_i become \alpha_{i}, \z_{i}
-                v = nm if len(nm) == 1 else "\\%s_{%s}" % (
-                    "alpha" if nm[0] == "a" else "z", nm[1:])
-                bits.append(v if e == 1 else "%s^{%d}" % (v, e))
-        out.append(" ".join(bits) if bits else "1")
-    return out
+    # q, t, u keep their names; a_i and z_i become \alpha_{i}, \z_{i}
+    names = [nm if len(nm) == 1
+             else "\\%s_{%s}" % ("alpha" if nm[0] == "a" else "z", nm[1:])
+             for nm in table.names]
+    return table.format_monomials(keys, names, "%s^{%d}")
 
 
 # per style: monomial renderer, separator between coefficient and monomial

@@ -116,7 +116,9 @@ def zstar_term(cp, lam, table=None):
         num = num * n_lambda(table, lam, table.exps(**{"a%d" % i: -1}))
     dsign, dunit, dfactors = n_lambda_den(table, lam)
     num = num.mono_mul(pref - dunit, sign * dsign)
-    return Fraction(num, dfactors)
+    # nothing cancels: every numerator binomial carries an a_i (at genus 0
+    # the numerator is a monomial) and no denominator binomial does
+    return Fraction(num, dfactors, reduce=False)
 
 
 def partition_series(cp, order, term):
@@ -301,7 +303,8 @@ def alt_h_term(cp, lam, table=None):
     den_sign, den_unit, factors = factored_binomials(table, den)
     pref = table.exps(q=qexp, t=texp)
     num = num.mono_mul(pref - den_unit, sign * den_sign)
-    return Fraction(num, factors)
+    # nothing cancels, as in zstar_term: only the numerator carries the a_i
+    return Fraction(num, factors, reduce=False)
 
 
 def alt_h_series(cp, order):

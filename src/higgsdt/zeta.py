@@ -31,14 +31,68 @@ from .algebra import Fraction, LaurentPoly, t_expand, var_table
 from .dt import weil_symmetry_check, zeta_numerator
 
 
+_SMALL_PRIMES = [p for p in range(2, 1000)
+                 if all(p % d for d in range(2, math.isqrt(p) + 1))]
+_MR_BASES = _SMALL_PRIMES[:13]            # 2, 3, 5, ..., 41
+_MR_LIMIT = 3317044064679887385961981     # those bases decide every n below it
+
+
 def is_prime_power(n):
-    """True when n = p^k for a prime p and k >= 1."""
+    """True when n = p^k for a prime p and k >= 1, decided exactly.
+
+    Trial division by the primes below 1000 settles every n with a small
+    prime factor.  Otherwise n = p^k with p > 1000 and p not a perfect
+    power, k the largest exponent with an integer k-th root, and p is tested
+    by Miller-Rabin with the 13 prime bases up to 41, which is a proof for
+    p < 3317044064679887385961981 (Sorenson and Webster).  A larger p that
+    passes every base is neither accepted nor refused: ValueError.
+    """
     if n < 2:
         return False
-    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
-    while n % p == 0:
-        n //= p
-    return n == 1
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return n == 1
+    # no prime factor below 1000, so n = p^k needs 1000^k <= n
+    p = n
+    for k in range(n.bit_length() // 9, 1, -1):
+        r = _iroot(n, k)
+        if r ** k == n:
+            p = r
+            break
+    if p < 1000 * 1000 or not any(_mr_witness(p, a) for a in _MR_BASES):
+        if p < _MR_LIMIT:
+            return True
+        raise ValueError("cannot decide whether %d is a prime power: %d passes "
+                         "every Miller-Rabin base up to 41, which proves "
+                         "primality only below %d" % (n, p, _MR_LIMIT))
+    return False
+
+
+def _iroot(n, k):
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _mr_witness(n, a):
+    """True when a proves the odd n > a composite (strong probable prime test)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return False
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return False
+    return True
 
 
 def _weil_squares(q0, coeffs):

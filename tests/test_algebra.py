@@ -428,3 +428,46 @@ def test_matched_lcd_is_a_common_multiple_no_larger_than_the_union():
         assert all(_dir_k(f)[0] in shared for f in tried)
         assert not any(_dir_k(f)[0] in shared for f in kept)
     assert smaller >= 50
+
+
+def test_mul_and_div_binomial_match_trying_every_factor():
+    # mul_binomial tries only the factors in the binomial's direction and
+    # div_binomial only the new factor; trying every factor gives the same
+    # (num, den), also where a same-direction factor cancels
+    rng = random.Random(20)
+    q, t, a1 = T2.exps(q=1), T2.exps(t=1), T2.exps(a1=1)
+    # binomials in a few shared directions, with multiples of each other
+    pool = [(k * x, 0) for k in (1, 2, 3, 4, 6) for x in (q, t, q - t, a1 - t)]
+    pool += [(0, k * (q - a1)) for k in (1, 2)]
+
+    def by_every_factor(f, op, e1, e2):
+        if op == "mul":
+            return Fraction(f.num * (T2.monomial(e1) - T2.monomial(e2)), f.den)
+        factor, unit, sign = canonical_binomial(T2, e1, e2)
+        return Fraction(f.num.mono_mul(-unit, sign), f.den + (factor,))
+
+    cancelled = 0
+    for _ in range(150):
+        f = Fraction(rand_poly(rng, span=2) or T2.one())
+        for _ in range(rng.randint(1, 10)):
+            op = rng.choice(("mul", "div"))
+            e1, e2 = rng.choice(pool) if rng.random() < 0.8 else rand_binomial(rng)
+            if op == "mul" and f.den and rng.random() < 0.5:
+                # a multiple of a factor of f's denominator, so it cancels
+                d, k = rng.choice(f.den), rng.randint(1, 3)
+                e1, e2 = k * d.m1, k * d.m2
+            want = by_every_factor(f, op, e1, e2)
+            got = getattr(f, op + "_binomial")(e1, e2)
+            assert (got.num, got.den) == (want.num, want.den)
+            cancelled += op == "mul" and len(got.den) < len(f.den)
+            f = got
+    assert cancelled > 100
+    # (1 - q^2) / (1 - q) = 1 + q; a zero binomial makes zero
+    f = Fraction.one(T2).div_binomial(0, q).mul_binomial(0, 2 * q)
+    assert (f.num, f.den) == (T2.one() + T2.var("q"), ())
+    g = Fraction.one(T2).div_binomial(0, q).mul_binomial(t, t)
+    assert g.is_zero() and g.den == ()
+    # so does either on zero, even one that kept a denominator
+    z = Fraction.one(T2).div_binomial(0, q).scale(0)
+    for h in (z.mul_binomial(0, q), z.div_binomial(0, t)):
+        assert h.is_zero() and h.den == ()

@@ -267,6 +267,20 @@ def test_specialize_refuses_non_curves(capsys, lpoly):
         "[-2 sqrt(q0), 2 sqrt(q0)]" % lpoly]
 
 
+def test_specialize_refuses_an_undecided_q0(capsys):
+    # 2^89 - 1 is prime, but past 3.317e24 Miller-Rabin with the bases up to
+    # 41 proves nothing, so it is refused rather than guessed
+    q0 = 2 ** 89 - 1
+    code, out, err = run(capsys, "specialize", "--q0", str(q0), "--trace", "1",
+                         "--rmax", "1")
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "higgsdt specialize: error: cannot decide whether %d is a prime power: "
+        "%d passes every Miller-Rabin base up to 41, which proves primality "
+        "only below 3317044064679887385961981" % (q0, q0)]
+
+
 def test_specialize_reports_drift_in_one_line(capsys):
     # rank 3 at q0 = 10007 is about 1e16, past what a double holds exactly
     code, out, err = run(capsys, "specialize", "--q0", "10007", "--trace", "1",

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from higgsdt.algebra import Fraction, LaurentPoly, var_table
-from higgsdt.partitions import Partition
+from higgsdt.partitions import Partition, enumerate_partitions
 from higgsdt.series import TruncSeries
 from higgsdt.dt import (CurveParams, IntegralityError, alt_idt, alt_h_term,
                         idt_star, jacobian_poly, moduli_volume, n_lambda,
@@ -223,6 +223,24 @@ def test_alt_term_weight_one_genus_zero():
     want = want.div_binomial(T0.zero_exps(), T0.exps(t=1))
     want = want.div_binomial(T0.zero_exps(), T0.exps(q=1, t=1))
     assert alt_h_term(cp, Partition((1,))) == want
+
+
+def test_partition_terms_need_no_reduction():
+    # built unreduced: every numerator binomial carries an a_i and no
+    # denominator binomial does, so trying every factor cancels nothing.
+    # Genus 3 stops at weight 3 here: its weight-5 terms take tens of
+    # seconds to build, and the argument is the same at every weight.
+    for g, wmax in ((0, 5), (1, 5), (2, 5), (3, 3)):
+        cps = [CurveParams(genus=g, ell=2 * g + 1)]
+        if g:
+            cps.append(CurveParams(genus=g, ell=2 * g - 2, mode="canonical"))
+        for cp in cps:
+            for w in range(wmax + 1):
+                for lam in enumerate_partitions(w):
+                    for term in (zstar_term, alt_h_term):
+                        f = term(cp, lam)
+                        reduced = Fraction(f.num, f.den)
+                        assert (reduced.num, reduced.den) == (f.num, f.den)
 
 
 def test_hook_product_empty_partition():

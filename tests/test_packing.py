@@ -381,3 +381,81 @@ def test_exact_divide_walks_the_longest_gap():
             assert exact_divide(num, f) == want
             with pytest.raises(NotDivisibleError):
                 exact_divide(num + t.monomial((k + 1) * f.m1), f)
+
+
+def line_key(e, v):
+    """The point of the line e + Z*v whose first v-coordinate is in [0, v_i0)."""
+    i0 = next(i for i, x in enumerate(v) if x)
+    j = e[i0] // v[i0]
+    return tuple(x - j * y for x, y in zip(e, v))
+
+
+def test_exact_divide_agrees_with_summing_every_line():
+    # dividends with gaps, negative exponents and several directions, some
+    # divisible, some with a remainder on the line of the first or last stored
+    # term and some with it on a line in between only, which the line-sum
+    # probe cannot see and the run walk must find
+    rng = random.Random(12)
+    counts = {"divides": 0, "ends": 0, "middle": 0, "random": 0}
+    for trial in range(600):
+        t = TABLES[trial % len(TABLES)]
+        while True:
+            e1 = tuple(rng.randint(-2, 2) for _ in range(t.arity))
+            e2 = tuple(rng.randint(-2, 2) for _ in range(t.arity))
+            if e1 != e2:
+                break
+        fac, _, _ = canonical_binomial(t, t.pack(e1), t.pack(e2))
+        m1, m2 = t.unpack(fac.m1), t.unpack(fac.m2)
+        v = tuple(x - y for x, y in zip(m1, m2))
+        a = {}
+        for _ in range(rng.randint(2, 4)):
+            base = tuple(rng.randint(-4, 4) for _ in range(t.arity))
+            for k in rng.sample(range(-6, 10), rng.randint(1, 4)):
+                e = tuple(b + k * x for b, x in zip(base, v))
+                a[e] = a.get(e, 0) + rng.choice((-2, -1, 1, 3))
+        a = {e: c for e, c in a.items() if c}
+        num = tuple_mul(a, {m1: 1, m2: -1})
+        kind = rng.choice(("divides", "ends", "middle", "random"))
+        if kind == "random":
+            num = tuple_poly(rng, t.arity, 8, 3)
+        elif kind != "divides" and len(num) > 2:
+            items = list(num.items())
+            ends = {line_key(items[0][0], v), line_key(items[-1][0], v)}
+            if kind == "ends":
+                e = rng.choice((items[0][0], items[-1][0]))
+            else:
+                e = next((e for e, _ in items[1:-1] if line_key(e, v) not in ends), None)
+                if e is None:
+                    continue
+            # move the perturbed term within its line, keeping it in the middle
+            # of the dict when it is new
+            e = tuple(x + rng.randint(-3, 3) * y for x, y in zip(e, v))
+            c = num.get(e, 0) + rng.choice((-1, 1))
+            items = [kv for kv in items if kv[0] != e]
+            items.insert(len(items) // 2, (e, c))
+            num = {k: x for k, x in items if x}
+        elif kind != "divides":
+            continue
+        dividend = packed(t, num)
+        try:
+            want = tuple_exact_divide(num, m1, m2)
+        except NotDivisibleError:
+            assert kind != "divides"
+            with pytest.raises(NotDivisibleError):
+                exact_divide(dividend, fac)
+        else:
+            assert kind in ("divides", "random")
+            quo = exact_divide(dividend, fac)
+            assert unpacked(quo) == want
+            assert quo * fac.to_poly(t) == dividend
+        counts[kind] += 1
+    assert min(counts.values()) > 100
+
+
+def test_exact_divide_divides_a_gapless_dividend_spread_wide():
+    # (q - t^(2^28)) (1 + q^20): spread 21 q-steps of 2^28 in t, past the
+    # range guard, so it is not probed; its walk meets no gap and divides
+    t = var_table()
+    f, _, _ = canonical_binomial(t, t.exps(q=1), t.exps(t=2 ** 28))
+    a = t.one() + t.monomial(t.exps(q=20))
+    assert exact_divide(a * f.to_poly(t), f) == a

@@ -188,6 +188,42 @@ def test_numeric_needs_a_prime_power():
             ZetaData.from_trace(q0, 0)
 
 
+def _trial_division_prime_power(n):
+    if n < 2:
+        return False
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def test_is_prime_power_matches_trial_division():
+    from higgsdt.zeta import is_prime_power
+    assert all(is_prime_power(n) == _trial_division_prime_power(n)
+               for n in range(100000))
+
+
+def test_is_prime_power_hard_cases():
+    from higgsdt.zeta import is_prime_power
+    # Carmichael numbers, strong pseudoprimes to the bases 2, 3, 5, 7 and to
+    # the 12 prime bases up to 37, and powers of them
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 3215031751,
+              3215031751 ** 2, 318665857834031151167461, 10007 * 10009,
+              (10007 * 10009) ** 3, 2 ** 61 - 2, 6 ** 40):
+        assert not is_prime_power(n)
+    # squares of 7-digit primes, Mersenne primes and their powers, 2^100
+    for n in (1000003 ** 2, 9999991 ** 2, 2 ** 61 - 1, (2 ** 31 - 1) ** 2,
+              (2 ** 61 - 1) ** 3, 2 ** 100, 3 ** 50, 99999999999973,
+              1000003 * 1000003 * 1000003):
+        assert is_prime_power(n)
+    # past the proven range of the 13 bases an undecided base is never
+    # guessed: the smallest strong pseudoprime to all of them, and the
+    # Mersenne prime 2^89 - 1 with its square
+    for n in (3317044064679887385961981, 2 ** 89 - 1, (2 ** 89 - 1) ** 2):
+        with pytest.raises(ValueError, match="cannot decide"):
+            is_prime_power(n)
+
+
 def test_point_counts_refuse_values_past_double_precision():
     # q0 ~ 2^27: N_2 = q0^2 + 2 q0 is past 2^53 and odd, so no double holds it
     zd = ZetaData.from_trace(134217689, 1)
