@@ -96,7 +96,21 @@ def _curve_from_args(args, parser):
         return CurveParams(genus=args.genus, ell=ell, mode="canonical")
     if args.ell is None:
         parser.error("--ell is required in twisted mode")
-    return CurveParams(genus=args.genus, ell=args.ell)
+    try:
+        return CurveParams(genus=args.genus, ell=args.ell)
+    except ValueError as e:
+        parser.error(str(e))
+
+
+def _rank_bound(text):
+    """--rmax: a nonnegative int (0 gives an empty table)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a nonnegative integer, got %r" % text)
+    return value
 
 
 def _cmd_compute(args, parser):
@@ -244,7 +258,7 @@ def build_parser():
                     help="twist degree (required unless --canonical)")
     pc.add_argument("--canonical", action="store_true",
                     help="canonical twist 2g - 2 instead of a positive twist")
-    pc.add_argument("--rmax", type=int, default=6, help="largest rank computed")
+    pc.add_argument("--rmax", type=_rank_bound, default=6, help="largest rank computed")
     pc.add_argument("--format", choices=("text", "json", "csv", "latex"),
                     default="text")
     pc.set_defaults(fn=_cmd_compute)
@@ -275,7 +289,7 @@ def build_parser():
                             "curve, e.g. '-1' for the genus-1 curve of trace 1")
     ps.add_argument("--ell", type=int, default=1)
     ps.add_argument("--canonical", action="store_true")
-    ps.add_argument("--rmax", type=int, default=2)
+    ps.add_argument("--rmax", type=_rank_bound, default=2)
     ps.set_defaults(fn=_cmd_specialize)
     return parser
 

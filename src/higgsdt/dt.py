@@ -64,16 +64,6 @@ class CurveParams:
         return var_table(genus=self.genus)
 
 
-def _box_data(lam):
-    """(arm, leg) for every box, row-major."""
-    conj = lam.conjugate().parts
-    out = []
-    for i, part in enumerate(lam.parts, start=1):
-        for j in range(1, part + 1):
-            out.append((part - j, conj[j - 1] - i))
-    return out
-
-
 def n_lambda(table, lam, u_exps=None):
     """Hook product N_la(u, q, t), expanded.
 
@@ -84,7 +74,7 @@ def n_lambda(table, lam, u_exps=None):
     if u_exps is None:
         u_exps = table.zero_exps()
     out = table.one()
-    for a, l in _box_data(lam):
+    for a, l in lam.arm_legs():
         f1 = table.monomial(table.exps(q=a)) - table.monomial(table.exps(t=l + 1) + u_exps)
         f2 = (table.monomial(table.exps(q=a + 1))
               - table.monomial(table.exps(t=l) - u_exps))
@@ -96,7 +86,7 @@ def n_lambda_den(table, lam):
     """N_la(1, q, t) as factored_binomials returns it: a denominator multiset,
     never expanded."""
     pairs = []
-    for a, l in _box_data(lam):
+    for a, l in lam.arm_legs():
         pairs += [(table.exps(q=a), table.exps(t=l + 1)),
                   (table.exps(q=a + 1), table.exps(t=l))]
     return factored_binomials(table, pairs)
@@ -138,23 +128,6 @@ def zstar_series(cp, order):
     return partition_series(cp, order, zstar_term)
 
 
-_CLEAR_CACHE = {}
-
-
-def _clearing_poly(table, kind):
-    """(q - 1)(1 - t) or (1 - t)(1 - qt), expanded once per table."""
-    key = (table.names, kind)
-    if key not in _CLEAR_CACHE:
-        one = table.one()
-        t = table.monomial(table.exps(t=1))
-        if kind == "main":
-            left = table.monomial(table.exps(q=1)) - one
-        else:
-            left = one - table.monomial(table.exps(q=1, t=1))
-        _CLEAR_CACHE[key] = left * (one - t)
-    return _CLEAR_CACHE[key]
-
-
 def _clear_log(series, order, clearer, what):
     """Coefficients r = 1..order of clearer * Log(series) as integer polynomials.
 
@@ -185,7 +158,10 @@ def idt_star(cp, order, series=None):
     is meaningful (it falsifies the integrality property), never masked.
     """
     Z = series if series is not None else zstar_series(cp, order)
-    return _clear_log(Z, order, _clearing_poly(cp.table(), "main"), "idt")
+    table = cp.table()
+    one = table.one()
+    clearer = (table.var("q") - one) * (one - table.var("t"))
+    return _clear_log(Z, order, clearer, "idt")
 
 
 def rank_one_idt(cp, table=None):
@@ -296,7 +272,7 @@ def alt_h_term(cp, lam, table=None):
             + (1 - g) * (2 * lam.n_stat() + w))
     num = table.one()
     den = []
-    for a, l in _box_data(lam):
+    for a, l in lam.arm_legs():
         m = table.exps(q=a, t=a + l + 1)  # t^h q^a, h the hook length
         num = num * zeta_numerator(table, m)
         den += [(table.zero_exps(), m), (table.zero_exps(), m + table.exps(q=1))]
@@ -315,7 +291,10 @@ def alt_h_series(cp, order):
 def alt_idt(cp, order, series=None):
     """Coefficients of (1 - t)(1 - qt) Log H, cleared; integer Laurent in t."""
     H = series if series is not None else alt_h_series(cp, order)
-    return _clear_log(H, order, _clearing_poly(cp.table(), "alt"), "alt-idt")
+    table = cp.table()
+    one = table.one()
+    clearer = (one - table.monomial(table.exps(q=1, t=1))) * (one - table.var("t"))
+    return _clear_log(H, order, clearer, "alt-idt")
 
 
 def substitution_identity_check(cp, max_weight):

@@ -56,29 +56,17 @@ class Partition:
             self._conj._conj = self
         return self._conj
 
-    def contains(self, i, j):
-        return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
-
     def boxes(self):
         """All boxes, row-major: (1,1), (1,2), ..., deterministic order."""
         for i, p in enumerate(self.parts, start=1):
             for j in range(1, p + 1):
                 yield (i, j)
 
-    def _check_box(self, i, j):
-        if not self.contains(i, j):
-            raise ValueError("box (%d, %d) outside diagram %r" % (i, j, self.parts))
-
-    def arm(self, i, j):
-        self._check_box(i, j)
-        return self.parts[i - 1] - j
-
-    def leg(self, i, j):
-        self._check_box(i, j)
-        return self.conjugate().parts[j - 1] - i
-
-    def hook(self, i, j):
-        return self.arm(i, j) + self.leg(i, j) + 1
+    def arm_legs(self):
+        """(arm, leg) of every box, in the row-major order of boxes()."""
+        conj = self.conjugate().parts
+        return [(p - j, conj[j - 1] - i)
+                for i, p in enumerate(self.parts, start=1) for j in range(1, p + 1)]
 
     def n_stat(self):
         """n(lambda) = sum (i-1) * lambda_i = total leg count."""

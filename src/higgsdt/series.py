@@ -35,6 +35,8 @@ class TruncSeries:
     __slots__ = ("table", "order", "coeffs")
 
     def __init__(self, table, order, coeffs=None):
+        if order < 0:
+            raise ValueError("truncation order must be nonnegative, got %d" % order)
         self.table = table
         self.order = order
         if coeffs is None:

@@ -1,17 +1,21 @@
 """Self-check registry behind the `higgsdt verify` command.
 
-Each suite returns a list of CheckResult, one per property checked.  ok is
-True or False for real assertions and None for informational lines that are
-reported but never counted as failures (degree observations stay in that
-category until someone proves them).
+SUITES is the one statement of each headline property: the tier-1 test
+suite runs every suite and pins the number of counted checks in each.  A
+suite is a function registered with its name by `_suite`; it returns one
+tuple (label, ok[, detail]) per property checked, and run_suites turns them
+into CheckResult lines under the registered name.  ok is True or False for
+real assertions and None for informational lines that are reported but
+never counted as failures (degree observations stay in that category until
+someone proves them).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
+import math
 import random
 
 from .algebra import Fraction, var_table
-from .partitions import Partition, enumerate_partitions, partitions_up_to
+from .partitions import enumerate_partitions, partitions_up_to
 from .series import TruncSeries, pleth_exp, pleth_log
 from .dt import (CurveParams, IntegralityError, alt_idt, idt_star,
                  jacobian_poly, n_lambda, rank_one_idt,
@@ -41,10 +45,6 @@ def _suite(name, description):
     return wrap
 
 
-def _res(suite, label, ok, detail=""):
-    return CheckResult(suite, label, ok, detail)
-
-
 @_suite("partitions", "partition bookkeeping: counts, conjugation, hooks")
 def _check_partitions():
     out = []
@@ -59,19 +59,24 @@ def _check_partitions():
             k += 1
         pn.append(s)
     counts_ok = all(len(enumerate_partitions(n)) == pn[n] for n in range(13))
-    out.append(_res("partitions", "enumeration count matches recurrence", counts_ok))
+    out.append(("enumeration count matches recurrence", counts_ok))
     invol = all(lam.conjugate().conjugate() == lam for lam in partitions_up_to(9))
-    out.append(_res("partitions", "conjugation is an involution", invol))
+    out.append(("conjugation is an involution", invol))
+    # the number of standard tableaux of shape lambda is n! / prod of hooks,
+    # and their squares sum to n! (Robinson-Schensted)
     hooks = True
-    for lam in partitions_up_to(8):
-        for (i, j) in lam.boxes():
-            if lam.arm(i, j) + lam.leg(i, j) + 1 != lam.hook(i, j):
-                hooks = False
-    out.append(_res("partitions", "hook = arm + leg + 1", hooks))
-    stat = all(lam.n_stat() == sum((i - 1) * x for i, x in
-                                   enumerate(lam.parts, start=1))
+    for n in range(9):
+        dims = 0
+        for lam in enumerate_partitions(n):
+            hp = math.prod(a + l + 1 for a, l in lam.arm_legs())
+            dims += (math.factorial(n) // hp) ** 2
+        if dims != math.factorial(n):
+            hooks = False
+    out.append(("hook-length formula: sum of squared tableau counts is n!, n <= 8",
+                hooks))
+    stat = all(lam.n_stat() == sum(l for _, l in lam.arm_legs())
                for lam in partitions_up_to(9))
-    out.append(_res("partitions", "n-statistic matches its definition", stat))
+    out.append(("n-statistic is the total leg length, |lambda| <= 9", stat))
     return out
 
 
@@ -83,19 +88,19 @@ def _check_explog():
     T = TruncSeries.from_terms(table, R, {1: Fraction.one(table)})
     geo = pleth_exp(T)
     ok = all(geo.coefficient(d) == Fraction.one(table) for d in range(R + 1))
-    out.append(_res("explog", "Exp[T] = 1/(1 - T)", ok))
+    out.append(("Exp[T] = 1/(1 - T)", ok))
     qp1 = Fraction(table.one() + table.monomial(table.exps(q=1)))
     e2 = pleth_exp(TruncSeries.from_terms(table, 4, {1: qp1}))
     # coefficient of T^d is the size-d multiset count in two letters: d + 1
     # monomials q^0..q^d
     ok2 = all(len(e2.coefficient(d).num.terms) == d + 1 for d in range(5))
-    out.append(_res("explog", "Exp[(1+q)T] counts two-letter multisets", ok2))
+    out.append(("Exp[(1+q)T] counts two-letter multisets", ok2))
     one_plus = TruncSeries.from_terms(table, 4, {0: Fraction.one(table),
                                                1: Fraction.one(table)})
     lg = pleth_log(one_plus)
     t1 = lg.coefficient(1) == Fraction.one(table)
     t2 = lg.coefficient(2) == Fraction(table.monomial(table.zero_exps(), -1))
-    out.append(_res("explog", "Log[1 + T] starts T - T^2", t1 and t2))
+    out.append(("Log[1 + T] starts T - T^2", t1 and t2))
     rng = random.Random(20260816)
     ok3 = True
     for trial in range(30):
@@ -107,7 +112,7 @@ def _check_explog():
         if pleth_log(pleth_exp(s)) != s:
             ok3 = False
             break
-    out.append(_res("explog", "Log[Exp[A]] = A on random series", ok3))
+    out.append(("Log[Exp[A]] = A on random series", ok3))
     return out
 
 
@@ -123,13 +128,12 @@ def _check_hooks():
         rhs = n_lambda(tu, lam.conjugate(), u_exps=ue).substitute_monomials(swap)
         if lhs != rhs:
             conj_ok = False
-    out.append(_res("hooks", "N(u,q,t) on a partition = N(u,t,q) on its conjugate",
-                    conj_ok))
+    out.append(("N(u,q,t) on a partition = N(u,t,q) on its conjugate", conj_ok))
     # the exponent bookkeeping behind the series prefactor: sum of squared
     # column lengths = twice the n-statistic plus the weight
     norm_ok = all(lam.norm_form() == 2 * lam.n_stat() + lam.weight
                   for lam in partitions_up_to(10))
-    out.append(_res("hooks", "norm form = 2 n(lambda) + weight", norm_ok))
+    out.append(("norm form = 2 n(lambda) + weight", norm_ok))
     return out
 
 
@@ -138,24 +142,28 @@ def _check_rank1():
     out = []
     ok = True
     for g in range(4):
-        for ell in (2 * g - 1, 2 * g):
-            if ell <= 2 * g - 2:
-                continue
+        for ell in range(2 * g - 1, 2 * g + 4):
             cp = CurveParams(genus=g, ell=ell)
-            if idt_star(cp, 1)[1] != rank_one_idt(cp):
+            poly = idt_star(cp, 1)[1]
+            want = jacobian_poly(cp.table())
+            if cp.p % 2:
+                want = -want
+            if poly != rank_one_idt(cp) or poly.set_var_one("t") != want:
                 ok = False
-    out.append(_res("rank1", "series pipeline matches the product formula, g <= 3", ok))
+    out.append(("series pipeline matches the product formula and is (-1)^p #J "
+                "at t = 1, g <= 3, 2g - 1 <= ell <= 2g + 3", ok))
     can_ok = True
     for g in (1, 2):
         cp = CurveParams(genus=g, ell=2 * g - 2, mode="canonical")
         if idt_star(cp, 1)[1] != rank_one_idt(cp):
             can_ok = False
-    out.append(_res("rank1", "same in canonical mode, g in {1, 2}", can_ok))
+    out.append(("same in canonical mode, g in {1, 2}", can_ok))
     cp = CurveParams(genus=1, ell=0, mode="canonical")
-    val = idt_star(cp, 1)[1].set_var_one("t")
-    can_pc = val == jacobian_poly(cp.table())
-    out.append(_res("rank1", "canonical genus-1 value is the point-count polynomial",
-                    can_pc))
+    jac = jacobian_poly(cp.table())
+    polys = idt_star(cp, 3)
+    can_pc = all(polys[r].set_var_one("t") == jac for r in (1, 2, 3))
+    out.append(("canonical genus-1 value is the point-count polynomial, "
+                "ranks 1-3", can_pc))
     return out
 
 
@@ -171,7 +179,7 @@ def _check_integrality():
             detail = "ranks 1..%d" % rmax
         except IntegralityError as e:
             ok, detail = False, str(e)
-        out.append(_res("integrality", "genus %d twist %d" % (g, ell), ok, detail))
+        out.append(("genus %d twist %d" % (g, ell), ok, detail))
     return out
 
 
@@ -183,15 +191,15 @@ def _check_alt():
         cp = CurveParams(genus=g, ell=ell)
         pairs = substitution_identity_check(cp, 4)
         ok = all(b for _, b in pairs)
-        out.append(_res("alt", "termwise substitution identity, genus %d" % g, ok,
-                        "%d partitions" % len(pairs)))
+        out.append(("termwise substitution identity, genus %d" % g, ok,
+                    "%d partitions" % len(pairs)))
     for g in (0, 1, 2):
         ell = 2 * g + 1
         cp = CurveParams(genus=g, ell=ell)
         a = alt_idt(cp, 3)
         b = idt_star(cp, 3)
         ok = all(a[r].set_var_one("t") == b[r].set_var_one("t") for r in (1, 2, 3))
-        out.append(_res("alt", "both forms agree at t = 1, genus %d" % g, ok))
+        out.append(("both forms agree at t = 1, genus %d" % g, ok))
     return out
 
 
@@ -203,9 +211,8 @@ def _check_stabilization():
         tab = omega_plus(cp, 2, 8)
         for r in (1, 2):
             rep = stabilization_check(cp, r, depth=8, table=tab)
-            out.append(_res("stabilization",
-                            "genus %d twist 1 rank %d" % (g, r), rep.ok(),
-                            "constant from degree %d" % rep.stable_from))
+            out.append(("genus %d twist 1 rank %d" % (g, r), rep.ok(),
+                        "constant from degree %d" % rep.stable_from))
     return out
 
 
@@ -214,14 +221,14 @@ def _check_fprops():
     out = []
     for g in (1, 2):
         ok = all(inductive_property_check(n, g) for n in (1, 2))
-        out.append(_res("fprops", "inductive identity, genus %d, n <= 2" % g, ok))
+        out.append(("inductive identity, genus %d, n <= 2" % g, ok))
     for g in (1, 2):
         ok = all(laurent_property_check(n, g) for n in (1, 2))
-        out.append(_res("fprops", "cleared form is Laurent, genus %d, n <= 2" % g, ok))
+        out.append(("cleared form is Laurent, genus %d, n <= 2" % g, ok))
     for g in (1, 2):
         ok = all(alpha_zero_check(n, g) for n in (1, 2, 3))
-        out.append(_res("fprops", "degenerates to 1 at vanishing inverse "
-                                  "eigenvalues, genus %d, n <= 3" % g, ok))
+        out.append(("degenerates to 1 at vanishing inverse eigenvalues, "
+                    "genus %d, n <= 3" % g, ok))
     return out
 
 
@@ -232,19 +239,17 @@ def _check_oracle():
         for ell in (1, 2):
             for d in (0, 1):
                 lhs, rhs, eq = compare_with_formula(1, d, ell, q)
-                out.append(_res("oracle",
-                                "rank 1 degree %d twist %d over F_%d" % (d, ell, q),
-                                eq, "count %s formula %s" % (lhs, rhs)))
+                out.append(("rank 1 degree %d twist %d over F_%d" % (d, ell, q),
+                            eq, "count %s formula %s" % (lhs, rhs)))
     for q in (2, 3):
         for ell in (1, 2):
             lhs, rhs, eq = compare_with_formula(2, 1, ell, q)
-            out.append(_res("oracle",
-                            "rank 2 degree 1 twist %d over F_%d" % (ell, q),
-                            eq, "count %s formula %s" % (lhs, rhs)))
+            out.append(("rank 2 degree 1 twist %d over F_%d" % (ell, q),
+                        eq, "count %s formula %s" % (lhs, rhs)))
     v1 = stack_volume_p1(2, 1, 1, 2)
     v3 = stack_volume_p1(2, 3, 1, 2)
-    out.append(_res("oracle", "volume is degree-shift invariant over F_2",
-                    v1 == v3, "%s vs %s" % (v1, v3)))
+    out.append(("volume is degree-shift invariant over F_2", v1 == v3,
+                "%s vs %s" % (v1, v3)))
     return out
 
 
@@ -259,17 +264,16 @@ def _check_numeric():
         want = -(zd.q0 + 1 + zd.lpoly[0])   # (-1)^p N_1 with p = 1
         if specialize_integer(body, zd) != want:
             ok = False
-    out.append(_res("numeric", "rank-1 value is a signed point count, "
-                    "q0 = 2 and 1000003", ok))
+    out.append(("rank-1 value is a signed point count, q0 = 2 and 1000003", ok))
     can = CurveParams(genus=1, ell=0, mode="canonical")
     cbody = idt_star(can, 1)[1].set_var_one("t")
     ok2 = True
     for zd in curves:
         if specialize_integer(cbody, zd) != zd.point_counts(1)[0]:
             ok2 = False
-    out.append(_res("numeric", "canonical rank-1 value counts curve points", ok2))
+    out.append(("canonical rank-1 value counts curve points", ok2))
     sym = weil_symmetry_check(body) and weil_symmetry_check(cbody)
-    out.append(_res("numeric", "specialized invariants pass the symmetry gate", sym))
+    out.append(("specialized invariants pass the symmetry gate", sym))
     return out
 
 
@@ -282,10 +286,9 @@ def _check_degrees():
         for r in (1, 2, 3):
             qlo, qhi = polys[r].var_range("q")
             tlo, thi = polys[r].var_range("t")
-            out.append(_res("degrees",
-                            "genus %d twist %d rank %d" % (g, ell, r), None,
-                            "q range [%d, %d], t range [%d, %d]"
-                            % (qlo, qhi, tlo, thi)))
+            out.append(("genus %d twist %d rank %d" % (g, ell, r), None,
+                        "q range [%d, %d], t range [%d, %d]"
+                        % (qlo, qhi, tlo, thi)))
     return out
 
 
@@ -297,8 +300,6 @@ def run_suites(names=None):
     if unknown:
         raise KeyError("unknown suites: %s (have %s)"
                        % (", ".join(unknown), ", ".join(sorted(SUITES))))
-    results = []
-    for n in names:
-        results.extend(SUITES[n][1]())
+    results = [CheckResult(n, *check) for n in names for check in SUITES[n][1]()]
     failures = sum(1 for r in results if r.ok is False)
     return results, failures

@@ -92,6 +92,27 @@ def test_compute_usage_errors(capsys):
         capsys.readouterr()
 
 
+# bad values: one error line and exit 2, never a traceback
+REFUSALS = {
+    "compute --genus -1 --ell 1": "higgsdt: error: genus must be nonnegative",
+    "compute --genus 0 --ell -3": "higgsdt: error: twisted mode needs ell > 2g - 2 (got p = -1)",
+    "compute --genus 1 --ell 0": "higgsdt: error: twisted mode needs ell > 2g - 2 (got p = 0)",
+    "compute --genus 0 --ell 1 --rmax -2":
+        "higgsdt compute: error: argument --rmax: must be a nonnegative integer, got '-2'",
+    "specialize --q0 4 --trace 1 --rmax -1":
+        "higgsdt specialize: error: argument --rmax: must be a nonnegative integer, got '-1'",
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUSALS))
+def test_bad_values_are_refused_in_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == REFUSALS[argv]
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list")
     assert code == 0

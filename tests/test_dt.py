@@ -6,9 +6,9 @@ from higgsdt.algebra import Fraction, LaurentPoly, var_table
 from higgsdt.partitions import Partition, enumerate_partitions
 from higgsdt.series import TruncSeries
 from higgsdt.dt import (CurveParams, IntegralityError, alt_idt, alt_h_term,
-                        idt_star, jacobian_poly, moduli_volume, n_lambda,
-                        omega, rank_one_idt, substitution_identity_check,
-                        weil_symmetry_check, zstar_term)
+                        idt_star, moduli_volume, n_lambda, omega,
+                        substitution_identity_check, weil_symmetry_check,
+                        zstar_term)
 
 T0 = var_table(genus=0)
 
@@ -118,34 +118,7 @@ def test_frozen_genus_one_rank_one():
     assert idt_star(cp, 1)[1] == want
 
 
-# -- closed forms and mode relations -----------------------------------------
-
-
-def test_rank_one_closed_form_grid():
-    for g in range(4):
-        for ell in (2 * g - 1, 2 * g, 2 * g + 3):
-            if ell <= 2 * g - 2:
-                continue
-            cp = CurveParams(genus=g, ell=ell)
-            assert idt_star(cp, 1)[1] == rank_one_idt(cp)
-
-
-def test_rank_one_closed_form_canonical():
-    for g in (1, 2):
-        cp = CurveParams(genus=g, ell=2 * g - 2, mode="canonical")
-        assert idt_star(cp, 1)[1] == rank_one_idt(cp)
-
-
-def test_canonical_genus_one_is_point_count():
-    cp = CurveParams(genus=1, ell=0, mode="canonical")
-    assert idt_star(cp, 1)[1].set_var_one("t") == jacobian_poly(cp.table())
-
-
-def test_integrality_small_grid():
-    for (g, ell, rmax) in ((0, 1, 4), (0, 2, 4), (1, 1, 4), (2, 3, 3)):
-        polys = idt_star(CurveParams(genus=g, ell=ell), rmax)
-        for r in range(1, rmax + 1):
-            assert polys[r].has_integer_coefficients()
+# -- symmetry, weighted invariants and volumes --------------------------------
 
 
 def test_weil_symmetry_of_invariants():
@@ -200,15 +173,12 @@ def test_halfpower_eval():
 # -- the zeta-value form ------------------------------------------------------
 
 
-def test_substitution_identity_small():
-    for g in (0, 1, 2):
-        cp = CurveParams(genus=g, ell=2 * g + 1)
-        assert all(ok for _, ok in substitution_identity_check(cp, 4))
-
-
 def test_alt_form_agrees_at_unit_t():
-    for g in (0, 1):
-        cp = CurveParams(genus=g, ell=2 * g + 1)
+    # the alt suite of verify covers twist 2g + 1; these points at twist
+    # 2g - 1 would cost a quarter of a verify run, so they live here
+    for g, ell in ((1, 1), (2, 3)):
+        cp = CurveParams(genus=g, ell=ell)
+        assert all(ok for _, ok in substitution_identity_check(cp, 4)), (g, ell)
         a = alt_idt(cp, 3)
         b = idt_star(cp, 3)
         for r in (1, 2, 3):

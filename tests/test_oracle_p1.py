@@ -155,19 +155,6 @@ def test_formula_rejects_common_factor():
         formula_volume_p1(2, 0, 1, 2)
 
 
-@pytest.mark.parametrize("q", (2, 3))
-@pytest.mark.parametrize("ell", (1, 2))
-def test_rank_one_formula_agreement(ell, q):
-    lhs, rhs, ok = compare_with_formula(1, 0, ell, q)
-    assert ok, (lhs, rhs)
-
-
-@pytest.mark.parametrize("q", (2, 3))
-def test_rank_two_formula_agreement(q):
-    lhs, rhs, ok = compare_with_formula(2, 1, 1, q)
-    assert ok, (lhs, rhs)
-
-
 def test_rank_two_twist_two_formula_agreement():
     lhs, rhs, ok = compare_with_formula(2, 1, 2, 2)
     assert ok, (lhs, rhs)
@@ -180,14 +167,6 @@ def test_rank_two_formula_agreement_grid(q):
         for d in (-1, 1):
             lhs, rhs, ok = compare_with_formula(2, d, ell, q)
             assert ok, (d, ell, lhs, rhs)
-
-
-def test_oracle_suite_keeps_its_check_count():
-    # the benchmark's verify golden counts exactly these checks
-    from higgsdt.verify import run_suites
-    results, failures = run_suites(["oracle"])
-    assert sum(1 for r in results if r.ok is not None) == 13
-    assert failures == 0
 
 
 @pytest.mark.parametrize("d", (1, 3, -1, 5))

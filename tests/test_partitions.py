@@ -56,27 +56,27 @@ def test_conjugate_hand_values():
 
 def test_boxes_row_major():
     assert list(Partition((2, 1)).boxes()) == [(1, 1), (1, 2), (2, 1)]
+    assert Partition((2, 1)).arm_legs() == [(1, 1), (0, 0), (0, 0)]
+    assert Partition(()).arm_legs() == []
 
 
 def test_arm_leg_hook():
     lam = Partition((4, 3, 1))
-    assert lam.arm(1, 1) == 3
-    assert lam.leg(1, 1) == 2
-    assert lam.hook(1, 1) == 6
-    assert lam.arm(2, 3) == 0
-    assert lam.leg(2, 3) == 0
-    for (i, j) in lam.boxes():
-        assert lam.hook(i, j) == lam.arm(i, j) + lam.leg(i, j) + 1
-    with pytest.raises(ValueError):
-        lam.arm(3, 2)
+    stats = dict(zip(lam.boxes(), lam.arm_legs()))
+    assert len(stats) == lam.weight
+    assert stats[(1, 1)] == (3, 2)      # hook 6
+    assert stats[(2, 3)] == (0, 0)
+    assert stats[(3, 1)] == (0, 0)
+    assert (3, 2) not in stats
 
 
 def test_hook_transpose_symmetry():
+    # transposing swaps arm and leg, so hooks go along
     for lam in partitions_up_to(8):
         c = lam.conjugate()
-        for (i, j) in lam.boxes():
-            assert lam.arm(i, j) == c.leg(j, i)
-            assert lam.hook(i, j) == c.hook(j, i)
+        cstats = dict(zip(c.boxes(), c.arm_legs()))
+        for (i, j), (arm, leg) in zip(lam.boxes(), lam.arm_legs()):
+            assert cstats[(j, i)] == (leg, arm)
 
 
 def test_n_stat_and_norm_form():

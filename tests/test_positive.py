@@ -4,8 +4,7 @@ from higgsdt.algebra import (BinomialFactor, Fraction, LaurentPoly,
                              ZeroDenominatorError, var_table)
 from higgsdt.partitions import Partition
 from higgsdt.dt import CurveParams, idt_star
-from higgsdt.positive import (alpha_zero_check, f_lambda, f_sum, f_symbolic,
-                              inductive_property_check, laurent_property_check,
+from higgsdt.positive import (f_lambda, f_sum, f_symbolic, laurent_property_check,
                               omega_plus, stabilization_check, zplus_series)
 
 
@@ -46,24 +45,6 @@ def test_padding_independence():
         base = f_lambda(cp, lam, n=max(1, lam.length))
         for n in (lam.length + 1, lam.length + 2):
             assert f_lambda(cp, lam, n=n) == base
-
-
-def test_inductive_property():
-    for g in (1, 2):
-        for n in (1, 2):
-            assert inductive_property_check(n, g)
-
-
-def test_laurent_property():
-    for g in (1, 2):
-        for n in (1, 2):
-            assert laurent_property_check(n, g)
-
-
-def test_alpha_zero_degeneration():
-    for g in (1, 2):
-        for n in (1, 2, 3):
-            assert alpha_zero_check(n, g)
 
 
 def _drop_u(frac, table):

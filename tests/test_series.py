@@ -86,6 +86,12 @@ def test_adams_is_ring_map_on_series():
             (one + a).adams(2) * (one + b).adams(2)
 
 
+def test_series_refuses_negative_order():
+    for make in (TruncSeries, TruncSeries.one):
+        with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+            make(T, -1)
+
+
 def test_exp_needs_zero_constant():
     s = TruncSeries.one(T, 4)
     with pytest.raises(ValueError):
