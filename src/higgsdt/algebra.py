@@ -17,6 +17,11 @@ drive the whole module and are relied on by callers:
   removed, larger monomial first in lexicographic order), which makes multiset
   intersection meaningful and keeps signs deterministic.
 
+A product of binomials prod (x^e1 - x^e2) is given once, as its list of
+pairs (e1, e2): `factored_binomials` turns the list into a denominator and
+`binomial_product` into an expanded numerator.  Term builders list their
+pairs and hand them to one of the two.
+
 Monomials are packed: the exponent vector (e_0, ..., e_{n-1}) of a table with
 n variables is the single Python int sum_i e_i * 2^(32 (n - 1 - i)), that is
 base 2^32 with balanced (signed) digits and q as the most significant digit.
@@ -489,6 +494,19 @@ def canonical_binomial(table, e1, e2):
     return BinomialFactor(r2, r1), unit, -1
 
 
+def binomial_product(table, pairs):
+    """prod (x^e1 - x^e2) over pairs, expanded: the twin of factored_binomials.
+
+    A pair with e1 == e2 makes the product zero.  The factors are multiplied
+    in the order given.
+    """
+    out = table.one()
+    for e1, e2 in pairs:
+        table.check_range((e1, e2))
+        out = out * LaurentPoly(table, {e1: 1, e2: -1} if e1 != e2 else {})
+    return out
+
+
 def factored_binomials(table, pairs):
     """prod (x^e1 - x^e2) over pairs as (sign, unit_exps, canonical factor tuple).
 
@@ -735,9 +753,9 @@ class Fraction:
         The same holds for B with the roles swapped.  "Not cancelled" holds
         for every Fraction built with reduce=True, and scale, mono_mul, neg
         and adams (the reduce=False paths) multiply by units or apply an
-        injective ring map, which keeps it.  mul_binomial and div_binomial
-        keep it too: they skip only factors that this argument shows
-        cannot divide.  dt.zstar_term and dt.alt_h_term build with
+        injective ring map, which keeps it.  div_binomial keeps it too: it
+        multiplies the numerator by a unit and tries the new factor.
+        dt.zstar_term and dt.alt_h_term build with
         reduce=False around denominators with nothing to cancel (only
         their numerators carry the a_i).  (A Fraction built with
         reduce=False around a cancellable factor, as the products of
@@ -795,25 +813,6 @@ class Fraction:
     def mono_mul(self, exps, coeff=1):
         return Fraction(self.num.mono_mul(exps, coeff), self.den, reduce=False)
 
-    def mul_binomial(self, e1, e2):
-        """Multiply by (x^e1 - x^e2), trying only the denominator factors in
-        the binomial's primitive direction.
-
-        A factor of another direction is coprime to the binomial (see
-        __add__), and it does not divide the numerator (not cancelled), so
-        it cannot divide the product either.
-        """
-        table = self.table
-        if e1 == e2 or self.is_zero():
-            return Fraction.zero(table)
-        b = table.monomial(e1) + table.monomial(e2).scale(-1)
-        w = _direction(table, canonical_binomial(table, e1, e2)[0])
-        same, other = [], []
-        for f in self.den:
-            (same if _direction(table, f) == w else other).append(f)
-        num, left = _reduce_fraction(self.num * b, tuple(same))
-        return Fraction(num, tuple(other) + left, reduce=False)
-
     def div_binomial(self, e1, e2):
         """Divide by (x^e1 - x^e2), trying only the new factor: the old ones
         do not divide the numerator (not cancelled)."""
@@ -863,36 +862,6 @@ class Fraction:
         num = self.num.substitute_monomials(images).mono_mul(-unit, sign)
         return Fraction(num, den)
 
-    def specialize_var_zero(self, name):
-        """Set one variable to 0.
-
-        Numerator terms with positive exponent drop; a negative exponent is an
-        error.  A denominator factor with the variable on one side collapses
-        to the monomial on the other side (canonical factors never carry the
-        variable on both sides).
-        """
-        table = self.table
-        i = table.index[name]
-        terms = {}
-        for (e, c), d in zip(self.num.terms.items(), table.digits(self.num.terms, i)):
-            if d < 0:
-                raise ZeroDenominatorError("negative %s-exponent at %s = 0"
-                                           % (name, name))
-            if d == 0:
-                terms[e] = c
-        num = LaurentPoly(table, terms)
-        den = []
-        for f in self.den:
-            d1, d2 = table.digit(f.m1, i), table.digit(f.m2, i)
-            if d1 == 0 and d2 == 0:
-                den.append(f)
-            elif d1 > 0:
-                # factor value at 0 is -m2
-                num = num.mono_mul(-f.m2, -1)
-            else:
-                num = num.mono_mul(-f.m1, 1)
-        return Fraction(num, den)
-
     def clear_denominator(self):
         """Return the numerator as a LaurentPoly; the denominator must cancel."""
         if self.den:
@@ -937,7 +906,9 @@ def t_expand(frac, depth, lo=0):
 
     Returns a list of Fractions in the same table (t absent from every term);
     index i holds the coefficient of t^(lo + i).  t-free denominator factors
-    survive into the coefficient Fractions.
+    survive into the coefficient Fractions.  Expanding a factor only raises
+    the t-degree, so numerator terms of t-degree above depth are dropped
+    before anything is expanded.
     """
     table = frac.table
     ti = table.index["t"]
@@ -957,6 +928,8 @@ def t_expand(frac, depth, lo=0):
     cur = {}
     terms = frac.num.terms
     for (e, c), d in zip(terms.items(), table.digits(terms, ti)):
+        if d > depth:
+            continue
         e0 = e - d * tu
         lev = cur.setdefault(d, {})
         s = lev.get(e0, 0) + c

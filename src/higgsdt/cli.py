@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .algebra import VarTable
+from .algebra import ExponentRangeError, VarTable
 from .dt import CurveParams, idt_star, moduli_volume, omega
 from .oracle_p1 import SUPPORTED_Q, compare_with_formula
 from .verify import SUITES, run_suites
@@ -115,24 +115,27 @@ def _rank_bound(text):
 
 def _cmd_compute(args, parser):
     cp = _curve_from_args(args, parser)
-    polys = idt_star(cp, args.rmax) if args.rmax >= 1 else {}
     rows = []
-    for r in sorted(polys):
-        poly = polys[r]
-        # t1 is t-free, so omega and moduli_volume substitute nothing again
-        t1 = poly.set_var_one("t")
-        hp = omega(cp, r, idt_poly=t1)
-        row = {
-            "r": r,
-            "idt": poly,
-            "idt_t1": t1,
-            "omega": hp,
-            "volume": (moduli_volume(cp, r, 1, idt_poly=t1)
-                       if cp.mode == "twisted" else None),
-        }
-        if cp.mode == "canonical":
-            row["A"] = t1
-        rows.append(row)
+    try:
+        polys = idt_star(cp, args.rmax) if args.rmax >= 1 else {}
+        for r in sorted(polys):
+            poly = polys[r]
+            # t1 is t-free, so omega and moduli_volume substitute nothing again
+            t1 = poly.set_var_one("t")
+            row = {
+                "r": r,
+                "idt": poly,
+                "idt_t1": t1,
+                "omega": omega(cp, r, idt_poly=t1),
+                "volume": (moduli_volume(cp, r, 1, idt_poly=t1)
+                           if cp.mode == "twisted" else None),
+            }
+            if cp.mode == "canonical":
+                row["A"] = t1
+            rows.append(row)
+    except ExponentRangeError as e:
+        print("higgsdt compute: error: %s" % e, file=sys.stderr)
+        return 2
 
     if args.format == "json":
         payload = {
@@ -238,7 +241,11 @@ def _cmd_specialize(args, parser):
     except ValueError as e:
         print("higgsdt specialize: error: %s" % e, file=sys.stderr)
         return 2
-    polys = idt_star(cp, args.rmax)
+    try:
+        polys = idt_star(cp, args.rmax)
+    except ExponentRangeError as e:
+        print("higgsdt specialize: error: %s" % e, file=sys.stderr)
+        return 2
     print("curve over F_%d with point counts %s" % (args.q0, zd.point_counts(3)))
     for r in sorted(polys):
         val = specialize_integer(polys[r].set_var_one("t"), zd)

@@ -22,10 +22,8 @@ monomials and is related to Z by the substitution q -> qt, t -> t^{-1}.
 import math
 from dataclasses import dataclass
 
-from fractions import Fraction as Q
-
 from .algebra import (AlgebraError, Fraction, LaurentPoly, NotDivisibleError,
-                      factored_binomials, var_table)
+                      binomial_product, factored_binomials, var_table)
 from .partitions import Partition, enumerate_partitions
 from .series import TruncSeries, scaled_pleth_log
 
@@ -64,32 +62,31 @@ class CurveParams:
         return var_table(genus=self.genus)
 
 
+def _hook_pairs(table, lam, u_exps):
+    """The 2|la| binomials of N_la(u, q, t) as pairs: each box contributes
+    (q^a - u t^{l+1})(q^{a+1} - u^{-1} t^l), u = x^u_exps."""
+    pairs = []
+    for a, l in lam.arm_legs():
+        pairs += [(table.exps(q=a), table.exps(t=l + 1) + u_exps),
+                  (table.exps(q=a + 1), table.exps(t=l) - u_exps)]
+    return pairs
+
+
 def n_lambda(table, lam, u_exps=None):
-    """Hook product N_la(u, q, t), expanded.
+    """Hook product N_la(u, q, t), expanded from `_hook_pairs`.
 
     u_exps is the packed exponent of an invertible monomial standing for u
-    (None means u = 1).  Each box contributes
-    (q^a - u t^{l+1})(q^{a+1} - u^{-1} t^l).
+    (None means u = 1).
     """
     if u_exps is None:
         u_exps = table.zero_exps()
-    out = table.one()
-    for a, l in lam.arm_legs():
-        f1 = table.monomial(table.exps(q=a)) - table.monomial(table.exps(t=l + 1) + u_exps)
-        f2 = (table.monomial(table.exps(q=a + 1))
-              - table.monomial(table.exps(t=l) - u_exps))
-        out = out * f1 * f2
-    return out
+    return binomial_product(table, _hook_pairs(table, lam, u_exps))
 
 
 def n_lambda_den(table, lam):
     """N_la(1, q, t) as factored_binomials returns it: a denominator multiset,
     never expanded."""
-    pairs = []
-    for a, l in lam.arm_legs():
-        pairs += [(table.exps(q=a), table.exps(t=l + 1)),
-                  (table.exps(q=a + 1), table.exps(t=l))]
-    return factored_binomials(table, pairs)
+    return factored_binomials(table, _hook_pairs(table, lam, table.zero_exps()))
 
 
 def zstar_term(cp, lam, table=None):
@@ -168,25 +165,24 @@ def rank_one_idt(cp, table=None):
     """Closed form of the r = 1 coefficient:
     (-1)^p prod_i (1 - a_i^{-1} t)(q - a_i)."""
     table = table or cp.table()
-    out = table.one()
+    pairs = []
     for i in range(1, cp.genus + 1):
         ai = "a%d" % i
-        out = out * (table.one() - table.monomial(table.exps(t=1, **{ai: -1})))
-        out = out * (table.monomial(table.exps(q=1)) - table.monomial(table.exps(**{ai: 1})))
-    if cp.p % 2:
-        out = -out
-    return out
+        pairs += [(table.zero_exps(), table.exps(t=1, **{ai: -1})),
+                  (table.exps(q=1), table.exps(**{ai: 1}))]
+    out = binomial_product(table, pairs)
+    return -out if cp.p % 2 else out
 
 
 def zeta_numerator(table, m):
     """prod_i (1 - x^m a_i)(1 - x^m q a_i^{-1}): the numerator of the curve's
     zeta function Z_X(s) at s = x^m (m packed)."""
-    out = table.one()
+    pairs = []
     for i in range(1, table.genus + 1):
         ai = "a%d" % i
-        out = out * (table.one() - table.monomial(m + table.exps(**{ai: 1})))
-        out = out * (table.one() - table.monomial(m + table.exps(q=1, **{ai: -1})))
-    return out
+        pairs += [(table.zero_exps(), m + table.exps(**{ai: 1})),
+                  (table.zero_exps(), m + table.exps(q=1, **{ai: -1}))]
+    return binomial_product(table, pairs)
 
 
 def jacobian_poly(table):
@@ -201,21 +197,6 @@ class HalfPowerValue:
     sign: int
     half: int
     body: LaurentPoly
-
-    def times_half_power(self, half, sign=1):
-        return HalfPowerValue(self.sign * sign, self.half + half, self.body)
-
-    def eval_exact(self, q0):
-        """Exact rational value at an integer q0; needs an even half exponent
-        and a genus-0 body (otherwise the Weil values are not rational)."""
-        if self.half % 2:
-            raise ValueError("odd half power: value is irrational at q = %d" % q0)
-        if self.body.table.genus:
-            raise ValueError("exact evaluation needs a genus-0 body")
-        vals = [Q(q0)] * self.body.table.arity
-        vals[1] = Q(1)  # bodies are t-free; any unit value works
-        v = self.body.eval(vals)
-        return self.sign * Q(q0) ** (self.half // 2) * v
 
     def __repr__(self):
         return "%sq^(%d/2) * (%r)" % ("-" if self.sign < 0 else "", self.half, self.body)

@@ -13,16 +13,18 @@ zero, the top summand becomes invariant, and nothing is semistable.
 
 This module is deliberately independent of the symbolic engine: it shares
 no code with it beyond Python itself, so agreement between the two is
-evidence, not circularity.  Rank 1 and 2 only.  The rank-2 semistable count
-is a closed form: the only saturated line subbundle of more than half the
-degree is the top summand, invariant exactly when the lower corner entry
-vanishes (proof in semistable_count).  semistable_count_by_enumeration, used by the tests,
+evidence, not circularity.  The one bridge is formula_volume_p1, which
+reads the engine's public volume formula, dt.moduli_volume, at q = q0.
+
+Rank 1 and 2 only.  The rank-2 semistable count is a closed form: the only
+saturated line subbundle of more than half the degree is the top summand,
+invariant exactly when the lower corner entry vanishes (proof in
+semistable_count).  semistable_count_by_enumeration, used by the tests,
 recounts by listing every matrix and checking, for every line bundle of more
 than half the total degree, the coefficient-wise vanishing of the induced
 cross form.
 """
 
-import math
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
@@ -310,16 +312,19 @@ def stack_volume_p1(r, d, ell, q):
 
 
 def formula_volume_p1(r, d, ell, q0):
-    """The symbolic pipeline's prediction for the same groupoid volume:
-    (-1)^{ell r^2} q0^{(ell r^2 + p r)/2} IDT_r(q0, 1) / (q0 - 1)."""
-    from .dt import CurveParams, idt_star, omega
+    """The symbolic pipeline's prediction for the same groupoid volume: the
+    public volume polynomial dt.moduli_volume on the line at q = q0, over
+    q0 - 1.
 
-    if math.gcd(r, d) != 1:
-        raise ValueError("comparison is only claimed for coprime rank and degree")
-    cp = CurveParams(genus=0, ell=ell)
-    hp = omega(cp, r).times_half_power(ell * r * r,
-                                       sign=-1 if (ell * r * r) % 2 else 1)
-    return hp.eval_exact(q0) / (q0 - 1)
+    That is (-1)^{ell r^2} q0^{(ell r^2 + p r)/2} IDT_r(q0, 1) / (q0 - 1):
+    with ell = p + 2g - 2, (ell r^2 + p r)/2 = (g - 1) r^2 + p r(r + 1)/2
+    and (-1)^{ell r^2} = (-1)^{p r}.  moduli_volume refuses a rank and
+    degree with a common factor.
+    """
+    from .dt import CurveParams, moduli_volume
+
+    volume = moduli_volume(CurveParams(genus=0, ell=ell), r, d)
+    return Q(volume.eval([q0, 1]), q0 - 1)   # [q, t]; the volume is t-free
 
 
 def compare_with_formula(r, d, ell, q):

@@ -9,10 +9,12 @@ f in auxiliary variables z_1..z_n:
           * prod_{i>j+1} (1 - q z_i/z_j) * prod_{i>=2} (1 - z_i) )
 
 evaluated at z_i = q^{i-n} t^{lambda_i}.  Each sigma-term is specialized
-before summation, so only distinct-monomial denominators ever appear.
+before summation, so only distinct-monomial denominators ever appear.  The
+prefactor and each sigma-term list their numerator and denominator
+binomials as pairs and become one Fraction, reduced on construction.
 f_sum is the one implementation of this sum: the series, the formal f and
 every property check call it, the check at vanishing a_k^{-1} with the
-inverse eigenvalues deformed to u a_k^{-1}.  MAX_SN caps n, since the sum
+inverse eigenvalues deformed to t a_k^{-1}.  MAX_SN caps n, since the sum
 has n! terms.
 
 The degree-d slices of (q - 1) Log of the resulting T-series stabilize, for
@@ -24,8 +26,8 @@ normalization recorded on the table.
 from dataclasses import dataclass
 from itertools import permutations
 
-from .algebra import (Fraction, NotDivisibleError, ZeroDenominatorError, t_expand,
-                      var_table)
+from .algebra import (Fraction, NotDivisibleError, ZeroDenominatorError,
+                      binomial_product, factored_binomials, t_expand, var_table)
 from .series import pleth_log
 from .dt import CurveParams, idt_star, partition_series, zstar_term
 
@@ -36,7 +38,7 @@ def f_sum(table, genus, values, ainv=None):
     """The symmetrized sum with w_i = x^values[i] (monomials, pairwise distinct).
 
     ainv holds the packed inverse eigenvalues, a_k^{-1} for k = 1..genus
-    unless given (alpha_zero_check deforms them to u a_k^{-1}).
+    unless given (alpha_zero_check deforms them to t a_k^{-1}).
     """
     n = len(values)
     if n > MAX_SN:
@@ -50,28 +52,28 @@ def f_sum(table, genus, values, ainv=None):
         ainv = [table.exps(**{"a%d" % k: -1}) for k in range(1, genus + 1)]
 
     # prefactor prod_i prod_k (1 - a_k^{-1}) / (1 - a_k^{-1} w_i)
-    pref = Fraction.one(table)
-    for w in values:
-        for ak in ainv:
-            pref = pref.mul_binomial(zero, ak)
-            pref = pref.div_binomial(zero, ak + w)
+    sign, unit, den = factored_binomials(
+        table, [(zero, ak + w) for w in values for ak in ainv])
+    num = binomial_product(table, [(zero, ak) for w in values for ak in ainv])
+    pref = Fraction(num.mono_mul(-unit, sign), den)
 
     total = Fraction.zero(table)
     for sigma in permutations(range(n)):
         w = [values[s] for s in sigma]
-        term = Fraction.one(table)
+        num, den = [], []
         for i in range(n):
             for j in range(i):
                 ratio = w[i] - w[j]
-                term = term.div_binomial(zero, ratio)
+                den.append((zero, ratio))
                 for ak in ainv:
-                    term = term.mul_binomial(zero, ak + ratio)
-                    term = term.div_binomial(zero, qe + ak + ratio)
+                    num.append((zero, ak + ratio))
+                    den.append((zero, qe + ak + ratio))
                 if i > j + 1:
-                    term = term.mul_binomial(zero, qe + ratio)
-        for i in range(1, n):
-            term = term.mul_binomial(zero, w[i])
-        total = total + term
+                    num.append((zero, qe + ratio))
+        num += [(zero, w[i]) for i in range(1, n)]
+        sign, unit, den = factored_binomials(table, den)
+        total = total + Fraction(
+            binomial_product(table, num).mono_mul(-unit, sign), den)
     return pref * total
 
 
@@ -112,18 +114,22 @@ def inductive_property_check(n, genus):
 
 def laurent_property_check(n, genus):
     """f times prod_k [prod_i (1 - a_k^{-1} z_i) prod_{i != j} (1 - q a_k^{-1} z_i/z_j)]
-    clears to a Laurent polynomial (all difference denominators cancel)."""
+    clears to a Laurent polynomial (all difference denominators cancel).
+
+    f takes the bracket of one k at a time, so that its factors cancel
+    before the next bracket multiplies in and the numerator stays small.
+    """
     table, f = f_symbolic(n, genus)
     zero = table.zero_exps()
     qe = table.exps(q=1)
     zs = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
     for k in range(1, genus + 1):
         ak = table.exps(**{"a%d" % k: -1})
+        pairs = []
         for i in range(n):
-            f = f.mul_binomial(zero, ak + zs[i])
-            for j in range(n):
-                if i != j:
-                    f = f.mul_binomial(zero, qe + ak + zs[i] - zs[j])
+            pairs.append((zero, ak + zs[i]))
+            pairs += [(zero, qe + ak + zs[i] - zs[j]) for j in range(n) if i != j]
+        f = f.mul_poly(binomial_product(table, pairs))
     try:
         f.clear_denominator()
         return True
@@ -134,15 +140,18 @@ def laurent_property_check(n, genus):
 def alpha_zero_check(n, genus):
     """f equals 1 when every a_k^{-1} is set to 0.
 
-    Implemented honestly by deforming a_k^{-1} to u a_k^{-1} with a fresh
-    variable u and evaluating the summed fraction at u = 0.
+    Implemented honestly by deforming a_k^{-1} to t a_k^{-1} (t is free in
+    the z-table) and reading the summed fraction at t = 0: its t^0
+    coefficient is 1 and no coefficient below t^0 survives.
     """
-    table = var_table(genus=genus, nz=n, with_u=True)
-    ue = table.exps(u=1)
+    table = var_table(genus=genus, nz=n)
+    te = table.exps(t=1)
     values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
-    ainv = [ue + table.exps(**{"a%d" % k: -1}) for k in range(1, genus + 1)]
+    ainv = [te + table.exps(**{"a%d" % k: -1}) for k in range(1, genus + 1)]
     f = f_sum(table, genus, values, ainv)
-    return f.specialize_var_zero("u") == Fraction.one(table)
+    coeffs = t_expand(f, 0, lo=min(0, f.num.var_range("t")[0]))
+    return (all(c.is_zero() for c in coeffs[:-1])
+            and coeffs[-1] == Fraction.one(table))
 
 
 def zplus_series(cp, order):

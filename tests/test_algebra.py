@@ -8,8 +8,8 @@ import pytest
 from higgsdt.algebra import (BinomialFactor, Fraction, LaurentPoly,
                              NotDivisibleError, TableMismatchError,
                              ZeroDenominatorError, _lcd_parts,
-                             canonical_binomial, exact_divide, t_expand,
-                             var_table)
+                             binomial_product, canonical_binomial,
+                             exact_divide, t_expand, var_table)
 
 T2 = var_table(genus=1)   # q, t, a1
 
@@ -121,6 +121,22 @@ def test_degenerate_binomial_via_fraction():
         one.div_binomial(T2.exps(q=1), T2.exps(q=1))
 
 
+def test_binomial_product_is_the_loop_of_monomial_differences():
+    # same terms in the same dict order, so products multiply as before;
+    # a pair with e1 == e2 is a zero factor
+    rng = random.Random(16)
+    for _ in range(100):
+        pairs = [rand_binomial(rng) for _ in range(rng.randint(0, 4))]
+        if pairs and rng.random() < 0.2:
+            e = rng.choice(pairs)[0]
+            pairs.insert(rng.randrange(len(pairs)), (e, e))
+        want = T2.one()
+        for e1, e2 in pairs:
+            want = want * (T2.monomial(e1) - T2.monomial(e2))
+        got = binomial_product(T2, pairs)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
 # -- exact division -----------------------------------------------------------
 
 
@@ -184,8 +200,9 @@ def test_fraction_cancellation():
     for _ in range(150):
         a = rand_fraction(rng)
         e1, e2 = rand_binomial(rng)
-        assert a.mul_binomial(e1, e2).div_binomial(e1, e2) == a
-        assert a.div_binomial(e1, e2).mul_binomial(e1, e2) == a
+        b = T2.monomial(e1) - T2.monomial(e2)
+        assert a.mul_poly(b).div_binomial(e1, e2) == a
+        assert a.div_binomial(e1, e2).mul_poly(b) == a
 
 
 def test_fraction_eval_consistency():
@@ -211,16 +228,14 @@ def test_clear_denominator():
         g.clear_denominator()
 
 
-def test_specialize_var_zero():
+def test_t_expand_at_depth_zero():
     # (1 + t a1) / (q - t) at t = 0 gives 1 / q
     num = T2.one() + T2.monomial(T2.exps(t=1, a1=1))
     f = Fraction(num).div_binomial(T2.exps(q=1), T2.exps(t=1))
-    at0 = f.specialize_var_zero("t")
-    assert at0 == Fraction(T2.monomial(T2.exps(q=-1)))
-    # negative exponent of the variable is a pole
-    g = Fraction(T2.monomial(T2.exps(t=-1)))
-    with pytest.raises(ZeroDenominatorError):
-        g.specialize_var_zero("t")
+    assert t_expand(f, 0) == [Fraction(T2.monomial(T2.exps(q=-1)))]
+    # a negative exponent of t is a pole: a nonzero t^-1 coefficient
+    g = Fraction(T2.monomial(T2.exps(t=-1, q=1)))
+    assert t_expand(g, 0, lo=-1) == [Fraction(T2.var("q")), Fraction.zero(T2)]
 
 
 def test_fraction_equality_cross_multiplies():
@@ -430,44 +445,35 @@ def test_matched_lcd_is_a_common_multiple_no_larger_than_the_union():
     assert smaller >= 50
 
 
-def test_mul_and_div_binomial_match_trying_every_factor():
-    # mul_binomial tries only the factors in the binomial's direction and
-    # div_binomial only the new factor; trying every factor gives the same
-    # (num, den), also where a same-direction factor cancels
+def test_div_binomial_matches_trying_every_factor():
+    # div_binomial tries only the new factor; trying every factor gives the
+    # same (num, den), also where the new factor cancels
     rng = random.Random(20)
     q, t, a1 = T2.exps(q=1), T2.exps(t=1), T2.exps(a1=1)
     # binomials in a few shared directions, with multiples of each other
     pool = [(k * x, 0) for k in (1, 2, 3, 4, 6) for x in (q, t, q - t, a1 - t)]
     pool += [(0, k * (q - a1)) for k in (1, 2)]
 
-    def by_every_factor(f, op, e1, e2):
-        if op == "mul":
-            return Fraction(f.num * (T2.monomial(e1) - T2.monomial(e2)), f.den)
-        factor, unit, sign = canonical_binomial(T2, e1, e2)
-        return Fraction(f.num.mono_mul(-unit, sign), f.den + (factor,))
-
     cancelled = 0
     for _ in range(150):
         f = Fraction(rand_poly(rng, span=2) or T2.one())
         for _ in range(rng.randint(1, 10)):
-            op = rng.choice(("mul", "div"))
             e1, e2 = rng.choice(pool) if rng.random() < 0.8 else rand_binomial(rng)
-            if op == "mul" and f.den and rng.random() < 0.5:
-                # a multiple of a factor of f's denominator, so it cancels
-                d, k = rng.choice(f.den), rng.randint(1, 3)
-                e1, e2 = k * d.m1, k * d.m2
-            want = by_every_factor(f, op, e1, e2)
-            got = getattr(f, op + "_binomial")(e1, e2)
+            if rng.random() < 0.3:
+                # a multiple of the new factor in the numerator, so it cancels
+                k = rng.randint(1, 3)
+                f = f.mul_poly(T2.monomial(k * e1) - T2.monomial(k * e2))
+            factor, unit, sign = canonical_binomial(T2, e1, e2)
+            want = Fraction(f.num.mono_mul(-unit, sign), f.den + (factor,))
+            got = f.div_binomial(e1, e2)
             assert (got.num, got.den) == (want.num, want.den)
-            cancelled += op == "mul" and len(got.den) < len(f.den)
+            cancelled += len(got.den) == len(f.den)
             f = got
     assert cancelled > 100
-    # (1 - q^2) / (1 - q) = 1 + q; a zero binomial makes zero
-    f = Fraction.one(T2).div_binomial(0, q).mul_binomial(0, 2 * q)
+    # (1 - q^2) / (1 - q) = 1 + q
+    f = Fraction(T2.one() - T2.monomial(2 * q)).div_binomial(0, q)
     assert (f.num, f.den) == (T2.one() + T2.var("q"), ())
-    g = Fraction.one(T2).div_binomial(0, q).mul_binomial(t, t)
-    assert g.is_zero() and g.den == ()
-    # so does either on zero, even one that kept a denominator
+    # zero stays zero, even one that kept a denominator
     z = Fraction.one(T2).div_binomial(0, q).scale(0)
-    for h in (z.mul_binomial(0, q), z.div_binomial(0, t)):
-        assert h.is_zero() and h.den == ()
+    h = z.div_binomial(0, t)
+    assert h.is_zero() and h.den == ()

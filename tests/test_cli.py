@@ -113,6 +113,22 @@ def test_bad_values_are_refused_in_one_line(capsys, argv):
     assert err.splitlines()[-1] == REFUSALS[argv]
 
 
+# a twist past the packed exponent range: refused by the command, exit 2
+OVERSIZED = {
+    "compute --genus 0 --ell 3000000000 --rmax 2":
+        "higgsdt compute: error: exponent 3000000002 outside [-2^30, 2^30)",
+    "specialize --q0 5 --trace 1 --ell 3000000000 --rmax 2":
+        "higgsdt specialize: error: exponent 3000000000 outside [-2^30, 2^30)",
+}
+
+
+@pytest.mark.parametrize("argv", list(OVERSIZED))
+def test_oversized_twist_is_refused_in_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines() == [OVERSIZED[argv]]
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list")
     assert code == 0

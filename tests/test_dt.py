@@ -161,15 +161,6 @@ def test_volume_rejects_canonical_mode():
         moduli_volume(cp, 2, 1)
 
 
-def test_halfpower_eval():
-    cp = CurveParams(genus=0, ell=1)
-    hp = omega(cp, 2, idt_poly=idt_star(cp, 2)[2])
-    assert hp.eval_exact(2) == Q(8)     # q^3 * 1 at q = 2
-    hp2 = omega(cp, 1)
-    with pytest.raises(ValueError):
-        hp2.eval_exact(2)               # odd half power is irrational
-
-
 # -- the zeta-value form ------------------------------------------------------
 
 

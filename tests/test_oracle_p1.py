@@ -145,11 +145,6 @@ def test_stack_volume_rank_two_hand_values():
     assert stack_volume_p1(2, 1, 1, 3) == Q(243, 2)
 
 
-def test_volume_only_depends_on_degree_mod_two():
-    # twisting by a line bundle shifts the degree by the rank
-    assert stack_volume_p1(2, 1, 1, 2) == stack_volume_p1(2, 3, 1, 2)
-
-
 def test_formula_rejects_common_factor():
     with pytest.raises(ValueError):
         formula_volume_p1(2, 0, 1, 2)
@@ -166,7 +161,7 @@ def test_rank_two_formula_agreement_grid(q):
     for ell in range(5):
         for d in (-1, 1):
             lhs, rhs, ok = compare_with_formula(2, d, ell, q)
-            assert ok, (d, ell, lhs, rhs)
+            assert ok and isinstance(rhs, Q), (d, ell, lhs, rhs)
 
 
 @pytest.mark.parametrize("d", (1, 3, -1, 5))

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from higgsdt.algebra import (EXP_LIMIT, BinomialFactor, ExponentRangeError, Fraction,
-                             LaurentPoly, NotDivisibleError, canonical_binomial,
-                             exact_divide, t_expand, var_table)
+                             LaurentPoly, NotDivisibleError, binomial_product,
+                             canonical_binomial, exact_divide, t_expand, var_table)
 
 TABLES = [var_table(), var_table(genus=1), var_table(genus=3),
           var_table(genus=2, nz=4, with_u=True)]
@@ -104,6 +104,8 @@ def test_monomial_refuses_a_packed_sum_past_the_limit():
         t.monomial(over)
     with pytest.raises(ExponentRangeError):
         t.one().mono_mul(over)
+    with pytest.raises(ExponentRangeError):
+        binomial_product(t, [(0, over)])
 
 
 @pytest.mark.parametrize("name", ["q", "t", "u", "a1", "z4"])

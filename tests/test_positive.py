@@ -1,7 +1,7 @@
 import pytest
 
-from higgsdt.algebra import (BinomialFactor, Fraction, LaurentPoly,
-                             ZeroDenominatorError, var_table)
+from higgsdt.algebra import (Fraction, ZeroDenominatorError, binomial_product,
+                             var_table)
 from higgsdt.partitions import Partition
 from higgsdt.dt import CurveParams, idt_star
 from higgsdt.positive import (f_lambda, f_sum, f_symbolic, laurent_property_check,
@@ -33,9 +33,9 @@ def test_single_part_hand_value():
     # f = (1 - a1^{-1}) / (1 - a1^{-1} t) at z = t
     cp = CurveParams(genus=1, ell=1)
     table = cp.table()
-    want = Fraction.one(table).mul_binomial(table.zero_exps(),
-                                            table.exps(a1=-1))
-    want = want.div_binomial(table.zero_exps(), table.exps(a1=-1, t=1))
+    zero = table.zero_exps()
+    want = Fraction(binomial_product(table, [(zero, table.exps(a1=-1))]))
+    want = want.div_binomial(zero, table.exps(a1=-1, t=1))
     assert f_lambda(cp, Partition((1,))) == want
 
 
@@ -47,32 +47,18 @@ def test_padding_independence():
             assert f_lambda(cp, lam, n=n) == base
 
 
-def _drop_u(frac, table):
-    """A fraction free of u, moved to the same variables without u."""
-    src = frac.table
-
-    def move(e):
-        exps = dict(zip(src.names, src.unpack(e)))
-        assert exps.pop("u") == 0
-        return table.pack(exps[nm] for nm in table.names)
-
-    num = LaurentPoly(table, {move(e): c for e, c in frac.num.terms.items()})
-    den = [BinomialFactor(move(f.m1), move(f.m2)) for f in frac.den]
-    return Fraction(num, den, reduce=False)
-
-
 def test_deformed_inverse_eigenvalues_at_u_one_give_f():
+    # the deformation parameter u is t, free in the z-table
     for g in (1, 2):
         for n in (1, 2, 3):
-            tu = var_table(genus=g, nz=n, with_u=True)
-            ue = tu.exps(u=1)
-            values = [tu.unit_exps("z%d" % i) for i in range(1, n + 1)]
-            ainv = [ue + tu.exps(**{"a%d" % k: -1}) for k in range(1, g + 1)]
-            deformed = f_sum(tu, g, values, ainv)
-            at_one = deformed.substitute_monomials({tu.index["u"]: tu.zero_exps()})
             table, f = f_symbolic(n, g)
-            assert _drop_u(at_one, table) == f, (g, n)
-            assert deformed.num.uses_var("u"), (g, n)
+            te = table.exps(t=1)
+            values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
+            ainv = [te + table.exps(**{"a%d" % k: -1}) for k in range(1, g + 1)]
+            deformed = f_sum(table, g, values, ainv)
+            at_one = deformed.substitute_monomials({table.index["t"]: table.zero_exps()})
+            assert at_one == f, (g, n)
+            assert deformed.num.uses_var("t"), (g, n)
 
 
 def test_positive_series_needs_twisted_mode():
@@ -82,12 +68,12 @@ def test_positive_series_needs_twisted_mode():
 
 
 def test_entries_stabilize_to_main_invariant():
-    for (g, ell) in ((0, 1), (0, 2), (1, 1)):
-        cp = CurveParams(genus=g, ell=ell)
-        tab = omega_plus(cp, 2, 8)
-        for r in (1, 2):
-            rep = stabilization_check(cp, r, depth=8, table=tab)
-            assert rep.ok(), (g, ell, r, rep)
+    # twist 1 at genus 0 and 1 is the verify suite's; twist 2 is not
+    cp = CurveParams(genus=0, ell=2)
+    tab = omega_plus(cp, 2, 8)
+    for r in (1, 2):
+        rep = stabilization_check(cp, r, depth=8, table=tab)
+        assert rep.ok(), (r, rep)
 
 
 def test_rank_one_entries_all_degrees_genus_zero():
