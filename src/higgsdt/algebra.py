@@ -2,7 +2,7 @@
 
 Everything downstream works in the Laurent polynomial ring
 Q[q^{+-1}, t^{+-1}, a_1^{+-1}, ..., a_g^{+-1}, ...] and in the localization
-obtained by inverting differences of monomials.  Two representation choices
+obtained by inverting differences of monomials.  Three representation choices
 drive the whole module and are relied on by callers:
 
 * rational functions are stored as an expanded numerator over a *multiset of
@@ -15,7 +15,11 @@ drive the whole module and are relied on by callers:
   fail, and `exact_divide` refuses most of those from two line sums;
 * every denominator factor is kept in a canonical form (monomial content
   removed, larger monomial first in lexicographic order), which makes multiset
-  intersection meaningful and keeps signs deterministic.
+  intersection meaningful and keeps signs deterministic;
+* every Fraction is reduced: no denominator factor divides the numerator,
+  and a zero Fraction has no denominator.  `Fraction(num, den)` cancels;
+  only this module skips that, and only where the result is reduced
+  already, so a Fraction left with a denominator is not a polynomial.
 
 A product of binomials prod (x^e1 - x^e2) is given once, as its list of
 pairs (e1, e2): `factored_binomials` turns the list into a denominator and
@@ -84,28 +88,24 @@ class ExponentRangeError(AlgebraError):
 class VarTable:
     """Ordered variable table shared by all objects of one computation.
 
-    Order is fixed as q, t, (u), a1..ag, z1..zn; the induced lexicographic
+    Order is fixed as q, t, a1..ag, z1..zn; the induced lexicographic
     order on exponent vectors is the monomial order used to orient binomial
     factors, and it is the integer order of packed monomials.  Tables compare
     by their name tuple, and `var_table` memoizes construction so identical
     requests share one instance.
     """
 
-    __slots__ = ("names", "index", "arity", "genus", "nz", "with_u",
+    __slots__ = ("names", "index", "arity", "genus", "nz",
                  "_shifts", "_bias", "_guards")
 
-    def __init__(self, genus=0, nz=0, with_u=False):
-        names = ["q", "t"]
-        if with_u:
-            names.append("u")
-        names += ["a%d" % i for i in range(1, genus + 1)]
-        names += ["z%d" % i for i in range(1, nz + 1)]
+    def __init__(self, genus=0, nz=0):
+        names = (["q", "t"] + ["a%d" % i for i in range(1, genus + 1)]
+                 + ["z%d" % i for i in range(1, nz + 1)])
         self.names = tuple(names)
         self.index = {nm: i for i, nm in enumerate(self.names)}
         self.arity = len(self.names)
         self.genus = genus
         self.nz = nz
-        self.with_u = with_u
         self._shifts = tuple(DIGIT_BITS * (self.arity - 1 - i)
                              for i in range(self.arity))
         # adding _bias turns balanced digits into plain base-2^32 digits
@@ -242,8 +242,8 @@ class VarTable:
 
 
 @lru_cache(maxsize=None)
-def var_table(genus=0, nz=0, with_u=False):
-    return VarTable(genus, nz, with_u)
+def var_table(genus=0, nz=0):
+    return VarTable(genus, nz)
 
 
 def _check_tables(a, b):
@@ -424,12 +424,13 @@ class LaurentPoly:
     def eval(self, values):
         """Evaluate at a full vector of exact rational values.
 
-        Integer values are coerced to Fraction so negative exponents stay exact.
+        Integer values are coerced to Fraction so negative exponents stay
+        exact; the value is a Fraction, also for a zero or constant poly.
         """
         if len(values) != self.table.arity:
             raise ValueError("expected %d values" % self.table.arity)
         values = [Q(v) if isinstance(v, int) else v for v in values]
-        total = 0
+        total = Q(0)
         for e, c in self.terms.items():
             acc = c
             for x, ei in zip(values, self.table.unpack(e)):
@@ -676,9 +677,15 @@ def _lcd_parts(table, only_a, only_b):
 
 
 def _reduce_fraction(num, den):
-    """Cancel denominator factors that divide the numerator exactly."""
+    """Cancel denominator factors that divide the numerator exactly.
+
+    One pass suffices: a factor that does not divide num divides no quotient
+    of it.  A monomial numerator is a unit, which no binomial divides.
+    """
     if not num.terms:
         return num, ()
+    if len(num.terms) == 1:
+        return num, tuple(den)
     kept = []
     for f in den:
         try:
@@ -692,17 +699,26 @@ class Fraction:
     """Rational function: expanded numerator over a factored denominator.
 
     den is a sorted tuple of BinomialFactor; the represented value is
-    num / prod(f for f in den).  Construction cancels exactly divisible
-    factors, so a Fraction with empty den is an honest Laurent polynomial.
+    num / prod(f for f in den).  Every Fraction is reduced: construction
+    cancels the factors that divide the numerator, so no factor of den
+    divides num, a zero Fraction has den == (), and the value is a Laurent
+    polynomial exactly when den is empty.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=(), reduce=True):
-        if reduce and den:
-            num, den = _reduce_fraction(num, tuple(den))
-        self.num = num
+    def __init__(self, num, den=()):
+        self.num, den = _reduce_fraction(num, den)
         self.den = tuple(sorted(den))
+
+    @classmethod
+    def _reduced(cls, num, den):
+        """num / prod(den), known to be reduced unless num is zero (then den
+        is dropped); nothing is tried."""
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = tuple(sorted(den)) if num.terms else ()
+        return out
 
     @property
     def table(self):
@@ -748,22 +764,12 @@ class Fraction:
           a whole binomial or a quotient 1 + X'^a + ..., lies in a
           direction of B, so f is coprime to L/A and f | na * L/A iff
           f | na;
-        * f is not cancelled from self, so f does not divide na.
+        * every Fraction is reduced, so f does not divide na.
 
-        The same holds for B with the roles swapped.  "Not cancelled" holds
-        for every Fraction built with reduce=True, and scale, mono_mul, neg
-        and adams (the reduce=False paths) multiply by units or apply an
-        injective ring map, which keeps it.  div_binomial keeps it too: it
-        multiplies the numerator by a unit and tries the new factor.
-        dt.zstar_term and dt.alt_h_term build with
-        reduce=False around denominators with nothing to cancel (only
-        their numerators carry the a_i).  (A Fraction built with
-        reduce=False around a cancellable factor, as the products of
-        series.scaled_pleth_log are, may keep that factor through a sum;
-        the value is unaffected, and clear_denominator tries every factor
-        again.)  Skipped factors leave the numerator alone, so the tried
-        ones see exactly the divisions they would see anyway and the result
-        is the one trying every factor of C + L gives.
+        The same holds for B with the roles swapped.  Skipped factors leave
+        the numerator alone, so the tried ones see exactly the divisions
+        they would see anyway and the result is the one trying every factor
+        of C + L gives.
         """
         _check_tables(self, other)
         if self.is_zero():
@@ -786,41 +792,34 @@ class Fraction:
         nb = other.num
         for p in mul_b:
             nb = nb * p
-        num = na + nb
-        if not num.terms:
-            return Fraction(num)
-        num, left = _reduce_fraction(num, tuple(common + tried))
-        return Fraction(num, left + tuple(kept), reduce=False)
+        num, left = _reduce_fraction(na + nb, common + tried)
+        return Fraction._reduced(num, left + tuple(kept))
 
     def __neg__(self):
-        return Fraction(-self.num, self.den, reduce=False)
+        return Fraction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         _check_tables(self, other)
-        if self.is_zero() or other.is_zero():
-            return Fraction.zero(self.table)
         return Fraction(self.num * other.num, self.den + other.den)
 
     def mul_poly(self, poly):
         return Fraction(self.num * poly, self.den)
 
     def scale(self, c):
-        return Fraction(self.num.scale(c), self.den, reduce=False)
+        return Fraction._reduced(self.num.scale(c), self.den)
 
     def mono_mul(self, exps, coeff=1):
-        return Fraction(self.num.mono_mul(exps, coeff), self.den, reduce=False)
+        return Fraction._reduced(self.num.mono_mul(exps, coeff), self.den)
 
     def div_binomial(self, e1, e2):
         """Divide by (x^e1 - x^e2), trying only the new factor: the old ones
-        do not divide the numerator (not cancelled)."""
+        do not divide the numerator, since self is reduced."""
         factor, unit, sign = canonical_binomial(self.table, e1, e2)
-        if self.is_zero():
-            return Fraction.zero(self.table)
         num, left = _reduce_fraction(self.num.mono_mul(-unit, sign), (factor,))
-        return Fraction(num, self.den + left, reduce=False)
+        return Fraction._reduced(num, self.den + left)
 
     def __eq__(self, other):
         if not isinstance(other, Fraction):
@@ -851,9 +850,11 @@ class Fraction:
             return self
         num = self.num.adams(n)
         self.table.check_range([m for f in self.den for m in f], scale=n)
-        # scaling by n > 0 keeps every factor canonical
-        return Fraction(num, tuple(BinomialFactor(n * f.m1, n * f.m2) for f in self.den),
-                        reduce=False)
+        # scaling by n > 0 keeps every factor canonical, and psi_n is an
+        # injective ring map whose image is a direct summand, so no factor
+        # starts to divide the numerator
+        return Fraction._reduced(
+            num, [BinomialFactor(n * f.m1, n * f.m2) for f in self.den])
 
     def substitute_monomials(self, images):
         table = self.table
@@ -863,20 +864,16 @@ class Fraction:
         return Fraction(num, den)
 
     def clear_denominator(self):
-        """Return the numerator as a LaurentPoly; the denominator must cancel."""
+        """The value as a LaurentPoly; refuses a Fraction with a denominator.
+
+        Every Fraction is reduced, so a factor left in den does not divide
+        the numerator and the value is not a Laurent polynomial.
+        """
         if self.den:
-            # construction already reduced once; the retry catches factors
-            # left by fractions built with reduce=False (the products of
-            # series.scaled_pleth_log) and kept through a sum that never
-            # tried them; the other reduce=False sites, dt.zstar_term and
-            # dt.alt_h_term, leave nothing that cancels
-            num, den = _reduce_fraction(self.num, self.den)
-            if den:
-                raise NotDivisibleError(
-                    "denominator does not clear: %d factor(s) remain, e.g. %s - %s"
-                    % (len(den), self.table.format_exps(den[0].m1),
-                       self.table.format_exps(den[0].m2)))
-            return num
+            raise NotDivisibleError(
+                "denominator does not clear: %d factor(s) remain, e.g. %s - %s"
+                % (len(self.den), self.table.format_exps(self.den[0].m1),
+                   self.table.format_exps(self.den[0].m2)))
         return self.num
 
     def eval(self, values):
@@ -899,10 +896,9 @@ class Fraction:
 def t_expand(frac, depth, lo=0):
     """t-adic expansion of a Fraction: coefficients of t^lo .. t^depth.
 
-    Precondition: every denominator factor, restricted to t = 0, is a nonzero
-    monomial in the remaining variables or stays t-free entirely.  Canonical
-    factors satisfy this automatically unless both sides carry t, which means
-    the factor vanishes at t = 0 and the expansion does not exist.
+    A canonical factor carries no common power of t, so it is t-free or, at
+    t = 0, a nonzero monomial in the remaining variables: the expansion
+    always exists.
 
     Returns a list of Fractions in the same table (t absent from every term);
     index i holds the coefficient of t^(lo + i).  t-free denominator factors
@@ -918,10 +914,6 @@ def t_expand(frac, depth, lo=0):
         d1, d2 = table.digit(f.m1, ti), table.digit(f.m2, ti)
         if d1 == 0 and d2 == 0:
             tfree.append(f)
-        elif d1 > 0 and d2 > 0:
-            raise ZeroDenominatorError("denominator factor vanishes at t = 0: %s - %s"
-                                       % (table.format_exps(f.m1),
-                                          table.format_exps(f.m2)))
         else:
             mixed.append((f, d1, d2))
     # seed: numerator split by t-degree, t stripped from the exponent

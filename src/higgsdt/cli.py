@@ -28,7 +28,7 @@ SCHEMA_VERSION = 1
 
 
 def _latex_monomials(table, keys):
-    # q, t, u keep their names; a_i and z_i become \alpha_{i}, \z_{i}
+    # q and t keep their names; a_i and z_i become \alpha_{i}, \z_{i}
     names = [nm if len(nm) == 1
              else "\\%s_{%s}" % ("alpha" if nm[0] == "a" else "z", nm[1:])
              for nm in table.names]

@@ -89,9 +89,9 @@ def n_lambda_den(table, lam):
     return factored_binomials(table, _hook_pairs(table, lam, table.zero_exps()))
 
 
-def zstar_term(cp, lam, table=None):
+def zstar_term(cp, lam):
     """One partition's term of the main series (without T^|la|)."""
-    table = table or cp.table()
+    table = cp.table()
     p = cp.p
     w = lam.weight
     nl = lam.n_stat()
@@ -103,19 +103,17 @@ def zstar_term(cp, lam, table=None):
         num = num * n_lambda(table, lam, table.exps(**{"a%d" % i: -1}))
     dsign, dunit, dfactors = n_lambda_den(table, lam)
     num = num.mono_mul(pref - dunit, sign * dsign)
-    # nothing cancels: every numerator binomial carries an a_i (at genus 0
-    # the numerator is a monomial) and no denominator binomial does
-    return Fraction(num, dfactors, reduce=False)
+    return Fraction(num, dfactors)
 
 
 def partition_series(cp, order, term):
-    """Series to T^order whose coefficient r sums term(cp, la, table) over |la| = r."""
+    """Series to T^order whose coefficient r sums term(cp, la) over |la| = r."""
     table = cp.table()
     s = TruncSeries.one(table, order)
     for r in range(1, order + 1):
         acc = Fraction.zero(table)
         for lam in enumerate_partitions(r):
-            acc = acc + term(cp, lam, table)
+            acc = acc + term(cp, lam)
         s.coeffs[r] = acc
     return s
 
@@ -161,10 +159,10 @@ def idt_star(cp, order, series=None):
     return _clear_log(Z, order, clearer, "idt")
 
 
-def rank_one_idt(cp, table=None):
+def rank_one_idt(cp):
     """Closed form of the r = 1 coefficient:
     (-1)^p prod_i (1 - a_i^{-1} t)(q - a_i)."""
-    table = table or cp.table()
+    table = cp.table()
     pairs = []
     for i in range(1, cp.genus + 1):
         ai = "a%d" % i
@@ -238,13 +236,13 @@ def moduli_volume(cp, r, d, idt_poly=None):
 # -- alternative formulation ------------------------------------------------
 
 
-def alt_h_term(cp, lam, table=None):
+def alt_h_term(cp, lam):
     """One partition's term of the zeta-value form of the series.
 
     prod_s (-t^{a-l} q^a)^p * t^{(1-g)(2l+1)} * Z_X(t^h q^a), with
     Z_X(s) = prod_i (1 - a_i s)(1 - a_i^{-1} q s) / ((1 - s)(1 - q s)).
     """
-    table = table or cp.table()
+    table = cp.table()
     p, g = cp.p, cp.genus
     w = lam.weight
     sign = -1 if (p * w) % 2 else 1
@@ -260,8 +258,7 @@ def alt_h_term(cp, lam, table=None):
     den_sign, den_unit, factors = factored_binomials(table, den)
     pref = table.exps(q=qexp, t=texp)
     num = num.mono_mul(pref - den_unit, sign * den_sign)
-    # nothing cancels, as in zstar_term: only the numerator carries the a_i
-    return Fraction(num, factors, reduce=False)
+    return Fraction(num, factors)
 
 
 def alt_h_series(cp, order):
@@ -290,8 +287,8 @@ def substitution_identity_check(cp, max_weight):
     out = []
     for w in range(max_weight + 1):
         for lam in enumerate_partitions(w):
-            lhs = alt_h_term(cp, lam, table).substitute_monomials(images)
-            rhs = zstar_term(cp, lam, table)
+            lhs = alt_h_term(cp, lam).substitute_monomials(images)
+            rhs = zstar_term(cp, lam)
             out.append((lam, lhs == rhs))
     return out
 

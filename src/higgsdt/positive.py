@@ -11,7 +11,8 @@ f in auxiliary variables z_1..z_n:
 evaluated at z_i = q^{i-n} t^{lambda_i}.  Each sigma-term is specialized
 before summation, so only distinct-monomial denominators ever appear.  The
 prefactor and each sigma-term list their numerator and denominator
-binomials as pairs and become one Fraction, reduced on construction.
+binomials as pairs and become one Fraction; like every Fraction it is
+reduced, which lets the sum skip the factors coprimality rules out.
 f_sum is the one implementation of this sum: the series, the formal f and
 every property check call it, the check at vanishing a_k^{-1} with the
 inverse eigenvalues deformed to t a_k^{-1}.  MAX_SN caps n, since the sum
@@ -34,11 +35,11 @@ from .dt import CurveParams, idt_star, partition_series, zstar_term
 MAX_SN = 4  # n! symmetrization terms; raise deliberately, not by accident
 
 
-def f_sum(table, genus, values, ainv=None):
+def f_sum(table, values, ainv=None):
     """The symmetrized sum with w_i = x^values[i] (monomials, pairwise distinct).
 
-    ainv holds the packed inverse eigenvalues, a_k^{-1} for k = 1..genus
-    unless given (alpha_zero_check deforms them to t a_k^{-1}).
+    ainv holds the packed inverse eigenvalues, a_k^{-1} for k = 1..genus of
+    the table unless given (alpha_zero_check deforms them to t a_k^{-1}).
     """
     n = len(values)
     if n > MAX_SN:
@@ -49,7 +50,7 @@ def f_sum(table, genus, values, ainv=None):
     zero = table.zero_exps()
     qe = table.exps(q=1)
     if ainv is None:
-        ainv = [table.exps(**{"a%d" % k: -1}) for k in range(1, genus + 1)]
+        ainv = [table.exps(**{"a%d" % k: -1}) for k in range(1, table.genus + 1)]
 
     # prefactor prod_i prod_k (1 - a_k^{-1}) / (1 - a_k^{-1} w_i)
     sign, unit, den = factored_binomials(
@@ -81,7 +82,7 @@ def f_symbolic(n, genus):
     """f with formal z_1..z_n; returns (table, Fraction)."""
     table = var_table(genus=genus, nz=n)
     values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
-    return table, f_sum(table, genus, values)
+    return table, f_sum(table, values)
 
 
 def f_lambda(cp, lam, n=None):
@@ -96,7 +97,7 @@ def f_lambda(cp, lam, n=None):
         raise ValueError("n must be at least the number of parts")
     parts = lam.parts + (0,) * (n - lam.length)
     values = [table.exps(q=i - n, t=parts[i - 1]) for i in range(1, n + 1)]
-    return f_sum(table, cp.genus, values)
+    return f_sum(table, values)
 
 
 def inductive_property_check(n, genus):
@@ -106,9 +107,9 @@ def inductive_property_check(n, genus):
     """
     table = var_table(genus=genus, nz=n)
     zs = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
-    lhs = f_sum(table, genus, [table.zero_exps()] + zs)
+    lhs = f_sum(table, [table.zero_exps()] + zs)
     qe = table.exps(q=1)
-    rhs = f_sum(table, genus, [qe + z for z in zs])
+    rhs = f_sum(table, [qe + z for z in zs])
     return lhs == rhs
 
 
@@ -148,7 +149,7 @@ def alpha_zero_check(n, genus):
     te = table.exps(t=1)
     values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
     ainv = [te + table.exps(**{"a%d" % k: -1}) for k in range(1, genus + 1)]
-    f = f_sum(table, genus, values, ainv)
+    f = f_sum(table, values, ainv)
     coeffs = t_expand(f, 0, lo=min(0, f.num.var_range("t")[0]))
     return (all(c.is_zero() for c in coeffs[:-1])
             and coeffs[-1] == Fraction.one(table))
@@ -159,8 +160,8 @@ def zplus_series(cp, order):
     if cp.mode != "twisted":
         raise ValueError("positive series is defined in twisted mode")
 
-    def term(cp, lam, table):
-        return zstar_term(cp, lam, table) * f_lambda(cp, lam.conjugate())
+    def term(cp, lam):
+        return zstar_term(cp, lam) * f_lambda(cp, lam.conjugate())
 
     return partition_series(cp, order, term)
 

@@ -162,10 +162,7 @@ def scaled_pleth_log(series):
         for k in range(1, r):
             b = B[r - k]
             if not M[k].is_zero() and not b.is_zero():
-                # unreduced: the sum tries every factor in a direction both
-                # sides have, which on the pipeline is every factor here, and
-                # clear_denominator tries any other one
-                acc = acc - Fraction(M[k].num * b.num, M[k].den + b.den, reduce=False)
+                acc = acc - M[k] * b
         M.append(acc)
     out = list(M)
     for n in range(2, R + 1):

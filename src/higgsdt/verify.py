@@ -119,8 +119,8 @@ def _check_explog():
 @_suite("hooks", "hook product identities")
 def _check_hooks():
     out = []
-    tu = var_table(genus=0, with_u=True)
-    ue = tu.exps(u=1)
+    tu = var_table(genus=1)    # u is a1
+    ue = tu.exps(a1=1)
     swap = {tu.index["q"]: tu.unit_exps("t"), tu.index["t"]: tu.unit_exps("q")}
     conj_ok = True
     for lam in partitions_up_to(6):

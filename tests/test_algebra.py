@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from higgsdt import algebra
 from higgsdt.algebra import (BinomialFactor, Fraction, LaurentPoly,
                              NotDivisibleError, TableMismatchError,
                              ZeroDenominatorError, _lcd_parts,
@@ -67,6 +68,15 @@ def test_eval_matches_adams():
         a = rand_poly(rng)
         n = rng.randint(2, 3)
         assert a.adams(n).eval(vals) == a.eval([v ** n for v in vals])
+
+
+def test_eval_of_a_constant_is_a_fraction():
+    vals = [Q(3), Q(5), Q(2, 7)]
+    for p in (T2.zero(), T2.one(), T2.monomial(T2.zero_exps(), 5)):
+        assert isinstance(p.eval(vals), Q)
+    assert T2.zero().eval(vals) / 2 == 0
+    assert not isinstance(T2.zero().eval(vals) / 2, float)
+    assert T2.one().eval(vals) / 2 == Q(1, 2)
 
 
 def test_mono_mul_and_scale():
@@ -226,6 +236,18 @@ def test_clear_denominator():
     g = Fraction.one(T2).div_binomial(T2.exps(q=1), T2.exps(t=1))
     with pytest.raises(NotDivisibleError):
         g.clear_denominator()
+
+
+def test_clear_denominator_tries_no_division(monkeypatch):
+    # the Fraction is reduced, so a denominator is refused as it stands
+    g = Fraction.one(T2).div_binomial(T2.exps(q=1), T2.exps(t=1))
+
+    def no_division(poly, factor):
+        raise AssertionError("clear_denominator tried a division")
+    monkeypatch.setattr(algebra, "exact_divide", no_division)
+    with pytest.raises(NotDivisibleError, match="1 factor"):
+        g.clear_denominator()
+    assert Fraction(T2.var("q")).clear_denominator() == T2.var("q")
 
 
 def test_t_expand_at_depth_zero():
@@ -473,7 +495,8 @@ def test_div_binomial_matches_trying_every_factor():
     # (1 - q^2) / (1 - q) = 1 + q
     f = Fraction(T2.one() - T2.monomial(2 * q)).div_binomial(0, q)
     assert (f.num, f.den) == (T2.one() + T2.var("q"), ())
-    # zero stays zero, even one that kept a denominator
+    # zero stays zero, and scaling by 0 drops the denominator
     z = Fraction.one(T2).div_binomial(0, q).scale(0)
+    assert z.den == ()
     h = z.div_binomial(0, t)
     assert h.is_zero() and h.den == ()

@@ -187,8 +187,8 @@ def test_alt_term_weight_one_genus_zero():
 
 
 def test_partition_terms_need_no_reduction():
-    # built unreduced: every numerator binomial carries an a_i and no
-    # denominator binomial does, so trying every factor cancels nothing.
+    # every numerator binomial carries an a_i and no denominator binomial
+    # does, so each term keeps all 2|la| of its denominator factors.
     # Genus 3 stops at weight 3 here: its weight-5 terms take tens of
     # seconds to build, and the argument is the same at every weight.
     for g, wmax in ((0, 5), (1, 5), (2, 5), (3, 3)):
@@ -199,9 +199,7 @@ def test_partition_terms_need_no_reduction():
             for w in range(wmax + 1):
                 for lam in enumerate_partitions(w):
                     for term in (zstar_term, alt_h_term):
-                        f = term(cp, lam)
-                        reduced = Fraction(f.num, f.den)
-                        assert (reduced.num, reduced.den) == (f.num, f.den)
+                        assert len(term(cp, lam).den) == 2 * w
 
 
 def test_hook_product_empty_partition():

@@ -9,8 +9,8 @@ from higgsdt.algebra import (EXP_LIMIT, BinomialFactor, ExponentRangeError, Frac
                              canonical_binomial, exact_divide, t_expand, var_table)
 
 TABLES = [var_table(), var_table(genus=1), var_table(genus=3),
-          var_table(genus=2, nz=4, with_u=True)]
-WIDE = TABLES[-1]   # q, t, u, a1, a2, z1..z4
+          var_table(genus=3, nz=4)]
+WIDE = TABLES[-1]   # q, t, a1, a2, a3, z1..z4
 
 
 def rand_exps(rng, arity):
@@ -67,9 +67,9 @@ def test_packing_is_linear(table):
 
 def test_named_exponents_and_rendering():
     t = WIDE
-    e = t.exps(q=2, u=-1, z4=EXP_LIMIT - 1)
+    e = t.exps(q=2, a1=-1, z4=EXP_LIMIT - 1)
     assert t.unpack(e) == (2, 0, -1, 0, 0, 0, 0, 0, EXP_LIMIT - 1)
-    assert t.format_exps(e) == "q^2 u^-1 z4^%d" % (EXP_LIMIT - 1)
+    assert t.format_exps(e) == "q^2 a1^-1 z4^%d" % (EXP_LIMIT - 1)
     assert t.format_exps(t.zero_exps()) == "1"
     assert t.unit_exps("a2") == t.exps(a2=1)
     assert t.unpack(t.zero_exps()) == (0,) * t.arity
@@ -99,7 +99,7 @@ def test_pack_refuses_out_of_range(table):
 
 def test_monomial_refuses_a_packed_sum_past_the_limit():
     t = WIDE
-    over = t.exps(u=EXP_LIMIT - 1) + t.exps(u=1)
+    over = t.exps(a1=EXP_LIMIT - 1) + t.exps(a1=1)
     with pytest.raises(ExponentRangeError):
         t.monomial(over)
     with pytest.raises(ExponentRangeError):
@@ -108,7 +108,7 @@ def test_monomial_refuses_a_packed_sum_past_the_limit():
         binomial_product(t, [(0, over)])
 
 
-@pytest.mark.parametrize("name", ["q", "t", "u", "a1", "z4"])
+@pytest.mark.parametrize("name", ["q", "t", "a1", "a2", "z4"])
 def test_products_refuse_to_leave_the_range(name):
     t = WIDE
     i = t.index[name]
@@ -320,9 +320,9 @@ def test_substitution_matches_tuple_reference():
     t = WIDE
     images = {t.index["q"]: (1, 1, 0, 0, 0, 0, 0, 0, 0),
               t.index["t"]: (0, -1, 0, 0, 0, 0, 0, 0, 0),
-              t.index["a1"]: (0, 0, 0, 0, 1, 0, 0, 0, 0),
-              t.index["a2"]: (1, 0, 0, -1, 0, 0, 0, 0, 2),
-              t.index["u"]: (0,) * t.arity}
+              t.index["a2"]: (0, 0, 0, 0, 1, 0, 0, 0, 0),
+              t.index["a3"]: (1, 0, 0, -1, 0, 0, 0, 0, 2),
+              t.index["a1"]: (0,) * t.arity}
     for _ in range(100):
         a = tuple_poly(rng, t.arity, 8, 3)
         want = {}

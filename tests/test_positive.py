@@ -18,14 +18,14 @@ def test_kernel_rejects_coincident_values():
     table = var_table(genus=1, nz=2)
     z1 = table.unit_exps("z1")
     with pytest.raises(ZeroDenominatorError):
-        f_sum(table, 1, [z1, z1])
+        f_sum(table, [z1, z1])
 
 
 def test_kernel_respects_sn_cap():
     table = var_table(genus=1, nz=5)
     vals = [table.unit_exps("z%d" % i) for i in range(1, 6)]
     with pytest.raises(ValueError):
-        f_sum(table, 1, vals)
+        f_sum(table, vals)
 
 
 def test_single_part_hand_value():
@@ -55,7 +55,7 @@ def test_deformed_inverse_eigenvalues_at_u_one_give_f():
             te = table.exps(t=1)
             values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
             ainv = [te + table.exps(**{"a%d" % k: -1}) for k in range(1, g + 1)]
-            deformed = f_sum(table, g, values, ainv)
+            deformed = f_sum(table, values, ainv)
             at_one = deformed.substitute_monomials({table.index["t"]: table.zero_exps()})
             assert at_one == f, (g, n)
             assert deformed.num.uses_var("t"), (g, n)
