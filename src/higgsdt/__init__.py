@@ -5,8 +5,7 @@ oracle on the projective line for independent verification."""
 __version__ = "0.1.0"
 
 from .partitions import Partition, enumerate_partitions
-from .algebra import (VarTable, var_table, LaurentPoly, BinomialFactor, Fraction,
-                      canonical_binomial, exact_divide, t_expand,
+from .algebra import (VarTable, var_table, LaurentPoly, Fraction, exact_divide, t_expand,
                       AlgebraError, ExponentRangeError, NotDivisibleError,
                       TableMismatchError, ZeroDenominatorError)
 from .series import TruncSeries, pleth_exp, pleth_log, scaled_pleth_log, mobius

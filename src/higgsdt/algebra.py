@@ -22,9 +22,11 @@ drive the whole module and are relied on by callers:
   already, so a Fraction left with a denominator is not a polynomial.
 
 A product of binomials prod (x^e1 - x^e2) is given once, as its list of
-pairs (e1, e2): `factored_binomials` turns the list into a denominator and
-`binomial_product` into an expanded numerator.  Term builders list their
-pairs and hand them to one of the two.
+pairs (e1, e2): `binomial_product` expands it into a numerator, and
+`over_binomials` divides a numerator by it, putting each pair in canonical
+form and folding its sign and monomial unit into the numerator.  Term
+builders list their pairs and hand them to one of the two; only this module
+sees the canonical form.
 
 Monomials are packed: the exponent vector (e_0, ..., e_{n-1}) of a table with
 n variables is the single Python int sum_i e_i * 2^(32 (n - 1 - i)), that is
@@ -70,7 +72,22 @@ class AlgebraError(Exception):
 
 
 class NotDivisibleError(AlgebraError):
-    """Exact division failed: the divisor is not a factor of the dividend."""
+    """Exact division failed: the divisor is not a factor of the dividend.
+
+    Given a table and a packed monomial, the message ends with that monomial,
+    formatted only when the text is read: nearly every failed division is a
+    trial division whose error is caught and never shown.
+    """
+
+    def __init__(self, message, table=None, exps=None):
+        super().__init__(message)
+        self.table, self.exps = table, exps
+
+    def __str__(self):
+        text = super().__str__()
+        if self.table is None:
+            return text
+        return "%s %s" % (text, self.table.format_exps(self.exps))
 
 
 class TableMismatchError(AlgebraError):
@@ -295,9 +312,6 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_one(self):
-        return self.terms == {0: 1}
-
     def has_integer_coefficients(self):
         return all(isinstance(c, int) or c.denominator == 1
                    for c in self.terms.values())
@@ -496,7 +510,7 @@ def canonical_binomial(table, e1, e2):
 
 
 def binomial_product(table, pairs):
-    """prod (x^e1 - x^e2) over pairs, expanded: the twin of factored_binomials.
+    """prod (x^e1 - x^e2) over pairs, expanded: the twin of `over_binomials`.
 
     A pair with e1 == e2 makes the product zero.  The factors are multiplied
     in the order given.
@@ -508,18 +522,22 @@ def binomial_product(table, pairs):
     return out
 
 
-def factored_binomials(table, pairs):
-    """prod (x^e1 - x^e2) over pairs as (sign, unit_exps, canonical factor tuple).
+def over_binomials(num, pairs):
+    """num / prod (x^e1 - x^e2) over pairs as a reduced Fraction, nothing
+    expanded: the twin of `binomial_product`.
 
-    The product equals sign * x^unit * prod(factors), nothing expanded.
+    x^e1 - x^e2 = sign * x^unit * (m1 - m2) with (m1, m2) canonical, so each
+    pair adds m1 - m2 to the denominator and its sign and x^-unit to the
+    numerator.  A pair with e1 == e2 raises ZeroDenominatorError.
     """
+    table = num.table
     sign, unit, factors = 1, table.zero_exps(), []
     for e1, e2 in pairs:
         f, u, s = canonical_binomial(table, e1, e2)
         sign *= s
         unit += u
         factors.append(f)
-    return sign, unit, tuple(factors)
+    return Fraction(num.mono_mul(-unit, sign), factors)
 
 
 def exact_divide(poly, factor):
@@ -566,8 +584,7 @@ def exact_divide(poly, factor):
             d = table.digit(e, i0)
             line = range(-((d - lo) // vi), (hi - d) // vi + 1)
             if sum(get(e + j * v, 0) for j in line):
-                raise NotDivisibleError("remainder on the line through %s"
-                                        % table.format_exps(e))
+                raise NotDivisibleError("remainder on the line through", table, e)
     # membership tests are exact: every point tested is a term plus one step
     # of v, or plus at most steps steps within the range guard
     starts = sorted([e for e in terms if e - v not in terms])
@@ -595,8 +612,8 @@ def exact_divide(poly, factor):
                         if nxt in terms:
                             break
                     else:
-                        raise NotDivisibleError("remainder on the line through %s"
-                                                % table.format_exps(e))
+                        raise NotDivisibleError("remainder on the line through",
+                                                table, e)
                     joined.add(nxt)
             elif nxt not in terms:
                 break
@@ -814,32 +831,11 @@ class Fraction:
     def mono_mul(self, exps, coeff=1):
         return Fraction._reduced(self.num.mono_mul(exps, coeff), self.den)
 
-    def div_binomial(self, e1, e2):
-        """Divide by (x^e1 - x^e2), trying only the new factor: the old ones
-        do not divide the numerator, since self is reduced."""
-        factor, unit, sign = canonical_binomial(self.table, e1, e2)
-        num, left = _reduce_fraction(self.num.mono_mul(-unit, sign), (factor,))
-        return Fraction._reduced(num, self.den + left)
-
     def __eq__(self, other):
+        """Equal values: the difference has a zero numerator."""
         if not isinstance(other, Fraction):
             return NotImplemented
-        if self.table != other.table:
-            return False
-        # strip the common denominator multiset, then cross-multiply
-        da, db = list(self.den), []
-        for f in other.den:
-            if f in da:
-                da.remove(f)
-            else:
-                db.append(f)
-        left = self.num
-        for f in db:
-            left = left * f.to_poly(self.table)
-        right = other.num
-        for f in da:
-            right = right * f.to_poly(self.table)
-        return left == right
+        return self.table == other.table and not (self - other)
 
     __hash__ = None
 
@@ -857,11 +853,8 @@ class Fraction:
             num, [BinomialFactor(n * f.m1, n * f.m2) for f in self.den])
 
     def substitute_monomials(self, images):
-        table = self.table
-        sign, unit, den = factored_binomials(
-            table, [_substitute(table, f, images) for f in self.den])
-        num = self.num.substitute_monomials(images).mono_mul(-unit, sign)
-        return Fraction(num, den)
+        return over_binomials(self.num.substitute_monomials(images),
+                              [_substitute(self.table, f, images) for f in self.den])
 
     def clear_denominator(self):
         """The value as a LaurentPoly; refuses a Fraction with a denominator.
@@ -893,18 +886,22 @@ class Fraction:
             for f in self.den))
 
 
-def t_expand(frac, depth, lo=0):
-    """t-adic expansion of a Fraction: coefficients of t^lo .. t^depth.
+def t_expand(frac, depth):
+    """t-adic expansion of a Fraction: coefficients of t^0 .. t^depth.
 
     A canonical factor carries no common power of t, so it is t-free or, at
     t = 0, a nonzero monomial in the remaining variables: the expansion
-    always exists.
+    always exists as a Laurent series in t, and it starts at the lowest
+    t-degree of the numerator, whose terms divided by the factors' values at
+    t = 0 make a nonzero coefficient.  So a numerator term of negative
+    t-degree means the value is not a power series in t: NotDivisibleError
+    names the lowest such degree.  Expanding a factor only raises the
+    t-degree, so numerator terms of t-degree above depth are dropped before
+    anything is expanded.
 
     Returns a list of Fractions in the same table (t absent from every term);
-    index i holds the coefficient of t^(lo + i).  t-free denominator factors
-    survive into the coefficient Fractions.  Expanding a factor only raises
-    the t-degree, so numerator terms of t-degree above depth are dropped
-    before anything is expanded.
+    index i holds the coefficient of t^i.  t-free denominator factors
+    survive into the coefficient Fractions.
     """
     table = frac.table
     ti = table.index["t"]
@@ -919,7 +916,12 @@ def t_expand(frac, depth, lo=0):
     # seed: numerator split by t-degree, t stripped from the exponent
     cur = {}
     terms = frac.num.terms
-    for (e, c), d in zip(terms.items(), table.digits(terms, ti)):
+    degrees = table.digits(terms, ti)
+    low = min(degrees, default=0)
+    if low < 0:
+        raise NotDivisibleError("coefficient of t^%d is nonzero: not a power "
+                                "series in t" % low)
+    for (e, c), d in zip(terms.items(), degrees):
         if d > depth:
             continue
         e0 = e - d * tu
@@ -960,7 +962,7 @@ def t_expand(frac, depth, lo=0):
         cur = nxt
     out = []
     tfree = tuple(tfree)
-    for d in range(lo, depth + 1):
+    for d in range(depth + 1):
         level = cur.get(d)
         if level:
             out.append(Fraction(LaurentPoly(table, dict(level)), tfree))

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import (AlgebraError, Fraction, LaurentPoly, NotDivisibleError,
-                      binomial_product, factored_binomials, var_table)
+                      binomial_product, over_binomials, var_table)
 from .partitions import Partition, enumerate_partitions
 from .series import TruncSeries, scaled_pleth_log
 
@@ -76,17 +76,12 @@ def n_lambda(table, lam, u_exps=None):
     """Hook product N_la(u, q, t), expanded from `_hook_pairs`.
 
     u_exps is the packed exponent of an invertible monomial standing for u
-    (None means u = 1).
+    (None means u = 1).  As a denominator, `zstar_term` hands the same pairs
+    at u = 1 to `over_binomials`, so N_la(1, q, t) is never expanded.
     """
     if u_exps is None:
         u_exps = table.zero_exps()
     return binomial_product(table, _hook_pairs(table, lam, u_exps))
-
-
-def n_lambda_den(table, lam):
-    """N_la(1, q, t) as factored_binomials returns it: a denominator multiset,
-    never expanded."""
-    return factored_binomials(table, _hook_pairs(table, lam, table.zero_exps()))
 
 
 def zstar_term(cp, lam):
@@ -97,13 +92,10 @@ def zstar_term(cp, lam):
     nl = lam.n_stat()
     nlc = lam.conjugate().n_stat()
     sign = -1 if (p * w) % 2 else 1
-    pref = table.exps(q=p * nlc, t=p * nl)
-    num = table.one()
+    num = table.monomial(table.exps(q=p * nlc, t=p * nl), sign)
     for i in range(1, cp.genus + 1):
         num = num * n_lambda(table, lam, table.exps(**{"a%d" % i: -1}))
-    dsign, dunit, dfactors = n_lambda_den(table, lam)
-    num = num.mono_mul(pref - dunit, sign * dsign)
-    return Fraction(num, dfactors)
+    return over_binomials(num, _hook_pairs(table, lam, table.zero_exps()))
 
 
 def partition_series(cp, order, term):
@@ -249,16 +241,13 @@ def alt_h_term(cp, lam):
     qexp = p * lam.conjugate().n_stat()
     texp = (p * (lam.conjugate().n_stat() - lam.n_stat())
             + (1 - g) * (2 * lam.n_stat() + w))
-    num = table.one()
+    num = table.monomial(table.exps(q=qexp, t=texp), sign)
     den = []
     for a, l in lam.arm_legs():
         m = table.exps(q=a, t=a + l + 1)  # t^h q^a, h the hook length
         num = num * zeta_numerator(table, m)
         den += [(table.zero_exps(), m), (table.zero_exps(), m + table.exps(q=1))]
-    den_sign, den_unit, factors = factored_binomials(table, den)
-    pref = table.exps(q=qexp, t=texp)
-    num = num.mono_mul(pref - den_unit, sign * den_sign)
-    return Fraction(num, factors)
+    return over_binomials(num, den)
 
 
 def alt_h_series(cp, order):

@@ -11,26 +11,26 @@ f in auxiliary variables z_1..z_n:
 evaluated at z_i = q^{i-n} t^{lambda_i}.  Each sigma-term is specialized
 before summation, so only distinct-monomial denominators ever appear.  The
 prefactor and each sigma-term list their numerator and denominator
-binomials as pairs and become one Fraction; like every Fraction it is
-reduced, which lets the sum skip the factors coprimality rules out.
+binomials as pairs, expanded by `binomial_product` and divided by
+`over_binomials` into one Fraction; like every Fraction it is reduced,
+which lets the sum skip the factors coprimality rules out.
 f_sum is the one implementation of this sum: the series, the formal f and
 every property check call it, the check at vanishing a_k^{-1} with the
 inverse eigenvalues deformed to t a_k^{-1}.  MAX_SN caps n, since the sum
 has n! terms.
 
 The degree-d slices of (q - 1) Log of the resulting T-series stabilize, for
-d large, to the d-independent invariant of the main pipeline; entries are
-stored q^{-pr/2}-normalized (integer q powers only), with the half-power
-normalization recorded on the table.
+d large, to the d-independent invariant of the main pipeline; `t_expand`
+reads the slices off and refuses a negative t-degree that survives.
 """
 
 from dataclasses import dataclass
 from itertools import permutations
 
 from .algebra import (Fraction, NotDivisibleError, ZeroDenominatorError,
-                      binomial_product, factored_binomials, t_expand, var_table)
+                      binomial_product, over_binomials, t_expand, var_table)
 from .series import pleth_log
-from .dt import CurveParams, idt_star, partition_series, zstar_term
+from .dt import idt_star, partition_series, zstar_term
 
 MAX_SN = 4  # n! symmetrization terms; raise deliberately, not by accident
 
@@ -53,10 +53,9 @@ def f_sum(table, values, ainv=None):
         ainv = [table.exps(**{"a%d" % k: -1}) for k in range(1, table.genus + 1)]
 
     # prefactor prod_i prod_k (1 - a_k^{-1}) / (1 - a_k^{-1} w_i)
-    sign, unit, den = factored_binomials(
-        table, [(zero, ak + w) for w in values for ak in ainv])
-    num = binomial_product(table, [(zero, ak) for w in values for ak in ainv])
-    pref = Fraction(num.mono_mul(-unit, sign), den)
+    pref = over_binomials(
+        binomial_product(table, [(zero, ak) for w in values for ak in ainv]),
+        [(zero, ak + w) for w in values for ak in ainv])
 
     total = Fraction.zero(table)
     for sigma in permutations(range(n)):
@@ -72,9 +71,7 @@ def f_sum(table, values, ainv=None):
                 if i > j + 1:
                     num.append((zero, qe + ratio))
         num += [(zero, w[i]) for i in range(1, n)]
-        sign, unit, den = factored_binomials(table, den)
-        total = total + Fraction(
-            binomial_product(table, num).mono_mul(-unit, sign), den)
+        total = total + over_binomials(binomial_product(table, num), den)
     return pref * total
 
 
@@ -143,16 +140,18 @@ def alpha_zero_check(n, genus):
 
     Implemented honestly by deforming a_k^{-1} to t a_k^{-1} (t is free in
     the z-table) and reading the summed fraction at t = 0: its t^0
-    coefficient is 1 and no coefficient below t^0 survives.
+    coefficient is 1, and `t_expand` refuses it if a coefficient below t^0
+    survives.
     """
     table = var_table(genus=genus, nz=n)
     te = table.exps(t=1)
     values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
     ainv = [te + table.exps(**{"a%d" % k: -1}) for k in range(1, genus + 1)]
     f = f_sum(table, values, ainv)
-    coeffs = t_expand(f, 0, lo=min(0, f.num.var_range("t")[0]))
-    return (all(c.is_zero() for c in coeffs[:-1])
-            and coeffs[-1] == Fraction.one(table))
+    try:
+        return t_expand(f, 0)[0] == Fraction.one(table)
+    except NotDivisibleError:
+        return False
 
 
 def zplus_series(cp, order):
@@ -166,44 +165,23 @@ def zplus_series(cp, order):
     return partition_series(cp, order, term)
 
 
-@dataclass
-class OmegaPlusTable:
-    """(r, d) -> Fraction in q and the Weil variables.
+def omega_plus(cp, order, depth):
+    """Degree table of the positive invariants: {(r, d): Fraction in q and
+    the Weil variables}, the t^d coefficient of (q - 1) Log_r for
+    r = 1..order and d = 0..depth.
 
     Entries carry the normalization q^{-p r/2}: the honest degree-d invariant
-    is q^{p r / 2} times the stored entry (recorded in half_normalization).
+    is q^{p r / 2} times the entry.  NotDivisibleError means a negative
+    power of t survives in some (q - 1) Log_r.
     """
-
-    cp: CurveParams
-    order: int
-    depth: int
-    entries: dict
-
-    def half_normalization(self, r):
-        return -self.cp.p * r
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-
-def omega_plus(cp, order, depth):
-    """Degree table of the positive invariants, t-expanded to the given depth."""
-    Z = zplus_series(cp, order)
-    L = pleth_log(Z)
+    L = pleth_log(zplus_series(cp, order))
     table = cp.table()
     qminus1 = table.monomial(table.exps(q=1)) - table.one()
     entries = {}
     for r in range(1, order + 1):
-        fr = L.coeffs[r].mul_poly(qminus1)
-        lo = min(0, fr.num.var_range("t")[0])
-        coeffs = t_expand(fr, depth, lo=lo)
-        for i in range(-lo):
-            if not coeffs[i].is_zero():
-                raise ArithmeticError("negative t-degree %d survives at r=%d"
-                                      % (lo + i, r))
-        for d in range(depth + 1):
-            entries[(r, d)] = coeffs[d - lo]
-    return OmegaPlusTable(cp, order, depth, entries)
+        for d, c in enumerate(t_expand(L.coeffs[r].mul_poly(qminus1), depth)):
+            entries[(r, d)] = c
+    return entries
 
 
 @dataclass

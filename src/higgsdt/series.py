@@ -151,8 +151,7 @@ def scaled_pleth_log(series):
     recurrence divides, so integer numerators in B give integer numerators
     in R.  Requires constant term 1.
     """
-    c0 = series.coeffs[0]
-    if not (not c0.den and c0.num.is_one()):
+    if series.coeffs[0] != Fraction.one(series.table):
         raise ValueError("pleth_log needs constant term 1")
     R = series.order
     B = series.coeffs

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import zip_longest
 
-from .algebra import Fraction, LaurentPoly, t_expand, var_table
+from .algebra import LaurentPoly, over_binomials, t_expand, var_table
 from .dt import weil_symmetry_check, zeta_numerator
 
 
@@ -251,10 +251,9 @@ def zx_fraction(table):
 
         Z(t) = prod_i (1 - a_i t)(1 - q a_i^{-1} t) / ((1 - t)(1 - q t))
     """
-    f = Fraction(zeta_numerator(table, table.exps(t=1)))
-    f = f.div_binomial(table.zero_exps(), table.exps(t=1))
-    f = f.div_binomial(table.zero_exps(), table.exps(q=1, t=1))
-    return f
+    return over_binomials(zeta_numerator(table, table.exps(t=1)),
+                          [(table.zero_exps(), table.exps(t=1)),
+                           (table.zero_exps(), table.exps(q=1, t=1))])
 
 
 def zx_series(zd, order):

@@ -10,7 +10,7 @@ from higgsdt.algebra import (BinomialFactor, Fraction, LaurentPoly,
                              NotDivisibleError, TableMismatchError,
                              ZeroDenominatorError, _lcd_parts,
                              binomial_product, canonical_binomial,
-                             exact_divide, t_expand, var_table)
+                             exact_divide, over_binomials, t_expand, var_table)
 
 T2 = var_table(genus=1)   # q, t, a1
 
@@ -126,9 +126,8 @@ def test_canonical_binomial_rejects_equal():
 
 
 def test_degenerate_binomial_via_fraction():
-    one = Fraction.one(T2)
     with pytest.raises(ZeroDenominatorError):
-        one.div_binomial(T2.exps(q=1), T2.exps(q=1))
+        over_binomials(T2.one(), [(T2.exps(q=1), T2.exps(q=1))])
 
 
 def test_binomial_product_is_the_loop_of_monomial_differences():
@@ -173,10 +172,12 @@ def test_exact_divide_hand_case():
 
 def test_exact_divide_detects_failure():
     fac, _, _ = canonical_binomial(T2, T2.exps(q=1), T2.exps(t=1))
-    with pytest.raises(NotDivisibleError):
+    with pytest.raises(NotDivisibleError) as err:
         exact_divide(T2.one(), fac)
-    with pytest.raises(NotDivisibleError):
+    assert str(err.value) == "remainder on the line through 1"
+    with pytest.raises(NotDivisibleError) as err:
         exact_divide(T2.var("q") + T2.one(), fac)
+    assert str(err.value) == "remainder on the line through q"
 
 
 # -- fractions ----------------------------------------------------------------
@@ -184,11 +185,7 @@ def test_exact_divide_detects_failure():
 
 def rand_fraction(rng, nden=2):
     num = rand_poly(rng)
-    f = Fraction(num)
-    for _ in range(rng.randint(0, nden)):
-        e1, e2 = rand_binomial(rng)
-        f = f.div_binomial(e1, e2)
-    return f
+    return over_binomials(num, [rand_binomial(rng) for _ in range(rng.randint(0, nden))])
 
 
 def test_fraction_field_axioms_random():
@@ -211,8 +208,9 @@ def test_fraction_cancellation():
         a = rand_fraction(rng)
         e1, e2 = rand_binomial(rng)
         b = T2.monomial(e1) - T2.monomial(e2)
-        assert a.mul_poly(b).div_binomial(e1, e2) == a
-        assert a.div_binomial(e1, e2).mul_poly(b) == a
+        recip = over_binomials(T2.one(), [(e1, e2)])
+        assert a.mul_poly(b) * recip == a
+        assert (a * recip).mul_poly(b) == a
 
 
 def test_fraction_eval_consistency():
@@ -231,16 +229,16 @@ def test_fraction_eval_consistency():
 def test_clear_denominator():
     # (q^2 - t^2) / (q - t) clears; 1 / (q - t) does not
     num = T2.monomial(T2.exps(q=2)) - T2.monomial(T2.exps(t=2))
-    f = Fraction(num).div_binomial(T2.exps(q=1), T2.exps(t=1))
+    f = over_binomials(num, [(T2.exps(q=1), T2.exps(t=1))])
     assert f.clear_denominator() == T2.var("q") + T2.var("t")
-    g = Fraction.one(T2).div_binomial(T2.exps(q=1), T2.exps(t=1))
+    g = over_binomials(T2.one(), [(T2.exps(q=1), T2.exps(t=1))])
     with pytest.raises(NotDivisibleError):
         g.clear_denominator()
 
 
 def test_clear_denominator_tries_no_division(monkeypatch):
     # the Fraction is reduced, so a denominator is refused as it stands
-    g = Fraction.one(T2).div_binomial(T2.exps(q=1), T2.exps(t=1))
+    g = over_binomials(T2.one(), [(T2.exps(q=1), T2.exps(t=1))])
 
     def no_division(poly, factor):
         raise AssertionError("clear_denominator tried a division")
@@ -253,19 +251,41 @@ def test_clear_denominator_tries_no_division(monkeypatch):
 def test_t_expand_at_depth_zero():
     # (1 + t a1) / (q - t) at t = 0 gives 1 / q
     num = T2.one() + T2.monomial(T2.exps(t=1, a1=1))
-    f = Fraction(num).div_binomial(T2.exps(q=1), T2.exps(t=1))
+    f = over_binomials(num, [(T2.exps(q=1), T2.exps(t=1))])
     assert t_expand(f, 0) == [Fraction(T2.monomial(T2.exps(q=-1)))]
-    # a negative exponent of t is a pole: a nonzero t^-1 coefficient
+    # a negative exponent of t is a pole: a nonzero t^-1 coefficient, refused
     g = Fraction(T2.monomial(T2.exps(t=-1, q=1)))
-    assert t_expand(g, 0, lo=-1) == [Fraction(T2.var("q")), Fraction.zero(T2)]
+    with pytest.raises(NotDivisibleError, match=r"t\^-1"):
+        t_expand(g, 0)
 
 
-def test_fraction_equality_cross_multiplies():
-    # q/(q - t) == q^2/(q^2 - q t)
-    a = Fraction(T2.var("q")).div_binomial(T2.exps(q=1), T2.exps(t=1))
-    b = Fraction(T2.monomial(T2.exps(q=2))).div_binomial(T2.exps(q=2),
-                                                         T2.exps(q=1, t=1))
+def test_t_expand_refuses_a_pole():
+    # q/t + 1 and (q/t) / (q - t) = 1/t + q^-1 + ... are not power series in t
+    q_over_t = T2.monomial(T2.exps(q=1, t=-1))
+    for f in (Fraction(q_over_t + T2.one()),
+              over_binomials(q_over_t, [(T2.exps(q=1), T2.exps(t=1))])):
+        with pytest.raises(NotDivisibleError, match=r"t\^-1 "):
+            t_expand(f, 1)
+    # the refusal names the lowest degree: (t^-1 + t^-3 a1) / (1 - t)
+    f = over_binomials(T2.monomial(T2.exps(t=-1)) + T2.monomial(T2.exps(t=-3, a1=1)),
+                       [(0, T2.exps(t=1))])
+    with pytest.raises(NotDivisibleError, match=r"t\^-3 "):
+        t_expand(f, 2)
+
+
+def test_fraction_equality_is_a_zero_difference():
+    # q/(q - t) == q^2/(q^2 - q t), one form after canonicalization
+    a = over_binomials(T2.var("q"), [(T2.exps(q=1), T2.exps(t=1))])
+    b = over_binomials(T2.monomial(T2.exps(q=2)), [(T2.exps(q=2), T2.exps(q=1, t=1))])
     assert a == b
+    # (q + 1)/(q^2 - 1) == 1/(q - 1): both reduced, in different forms
+    c = over_binomials(T2.var("q") + T2.one(), [(T2.exps(q=2), 0)])
+    d = over_binomials(T2.one(), [(T2.exps(q=1), 0)])
+    assert (c.num, c.den) != (d.num, d.den)
+    assert c == d and d == c
+    assert c != a and a != Fraction.zero(T2)
+    assert Fraction.zero(T2) == Fraction.zero(T2)
+    assert a != Fraction.one(var_table(genus=2))
 
 
 # -- geometric expansion in t -------------------------------------------------
@@ -273,7 +293,7 @@ def test_fraction_equality_cross_multiplies():
 
 def test_t_expand_geometric():
     # 1 / (q - t) = q^{-1} + q^{-2} t + q^{-3} t^2 + ...
-    f = Fraction.one(T2).div_binomial(T2.exps(q=1), T2.exps(t=1))
+    f = over_binomials(T2.one(), [(T2.exps(q=1), T2.exps(t=1))])
     coeffs = t_expand(f, 4)
     for d in range(5):
         assert coeffs[d] == Fraction(T2.monomial(T2.exps(q=-d - 1)))
@@ -281,10 +301,10 @@ def test_t_expand_geometric():
 
 def test_t_expand_keeps_t_free_factors():
     # 1 / ((q - 1)(1 - t)): every t-coefficient is 1 / (q - 1)
-    f = (Fraction.one(T2).div_binomial(T2.exps(q=1), T2.zero_exps())
-         .div_binomial(T2.zero_exps(), T2.exps(t=1)))
+    f = over_binomials(T2.one(), [(T2.exps(q=1), T2.zero_exps()),
+                                  (T2.zero_exps(), T2.exps(t=1))])
     coeffs = t_expand(f, 3)
-    want = Fraction.one(T2).div_binomial(T2.exps(q=1), T2.zero_exps())
+    want = over_binomials(T2.one(), [(T2.exps(q=1), T2.zero_exps())])
     assert all(c == want for c in coeffs)
 
 
@@ -297,12 +317,13 @@ def test_t_expand_defining_property():
         f = rand_fraction(rng, nden=2)
         if f.num.is_zero():
             continue
-        lo = min(0, f.num.var_range("t")[0])
+        # shifted to t-degree >= 0, so the value is a power series in t
+        f = f.mono_mul(T2.exps(t=-min(0, f.num.var_range("t")[0])))
         depth = 5
-        coeffs = t_expand(f, depth, lo=lo)
+        coeffs = t_expand(f, depth)
         trunc = Fraction.zero(T2)
         for i, c in enumerate(coeffs):
-            trunc = trunc + c.mono_mul(T2.exps(t=lo + i), 1)
+            trunc = trunc + c.mono_mul(T2.exps(t=i), 1)
         den_poly = T2.one()
         for fac in f.den:
             den_poly = den_poly * fac.to_poly(T2)
@@ -319,8 +340,8 @@ def test_t_expand_defining_property():
 def test_t_expand_hand_series():
     # t / ((1 - t)(1 - q t)) has coefficients 1 + q + ... + q^{d-1} at t^d
     num = T2.var("t")
-    f = (Fraction(num).div_binomial(T2.zero_exps(), T2.exps(t=1))
-         .div_binomial(T2.zero_exps(), T2.exps(q=1, t=1)))
+    f = over_binomials(num, [(T2.zero_exps(), T2.exps(t=1)),
+                             (T2.zero_exps(), T2.exps(q=1, t=1))])
     coeffs = t_expand(f, 4)
     assert coeffs[0].is_zero()
     for d in range(1, 5):
@@ -467,9 +488,10 @@ def test_matched_lcd_is_a_common_multiple_no_larger_than_the_union():
     assert smaller >= 50
 
 
-def test_div_binomial_matches_trying_every_factor():
-    # div_binomial tries only the new factor; trying every factor gives the
-    # same (num, den), also where the new factor cancels
+def test_over_binomials_is_the_canonical_factor_form():
+    # over_binomials(p, pairs) is p with every pair's sign and unit folded in,
+    # over the canonical factors, reduced; dividing p times the product of
+    # the pairs leaves p
     rng = random.Random(20)
     q, t, a1 = T2.exps(q=1), T2.exps(t=1), T2.exps(a1=1)
     # binomials in a few shared directions, with multiples of each other
@@ -478,25 +500,33 @@ def test_div_binomial_matches_trying_every_factor():
 
     cancelled = 0
     for _ in range(150):
-        f = Fraction(rand_poly(rng, span=2) or T2.one())
+        p = rand_poly(rng, span=2) or T2.one()
+        pairs = []
         for _ in range(rng.randint(1, 10)):
             e1, e2 = rng.choice(pool) if rng.random() < 0.8 else rand_binomial(rng)
             if rng.random() < 0.3:
-                # a multiple of the new factor in the numerator, so it cancels
+                # a multiple of the factor in the numerator, so it cancels
                 k = rng.randint(1, 3)
-                f = f.mul_poly(T2.monomial(k * e1) - T2.monomial(k * e2))
-            factor, unit, sign = canonical_binomial(T2, e1, e2)
-            want = Fraction(f.num.mono_mul(-unit, sign), f.den + (factor,))
-            got = f.div_binomial(e1, e2)
-            assert (got.num, got.den) == (want.num, want.den)
-            cancelled += len(got.den) == len(f.den)
-            f = got
+                p = p * (T2.monomial(k * e1) - T2.monomial(k * e2))
+            pairs.append((e1, e2))
+        sign, unit, factors = 1, T2.zero_exps(), []
+        for e1, e2 in pairs:
+            factor, u, s = canonical_binomial(T2, e1, e2)
+            sign, unit = sign * s, unit + u
+            factors.append(factor)
+        want = Fraction(p.mono_mul(-unit, sign), factors)
+        got = over_binomials(p, pairs)
+        assert (got.num, got.den) == (want.num, want.den)
+        cancelled += len(pairs) - len(got.den)
+        whole = over_binomials(p * binomial_product(T2, pairs), pairs)
+        assert whole == Fraction(p) and whole.den == ()
     assert cancelled > 100
     # (1 - q^2) / (1 - q) = 1 + q
-    f = Fraction(T2.one() - T2.monomial(2 * q)).div_binomial(0, q)
+    f = over_binomials(T2.one() - T2.monomial(2 * q), [(0, q)])
     assert (f.num, f.den) == (T2.one() + T2.var("q"), ())
     # zero stays zero, and scaling by 0 drops the denominator
-    z = Fraction.one(T2).div_binomial(0, q).scale(0)
+    z = over_binomials(T2.one(), [(0, q)]).scale(0)
     assert z.den == ()
-    h = z.div_binomial(0, t)
+    assert over_binomials(T2.zero(), [(0, q)]).den == ()
+    h = z * over_binomials(T2.one(), [(0, t)])
     assert h.is_zero() and h.den == ()

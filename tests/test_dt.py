@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from higgsdt.algebra import Fraction, LaurentPoly, var_table
+from higgsdt.algebra import Fraction, LaurentPoly, over_binomials, var_table
 from higgsdt.partitions import Partition, enumerate_partitions
 from higgsdt.series import TruncSeries
 from higgsdt.dt import (CurveParams, IntegralityError, alt_idt, alt_h_term,
@@ -11,10 +11,6 @@ from higgsdt.dt import (CurveParams, IntegralityError, alt_idt, alt_h_term,
                         zstar_term)
 
 T0 = var_table(genus=0)
-
-
-def _recip_binomial(e1, e2, table):
-    return Fraction.one(table).div_binomial(e1, e2)
 
 
 # -- curve parameter validation ----------------------------------------------
@@ -44,8 +40,8 @@ def test_term_weight_one():
     # term = (-1)^p / ((1 - t)(q - 1))
     for ell in (1, 2):
         cp = CurveParams(genus=0, ell=ell)
-        want = _recip_binomial(T0.zero_exps(), T0.exps(t=1), T0)
-        want = want.div_binomial(T0.exps(q=1), T0.zero_exps())
+        want = over_binomials(T0.one(), [(T0.zero_exps(), T0.exps(t=1)),
+                                         (T0.exps(q=1), T0.zero_exps())])
         if cp.p % 2:
             want = -want
         assert zstar_term(cp, Partition((1,))) == want
@@ -54,22 +50,18 @@ def test_term_weight_one():
 def test_term_weight_two_row():
     # lambda = (2): q^p / ((q - t)(q^2 - 1)(1 - t)(q - 1))
     cp = CurveParams(genus=0, ell=1)
-    want = Fraction(T0.monomial(T0.exps(q=cp.p)))
-    want = want.div_binomial(T0.exps(q=1), T0.exps(t=1))
-    want = want.div_binomial(T0.exps(q=2), T0.zero_exps())
-    want = want.div_binomial(T0.zero_exps(), T0.exps(t=1))
-    want = want.div_binomial(T0.exps(q=1), T0.zero_exps())
+    want = over_binomials(T0.monomial(T0.exps(q=cp.p)),
+                          [(T0.exps(q=1), T0.exps(t=1)), (T0.exps(q=2), T0.zero_exps()),
+                           (T0.zero_exps(), T0.exps(t=1)), (T0.exps(q=1), T0.zero_exps())])
     assert zstar_term(cp, Partition((2,))) == want
 
 
 def test_term_weight_two_column():
     # lambda = (1,1): t^p / ((1 - t^2)(q - t)(1 - t)(q - 1))
     cp = CurveParams(genus=0, ell=1)
-    want = Fraction(T0.monomial(T0.exps(t=cp.p)))
-    want = want.div_binomial(T0.zero_exps(), T0.exps(t=2))
-    want = want.div_binomial(T0.exps(q=1), T0.exps(t=1))
-    want = want.div_binomial(T0.zero_exps(), T0.exps(t=1))
-    want = want.div_binomial(T0.exps(q=1), T0.zero_exps())
+    want = over_binomials(T0.monomial(T0.exps(t=cp.p)),
+                          [(T0.zero_exps(), T0.exps(t=2)), (T0.exps(q=1), T0.exps(t=1)),
+                           (T0.zero_exps(), T0.exps(t=1)), (T0.exps(q=1), T0.zero_exps())])
     assert zstar_term(cp, Partition((1, 1))) == want
 
 
@@ -80,9 +72,8 @@ def test_term_includes_eigenvalue_factors():
     # (1 - t)(q - 1), overall sign (-1)^p = -1
     num = ((t1.one() - t1.monomial(t1.exps(t=1, a1=-1)))
            * (t1.monomial(t1.exps(q=1)) - t1.monomial(t1.exps(a1=1))))
-    want = Fraction(-num)
-    want = want.div_binomial(t1.zero_exps(), t1.exps(t=1))
-    want = want.div_binomial(t1.exps(q=1), t1.zero_exps())
+    want = over_binomials(-num, [(t1.zero_exps(), t1.exps(t=1)),
+                                 (t1.exps(q=1), t1.zero_exps())])
     assert zstar_term(cp, Partition((1,))) == want
 
 
@@ -180,9 +171,8 @@ def test_alt_term_weight_one_genus_zero():
     # single box: prefactor (-t^0 q^0)^p t^{1} and Z(t q^0) at genus 0, so
     # the whole term is (-1)^p t / ((1 - t)(1 - q t))
     cp = CurveParams(genus=0, ell=1)
-    want = Fraction(T0.monomial(T0.exps(t=1), -1))
-    want = want.div_binomial(T0.zero_exps(), T0.exps(t=1))
-    want = want.div_binomial(T0.zero_exps(), T0.exps(q=1, t=1))
+    want = over_binomials(T0.monomial(T0.exps(t=1), -1),
+                          [(T0.zero_exps(), T0.exps(t=1)), (T0.zero_exps(), T0.exps(q=1, t=1))])
     assert alt_h_term(cp, Partition((1,))) == want
 
 
@@ -227,7 +217,7 @@ def test_idt_star_refuses_coefficient_not_divisible_by_rank():
 def test_idt_star_refuses_uncleared_denominator():
     cp = CurveParams(genus=0, ell=1)
     # 1 / (1 - q^2) keeps the factor 1 + q after (q - 1)(1 - t) clears
-    frac = Fraction.one(T0).div_binomial(T0.zero_exps(), T0.exps(q=2))
+    frac = over_binomials(T0.one(), [(T0.zero_exps(), T0.exps(q=2))])
     with pytest.raises(IntegralityError, match="r=1 is not polynomial"):
         idt_star(cp, 1, series=_series(T0, 1, {1: frac}))
 

@@ -1,7 +1,7 @@
 import pytest
 
 from higgsdt.algebra import (Fraction, ZeroDenominatorError, binomial_product,
-                             var_table)
+                             over_binomials, var_table)
 from higgsdt.partitions import Partition
 from higgsdt.dt import CurveParams, idt_star
 from higgsdt.positive import (f_lambda, f_sum, f_symbolic, laurent_property_check,
@@ -34,8 +34,8 @@ def test_single_part_hand_value():
     cp = CurveParams(genus=1, ell=1)
     table = cp.table()
     zero = table.zero_exps()
-    want = Fraction(binomial_product(table, [(zero, table.exps(a1=-1))]))
-    want = want.div_binomial(zero, table.exps(a1=-1, t=1))
+    want = over_binomials(binomial_product(table, [(zero, table.exps(a1=-1))]),
+                          [(zero, table.exps(a1=-1, t=1))])
     assert f_lambda(cp, Partition((1,))) == want
 
 
@@ -81,6 +81,7 @@ def test_rank_one_entries_all_degrees_genus_zero():
     for ell in (1, 2):
         cp = CurveParams(genus=0, ell=ell)
         tab = omega_plus(cp, 1, 6)
+        assert set(tab) == {(1, d) for d in range(7)}
         table = cp.table()
         want = Fraction(table.monomial(table.zero_exps(), (-1) ** cp.p))
         for d in range(7):
@@ -97,13 +98,6 @@ def test_rank_one_entries_genus_one():
     want = Fraction(-num)
     for d in range(6):
         assert tab[(1, d)] == want
-
-
-def test_normalization_exponent_recorded():
-    cp = CurveParams(genus=0, ell=2)
-    tab = omega_plus(cp, 2, 4)
-    assert tab.half_normalization(1) == -cp.p
-    assert tab.half_normalization(2) == -2 * cp.p
 
 
 def test_nontrivial_stabilization_window():
