@@ -108,8 +108,8 @@ class VarTable:
     Order is fixed as q, t, a1..ag, z1..zn; the induced lexicographic
     order on exponent vectors is the monomial order used to orient binomial
     factors, and it is the integer order of packed monomials.  Tables compare
-    by their name tuple, and `var_table` memoizes construction so identical
-    requests share one instance.
+    by their class and name tuple, and `var_table` memoizes construction so
+    identical requests share one instance.
     """
 
     __slots__ = ("names", "index", "arity", "genus", "nz",
@@ -130,13 +130,13 @@ class VarTable:
         self._guards = {}
 
     def __eq__(self, other):
-        return isinstance(other, VarTable) and self.names == other.names
+        return type(other) is type(self) and self.names == other.names
 
     def __hash__(self):
         return hash(self.names)
 
     def __repr__(self):
-        return "VarTable(%s)" % ", ".join(self.names)
+        return "%s(%s)" % (type(self).__name__, ", ".join(self.names))
 
     # -- the packed format ------------------------------------------------
 
@@ -257,6 +257,20 @@ class VarTable:
     def var(self, name):
         return self.monomial(self.unit_exps(name))
 
+    def mul_terms(self, a, b):
+        """Terms of the product of the term dicts a and b, a the shorter and
+        nonempty; zero coefficients are not removed."""
+        rows = iter(a.items())
+        ea, ca = next(rows)
+        # the first row cannot collide with itself: no lookups needed
+        out = {ea + eb: ca * cb for eb, cb in b.items()}
+        get = out.get
+        for ea, ca in rows:
+            for eb, cb in b.items():
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
+        return out
+
 
 @lru_cache(maxsize=None)
 def var_table(genus=0, nz=0):
@@ -349,16 +363,7 @@ class LaurentPoly:
             a, b = b, a
         if not a:
             return self.table.zero()
-        rows = iter(a.items())
-        ea, ca = next(rows)
-        # the first row cannot collide with itself: no lookups needed
-        out = {ea + eb: ca * cb for eb, cb in b.items()}
-        get = out.get
-        for ea, ca in rows:
-            for eb, cb in b.items():
-                e = ea + eb
-                out[e] = get(e, 0) + ca * cb
-        out = {e: c for e, c in out.items() if c}
+        out = {e: c for e, c in self.table.mul_terms(a, b).items() if c}
         self.table.check_range(out)
         return LaurentPoly(self.table, out)
 
@@ -540,7 +545,7 @@ def over_binomials(num, pairs):
     return Fraction(num.mono_mul(-unit, sign), factors)
 
 
-def exact_divide(poly, factor):
+def exact_divide(poly, factor, ranges=None):
     """Divide a LaurentPoly by a canonical BinomialFactor, exactly.
 
     With v = m1 - m2 the factor is x^m2 * (x^v - 1), so p = quotient * factor
@@ -569,6 +574,10 @@ def exact_divide(poly, factor):
     within the dividend's range (its Newton polytope plus the factor's
     segment is the dividend's, and the factor's smaller end is 0), so it
     needs no range check.
+
+    ranges, a dict from variable index to the support's (min, max) exponent
+    in that variable, lends and keeps the ranges `_line_span` reads; a caller
+    trying several factors on one dividend passes the same dict to each.
     """
     terms = poly.terms
     if not terms:
@@ -576,7 +585,8 @@ def exact_divide(poly, factor):
     table = poly.table
     m1, m2 = factor
     v = m1 - m2
-    i0, vi, lo, hi, steps, guarded = _line_span(table, terms, factor)
+    i0, vi, lo, hi, steps, guarded = _line_span(
+        table, terms, factor, {} if ranges is None else ranges)
     if guarded:
         get = terms.get
         for e in (next(iter(terms)), next(reversed(terms))):
@@ -621,9 +631,10 @@ def exact_divide(poly, factor):
     return LaurentPoly(table, out)
 
 
-def _line_span(table, terms, factor):
+def _line_span(table, terms, factor, ranges):
     """(i0, v_i0, lo, hi, steps, guarded) for the lines of v = m1 - m2 through
-    the support.
+    the support; the range in i0 is read from ranges, or read once and kept
+    there.
 
     i0 is the first nonzero coordinate of v (v_i0 > 0), [lo, hi] the
     support's range in it and steps = (hi - lo) // v_i0, how many steps along
@@ -638,7 +649,10 @@ def _line_span(table, terms, factor):
     """
     vs = table.unpack(factor.m1 - factor.m2)
     i0 = next(i for i, x in enumerate(vs) if x)
-    lo, hi = table.digit_range(terms, i0)
+    span = ranges.get(i0)
+    if span is None:
+        span = ranges[i0] = table.digit_range(terms, i0)
+    lo, hi = span
     steps = (hi - lo) // vs[i0]
     return i0, vs[i0], lo, hi, steps, steps * max(map(abs, vs)) <= _HALF
 
@@ -697,16 +711,19 @@ def _reduce_fraction(num, den):
     """Cancel denominator factors that divide the numerator exactly.
 
     One pass suffices: a factor that does not divide num divides no quotient
-    of it.  A monomial numerator is a unit, which no binomial divides.
+    of it.  A monomial numerator is a unit, which no binomial divides.  The
+    digit ranges of num's support are read once and kept until a division
+    changes num.
     """
     if not num.terms:
         return num, ()
     if len(num.terms) == 1:
         return num, tuple(den)
-    kept = []
+    kept, ranges = [], {}
     for f in den:
         try:
-            num = exact_divide(num, f)
+            num = exact_divide(num, f, ranges)
+            ranges = {}
         except NotDivisibleError:
             kept.append(f)
     return num, tuple(kept)

@@ -17,6 +17,18 @@ is carried symbolically by HalfPowerValue.
 
 The alternative form H(T) replaces the genus factor by zeta values at hook
 monomials and is related to Z by the substitution q -> qt, t -> t^{-1}.
+
+Every term of Z is invariant under the Weil group, generated by permuting
+the a_i and by sigma_i: a_i -> qt/a_i.  Permutations only reorder the
+product over i.  At u = 1/a_i, sigma_i sends the box factor
+q^a - a_i^{-1} t^{l+1} to q^{-1} (q^{a+1} - a_i t^l) and the second one to
+q (q^a - a_i^{-1} t^{l+1}), so it swaps the two binomials of N_la(1/a_i) up
+to the factors q^{-1} and q, whose product is 1.  The group acts by monomial
+maps fixing q and t, which commute with every Adams operation, so Log Z and
+every IDT_r are invariant too (sigma_i is not a_i -> q/a_i: that map is a
+symmetry only at t = 1).  Every denominator of the main pipeline is free of
+the a_i, so `idt_star` keeps one a-exponent slice per orbit (see `weil`)
+and expands each IDT_r at the end.
 """
 
 import math
@@ -98,21 +110,21 @@ def zstar_term(cp, lam):
     return over_binomials(num, _hook_pairs(table, lam, table.zero_exps()))
 
 
-def partition_series(cp, order, term):
-    """Series to T^order whose coefficient r sums term(cp, la) over |la| = r."""
-    table = cp.table()
+def partition_series(table, order, term):
+    """Series over table to T^order whose coefficient r sums term(la) over
+    |la| = r."""
     s = TruncSeries.one(table, order)
     for r in range(1, order + 1):
         acc = Fraction.zero(table)
         for lam in enumerate_partitions(r):
-            acc = acc + term(cp, lam)
+            acc = acc + term(lam)
         s.coeffs[r] = acc
     return s
 
 
 def zstar_series(cp, order):
     """Main series to T^order: coefficient r sums zstar_term over |la| = r."""
-    return partition_series(cp, order, zstar_term)
+    return partition_series(cp.table(), order, lambda lam: zstar_term(cp, lam))
 
 
 def _clear_log(series, order, clearer, what):
@@ -141,14 +153,33 @@ def _clear_log(series, order, clearer, what):
 def idt_star(cp, order, series=None):
     """Integer DT polynomials: map r -> coefficient r of (q-1)(1-t) Log Z.
 
+    series, if given, must be the main series of cp (`zstar_series`), to at
+    least T^order.  From genus 1 on, the series, its log and the cleared
+    coefficients are kept by Weil orbit representatives (`weil.WeilTable`),
+    exact by the module docstring, and each IDT_r is expanded to every
+    monomial at the end.
+
     Raises IntegralityError when a coefficient fails to clear; that failure
     is meaningful (it falsifies the integrality property), never masked.
     """
-    Z = series if series is not None else zstar_series(cp, order)
-    table = cp.table()
+    if cp.genus == 0:
+        table = cp.table()
+        Z = series if series is not None else zstar_series(cp, order)
+    else:
+        from .weil import weil_table   # genus 0 never loads the orbit form
+        table = weil_table(cp.genus)
+        if series is None:
+            Z = partition_series(table, order,
+                                 lambda lam: table.restrict_fraction(zstar_term(cp, lam)))
+        else:
+            Z = TruncSeries(table, series.order,
+                            [table.restrict_fraction(c) for c in series.coeffs])
     one = table.one()
     clearer = (table.var("q") - one) * (one - table.var("t"))
-    return _clear_log(Z, order, clearer, "idt")
+    polys = _clear_log(Z, order, clearer, "idt")
+    if cp.genus == 0:
+        return polys
+    return {r: table.expand(p) for r, p in polys.items()}
 
 
 def rank_one_idt(cp):
@@ -252,7 +283,7 @@ def alt_h_term(cp, lam):
 
 def alt_h_series(cp, order):
     """Zeta-value series to T^order: coefficient r sums alt_h_term over |la| = r."""
-    return partition_series(cp, order, alt_h_term)
+    return partition_series(cp.table(), order, lambda lam: alt_h_term(cp, lam))
 
 
 def alt_idt(cp, order, series=None):

@@ -159,10 +159,10 @@ def zplus_series(cp, order):
     if cp.mode != "twisted":
         raise ValueError("positive series is defined in twisted mode")
 
-    def term(cp, lam):
+    def term(lam):
         return zstar_term(cp, lam) * f_lambda(cp, lam.conjugate())
 
-    return partition_series(cp, order, term)
+    return partition_series(cp.table(), order, term)
 
 
 def omega_plus(cp, order, depth):

@@ -1,0 +1,175 @@
+"""Weil orbit form: invariant polynomials stored by one slice per orbit.
+
+The Weil group W_g = (Z/2)^g x| S_g fixes q and t; S_g permutes a_1..a_g and
+sigma_i sends a_i to q t / a_i.  A slice of a polynomial is its part with one
+a-exponent vector alpha.  The group maps the slice alpha to the slice of a
+signed permutation beta of alpha, times (q t)^c with c the sum of the entries
+whose sign flips, so on packed monomials it adds one offset per image slice.
+An invariant polynomial is therefore known from its representative slices,
+those with alpha >= 0 and non-increasing: one per orbit.
+
+`dt.idt_star` loads this module at genus >= 1 only; nothing else needs it.
+"""
+
+from functools import lru_cache
+from itertools import permutations, product
+
+from .algebra import (DIGIT_BITS, EXP_BITS, EXP_LIMIT, AlgebraError, ExponentRangeError,
+                      Fraction, LaurentPoly, TableMismatchError, VarTable, var_table)
+
+
+class WeilTable(VarTable):
+    """The variables of `var_table(genus)`, for Weil-invariant polynomials
+    stored by their representative slices.
+
+    A LaurentPoly over this table holds the representative terms of an
+    invariant polynomial; `restrict` and `expand` convert from and to `full`,
+    the ordinary table.  Whatever acts slice by slice acts on the
+    representatives unchanged: sums, scaling, Adams operations, shifts by
+    a-free monomials, and products with and exact division by a-free
+    polynomials.  Other maps (substitution, evaluation, var_range) see only
+    the representatives.  The product of two invariant polynomials is the one
+    operation that mixes slices; `mul_terms` computes only its representative
+    slices, so `LaurentPoly.__mul__` serves both forms, and a table mismatch
+    keeps the two apart.
+
+    Representative terms are in range like any stored term; the images of a
+    slice are checked by `_images` before an offset is added.
+    """
+
+    __slots__ = ("full", "_amask", "_abias", "_reps", "_orbits")
+
+    def __init__(self, genus):
+        super().__init__(genus)
+        self.full = var_table(genus)
+        self._amask = (1 << DIGIT_BITS * genus) - 1   # the a digits are the lowest
+        self._abias = self._bias & self._amask
+        self._reps = {}      # a-part -> whether it is a representative
+        self._orbits = {}    # representative a-part -> its images, cached
+
+    @staticmethod
+    def _check(poly, table):
+        if poly.table != table:
+            raise TableMismatchError("expected a polynomial over %r, got %r"
+                                     % (table, poly.table))
+
+    def _slices(self, terms):
+        """terms split by slice: {packed a-part: {e: c}}."""
+        bias, mask, abias = self._bias, self._amask, self._abias
+        out = {}
+        for e, c in terms.items():
+            k = ((e + bias) & mask) - abias
+            s = out.get(k)
+            if s is None:
+                out[k] = {e: c}
+            else:
+                s[e] = c
+        return out
+
+    def _apart(self, e):
+        """Packed a-part of the monomial e: the key of its slice."""
+        return ((e + self._bias) & self._amask) - self._abias
+
+    def _is_rep(self, k):
+        rep = self._reps.get(k)
+        if rep is None:
+            alpha = self.unpack(k)[2:]
+            rep = self._reps[k] = all(x >= y for x, y in zip(alpha, alpha[1:] + (0,)))
+        return rep
+
+    def _orbit(self, k):
+        """((a-part, offset), ...) of every image slice of the representative
+        slice k, identity first: a term e of slice k maps to e + offset."""
+        orbit = self._orbits.get(k)
+        if orbit is None:
+            alpha = self.unpack(k)[2:]
+            qt = self.unit_exps("q") + self.unit_exps("t")
+            shifts = self._shifts[2:]
+            images = {}
+            for perm in sorted(set(permutations(alpha)), reverse=True):
+                for signs in product(*[(1, -1) if x else (1,) for x in perm]):
+                    beta = sum(s * x << sh for s, x, sh in zip(signs, perm, shifts))
+                    flipped = sum(x for s, x in zip(signs, perm) if s < 0)
+                    images[beta] = beta - k + flipped * qt
+            orbit = self._orbits[k] = tuple(images.items())
+        return orbit
+
+    def _images(self, k, terms):
+        """`_orbit(k)` once every image of the slice's terms is known to be in
+        range.  An image adds c <= |alpha| to the q and t exponents and keeps
+        each |a_i| exponent, so the largest q and t exponents decide."""
+        if not self._is_rep(k):
+            raise AlgebraError("slice %s is not a Weil orbit representative"
+                               % self.format_exps(k))
+        reach = sum(self.unpack(k)[2:])
+        if reach and max(self.digit(max(terms), 0),
+                         self.digit_range(terms, 1)[1]) + reach >= EXP_LIMIT:
+            raise ExponentRangeError("an image of the slice %s leaves the exponent "
+                                     "range [-2^%d, 2^%d)"
+                                     % (self.format_exps(k), EXP_BITS, EXP_BITS))
+        return self._orbit(k)
+
+    def mul_terms(self, a, b):
+        """Representative terms of the product: slice beta of one factor
+        times slice gamma of the other lands on beta + gamma, so every pair of
+        image slices whose sum is a representative adds the product of the two
+        stored slices, shifted by the sum of their offsets.  A factor with
+        only the a-free slice is multiplied as it is."""
+        sa = self._slices(a)
+        if list(sa) == [0]:
+            return super().mul_terms(a, b)
+        sb = self._slices(b)
+        if list(sb) == [0]:
+            return super().mul_terms(a, b)
+        right = [(tb, self._images(kb, tb)) for kb, tb in sb.items()]
+        is_rep = self._is_rep
+        out = {}
+        get = out.get
+        for ka, ta in sa.items():
+            left = self._images(ka, ta)
+            for tb, orbit_b in right:
+                shifts = [oa + ob for xa, oa in left for xb, ob in orbit_b
+                          if is_rep(xa + xb)]
+                if not shifts:
+                    continue
+                terms = super().mul_terms(*sorted((ta, tb), key=len))
+                for s in shifts:
+                    for e, c in terms.items():
+                        e += s
+                        out[e] = get(e, 0) + c
+        return out
+
+    def restrict(self, poly):
+        """The representative terms of a Weil-invariant poly over `full`."""
+        self._check(poly, self.full)
+        return LaurentPoly(self, {e: c for k, ts in self._slices(poly.terms).items()
+                                  if self._is_rep(k) for e, c in ts.items()})
+
+    def restrict_fraction(self, frac):
+        """`restrict` of a Fraction over `full` whose denominator is a-free.
+
+        An a-free factor divides an invariant numerator iff it divides each
+        representative slice, so the factors that the constructor tries
+        again all fail when frac is reduced."""
+        if any(self._apart(m) for f in frac.den for m in f):
+            raise ValueError("restrict_fraction needs an a-free denominator")
+        return Fraction(self.restrict(frac.num), frac.den)
+
+    def expand(self, poly):
+        """The whole invariant polynomial, over `full`, whose representative
+        terms poly holds."""
+        self._check(poly, self)
+        out = {}
+        for k, ts in self._slices(poly.terms).items():
+            for _, o in self._images(k, ts):
+                for e, c in ts.items():
+                    out[e + o] = c
+        return LaurentPoly(self.full, out)
+
+
+@lru_cache(maxsize=None)
+def weil_table(genus):
+    """The memoized `WeilTable` of a genus >= 1."""
+    if genus < 1:
+        raise ValueError("the Weil group acts from genus 1 on")
+    return WeilTable(genus)

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from higgsdt import dt
 from higgsdt.algebra import Fraction, LaurentPoly, over_binomials, var_table
 from higgsdt.partitions import Partition, enumerate_partitions
 from higgsdt.series import TruncSeries
@@ -9,6 +10,7 @@ from higgsdt.dt import (CurveParams, IntegralityError, alt_idt, alt_h_term,
                         idt_star, moduli_volume, n_lambda, omega,
                         substitution_identity_check, weil_symmetry_check,
                         zstar_term)
+from higgsdt.weil import WeilTable
 
 T0 = var_table(genus=0)
 
@@ -240,3 +242,52 @@ def test_idt_star_returns_ranks_up_to_order_of_a_longer_series():
     series = _series(T0, 3, {3: three})
     assert sorted(idt_star(cp, 2, series=series)) == [1, 2]
     assert sorted(alt_idt(cp, 2, series=series)) == [1, 2]
+
+
+# -- the Weil orbit form inside idt_star ---------------------------------------
+
+
+def _full_chain(cp, r):
+    """idt_star's log and clearing on every monomial, no orbit form."""
+    table = cp.table()
+    one = table.one()
+    clearer = (table.var("q") - one) * (one - table.var("t"))
+    return dt._clear_log(dt.zstar_series(cp, r), r, clearer, "idt")
+
+
+@pytest.mark.parametrize("cp, r", [
+    (CurveParams(genus=1, ell=1), 4),
+    (CurveParams(genus=2, ell=3), 3),
+    (CurveParams(genus=3, ell=5), 2),
+    (CurveParams(genus=1, ell=0, mode="canonical"), 3),
+    (CurveParams(genus=2, ell=2, mode="canonical"), 3),
+])
+def test_orbit_form_matches_the_full_chain(cp, r):
+    got = idt_star(cp, r)
+    assert got == _full_chain(cp, r)
+    assert all(p.table == cp.table() for p in got.values())
+    assert idt_star(cp, r, series=dt.zstar_series(cp, r)) == got
+
+
+def _count_orbit_calls(monkeypatch):
+    calls = []
+    for name in ("restrict_fraction", "expand", "mul_terms"):
+        method = getattr(WeilTable, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(WeilTable, name, counted)
+    return calls
+
+
+def test_genus_zero_never_enters_the_orbit_form(monkeypatch):
+    calls = _count_orbit_calls(monkeypatch)
+    cp = CurveParams(genus=0, ell=1)
+    polys = idt_star(cp, 4)
+    assert idt_star(cp, 4, series=dt.zstar_series(cp, 4)) == polys
+    assert calls == []
+    # the counter does see the orbit form where it is used
+    idt_star(CurveParams(genus=1, ell=1), 2)
+    assert {"restrict_fraction", "expand", "mul_terms"} <= set(calls)
