@@ -13,6 +13,8 @@ drive the whole module and are relied on by callers:
   a factor that coprimality rules out (binomials of distinct primitive
   directions share no factor) is never tried; most trial divisions still
   fail, and `exact_divide` refuses most of those from two line sums;
+  exact division never refuses in-range input: it returns the quotient or
+  raises NotDivisibleError;
 * every denominator factor is kept in a canonical form (monomial content
   removed, larger monomial first in lexicographic order), which makes multiset
   intersection meaningful and keeps signs deterministic;
@@ -553,16 +555,23 @@ def exact_divide(poly, factor, ranges=None):
     quotient is the negated running sum of the dividend's coefficients along
     each line, and the division is exact iff every line sums to zero.
     Linear time, no term-order descent, valid for genuinely Laurent supports.
+    The result is the quotient or NotDivisibleError, for any in-range
+    dividend: exact division never refuses.
+
+    Lines are measured in the coordinate i0 where |v_i| is largest (the
+    first such): a line leaves the dividend once its digit there leaves the
+    support's range [lo, hi], so a walk from a term meets the dividend again
+    within steps = (hi - lo) // |v_i0| steps of v, or never.  With the
+    largest step, steps * max|v_i| = steps * |v_i0| <= hi - lo < 2^31, so
+    every point tested (a term plus or minus one step, or plus at most steps
+    steps) differs from each term by less than 2^32 in every digit, where
+    packed ints are equal only if their exponent vectors are: every
+    membership test is exact.
 
     Most divisions the kernel tries fail, so two lines are probed first: the
-    ones through the first and the last stored term, each summed whole.  A
-    line leaves the dividend once its digit in the first nonzero coordinate
-    i0 of v leaves the support's range in that coordinate, so a line holds
-    at most steps + 1 terms, steps = (range width) // v_i0, and its sum is
-    that many dict lookups.  A nonzero sum is a remainder, so the refusal is
-    exact; zero sums prove nothing and the walk below decides.  The lookups
-    are exact only within the range guard of `_line_span`; a dividend spread
-    wider is not probed (it may still divide, if its walk meets no gap).
+    ones through the first and the last stored term, each summed whole in at
+    most steps + 1 dict lookups.  A nonzero sum is a remainder, so the
+    refusal is exact; zero sums prove nothing and the walk below decides.
 
     The sums are taken run by run, a run being a maximal stretch e, e + v,
     ..., e + k*v of the support, walked from its lowest term.  A run whose
@@ -576,8 +585,8 @@ def exact_divide(poly, factor, ranges=None):
     needs no range check.
 
     ranges, a dict from variable index to the support's (min, max) exponent
-    in that variable, lends and keeps the ranges `_line_span` reads; a caller
-    trying several factors on one dividend passes the same dict to each.
+    in that variable, lends and keeps the range in i0; a caller trying
+    several factors on one dividend passes the same dict to each.
     """
     terms = poly.terms
     if not terms:
@@ -585,18 +594,25 @@ def exact_divide(poly, factor, ranges=None):
     table = poly.table
     m1, m2 = factor
     v = m1 - m2
-    i0, vi, lo, hi, steps, guarded = _line_span(
-        table, terms, factor, {} if ranges is None else ranges)
-    if guarded:
-        get = terms.get
-        for e in (next(iter(terms)), next(reversed(terms))):
-            # the whole line through e, every point of it within [lo, hi]
-            d = table.digit(e, i0)
-            line = range(-((d - lo) // vi), (hi - d) // vi + 1)
-            if sum(get(e + j * v, 0) for j in line):
-                raise NotDivisibleError("remainder on the line through", table, e)
-    # membership tests are exact: every point tested is a term plus one step
-    # of v, or plus at most steps steps within the range guard
+    vs = table.unpack(v)
+    i0 = max(range(table.arity), key=lambda i: abs(vs[i]))
+    if ranges is None:
+        ranges = {}
+    span = ranges.get(i0)
+    if span is None:
+        span = ranges[i0] = table.digit_range(terms, i0)
+    lo, hi = span
+    vi = abs(vs[i0])
+    steps = (hi - lo) // vi
+    get = terms.get
+    for e in (next(iter(terms)), next(reversed(terms))):
+        # the whole line through e, every point of it within [lo, hi]
+        d = table.digit(e, i0)
+        back, ahead = (d - lo) // vi, (hi - d) // vi
+        if vs[i0] < 0:
+            back, ahead = ahead, back
+        if sum(get(e + j * v, 0) for j in range(-back, ahead + 1)):
+            raise NotDivisibleError("remainder on the line through", table, e)
     starts = sorted([e for e in terms if e - v not in terms])
     out = {}
     joined = set()    # run starts reached by a carried sum
@@ -610,11 +626,6 @@ def exact_divide(poly, factor, ranges=None):
             if d:
                 out[e - m2] = d
                 if nxt not in terms:
-                    if not guarded:
-                        raise ExponentRangeError(
-                            "exact division by %s - %s: the dividend is spread "
-                            "too wide along the factor's direction"
-                            % (table.format_exps(m1), table.format_exps(m2)))
                     # the next run starts within steps of e, or never
                     for _ in range(steps - 1):
                         out[nxt - m2] = d
@@ -630,31 +641,6 @@ def exact_divide(poly, factor, ranges=None):
             e = nxt
     return LaurentPoly(table, out)
 
-
-def _line_span(table, terms, factor, ranges):
-    """(i0, v_i0, lo, hi, steps, guarded) for the lines of v = m1 - m2 through
-    the support; the range in i0 is read from ranges, or read once and kept
-    there.
-
-    i0 is the first nonzero coordinate of v (v_i0 > 0), [lo, hi] the
-    support's range in it and steps = (hi - lo) // v_i0, how many steps along
-    v a walk from a term may take and stay within that range; past it the
-    walk has left the dividend.  A point at most steps steps from a term
-    differs from every term by less than 2^31 + steps * max|v_i| in each
-    digit, and two packed points that differ by less than 2^32 in every
-    digit are equal only if they agree (read the lowest digit, subtract,
-    repeat).  guarded says that bound holds, so that membership tests that
-    far out are exact; a dividend spread wider along v is refused only if a
-    walk needs them.
-    """
-    vs = table.unpack(factor.m1 - factor.m2)
-    i0 = next(i for i, x in enumerate(vs) if x)
-    span = ranges.get(i0)
-    if span is None:
-        span = ranges[i0] = table.digit_range(terms, i0)
-    lo, hi = span
-    steps = (hi - lo) // vs[i0]
-    return i0, vs[i0], lo, hi, steps, steps * max(map(abs, vs)) <= _HALF
 
 @lru_cache(maxsize=None)
 def _direction(table, factor):

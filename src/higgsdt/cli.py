@@ -87,19 +87,16 @@ def _json_text(value, ind="\n"):
 
 
 def _curve_from_args(args, parser):
-    if args.canonical:
-        if args.genus < 1:
-            parser.error("canonical mode needs genus at least 1")
-        ell = 2 * args.genus - 2
-        if args.ell is not None and args.ell != ell:
-            parser.error("canonical twist degree is fixed at 2g - 2 = %d" % ell)
-        return CurveParams(genus=args.genus, ell=ell, mode="canonical")
-    if args.ell is None:
+    if not args.canonical and args.ell is None:
         parser.error("--ell is required in twisted mode")
     try:
-        return CurveParams(genus=args.genus, ell=args.ell)
+        cp = (CurveParams(genus=args.genus, ell=2 * args.genus - 2, mode="canonical")
+              if args.canonical else CurveParams(genus=args.genus, ell=args.ell))
     except ValueError as e:
         parser.error(str(e))
+    if args.ell is not None and args.ell != cp.ell:
+        parser.error("canonical twist degree is fixed at 2g - 2 = %d" % cp.ell)
+    return cp
 
 
 def _rank_bound(text):
@@ -186,8 +183,7 @@ def _cmd_compute(args, parser):
         print("rank %d" % row["r"])
         print("  invariant      %s" % render(row["idt"]))
         print("  at t = 1       %s" % render(row["idt_t1"]))
-        print("  weighted       %sq^(%d/2) * [%s]"
-              % ("-" if hp.sign < 0 else "", hp.half, render(hp.body)))
+        print("  weighted       q^(%d/2) * [%s]" % (hp.half, render(hp.body)))
         if row["volume"] is not None:
             print("  volume (d=1)   %s" % render(row["volume"]))
         if "A" in row:

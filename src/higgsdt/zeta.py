@@ -1,4 +1,4 @@
-"""Curve zeta functions and exact specialization of the invariants.
+"""Curve L-polynomials and exact specialization of the invariants.
 
 A genus-g curve over F_{q0} enters the engine through its L-polynomial
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import zip_longest
 
-from .algebra import LaurentPoly, over_binomials, t_expand, var_table
+from .algebra import LaurentPoly, var_table
 from .dt import weil_symmetry_check, zeta_numerator
 
 
@@ -244,35 +244,6 @@ class ZetaData:
             # Newton's identity for the power sums of L's reciprocal roots
             s.append(-m * c[m] - sum(c[k] * s[m - k] for k in range(1, m)))
         return [1 + self.q0 ** m - s[m] for m in range(1, nmax + 1)]
-
-
-def zx_fraction(table):
-    """The zeta function of the symbolic curve, with t as series variable:
-
-        Z(t) = prod_i (1 - a_i t)(1 - q a_i^{-1} t) / ((1 - t)(1 - q t))
-    """
-    return over_binomials(zeta_numerator(table, table.exps(t=1)),
-                          [(table.zero_exps(), table.exps(t=1)),
-                           (table.zero_exps(), table.exps(q=1, t=1))])
-
-
-def zx_series(zd, order):
-    """Coefficients of Z(t) up to t^order.
-
-    Symbolic curve: list of Laurent polynomials in q and the eigenvalue
-    variables.  Numeric curve: list of integers (the n-th one counts the
-    degree-n effective divisors on the curve).
-    """
-    if not zd.is_numeric:
-        table = zd.table()
-        coeffs = t_expand(zx_fraction(table), order)
-        return [c.clear_denominator() for c in coeffs]
-    # Z = L / ((1 - t)(1 - q0 t)); the second factor's t^n coefficient is
-    # 1 + q0 + ... + q0^n
-    c, q0 = zd.lpoly_coeffs(), zd.q0
-    return [sum(ck * ((q0 ** (n - k + 1) - 1) // (q0 - 1))
-                for k, ck in enumerate(c[:n + 1]))
-            for n in range(order + 1)]
 
 
 @dataclass(frozen=True)

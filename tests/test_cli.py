@@ -97,6 +97,7 @@ REFUSALS = {
     "compute --genus -1 --ell 1": "higgsdt: error: genus must be nonnegative",
     "compute --genus 0 --ell -3": "higgsdt: error: twisted mode needs ell > 2g - 2 (got p = -1)",
     "compute --genus 1 --ell 0": "higgsdt: error: twisted mode needs ell > 2g - 2 (got p = 0)",
+    "compute --genus 0 --canonical": "higgsdt: error: canonical mode needs genus >= 1",
     "compute --genus 0 --ell 1 --rmax -2":
         "higgsdt compute: error: argument --rmax: must be a nonnegative integer, got '-2'",
     "specialize --q0 4 --trace 1 --rmax -1":

@@ -185,18 +185,21 @@ def test_t_expand_refuses_to_leave_the_range():
         t_expand(g, 2)
 
 
-def test_exact_divide_refuses_a_support_spread_too_wide():
-    # a carried sum walks the gap at q; the q-spread 21 times the t-step 2^28
-    # passes 2^31, where packed membership tests could alias: refused
+def test_exact_divide_measures_lines_along_the_largest_step():
+    # the q-spread 21 times the t-step 2^28 passes 2^31; measured along t,
+    # the largest step, every line is at most 2 steps long: divided exactly,
+    # a remainder refused and the factor kept
     t = var_table()
-    for k, exact in ((2 ** 28, False), (2 ** 20, True)):
+    for k in (2 ** 28, 2 ** 20):
         f, _, _ = canonical_binomial(t, t.exps(q=1), t.exps(t=k))
         a = t.one() + t.monomial(t.exps(q=1, t=-k)) + t.monomial(t.exps(q=20))
-        if exact:
-            assert exact_divide(a * f.to_poly(t), f) == a
-        else:
-            with pytest.raises(ExponentRangeError):
-                exact_divide(a * f.to_poly(t), f)
+        num = a * f.to_poly(t)
+        assert exact_divide(num, f) == a
+        bad = num + t.monomial(t.exps(q=7))
+        with pytest.raises(NotDivisibleError):
+            exact_divide(bad, f)
+        frac = Fraction(bad, [f])
+        assert frac.den == (f,) and frac.num == bad
 
 
 # -- the kernel against tuple-keyed references --------------------------------
@@ -393,6 +396,47 @@ def line_key(e, v):
     return tuple(x - j * y for x, y in zip(e, v))
 
 
+def agrees_with_line_sums(t, fac, num):
+    """exact_divide of num by fac matches tuple_exact_divide; True if it divides."""
+    m1, m2 = t.unpack(fac.m1), t.unpack(fac.m2)
+    dividend = packed(t, num)
+    try:
+        want = tuple_exact_divide(num, m1, m2)
+    except NotDivisibleError:
+        with pytest.raises(NotDivisibleError):
+            exact_divide(dividend, fac)
+        return False
+    quo = exact_divide(dividend, fac)
+    assert unpacked(quo) == want
+    assert quo * fac.to_poly(t) == dividend
+    return True
+
+
+def wide_step_case(rng, t):
+    """A factor whose largest step, 2^26 to 2^27 of either sign, sits at a
+    random coordinate i0 among steps of at most 2, and a dividend whose
+    quotient has two to four terms on each of its lines, the lines drawn
+    through points in [-60, 60] off i0.  Returns (factor, dividend terms, i0)."""
+    while True:
+        v = [rng.randint(-2, 2) for _ in range(t.arity)]
+        i0 = rng.randrange(t.arity)
+        v[i0] = rng.choice((-1, 1)) * rng.randint(2 ** 26, 2 ** 27)
+        fac, _, _ = canonical_binomial(t, t.pack([max(x, 0) for x in v]),
+                                       t.pack([max(-x, 0) for x in v]))
+        m1, m2 = t.unpack(fac.m1), t.unpack(fac.m2)
+        v = tuple(x - y for x, y in zip(m1, m2))
+        a = {}
+        for _ in range(rng.randint(1, 3)):
+            base = [rng.randint(-60, 60) for _ in range(t.arity)]
+            base[i0] = rng.randint(-4, 4)
+            for k in rng.sample(range(-3, 4), rng.randint(2, 4)):
+                e = tuple(b + k * x for b, x in zip(base, v))
+                a[e] = a.get(e, 0) + rng.choice((-2, -1, 1, 3))
+        num = tuple_mul({e: c for e, c in a.items() if c}, {m1: 1, m2: -1})
+        if num:
+            return fac, num, i0
+
+
 def test_exact_divide_agrees_with_summing_every_line():
     # dividends with gaps, negative exponents and several directions, some
     # divisible, some with a remainder on the line of the first or last stored
@@ -439,25 +483,44 @@ def test_exact_divide_agrees_with_summing_every_line():
             num = {k: x for k, x in items if x}
         elif kind != "divides":
             continue
-        dividend = packed(t, num)
-        try:
-            want = tuple_exact_divide(num, m1, m2)
-        except NotDivisibleError:
-            assert kind != "divides"
-            with pytest.raises(NotDivisibleError):
-                exact_divide(dividend, fac)
-        else:
-            assert kind in ("divides", "random")
-            quo = exact_divide(dividend, fac)
-            assert unpacked(quo) == want
-            assert quo * fac.to_poly(t) == dividend
+        divides = agrees_with_line_sums(t, fac, num)
+        if kind != "random":
+            assert divides == (kind == "divides")
         counts[kind] += 1
     assert min(counts.values()) > 100
+    # wide steps: the largest step off the first nonzero coordinate of v or
+    # negative, and a spread in that first coordinate times the largest step
+    # past 2^31, which measuring lines along the first coordinate could not
+    # test exactly
+    rng = random.Random(13)
+    seen = {"divides": 0, "remainder": 0, "off lead": 0, "negative": 0, "past 2^31": 0}
+    for trial in range(200):
+        t = TABLES[trial % len(TABLES)]
+        fac, num, i0 = wide_step_case(rng, t)
+        v = t.unpack(fac.m1 - fac.m2)
+        lead = next(i for i, x in enumerate(v) if x)
+        col = [e[lead] for e in num]
+        seen["off lead"] += i0 != lead
+        seen["negative"] += v[i0] < 0
+        seen["past 2^31"] += (max(col) - min(col)) // v[lead] * abs(v[i0]) > 2 ** 31
+        if trial % 2:
+            # one coefficient moved by 1 at a point of a stored term's line
+            items = list(num.items())
+            e = rng.choice(items)[0]
+            e = tuple(x + rng.randint(-3, 3) * y for x, y in zip(e, v))
+            c = num.get(e, 0) + rng.choice((-1, 1))
+            items = [kv for kv in items if kv[0] != e]
+            items.insert(rng.randint(0, len(items)), (e, c))
+            num = {k: x for k, x in items if x}
+        divides = agrees_with_line_sums(t, fac, num)
+        assert divides == (trial % 2 == 0)
+        seen["divides" if divides else "remainder"] += 1
+    assert min(seen.values()) > 20, seen
 
 
 def test_exact_divide_divides_a_gapless_dividend_spread_wide():
-    # (q - t^(2^28)) (1 + q^20): spread 21 q-steps of 2^28 in t, past the
-    # range guard, so it is not probed; its walk meets no gap and divides
+    # (q - t^(2^28)) (1 + q^20): 21 q-steps of 2^28 in t, but measured along
+    # t, the largest step, it is two lines of one step each: probed and divided
     t = var_table()
     f, _, _ = canonical_binomial(t, t.exps(q=1), t.exps(t=2 ** 28))
     a = t.one() + t.monomial(t.exps(q=20))

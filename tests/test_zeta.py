@@ -3,10 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from higgsdt.algebra import var_table
-from higgsdt.dt import CurveParams, idt_star
-from higgsdt.zeta import (CountingSequence, ZetaData, counting_sequence,
-                          specialize_integer, zx_series)
+from higgsdt.algebra import over_binomials, t_expand, var_table
+from higgsdt.dt import CurveParams, idt_star, zeta_numerator
+from higgsdt.zeta import CountingSequence, ZetaData, counting_sequence, specialize_integer
 
 
 def test_from_trace_enforces_hasse_bound():
@@ -99,6 +98,37 @@ def test_point_counts_supersingular_tower():
     # trace -2 over F_2: eigenvalue -1+i, counts stall before jumping
     zd = ZetaData.from_trace(2, -2)
     assert zd.point_counts(4) == [5, 5, 5, 25]
+
+
+# -- the zeta function Z(t), as a reference for the L-polynomial --------------
+
+
+def zx_fraction(table):
+    """The zeta function of the symbolic curve, with t as series variable:
+
+        Z(t) = prod_i (1 - a_i t)(1 - q a_i^{-1} t) / ((1 - t)(1 - q t))
+    """
+    return over_binomials(zeta_numerator(table, table.exps(t=1)),
+                          [(table.zero_exps(), table.exps(t=1)),
+                           (table.zero_exps(), table.exps(q=1, t=1))])
+
+
+def zx_series(zd, order):
+    """Coefficients of Z(t) up to t^order.
+
+    Symbolic curve: list of Laurent polynomials in q and the eigenvalue
+    variables.  Numeric curve: list of integers (the n-th one counts the
+    degree-n effective divisors on the curve).
+    """
+    if not zd.is_numeric:
+        coeffs = t_expand(zx_fraction(zd.table()), order)
+        return [c.clear_denominator() for c in coeffs]
+    # Z = L / ((1 - t)(1 - q0 t)); the second factor's t^n coefficient is
+    # 1 + q0 + ... + q0^n
+    c, q0 = zd.lpoly_coeffs(), zd.q0
+    return [sum(ck * ((q0 ** (n - k + 1) - 1) // (q0 - 1))
+                for k, ck in enumerate(c[:n + 1]))
+            for n in range(order + 1)]
 
 
 def test_divisor_counts_match_recurrence():
