@@ -233,10 +233,14 @@ def _cmd_specialize(args, parser):
         else:
             zd = ZetaData.from_lpoly(args.q0, args.lpoly)
         cp = (CurveParams(genus=zd.genus, ell=2 * zd.genus - 2, mode="canonical")
-              if args.canonical else CurveParams(genus=zd.genus, ell=args.ell))
+              if args.canonical else
+              CurveParams(genus=zd.genus, ell=1 if args.ell is None else args.ell))
     except ValueError as e:
         print("higgsdt specialize: error: %s" % e, file=sys.stderr)
         return 2
+    if args.ell is not None and args.ell != cp.ell:
+        parser.exit(2, "higgsdt specialize: error: canonical twist degree is fixed "
+                       "at 2g - 2 = %d\n" % cp.ell)
     try:
         polys = idt_star(cp, args.rmax)
     except ExponentRangeError as e:
@@ -290,7 +294,8 @@ def build_parser():
     curve.add_argument("--lpoly", type=int, nargs="+", metavar="C",
                        help="L-polynomial coefficients c_1 .. c_g of a genus-g "
                             "curve, e.g. '-1' for the genus-1 curve of trace 1")
-    ps.add_argument("--ell", type=int, default=1)
+    ps.add_argument("--ell", type=int, default=None,
+                    help="twist degree (default 1; with --canonical only 2g - 2)")
     ps.add_argument("--canonical", action="store_true")
     ps.add_argument("--rmax", type=_rank_bound, default=2)
     ps.set_defaults(fn=_cmd_specialize)

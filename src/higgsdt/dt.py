@@ -27,8 +27,8 @@ to the factors q^{-1} and q, whose product is 1.  The group acts by monomial
 maps fixing q and t, which commute with every Adams operation, so Log Z and
 every IDT_r are invariant too (sigma_i is not a_i -> q/a_i: that map is a
 symmetry only at t = 1).  Every denominator of the main pipeline is free of
-the a_i, so `idt_star` keeps one a-exponent slice per orbit (see `weil`)
-and expands each IDT_r at the end.
+the a_i, so `idt_star` keeps one a-exponent slice per orbit (see `weil`;
+at genus 0 that is the whole polynomial) and expands each IDT_r at the end.
 """
 
 import math
@@ -38,6 +38,7 @@ from .algebra import (AlgebraError, Fraction, LaurentPoly, NotDivisibleError,
                       binomial_product, over_binomials, var_table)
 from .partitions import Partition, enumerate_partitions
 from .series import TruncSeries, scaled_pleth_log
+from .weil import weil_table
 
 
 class IntegralityError(AlgebraError):
@@ -154,32 +155,24 @@ def idt_star(cp, order, series=None):
     """Integer DT polynomials: map r -> coefficient r of (q-1)(1-t) Log Z.
 
     series, if given, must be the main series of cp (`zstar_series`), to at
-    least T^order.  From genus 1 on, the series, its log and the cleared
-    coefficients are kept by Weil orbit representatives (`weil.WeilTable`),
-    exact by the module docstring, and each IDT_r is expanded to every
-    monomial at the end.
+    least T^order.  The series, its log and the cleared coefficients are kept
+    by Weil orbit representatives (`weil.WeilTable`), exact by the module
+    docstring, and each IDT_r is expanded to every monomial at the end.
 
     Raises IntegralityError when a coefficient fails to clear; that failure
     is meaningful (it falsifies the integrality property), never masked.
     """
-    if cp.genus == 0:
-        table = cp.table()
-        Z = series if series is not None else zstar_series(cp, order)
+    table = weil_table(cp.genus)
+    if series is None:
+        Z = partition_series(table, order,
+                             lambda lam: table.restrict_fraction(zstar_term(cp, lam)))
     else:
-        from .weil import weil_table   # genus 0 never loads the orbit form
-        table = weil_table(cp.genus)
-        if series is None:
-            Z = partition_series(table, order,
-                                 lambda lam: table.restrict_fraction(zstar_term(cp, lam)))
-        else:
-            Z = TruncSeries(table, series.order,
-                            [table.restrict_fraction(c) for c in series.coeffs])
+        Z = TruncSeries(table, series.order,
+                        [table.restrict_fraction(c) for c in series.coeffs])
     one = table.one()
     clearer = (table.var("q") - one) * (one - table.var("t"))
-    polys = _clear_log(Z, order, clearer, "idt")
-    if cp.genus == 0:
-        return polys
-    return {r: table.expand(p) for r, p in polys.items()}
+    return {r: table.expand(p)
+            for r, p in _clear_log(Z, order, clearer, "idt").items()}
 
 
 def rank_one_idt(cp):
@@ -213,14 +206,15 @@ def jacobian_poly(table):
 
 @dataclass(frozen=True)
 class HalfPowerValue:
-    """sign * q^{half/2} * body, keeping half-integral q powers symbolic."""
+    """q^{half/2} * body, keeping half-integral q powers symbolic; `omega`
+    always sets sign to 1, which the json output reports."""
 
     sign: int
     half: int
     body: LaurentPoly
 
     def __repr__(self):
-        return "%sq^(%d/2) * (%r)" % ("-" if self.sign < 0 else "", self.half, self.body)
+        return "q^(%d/2) * (%r)" % (self.half, self.body)
 
 
 def omega(cp, r, idt_poly=None):
@@ -286,13 +280,12 @@ def alt_h_series(cp, order):
     return partition_series(cp.table(), order, lambda lam: alt_h_term(cp, lam))
 
 
-def alt_idt(cp, order, series=None):
+def alt_idt(cp, order):
     """Coefficients of (1 - t)(1 - qt) Log H, cleared; integer Laurent in t."""
-    H = series if series is not None else alt_h_series(cp, order)
     table = cp.table()
     one = table.one()
     clearer = (one - table.monomial(table.exps(q=1, t=1))) * (one - table.var("t"))
-    return _clear_log(H, order, clearer, "alt-idt")
+    return _clear_log(alt_h_series(cp, order), order, clearer, "alt-idt")
 
 
 def substitution_identity_check(cp, max_weight):
@@ -313,9 +306,12 @@ def substitution_identity_check(cp, max_weight):
     return out
 
 
-def weil_symmetry_check(poly):
-    """Invariance under a_i <-> a_j and under a_i -> q a_i^{-1}."""
+def weil_symmetry_check(poly, generic_t=False):
+    """Invariance under a_i <-> a_j and under a_i -> q a_i^{-1}, the Weil
+    group at t = 1; with generic_t, under a_i -> q t a_i^{-1} instead, the
+    group of the main series (module docstring).  poly may be a Fraction."""
     table = poly.table
+    t = 1 if generic_t else 0
     g = table.genus
     for i in range(1, g + 1):
         for j in range(i + 1, g + 1):
@@ -324,7 +320,7 @@ def weil_symmetry_check(poly):
             if poly.substitute_monomials(images) != poly:
                 return False
     for i in range(1, g + 1):
-        images = {table.index["a%d" % i]: table.exps(q=1, **{"a%d" % i: -1})}
+        images = {table.index["a%d" % i]: table.exps(q=1, t=t, **{"a%d" % i: -1})}
         if poly.substitute_monomials(images) != poly:
             return False
     return True

@@ -19,7 +19,7 @@ from .partitions import enumerate_partitions, partitions_up_to
 from .series import TruncSeries, pleth_exp, pleth_log
 from .dt import (CurveParams, IntegralityError, alt_idt, idt_star,
                  jacobian_poly, n_lambda, rank_one_idt,
-                 substitution_identity_check, weil_symmetry_check)
+                 substitution_identity_check, weil_symmetry_check, zstar_term)
 from .positive import (alpha_zero_check, inductive_property_check,
                        laurent_property_check, omega_plus,
                        stabilization_check)
@@ -273,12 +273,15 @@ def _check_numeric():
         if specialize_integer(cbody, zd) != zd.point_counts(1)[0]:
             ok2 = False
     out.append(("canonical rank-1 value counts curve points", ok2))
-    # idt_star expands its results from Weil orbit representatives, so its
-    # output passes this gate by construction; the evidence that does not
-    # rest on the engine is the alt suite's t = 1 comparison and the
-    # generic-t invariance test of every zstar_term in tests/test_dt.py
-    sym = weil_symmetry_check(body) and weil_symmetry_check(cbody)
-    out.append(("specialized invariants pass the symmetry gate", sym))
+    # the premise of idt_star's Weil orbit form, which specialization then
+    # relies on: each series term, not only the result, is invariant
+    cps = [CurveParams(genus=1, ell=1), CurveParams(genus=2, ell=3),
+           CurveParams(genus=1, ell=0, mode="canonical"),
+           CurveParams(genus=2, ell=2, mode="canonical")]
+    inv = all(weil_symmetry_check(zstar_term(c, lam), generic_t=True)
+              for c in cps for lam in partitions_up_to(3))
+    out.append(("series terms, |lambda| <= 3, are fixed by a_i -> qt/a_i and "
+                "a_i <-> a_j: twisted (1,1), (2,3), canonical g = 1, 2", inv))
     return out
 
 

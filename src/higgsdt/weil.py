@@ -6,9 +6,9 @@ a-exponent vector alpha.  The group maps the slice alpha to the slice of a
 signed permutation beta of alpha, times (q t)^c with c the sum of the entries
 whose sign flips, so on packed monomials it adds one offset per image slice.
 An invariant polynomial is therefore known from its representative slices,
-those with alpha >= 0 and non-increasing: one per orbit.
-
-`dt.idt_star` loads this module at genus >= 1 only; nothing else needs it.
+those with alpha >= 0 and non-increasing: one per orbit.  At genus 0 the
+group is trivial: there are no a-variables, the one slice is a-free, and
+`restrict` and `expand` copy.
 """
 
 from functools import lru_cache
@@ -114,7 +114,10 @@ class WeilTable(VarTable):
         times slice gamma of the other lands on beta + gamma, so every pair of
         image slices whose sum is a representative adds the product of the two
         stored slices, shifted by the sum of their offsets.  A factor with
-        only the a-free slice is multiplied as it is."""
+        only the a-free slice, and every factor at genus 0, is multiplied as
+        it is."""
+        if not self.genus:
+            return super().mul_terms(a, b)
         sa = self._slices(a)
         if list(sa) == [0]:
             return super().mul_terms(a, b)
@@ -169,7 +172,7 @@ class WeilTable(VarTable):
 
 @lru_cache(maxsize=None)
 def weil_table(genus):
-    """The memoized `WeilTable` of a genus >= 1."""
-    if genus < 1:
-        raise ValueError("the Weil group acts from genus 1 on")
+    """The memoized `WeilTable` of a genus >= 0."""
+    if genus < 0:
+        raise ValueError("genus must be nonnegative, got %d" % genus)
     return WeilTable(genus)

@@ -171,16 +171,11 @@ def _real_roots(p, lo, hi):
 
 @dataclass(frozen=True)
 class ZetaData:
-    """Frobenius data of one curve: q0 and c_1..c_g of its L-polynomial;
-    None q0 means the symbolic curve."""
+    """Frobenius data of one curve: q0 and c_1..c_g of its L-polynomial."""
 
     genus: int
-    q0: object = None
-    lpoly: tuple = ()
-
-    @classmethod
-    def symbolic(cls, genus):
-        return cls(genus=genus)
+    q0: int
+    lpoly: tuple
 
     @classmethod
     def from_lpoly(cls, q0, coeffs):
@@ -221,13 +216,6 @@ class ZetaData:
         """Genus-1 curve with #X(F_q0) = q0 + 1 - trace (the bound is Hasse's)."""
         return cls.from_lpoly(q0, (-trace,))
 
-    @property
-    def is_numeric(self):
-        return self.q0 is not None
-
-    def table(self):
-        return var_table(genus=self.genus)
-
     def lpoly_coeffs(self):
         """c_0..c_2g, the upper half from the functional equation."""
         c = (1,) + self.lpoly
@@ -236,8 +224,6 @@ class ZetaData:
 
     def point_counts(self, nmax):
         """#X(F_{q0^n}) for n = 1..nmax."""
-        if not self.is_numeric:
-            raise ValueError("point counts need a numeric curve")
         c = self.lpoly_coeffs() + [0] * nmax
         s = [0]
         for m in range(1, nmax + 1):
@@ -283,7 +269,7 @@ def counting_sequence(poly, zd, nmax):
 
 
 def specialize_integer(poly, zd):
-    """Exact value of a curve invariant at a numeric curve; demands eigenvalue
+    """Exact value of a curve invariant at a curve over F_q0; demands eigenvalue
     symmetry first.
 
     Only polynomials invariant under permuting the eigenvalue pairs and under
@@ -299,9 +285,9 @@ def specialize_integer(poly, zd):
     lie below it.
     """
     table, g = poly.table, zd.genus
-    if not zd.is_numeric or table != var_table(genus=g):
-        raise ValueError("need a numeric curve and a polynomial over its "
-                         "variables, got %r and %r" % (zd, table))
+    if table != var_table(genus=g):
+        raise ValueError("need a polynomial over the variables of a genus-%d "
+                         "curve, got %r" % (g, table))
     if poly.uses_var("t"):
         raise ValueError("invariant still involves t; specialize it first")
     if not weil_symmetry_check(poly):

@@ -102,6 +102,8 @@ REFUSALS = {
         "higgsdt compute: error: argument --rmax: must be a nonnegative integer, got '-2'",
     "specialize --q0 4 --trace 1 --rmax -1":
         "higgsdt specialize: error: argument --rmax: must be a nonnegative integer, got '-1'",
+    "specialize --q0 4 --trace 0 --canonical --ell 5 --rmax 1":
+        "higgsdt specialize: error: canonical twist degree is fixed at 2g - 2 = 0",
 }
 
 

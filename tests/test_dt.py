@@ -10,7 +10,6 @@ from higgsdt.dt import (CurveParams, IntegralityError, alt_idt, alt_h_term,
                         idt_star, moduli_volume, n_lambda, omega,
                         substitution_identity_check, weil_symmetry_check,
                         zstar_term)
-from higgsdt.weil import WeilTable
 
 T0 = var_table(genus=0)
 
@@ -212,8 +211,6 @@ def test_idt_star_refuses_coefficient_not_divisible_by_rank():
     half = Fraction(T0.monomial(T0.zero_exps(), Q(1, 2)))
     with pytest.raises(IntegralityError, match="r=2 has non-integer"):
         idt_star(cp, 2, series=_series(T0, 2, {2: half}))
-    with pytest.raises(IntegralityError, match="r=2 has non-integer"):
-        alt_idt(cp, 2, series=_series(T0, 2, {2: half}))
 
 
 def test_idt_star_refuses_uncleared_denominator():
@@ -241,7 +238,6 @@ def test_idt_star_returns_ranks_up_to_order_of_a_longer_series():
     three = Fraction(T0.monomial(T0.zero_exps(), 3))
     series = _series(T0, 3, {3: three})
     assert sorted(idt_star(cp, 2, series=series)) == [1, 2]
-    assert sorted(alt_idt(cp, 2, series=series)) == [1, 2]
 
 
 # -- the Weil orbit form inside idt_star ---------------------------------------
@@ -261,6 +257,8 @@ def _full_chain(cp, r):
     (CurveParams(genus=3, ell=5), 2),
     (CurveParams(genus=1, ell=0, mode="canonical"), 3),
     (CurveParams(genus=2, ell=2, mode="canonical"), 3),
+    (CurveParams(genus=0, ell=1), 6),
+    (CurveParams(genus=0, ell=3), 4),
 ])
 def test_orbit_form_matches_the_full_chain(cp, r):
     got = idt_star(cp, r)
@@ -268,26 +266,3 @@ def test_orbit_form_matches_the_full_chain(cp, r):
     assert all(p.table == cp.table() for p in got.values())
     assert idt_star(cp, r, series=dt.zstar_series(cp, r)) == got
 
-
-def _count_orbit_calls(monkeypatch):
-    calls = []
-    for name in ("restrict_fraction", "expand", "mul_terms"):
-        method = getattr(WeilTable, name)
-
-        def counted(self, *args, _name=name, _method=method):
-            calls.append(_name)
-            return _method(self, *args)
-
-        monkeypatch.setattr(WeilTable, name, counted)
-    return calls
-
-
-def test_genus_zero_never_enters_the_orbit_form(monkeypatch):
-    calls = _count_orbit_calls(monkeypatch)
-    cp = CurveParams(genus=0, ell=1)
-    polys = idt_star(cp, 4)
-    assert idt_star(cp, 4, series=dt.zstar_series(cp, 4)) == polys
-    assert calls == []
-    # the counter does see the orbit form where it is used
-    idt_star(CurveParams(genus=1, ell=1), 2)
-    assert {"restrict_fraction", "expand", "mul_terms"} <= set(calls)

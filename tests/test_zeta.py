@@ -26,7 +26,7 @@ def test_numeric_validates_eigenvalue_modulus():
     with pytest.raises(ValueError, match="no curve's"):
         ZetaData.from_lpoly(2, (-5, 12))
     zd = ZetaData.from_lpoly(2, (-1, 4))
-    assert zd.genus == 2 and zd.is_numeric
+    assert zd.genus == 2
     assert zd.lpoly_coeffs() == [1, -1, 4, -2, 4]
     with pytest.raises(ValueError, match="prime power"):
         ZetaData.from_lpoly(1, ())
@@ -78,15 +78,6 @@ def test_from_lpoly_genus_two_matches_beta_roots(q0):
     assert accepted > 10
 
 
-def test_symbolic_curve_has_no_numeric_side():
-    zd = ZetaData.symbolic(2)
-    assert not zd.is_numeric
-    with pytest.raises(ValueError):
-        zd.point_counts(3)
-    with pytest.raises(ValueError):
-        specialize_integer(zd.table().one(), zd)
-
-
 def test_point_counts_across_traces():
     # genus 1 over F_2: first count is 3 - trace
     for tr in range(-2, 3):
@@ -113,22 +104,21 @@ def zx_fraction(table):
                            (table.zero_exps(), table.exps(q=1, t=1))])
 
 
-def zx_series(zd, order):
+def zx_series(curve, order):
     """Coefficients of Z(t) up to t^order.
 
-    Symbolic curve: list of Laurent polynomials in q and the eigenvalue
-    variables.  Numeric curve: list of integers (the n-th one counts the
-    degree-n effective divisors on the curve).
+    The symbolic curve, given by its table: list of Laurent polynomials in q
+    and the eigenvalue variables.  A curve over F_q0 (ZetaData): list of
+    integers (the n-th one counts the degree-n effective divisors on it).
     """
-    if not zd.is_numeric:
-        coeffs = t_expand(zx_fraction(zd.table()), order)
-        return [c.clear_denominator() for c in coeffs]
-    # Z = L / ((1 - t)(1 - q0 t)); the second factor's t^n coefficient is
-    # 1 + q0 + ... + q0^n
-    c, q0 = zd.lpoly_coeffs(), zd.q0
-    return [sum(ck * ((q0 ** (n - k + 1) - 1) // (q0 - 1))
-                for k, ck in enumerate(c[:n + 1]))
-            for n in range(order + 1)]
+    if isinstance(curve, ZetaData):
+        # Z = L / ((1 - t)(1 - q0 t)); the second factor's t^n coefficient
+        # is 1 + q0 + ... + q0^n
+        c, q0 = curve.lpoly_coeffs(), curve.q0
+        return [sum(ck * ((q0 ** (n - k + 1) - 1) // (q0 - 1))
+                    for k, ck in enumerate(c[:n + 1]))
+                for n in range(order + 1)]
+    return [c.clear_denominator() for c in t_expand(zx_fraction(curve), order)]
 
 
 def test_divisor_counts_match_recurrence():
@@ -137,9 +127,8 @@ def test_divisor_counts_match_recurrence():
 
 
 def test_symbolic_divisor_coefficient():
-    zd = ZetaData.symbolic(1)
-    table = zd.table()
-    coeffs = zx_series(zd, 2)
+    table = var_table(genus=1)
+    coeffs = zx_series(table, 2)
     assert coeffs[0] == table.one()
     # degree-1 coefficient is the universal point count 1 + q - a1 - q/a1
     want = (table.one() + table.monomial(table.exps(q=1))
@@ -150,7 +139,7 @@ def test_symbolic_divisor_coefficient():
 
 def test_symbolic_and_numeric_series_agree():
     zd = ZetaData.from_trace(3, 1)
-    sym = zx_series(ZetaData.symbolic(1), 4)
+    sym = zx_series(var_table(genus=1), 4)
     num = zx_series(zd, 4)
     for c, b in zip(sym, num):
         assert specialize_integer(c, zd) == b
