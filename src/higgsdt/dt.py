@@ -25,10 +25,11 @@ q^a - a_i^{-1} t^{l+1} to q^{-1} (q^{a+1} - a_i t^l) and the second one to
 q (q^a - a_i^{-1} t^{l+1}), so it swaps the two binomials of N_la(1/a_i) up
 to the factors q^{-1} and q, whose product is 1.  The group acts by monomial
 maps fixing q and t, which commute with every Adams operation, so Log Z and
-every IDT_r are invariant too (sigma_i is not a_i -> q/a_i: that map is a
-symmetry only at t = 1).  Every denominator of the main pipeline is free of
-the a_i, so `idt_star` keeps one a-exponent slice per orbit (see `weil`;
-at genus 0 that is the whole polynomial) and expands each IDT_r at the end.
+every IDT_r are invariant too.  Every denominator of the main pipeline is
+free of the a_i, so `idt_star` keeps one a-exponent slice per orbit (see
+`weil`; at genus 0 that is the whole polynomial) and expands each IDT_r at
+the end.  `alt_idt` does the same with a_i -> q/a_i, which swaps the two
+factors of each (1 - a_i s)(1 - q s/a_i) in H, and fixes IDT_r at t = 1.
 """
 
 import math
@@ -155,9 +156,10 @@ def idt_star(cp, order, series=None):
     """Integer DT polynomials: map r -> coefficient r of (q-1)(1-t) Log Z.
 
     series, if given, must be the main series of cp (`zstar_series`), to at
-    least T^order.  The series, its log and the cleared coefficients are kept
-    by Weil orbit representatives (`weil.WeilTable`), exact by the module
-    docstring, and each IDT_r is expanded to every monomial at the end.
+    least T^order; a shorter or not Weil-invariant one is refused.  The
+    series, its log and the cleared coefficients are kept by Weil orbit
+    representatives (`weil.WeilTable`), exact by the module docstring, and
+    each IDT_r is expanded to every monomial at the end.
 
     Raises IntegralityError when a coefficient fails to clear; that failure
     is meaningful (it falsifies the integrality property), never masked.
@@ -167,6 +169,9 @@ def idt_star(cp, order, series=None):
         Z = partition_series(table, order,
                              lambda lam: table.restrict_fraction(zstar_term(cp, lam)))
     else:
+        if series.order < order or not all(table.is_invariant(c.num) for c in series.coeffs):
+            raise ValueError("series= must be the main series of %r to T^%d: it is "
+                             "shorter or not Weil-invariant" % (cp, order))
         Z = TruncSeries(table, series.order,
                         [table.restrict_fraction(c) for c in series.coeffs])
     one = table.one()
@@ -275,17 +280,15 @@ def alt_h_term(cp, lam):
     return over_binomials(num, den)
 
 
-def alt_h_series(cp, order):
-    """Zeta-value series to T^order: coefficient r sums alt_h_term over |la| = r."""
-    return partition_series(cp.table(), order, lambda lam: alt_h_term(cp, lam))
-
-
 def alt_idt(cp, order):
-    """Coefficients of (1 - t)(1 - qt) Log H, cleared; integer Laurent in t."""
-    table = cp.table()
+    """Coefficients of (1 - t)(1 - qt) Log H, cleared on orbits of a_i -> q/a_i."""
+    table = weil_table(cp.genus, "q")
+    H = partition_series(table, order,
+                         lambda lam: table.restrict_fraction(alt_h_term(cp, lam)))
     one = table.one()
     clearer = (one - table.monomial(table.exps(q=1, t=1))) * (one - table.var("t"))
-    return _clear_log(alt_h_series(cp, order), order, clearer, "alt-idt")
+    return {r: table.expand(p)
+            for r, p in _clear_log(H, order, clearer, "alt-idt").items()}
 
 
 def substitution_identity_check(cp, max_weight):
@@ -304,23 +307,3 @@ def substitution_identity_check(cp, max_weight):
             rhs = zstar_term(cp, lam)
             out.append((lam, lhs == rhs))
     return out
-
-
-def weil_symmetry_check(poly, generic_t=False):
-    """Invariance under a_i <-> a_j and under a_i -> q a_i^{-1}, the Weil
-    group at t = 1; with generic_t, under a_i -> q t a_i^{-1} instead, the
-    group of the main series (module docstring).  poly may be a Fraction."""
-    table = poly.table
-    t = 1 if generic_t else 0
-    g = table.genus
-    for i in range(1, g + 1):
-        for j in range(i + 1, g + 1):
-            images = {table.index["a%d" % i]: table.unit_exps("a%d" % j),
-                      table.index["a%d" % j]: table.unit_exps("a%d" % i)}
-            if poly.substitute_monomials(images) != poly:
-                return False
-    for i in range(1, g + 1):
-        images = {table.index["a%d" % i]: table.exps(q=1, t=t, **{"a%d" % i: -1})}
-        if poly.substitute_monomials(images) != poly:
-            return False
-    return True

@@ -1,14 +1,15 @@
 """Weil orbit form: invariant polynomials stored by one slice per orbit.
 
-The Weil group W_g = (Z/2)^g x| S_g fixes q and t; S_g permutes a_1..a_g and
-sigma_i sends a_i to q t / a_i.  A slice of a polynomial is its part with one
-a-exponent vector alpha.  The group maps the slice alpha to the slice of a
-signed permutation beta of alpha, times (q t)^c with c the sum of the entries
-whose sign flips, so on packed monomials it adds one offset per image slice.
-An invariant polynomial is therefore known from its representative slices,
-those with alpha >= 0 and non-increasing: one per orbit.  At genus 0 the
-group is trivial: there are no a-variables, the one slice is a-free, and
-`restrict` and `expand` copy.
+A Weil group W_g = (Z/2)^g x| S_g fixes q and t; S_g permutes a_1..a_g and
+sigma_i sends a_i to m / a_i: m = q t fixes the main series and every IDT_r,
+m = q the t = 1 values and the zeta-value series.  A slice of a polynomial
+is its part with one a-exponent vector alpha.  The group maps the slice
+alpha to the slice of a signed permutation beta of alpha, times m^c with c
+the sum of the entries whose sign flips, so on packed monomials it adds one
+offset per image slice.  An invariant polynomial is therefore known from its
+representative slices, those with alpha >= 0 and non-increasing: one per
+orbit.  At genus 0 the group is trivial: there are no a-variables, the one
+slice is a-free, and `restrict` and `expand` copy.
 """
 
 from functools import lru_cache
@@ -19,8 +20,8 @@ from .algebra import (DIGIT_BITS, EXP_BITS, EXP_LIMIT, AlgebraError, ExponentRan
 
 
 class WeilTable(VarTable):
-    """The variables of `var_table(genus)`, for Weil-invariant polynomials
-    stored by their representative slices.
+    """The variables of `var_table(genus)`, for polynomials invariant under
+    the Weil group of `flip`, stored by their representative slices.
 
     A LaurentPoly over this table holds the representative terms of an
     invariant polynomial; `restrict` and `expand` convert from and to `full`,
@@ -37,15 +38,28 @@ class WeilTable(VarTable):
     slice are checked by `_images` before an offset is added.
     """
 
-    __slots__ = ("full", "_amask", "_abias", "_reps", "_orbits")
+    __slots__ = ("full", "flip", "_flip", "_amask", "_abias", "_reps", "_orbits")
 
-    def __init__(self, genus):
+    def __init__(self, genus, flip="qt"):
+        if flip not in ("qt", "q"):
+            raise ValueError("flip must be one of qt, q, got %r" % (flip,))
         super().__init__(genus)
         self.full = var_table(genus)
+        self.flip = flip
+        self._flip = self.exps(**{v: 1 for v in flip})
         self._amask = (1 << DIGIT_BITS * genus) - 1   # the a digits are the lowest
         self._abias = self._bias & self._amask
         self._reps = {}      # a-part -> whether it is a representative
         self._orbits = {}    # representative a-part -> its images, cached
+
+    def __eq__(self, other):
+        # tables are memoized, so most comparisons meet the same instance
+        return self is other or super().__eq__(other) and self.flip == other.flip
+
+    __hash__ = VarTable.__hash__
+
+    def __repr__(self):
+        return "%s; a_i -> %s/a_i" % (super().__repr__(), self.flip)
 
     @staticmethod
     def _check(poly, table):
@@ -66,10 +80,6 @@ class WeilTable(VarTable):
                 s[e] = c
         return out
 
-    def _apart(self, e):
-        """Packed a-part of the monomial e: the key of its slice."""
-        return ((e + self._bias) & self._amask) - self._abias
-
     def _is_rep(self, k):
         rep = self._reps.get(k)
         if rep is None:
@@ -83,21 +93,20 @@ class WeilTable(VarTable):
         orbit = self._orbits.get(k)
         if orbit is None:
             alpha = self.unpack(k)[2:]
-            qt = self.unit_exps("q") + self.unit_exps("t")
             shifts = self._shifts[2:]
             images = {}
             for perm in sorted(set(permutations(alpha)), reverse=True):
                 for signs in product(*[(1, -1) if x else (1,) for x in perm]):
                     beta = sum(s * x << sh for s, x, sh in zip(signs, perm, shifts))
                     flipped = sum(x for s, x in zip(signs, perm) if s < 0)
-                    images[beta] = beta - k + flipped * qt
+                    images[beta] = beta - k + flipped * self._flip
             orbit = self._orbits[k] = tuple(images.items())
         return orbit
 
     def _images(self, k, terms):
         """`_orbit(k)` once every image of the slice's terms is known to be in
-        range.  An image adds c <= |alpha| to the q and t exponents and keeps
-        each |a_i| exponent, so the largest q and t exponents decide."""
+        range.  An image adds c <= |alpha| to the q and t exponents (only to
+        q's with the q flip) and keeps each |a_i|, so the top q, t decide."""
         if not self._is_rep(k):
             raise AlgebraError("slice %s is not a Weil orbit representative"
                                % self.format_exps(k))
@@ -154,7 +163,7 @@ class WeilTable(VarTable):
         An a-free factor divides an invariant numerator iff it divides each
         representative slice, so the factors that the constructor tries
         again all fail when frac is reduced."""
-        if any(self._apart(m) for f in frac.den for m in f):
+        if any((m + self._bias) & self._amask != self._abias for f in frac.den for m in f):
             raise ValueError("restrict_fraction needs an a-free denominator")
         return Fraction(self.restrict(frac.num), frac.den)
 
@@ -169,10 +178,14 @@ class WeilTable(VarTable):
                     out[e + o] = c
         return LaurentPoly(self.full, out)
 
+    def is_invariant(self, poly):
+        """Whether poly over `full` is invariant: its representatives give it back."""
+        return self.expand(self.restrict(poly)) == poly
+
 
 @lru_cache(maxsize=None)
-def weil_table(genus):
-    """The memoized `WeilTable` of a genus >= 0."""
+def weil_table(genus, flip="qt"):
+    """The memoized `WeilTable` of a genus >= 0 and a flip, "qt" or "q"."""
     if genus < 0:
         raise ValueError("genus must be nonnegative, got %d" % genus)
-    return WeilTable(genus)
+    return WeilTable(genus, flip)

@@ -16,9 +16,9 @@ accepts c_1..c_g only if every beta_i = a_i + q0 / a_i is real with
 rationals, of the beta_i^2 in [0, 4 q0]), and 0 <= N_1 <= N_m for m <= g;
 both are necessary for a curve, not sufficient.  Invariants of the
 curve are symmetric in the eigenvalue pairs and invariant under
-a_i -> q a_i^{-1}, which makes them polynomials in q and the coefficients of
-the symbolic L-polynomial; specialize_integer rewrites them so and
-substitutes q0 and c_1..c_g.  All of it is exact arithmetic.
+a_i -> q a_i^{-1} (`weil_table(g, "q")`), so polynomials in q and the
+coefficients of the symbolic L-polynomial; specialize_integer rewrites them
+so on orbit representatives and substitutes q0 and c_1..c_g, all exactly.
 """
 
 import math
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import zip_longest
 
-from .algebra import LaurentPoly, var_table
-from .dt import weil_symmetry_check, zeta_numerator
+from .algebra import LaurentPoly
+from .dt import zeta_numerator
+from .weil import weil_table
 
 
 _SMALL_PRIMES = [p for p in range(2, 1000)
@@ -280,31 +281,32 @@ def specialize_integer(poly, zd):
     symmetric function of a_1..a_g, q/a_1..q/a_g, its lex-leading a-part is
     a_1...a_k with coefficient 1, and G_k takes the value (-1)^k c_k.  The
     lex-leading a-part of a symmetric polynomial is a_1^l_1...a_g^l_g with
-    l_1 >= ... >= l_g >= 0; subtracting its q-coefficient times
-    prod_k G_k^(l_k - l_{k+1}) lowers it, and only finitely many such parts
-    lie below it.
+    l_1 >= ... >= l_g >= 0, a representative; subtracting its q-coefficient
+    times prod_k G_k^(l_k - l_{k+1}) lowers it, and only finitely many such
+    parts lie below it, so the reduction runs on representatives.
     """
-    table, g = poly.table, zd.genus
-    if table != var_table(genus=g):
+    g, wt = zd.genus, weil_table(zd.genus, "q")
+    if poly.table != wt.full:
         raise ValueError("need a polynomial over the variables of a genus-%d "
-                         "curve, got %r" % (g, table))
+                         "curve, got %r" % (g, poly.table))
     if poly.uses_var("t"):
         raise ValueError("invariant still involves t; specialize it first")
-    if not weil_symmetry_check(poly):
+    if not wt.is_invariant(poly):
         raise ValueError("polynomial is not symmetric in the eigenvalue pairs")
-    t1, q1 = table.exps(t=1), table.exps(q=1)
-    L = zeta_numerator(table, t1)
-    gens = [LaurentPoly(table, {e - k * t1: (-1) ** k * c for e, c in L.terms.items()
-                                if table.digit(e, 1) == k})
+    poly = wt.restrict(poly)
+    t1, q1 = wt.exps(t=1), wt.exps(q=1)
+    L = wt.restrict(zeta_numerator(wt.full, t1))
+    gens = [LaurentPoly(wt, {e - k * t1: (-1) ** k * c for e, c in L.terms.items()
+                             if wt.digit(e, 1) == k})
             for k in range(1, g + 1)]
     vals = [(-1) ** k * c for k, c in enumerate(zd.lpoly, start=1)]
     value = 0
     while poly:
-        apart = {e: e - table.digit(e, 0) * q1 for e in poly.terms}
+        apart = {e: e - wt.digit(e, 0) * q1 for e in poly.terms}
         lead = max(apart.values())
-        coeff = LaurentPoly(table, {e - lead: c for e, c in poly.terms.items()
-                                    if apart[e] == lead})
-        lam = table.unpack(lead)[2:] + (0,)
+        coeff = LaurentPoly(wt, {e - lead: c for e, c in poly.terms.items()
+                                 if apart[e] == lead})
+        lam = wt.unpack(lead)[2:] + (0,)
         step, v = coeff, coeff.eval([zd.q0] + [1] * (g + 1))
         for k in range(g):
             step = step * gens[k] ** (lam[k] - lam[k + 1])

@@ -207,6 +207,17 @@ def test_specialize_lpoly_takes_negative_coefficients(capsys):
     assert "rank 1 value at t = 1: -6" in out
 
 
+@pytest.mark.parametrize("args, values", [
+    ("--q0 2 --lpoly -1 4 --ell 3 --rmax 3", [-6, 210, -42984]),
+    ("--q0 3 --lpoly 0 0 0 --ell 5 --rmax 2", [-28, 103152]),
+])
+def test_specialize_values_past_genus_one(capsys, args, values):
+    code, out, _ = run(capsys, "specialize", *args.split())
+    assert code == 0
+    assert out.splitlines()[1:] == ["rank %d value at t = 1: %d" % (r, v)
+                                    for r, v in enumerate(values, start=1)]
+
+
 def test_specialize_takes_exactly_one_curve(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["specialize", "--q0", "3", "--trace", "1", "--lpoly", "-1"])

@@ -8,8 +8,8 @@ from higgsdt.partitions import Partition, enumerate_partitions
 from higgsdt.series import TruncSeries
 from higgsdt.dt import (CurveParams, IntegralityError, alt_idt, alt_h_term,
                         idt_star, moduli_volume, n_lambda, omega,
-                        substitution_identity_check, weil_symmetry_check,
-                        zstar_term)
+                        substitution_identity_check, zstar_term)
+from higgsdt.weil import weil_table
 
 T0 = var_table(genus=0)
 
@@ -114,17 +114,17 @@ def test_frozen_genus_one_rank_one():
 
 
 def test_weil_symmetry_of_invariants():
-    # the eigenvalue functional equation holds for the t = 1 specialization;
-    # the refined two-variable invariant transforms t as well, so it is only
-    # tested after the substitution
+    # the eigenvalue functional equation a_i -> q/a_i holds for the t = 1
+    # specialization; the refined two-variable invariant transforms t as
+    # well, so it is only tested after the substitution
     for (g, ell) in ((1, 1), (2, 3)):
         polys = idt_star(CurveParams(genus=g, ell=ell), 2)
         for r in (1, 2):
-            assert weil_symmetry_check(polys[r].set_var_one("t"))
-    # and the raw refined invariant indeed is not symmetric, so the gate
-    # would reject it
+            assert weil_table(g, "q").is_invariant(polys[r].set_var_one("t"))
+    # and the raw refined invariant indeed is not fixed by that group, so
+    # specialization would reject it
     raw = idt_star(CurveParams(genus=1, ell=1), 1)[1]
-    assert not weil_symmetry_check(raw)
+    assert not weil_table(1, "q").is_invariant(raw)
 
 
 def test_omega_and_volume_relation():
@@ -240,6 +240,26 @@ def test_idt_star_returns_ranks_up_to_order_of_a_longer_series():
     assert sorted(idt_star(cp, 2, series=series)) == [1, 2]
 
 
+def test_idt_star_refuses_a_short_series():
+    cp = CurveParams(genus=1, ell=1)
+    with pytest.raises(ValueError, match="shorter or not Weil-invariant"):
+        idt_star(cp, 4, series=dt.zstar_series(cp, 2))
+
+
+@pytest.mark.parametrize("cp", [CurveParams(genus=1, ell=1), CurveParams(genus=2, ell=3)])
+def test_idt_star_refuses_a_series_that_is_not_weil_invariant(cp):
+    # the zeta-value series is fixed by a_i -> q/a_i, not by a_i -> qt/a_i
+    alt = dt.partition_series(cp.table(), 2, lambda lam: alt_h_term(cp, lam))
+    with pytest.raises(ValueError, match="shorter or not Weil-invariant"):
+        idt_star(cp, 2, series=alt)
+    # a main series with one term broken by a1
+    main = dt.zstar_series(cp, 2)
+    table = cp.table()
+    main.coeffs[2] = main.coeffs[2] + Fraction(table.var("a1"))
+    with pytest.raises(ValueError, match="shorter or not Weil-invariant"):
+        idt_star(cp, 2, series=main)
+
+
 # -- the Weil orbit form inside idt_star ---------------------------------------
 
 
@@ -265,4 +285,27 @@ def test_orbit_form_matches_the_full_chain(cp, r):
     assert got == _full_chain(cp, r)
     assert all(p.table == cp.table() for p in got.values())
     assert idt_star(cp, r, series=dt.zstar_series(cp, r)) == got
+
+
+def _full_alt_chain(cp, r):
+    """alt_idt's log and clearing on every monomial, no orbit form."""
+    table = cp.table()
+    one = table.one()
+    clearer = (one - table.monomial(table.exps(q=1, t=1))) * (one - table.var("t"))
+    series = dt.partition_series(table, r, lambda lam: alt_h_term(cp, lam))
+    return dt._clear_log(series, r, clearer, "alt-idt")
+
+
+@pytest.mark.parametrize("cp, r", [
+    (CurveParams(genus=1, ell=1), 4),
+    (CurveParams(genus=2, ell=3), 3),
+    (CurveParams(genus=3, ell=5), 2),
+    (CurveParams(genus=0, ell=1), 6),
+    (CurveParams(genus=1, ell=0, mode="canonical"), 3),
+    (CurveParams(genus=2, ell=2, mode="canonical"), 3),
+])
+def test_alt_orbit_form_matches_the_full_chain(cp, r):
+    got = alt_idt(cp, r)
+    assert got == _full_alt_chain(cp, r)
+    assert all(p.table == cp.table() for p in got.values())
 

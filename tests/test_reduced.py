@@ -11,7 +11,7 @@ import pytest
 
 from higgsdt.algebra import (Fraction, NotDivisibleError, exact_divide, over_binomials,
                              t_expand, var_table)
-from higgsdt.dt import CurveParams, alt_h_series, zstar_series
+from higgsdt.dt import CurveParams, alt_h_term, partition_series, zstar_series
 from higgsdt.series import scaled_pleth_log
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "higgsdt"
@@ -79,7 +79,8 @@ def test_random_sums_and_products_are_reduced():
 @pytest.mark.parametrize("genus,ell", [(0, 1), (1, 1), (2, 3)])
 def test_pipeline_coefficients_are_reduced(genus, ell):
     cp = CurveParams(genus=genus, ell=ell)
-    for s in (zstar_series(cp, 3), alt_h_series(cp, 3)):
+    alt = partition_series(cp.table(), 3, lambda lam: alt_h_term(cp, lam))
+    for s in (zstar_series(cp, 3), alt):
         for series in (s, scaled_pleth_log(s)):
             for c in series.coeffs:
                 assert_reduced(c)

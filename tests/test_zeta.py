@@ -194,6 +194,15 @@ def test_specialize_integer_rejects_asymmetric_poly():
         specialize_integer(table.monomial(table.exps(a1=1)), zd)
     with pytest.raises(ValueError, match="involves t"):
         specialize_integer(table.monomial(table.exps(t=1)), zd)
+    # genus 2: a1 + q/a1 is fixed by a_1 -> q/a_1 but not by a_1 <-> a_2;
+    # adding a2 + q/a2 gives G_1 = -C_1, which takes the value -c_1
+    t2 = var_table(genus=2)
+    zd2 = ZetaData.from_lpoly(2, (-1, 4))
+    half = t2.var("a1") + t2.monomial(t2.exps(q=1, a1=-1))
+    with pytest.raises(ValueError, match="not symmetric"):
+        specialize_integer(half, zd2)
+    other = t2.var("a2") + t2.monomial(t2.exps(q=1, a2=-1))
+    assert specialize_integer(half + other, zd2) == 1
 
 
 def test_numeric_needs_a_prime_power():
