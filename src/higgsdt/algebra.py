@@ -132,7 +132,8 @@ class VarTable:
         self._guards = {}
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.names == other.names
+        # tables are memoized, so most comparisons meet the same instance
+        return self is other or type(other) is type(self) and self.names == other.names
 
     def __hash__(self):
         return hash(self.names)
@@ -274,9 +275,12 @@ class VarTable:
         return out
 
 
-@lru_cache(maxsize=None)
+# memoized on positional arguments, so every spelling of a request shares one instance
+_var_table = lru_cache(maxsize=None)(VarTable)
+
+
 def var_table(genus=0, nz=0):
-    return VarTable(genus, nz)
+    return _var_table(genus, nz)
 
 
 def _check_tables(a, b):

@@ -11,7 +11,10 @@ only in the monomial style and the coefficient separator) or, for csv and
 json, poly_pairs; coefficients print as str() of the exact int or Fraction.
 
 Exit status: 0 on success, 1 when a verification or comparison fails, 2 on
-usage errors (argparse's convention) and on rejected input values.
+usage errors and on rejected input values.  A rejected value (a bad curve or
+twist, an exponent out of range, an unknown suite) is reported in exactly
+one stderr line, "higgsdt <command>: error: <reason>"; argparse's own usage
+errors keep argparse's form, with the usage line.
 """
 
 import argparse
@@ -86,16 +89,26 @@ def _json_text(value, ind="\n"):
     return "{%s}" % body if isinstance(value, dict) else "[%s]" % body
 
 
-def _curve_from_args(args, parser):
-    if not args.canonical and args.ell is None:
-        parser.error("--ell is required in twisted mode")
+def _refuse(args, reason):
+    """The one way out for a rejected input value: one stderr line
+    "higgsdt <command>: error: <reason>" and exit status 2 (SystemExit, as
+    argparse's own errors), without the usage line."""
+    args.parser.exit(2, "%s: error: %s\n" % (args.parser.prog, reason))
+
+
+def _curve(args, genus, ell_default):
+    """The CurveParams of --canonical and --ell at genus.  In twisted mode a
+    missing --ell is ell_default, or refused if that is None."""
+    ell = ell_default if args.ell is None else args.ell
+    if not args.canonical and ell is None:
+        _refuse(args, "--ell is required in twisted mode")
     try:
-        cp = (CurveParams(genus=args.genus, ell=2 * args.genus - 2, mode="canonical")
-              if args.canonical else CurveParams(genus=args.genus, ell=args.ell))
+        cp = (CurveParams(genus=genus, ell=2 * genus - 2, mode="canonical")
+              if args.canonical else CurveParams(genus=genus, ell=ell))
     except ValueError as e:
-        parser.error(str(e))
+        _refuse(args, e)
     if args.ell is not None and args.ell != cp.ell:
-        parser.error("canonical twist degree is fixed at 2g - 2 = %d" % cp.ell)
+        _refuse(args, "canonical twist degree is fixed at 2g - 2 = %d" % cp.ell)
     return cp
 
 
@@ -110,99 +123,79 @@ def _rank_bound(text):
     return value
 
 
-def _cmd_compute(args, parser):
-    cp = _curve_from_args(args, parser)
-    rows = []
+def _cmd_compute(args):
+    cp = _curve(args, args.genus, None)
+    canonical = cp.mode == "canonical"
+    rows = []   # per rank: r, IDT_r, its t = 1 value, omega, volume (None if canonical)
     try:
         polys = idt_star(cp, args.rmax) if args.rmax >= 1 else {}
         for r in sorted(polys):
-            poly = polys[r]
             # t1 is t-free, so omega and moduli_volume substitute nothing again
-            t1 = poly.set_var_one("t")
-            row = {
-                "r": r,
-                "idt": poly,
-                "idt_t1": t1,
-                "omega": omega(cp, r, idt_poly=t1),
-                "volume": (moduli_volume(cp, r, 1, idt_poly=t1)
-                           if cp.mode == "twisted" else None),
-            }
-            if cp.mode == "canonical":
-                row["A"] = t1
-            rows.append(row)
+            t1 = polys[r].set_var_one("t")
+            rows.append((r, polys[r], t1, omega(cp, r, idt_poly=t1),
+                         None if canonical else moduli_volume(cp, r, 1, idt_poly=t1)))
     except ExponentRangeError as e:
-        print("higgsdt compute: error: %s" % e, file=sys.stderr)
-        return 2
+        _refuse(args, e)
 
+    # omega's body and A are t1 itself, so every format renders t1 once per rank
     if args.format == "json":
-        payload = {
+        results = []
+        for r, idt, t1, hp, volume in rows:
+            t1_pairs = poly_pairs(t1)
+            entry = {
+                "r": r,
+                "idt": poly_pairs(idt),
+                "idt_t1": t1_pairs,
+                "omega": {"sign": hp.sign, "half_power_exponent": hp.half,
+                          "poly": t1_pairs},
+                "volume": None if volume is None else poly_pairs(volume),
+            }
+            if canonical:
+                entry["A"] = t1_pairs
+            results.append(entry)
+        print(_json_text({
             "schema_version": SCHEMA_VERSION,
             "params": {"genus": cp.genus, "ell": cp.ell, "mode": cp.mode,
                        "rmax": args.rmax},
-            "results": [],
-        }
-        for row in rows:
-            # omega's body and A are idt_t1 itself
-            t1 = poly_pairs(row["idt_t1"])
-            entry = {
-                "r": row["r"],
-                "idt": poly_pairs(row["idt"]),
-                "idt_t1": t1,
-                "omega": {
-                    "sign": row["omega"].sign,
-                    "half_power_exponent": row["omega"].half,
-                    "poly": t1,
-                },
-                "volume": poly_pairs(row["volume"]) if row["volume"] is not None
-                          else None,
-            }
-            if "A" in row:
-                entry["A"] = t1
-            payload["results"].append(entry)
-        print(_json_text(payload))
+            "results": results,
+        }))
         return 0
 
     if args.format == "csv":
         print("r,field,monomial,coefficient")
-        for row in rows:
-            for field in ("idt", "idt_t1", "volume"):
-                poly = row.get(field)
-                if poly is None:
-                    continue
-                for mono, c in poly_pairs(poly):
-                    print("%d,%s,%s,%s" % (row["r"], field, mono, c))
+        for r, idt, t1, _, volume in rows:
+            for field, poly in (("idt", idt), ("idt_t1", t1), ("volume", volume)):
+                if poly is not None:
+                    for mono, c in poly_pairs(poly):
+                        print("%d,%s,%s,%s" % (r, field, mono, c))
         return 0
-
-    def render(poly):
-        return poly_render(poly, args.format)
 
     print("curve: genus %d, twist degree %d, %s mode"
           % (cp.genus, cp.ell, cp.mode))
-    for row in rows:
-        hp = row["omega"]
-        print("rank %d" % row["r"])
-        print("  invariant      %s" % render(row["idt"]))
-        print("  at t = 1       %s" % render(row["idt_t1"]))
-        print("  weighted       q^(%d/2) * [%s]" % (hp.half, render(hp.body)))
-        if row["volume"] is not None:
-            print("  volume (d=1)   %s" % render(row["volume"]))
-        if "A" in row:
-            print("  A value        %s" % render(row["A"]))
+    for r, idt, t1, hp, volume in rows:
+        t1_line = poly_render(t1, args.format)
+        print("rank %d" % r)
+        print("  invariant      %s" % poly_render(idt, args.format))
+        print("  at t = 1       %s" % t1_line)
+        print("  weighted       q^(%d/2) * [%s]" % (hp.half, t1_line))
+        if volume is not None:
+            print("  volume (d=1)   %s" % poly_render(volume, args.format))
+        if canonical:
+            print("  A value        %s" % t1_line)
     if not rows:
         print("(empty table: rmax = %d)" % args.rmax)
     return 0
 
 
-def _cmd_verify(args, parser):
+def _cmd_verify(args):
     if args.list:
         for name in SUITES:
             print("%-14s %s" % (name, SUITES[name][0]))
         return 0
-    names = args.suite or None
     try:
-        results, failures = run_suites(names)
+        results, failures = run_suites(args.suite or None)
     except KeyError as e:
-        parser.error(str(e))
+        _refuse(args, e.args[0])
     for r in results:
         tag = "PASS" if r.ok is True else ("FAIL" if r.ok is False else "INFO")
         line = "%s  [%s] %s" % (tag, r.suite, r.label)
@@ -214,38 +207,29 @@ def _cmd_verify(args, parser):
     return 1 if failures else 0
 
 
-def _cmd_oracle(args, parser):
+def _cmd_oracle(args):
     try:
         count, formula, equal = compare_with_formula(args.rank, args.deg,
                                                      args.ell, args.q)
     except (ValueError, NotImplementedError) as e:
-        parser.error(str(e))
+        _refuse(args, e)
     print("groupoid count   %s" % count)
     print("formula value    %s" % formula)
     print("MATCH" if equal else "MISMATCH")
     return 0 if equal else 1
 
 
-def _cmd_specialize(args, parser):
+def _cmd_specialize(args):
     try:
-        if args.lpoly is None:
-            zd = ZetaData.from_trace(args.q0, args.trace)
-        else:
-            zd = ZetaData.from_lpoly(args.q0, args.lpoly)
-        cp = (CurveParams(genus=zd.genus, ell=2 * zd.genus - 2, mode="canonical")
-              if args.canonical else
-              CurveParams(genus=zd.genus, ell=1 if args.ell is None else args.ell))
+        zd = (ZetaData.from_trace(args.q0, args.trace) if args.lpoly is None
+              else ZetaData.from_lpoly(args.q0, args.lpoly))
     except ValueError as e:
-        print("higgsdt specialize: error: %s" % e, file=sys.stderr)
-        return 2
-    if args.ell is not None and args.ell != cp.ell:
-        parser.exit(2, "higgsdt specialize: error: canonical twist degree is fixed "
-                       "at 2g - 2 = %d\n" % cp.ell)
+        _refuse(args, e)
+    cp = _curve(args, zd.genus, 1)
     try:
         polys = idt_star(cp, args.rmax)
     except ExponentRangeError as e:
-        print("higgsdt specialize: error: %s" % e, file=sys.stderr)
-        return 2
+        _refuse(args, e)
     print("curve over F_%d with point counts %s" % (args.q0, zd.point_counts(3)))
     for r in sorted(polys):
         val = specialize_integer(polys[r].set_var_one("t"), zd)
@@ -268,13 +252,13 @@ def build_parser():
     pc.add_argument("--rmax", type=_rank_bound, default=6, help="largest rank computed")
     pc.add_argument("--format", choices=("text", "json", "csv", "latex"),
                     default="text")
-    pc.set_defaults(fn=_cmd_compute)
+    pc.set_defaults(fn=_cmd_compute, parser=pc)
 
     pv = sub.add_parser("verify", help="run the self-check suites")
     pv.add_argument("--suite", action="append",
                     help="suite name, repeatable (default: all)")
     pv.add_argument("--list", action="store_true", help="list suites and exit")
-    pv.set_defaults(fn=_cmd_verify)
+    pv.set_defaults(fn=_cmd_verify, parser=pv)
 
     po = sub.add_parser("oracle-p1",
                         help="closed-form semistable count over F_q on the line "
@@ -283,7 +267,7 @@ def build_parser():
     po.add_argument("--deg", type=int, required=True)
     po.add_argument("--ell", type=int, required=True)
     po.add_argument("--q", type=int, required=True, choices=SUPPORTED_Q)
-    po.set_defaults(fn=_cmd_oracle)
+    po.set_defaults(fn=_cmd_oracle, parser=po)
 
     ps = sub.add_parser("specialize",
                         help="exact invariants of a curve over F_q0")
@@ -298,14 +282,13 @@ def build_parser():
                     help="twist degree (default 1; with --canonical only 2g - 2)")
     ps.add_argument("--canonical", action="store_true")
     ps.add_argument("--rmax", type=_rank_bound, default=2)
-    ps.set_defaults(fn=_cmd_specialize)
+    ps.set_defaults(fn=_cmd_specialize, parser=ps)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args, parser)
+    args = build_parser().parse_args(argv)
+    return args.fn(args)
 
 
 if __name__ == "__main__":

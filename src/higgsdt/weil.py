@@ -53,8 +53,7 @@ class WeilTable(VarTable):
         self._orbits = {}    # representative a-part -> its images, cached
 
     def __eq__(self, other):
-        # tables are memoized, so most comparisons meet the same instance
-        return self is other or super().__eq__(other) and self.flip == other.flip
+        return super().__eq__(other) and self.flip == other.flip
 
     __hash__ = VarTable.__hash__
 
@@ -183,9 +182,12 @@ class WeilTable(VarTable):
         return self.expand(self.restrict(poly)) == poly
 
 
-@lru_cache(maxsize=None)
+# memoized on positional arguments, so every spelling of a request shares one instance
+_weil_table = lru_cache(maxsize=None)(WeilTable)
+
+
 def weil_table(genus, flip="qt"):
     """The memoized `WeilTable` of a genus >= 0 and a flip, "qt" or "q"."""
     if genus < 0:
         raise ValueError("genus must be nonnegative, got %d" % genus)
-    return WeilTable(genus, flip)
+    return _weil_table(genus, flip)

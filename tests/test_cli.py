@@ -1,15 +1,29 @@
+import ast
 import hashlib
 import json
+import pathlib
 
 import pytest
 
 from higgsdt.cli import main
+from higgsdt.verify import SUITES
+
+CLI = pathlib.Path(__file__).resolve().parent.parent / "src" / "higgsdt" / "cli.py"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refusal(capsys, *argv):
+    """stdout and stderr of a command that is refused: SystemExit(2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    return captured.out, captured.err
 
 
 def test_compute_text(capsys):
@@ -82,26 +96,24 @@ def test_compute_output_is_stable(capsys):
     assert first == second
 
 
-def test_compute_usage_errors(capsys):
-    for argv in (["compute", "--genus", "1"],
-                 ["compute", "--genus", "0", "--canonical"],
-                 ["compute", "--genus", "2", "--canonical", "--ell", "3"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        capsys.readouterr()
-
-
-# bad values: one error line and exit 2, never a traceback
+# bad values: exactly one stderr line naming the command, exit 2, no usage
+# line and never a traceback
 REFUSALS = {
-    "compute --genus -1 --ell 1": "higgsdt: error: genus must be nonnegative",
-    "compute --genus 0 --ell -3": "higgsdt: error: twisted mode needs ell > 2g - 2 (got p = -1)",
-    "compute --genus 1 --ell 0": "higgsdt: error: twisted mode needs ell > 2g - 2 (got p = 0)",
-    "compute --genus 0 --canonical": "higgsdt: error: canonical mode needs genus >= 1",
-    "compute --genus 0 --ell 1 --rmax -2":
-        "higgsdt compute: error: argument --rmax: must be a nonnegative integer, got '-2'",
-    "specialize --q0 4 --trace 1 --rmax -1":
-        "higgsdt specialize: error: argument --rmax: must be a nonnegative integer, got '-1'",
+    "compute --genus -1 --ell 1": "higgsdt compute: error: genus must be nonnegative",
+    "compute --genus 0 --ell -3":
+        "higgsdt compute: error: twisted mode needs ell > 2g - 2 (got p = -1)",
+    "compute --genus 1 --ell 0":
+        "higgsdt compute: error: twisted mode needs ell > 2g - 2 (got p = 0)",
+    "compute --genus 0 --canonical": "higgsdt compute: error: canonical mode needs genus >= 1",
+    "compute --genus 1": "higgsdt compute: error: --ell is required in twisted mode",
+    "compute --genus 2 --canonical --ell 3":
+        "higgsdt compute: error: canonical twist degree is fixed at 2g - 2 = 2",
+    "oracle-p1 --rank 2 --deg 0 --ell 1 --q 3":
+        "higgsdt oracle-p1: error: rank and degree must be coprime, got (2, 0)",
+    "oracle-p1 --rank 2 --deg 1 --ell -1 --q 3":
+        "higgsdt oracle-p1: error: twist degree must be nonnegative",
+    "verify --suite nope":
+        "higgsdt verify: error: unknown suites: nope (have %s)" % ", ".join(sorted(SUITES)),
     "specialize --q0 4 --trace 0 --canonical --ell 5 --rmax 1":
         "higgsdt specialize: error: canonical twist degree is fixed at 2g - 2 = 0",
 }
@@ -109,11 +121,25 @@ REFUSALS = {
 
 @pytest.mark.parametrize("argv", list(REFUSALS))
 def test_bad_values_are_refused_in_one_line(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv.split())
-    out, err = capsys.readouterr()
-    assert exc.value.code == 2 and out == ""
-    assert err.splitlines()[-1] == REFUSALS[argv]
+    out, err = refusal(capsys, *argv.split())
+    assert out == ""
+    assert err.splitlines() == [REFUSALS[argv]]
+
+
+# argparse's own errors keep argparse's form: the usage line, then the reason
+USAGE_ERRORS = {
+    "compute --genus 0 --ell 1 --rmax -2":
+        "higgsdt compute: error: argument --rmax: must be a nonnegative integer, got '-2'",
+    "specialize --q0 4 --trace 1 --rmax -1":
+        "higgsdt specialize: error: argument --rmax: must be a nonnegative integer, got '-1'",
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS))
+def test_usage_errors_keep_argparse_form(capsys, argv):
+    out, err = refusal(capsys, *argv.split())
+    assert out == "" and err.startswith("usage: ")
+    assert err.splitlines()[-1] == USAGE_ERRORS[argv]
 
 
 # a twist past the packed exponent range: refused by the command, exit 2
@@ -127,9 +153,34 @@ OVERSIZED = {
 
 @pytest.mark.parametrize("argv", list(OVERSIZED))
 def test_oversized_twist_is_refused_in_one_line(capsys, argv):
-    code, out, err = run(capsys, *argv.split())
-    assert code == 2 and out == "" and "Traceback" not in err
+    out, err = refusal(capsys, *argv.split())
+    assert out == "" and "Traceback" not in err
     assert err.splitlines() == [OVERSIZED[argv]]
+
+
+def test_one_refusal_path():
+    # only _refuse ends a command with exit 2 or writes "error:"; argparse's
+    # own usage errors are raised inside parse_args, not here
+    tree = ast.parse(CLI.read_text())
+    helper = next(f for f in tree.body
+                  if isinstance(f, ast.FunctionDef) and f.name == "_refuse")
+    # the helper's body and the docstrings, which write nothing
+    inside = {id(node) for node in ast.walk(helper)}
+    inside |= {id(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    exits, writes, returns = [], [], []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("exit", "error")):
+            exits.append(ast.unparse(node))
+        elif isinstance(node, ast.Constant) and "error:" in str(node.value):
+            writes.append(node.value)
+        elif isinstance(node, ast.Return) and ast.unparse(node) == "return 2":
+            returns.append(node.lineno)
+    assert exits == ["sys.exit(main())"]
+    assert writes == [] and returns == []
 
 
 def test_verify_list(capsys):
@@ -147,13 +198,6 @@ def test_verify_subset(capsys):
     assert "0 failed" in err
 
 
-def test_verify_unknown_suite(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "nope"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
 def test_oracle_match(capsys):
     code, out, _ = run(capsys, "oracle-p1", "--rank", "1", "--deg", "0",
                        "--ell", "1", "--q", "2")
@@ -169,11 +213,7 @@ def test_oracle_rank_two_past_the_old_enumeration_cap(capsys):
 
 
 def test_oracle_rejects_bad_field(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle-p1", "--rank", "1", "--deg", "0", "--ell", "1",
-              "--q", "6"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    refusal(capsys, "oracle-p1", "--rank", "1", "--deg", "0", "--ell", "1", "--q", "6")
 
 
 def test_specialize_by_trace(capsys):
@@ -219,10 +259,8 @@ def test_specialize_values_past_genus_one(capsys, args, values):
 
 
 def test_specialize_takes_exactly_one_curve(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["specialize", "--q0", "3", "--trace", "1", "--lpoly", "-1"])
-    assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    _, err = refusal(capsys, "specialize", "--q0", "3", "--trace", "1", "--lpoly", "-1")
+    assert "not allowed with argument" in err
 
 
 def test_specialize_canonical_counts_points(capsys):
@@ -234,10 +272,7 @@ def test_specialize_canonical_counts_points(capsys):
 
 
 def test_specialize_needs_curve_data(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["specialize", "--q0", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    refusal(capsys, "specialize", "--q0", "2")
 
 
 # sha256 of `compute --format json` output (with its trailing newline), taken
@@ -296,8 +331,7 @@ def test_compute_render_bytes_are_pinned(capsys, genus, twist, rmax, fmt):
 
 
 def test_specialize_refuses_non_prime_power(capsys):
-    code, out, err = run(capsys, "specialize", "--q0", "6", "--trace", "0")
-    assert code == 2
+    out, err = refusal(capsys, "specialize", "--q0", "6", "--trace", "0")
     assert out == ""
     assert err.strip().splitlines() == [
         "higgsdt specialize: error: q0 must be a prime power, got 6"]
@@ -308,9 +342,8 @@ def test_specialize_refuses_non_curves(capsys, lpoly):
     # both meet |c_k| <= C(2g, k) q0^(k/2) but their beta-polynomials,
     # x^2 - 5x + 8 and x^2 + 1, have complex roots; they used to print point
     # counts [-2, 4, 34] and [3, 15, 9]
-    code, out, err = run(capsys, "specialize", "--q0", "2", "--lpoly", *lpoly,
-                         "--ell", "3", "--rmax", "1")
-    assert code == 2
+    out, err = refusal(capsys, "specialize", "--q0", "2", "--lpoly", *lpoly,
+                       "--ell", "3", "--rmax", "1")
     assert out == ""
     assert err.strip().splitlines() == [
         "higgsdt specialize: error: L-polynomial coefficients [%s, %s] at q0 = 2 "
@@ -322,9 +355,8 @@ def test_specialize_refuses_an_undecided_q0(capsys):
     # 2^89 - 1 is prime, but past 3.317e24 Miller-Rabin with the bases up to
     # 41 proves nothing, so it is refused rather than guessed
     q0 = 2 ** 89 - 1
-    code, out, err = run(capsys, "specialize", "--q0", str(q0), "--trace", "1",
-                         "--rmax", "1")
-    assert code == 2
+    out, err = refusal(capsys, "specialize", "--q0", str(q0), "--trace", "1",
+                       "--rmax", "1")
     assert out == ""
     assert err.strip().splitlines() == [
         "higgsdt specialize: error: cannot decide whether %d is a prime power: "

@@ -222,3 +222,15 @@ def test_refusals():
     with pytest.raises(ExponentRangeError):
         wq.expand(LaurentPoly(wq, {wq.pack((EXP_LIMIT - 2, 0, 2, 0)): 1}))
     assert len(wq.expand(LaurentPoly(wq, {wq.pack((EXP_LIMIT - 3, 0, 2, 0)): 1})).terms) == 4
+
+
+def test_one_instance_per_table_however_it_is_requested():
+    # the memo keys on the arguments' values, not their spelling, so idt_star's
+    # output and cp.table() are one instance and compare on the fast path
+    for g in range(4):
+        assert CurveParams(g, 2 * g + 1).table() is weil_table(g).full
+    assert var_table() is var_table(0) is var_table(genus=0)
+    assert var_table(genus=1, nz=2) is var_table(1, 2)
+    for flip in FLIPS:
+        assert weil_table(2, flip) is weil_table(2, flip=flip)
+    assert weil_table(2) is weil_table(2, "qt") is weil_table(2, flip="qt")
