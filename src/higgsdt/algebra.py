@@ -226,22 +226,41 @@ class VarTable:
         return self.format_monomials((exps,))[0]
 
     def format_monomials(self, keys, names=None, power="%s^%d"):
-        """format_exps of every packed monomial of keys, in order, built a
-        variable at a time from the digit columns.
+        """format_exps of every packed monomial of keys, in order.
 
+        A monomial is its (q, t) part times its part in the other variables,
+        and a polynomial has few distinct parts of either kind, so each
+        distinct part is formatted once and the two texts are joined.
         names (default: the table's) and the power format, applied to a
         name and an exponent other than 0 and 1, set the style.
         """
-        keys = list(keys)
-        cols = []
-        for i, nm in enumerate(names or self.names):
-            col = self.digits(keys, i)
-            if any(col):
-                text = {e: nm if e == 1 else power % (nm, e) for e in set(col) if e}
-                cols.append([text.get(e) for e in col])
-        if not cols:
-            return ["1"] * len(keys)
-        return [" ".join(filter(None, bits)) or "1" for bits in zip(*cols)]
+        names = names or self.names
+        shifts = self._shifts
+        split = shifts[1]              # the (q, t) digits lie at and above it
+        low = (1 << split) - 1
+
+        def text(x, idx):
+            # the part of the biased monomial x in the variables idx
+            bits = []
+            for i in idx:
+                d = (x >> shifts[i] & _DIGIT_MASK) - _HALF
+                if d:
+                    bits.append(names[i] if d == 1 else power % (names[i], d))
+            return " ".join(bits)
+
+        highs, lows, out = {}, {}, []
+        rest = range(2, self.arity)
+        for e in keys:
+            x = e + self._bias
+            lo = x & low
+            hi = highs.get(x - lo)
+            if hi is None:
+                hi = highs[x - lo] = text(x - lo, (0, 1))
+            tail = lows.get(lo)
+            if tail is None:
+                tail = lows[lo] = text(lo, rest)
+            out.append(hi + " " + tail if hi and tail else hi or tail or "1")
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -259,6 +278,16 @@ class VarTable:
 
     def var(self, name):
         return self.monomial(self.unit_exps(name))
+
+    def product(self, f):
+        """prod_{i=1..g} f(a_i), g the genus: f maps the packed exponent of a
+        monomial u to f(u), a polynomial over this table in u and the
+        a-free variables.  `weil.WeilTable` builds the same product on
+        orbit representatives."""
+        out = self.one()
+        for i in range(1, self.genus + 1):
+            out = out * f(self.unit_exps("a%d" % i))
+        return out
 
     def mul_terms(self, a, b):
         """Terms of the product of the term dicts a and b, a the shorter and
@@ -477,7 +506,7 @@ class LaurentPoly:
 
     def sorted_terms(self):
         """Deterministic descending-lex term order, for printing and hashing."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        return sorted(self.terms.items(), reverse=True)
 
     def __repr__(self):
         if not self.terms:

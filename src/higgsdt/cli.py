@@ -9,6 +9,9 @@ Subcommands:
 compute renders every polynomial through poly_render (text and latex differ
 only in the monomial style and the coefficient separator) or, for csv and
 json, poly_pairs; coefficients print as str() of the exact int or Fraction.
+It takes IDT_r on Weil orbit representatives (`dt.idt_orbits`), sets t = 1
+on them, and expands each of the two once; the volume is a shift of the
+t = 1 value.
 
 Exit status: 0 on success, 1 when a verification or comparison fails, 2 on
 usage errors and on rejected input values.  A rejected value (a bad curve or
@@ -22,9 +25,10 @@ import json
 import sys
 
 from .algebra import ExponentRangeError, VarTable
-from .dt import CurveParams, idt_star, moduli_volume, omega
+from .dt import CurveParams, idt_orbits, moduli_volume, omega
 from .oracle_p1 import SUPPORTED_Q, compare_with_formula
 from .verify import SUITES, run_suites
+from .weil import weil_table
 from .zeta import ZetaData, specialize_integer
 
 SCHEMA_VERSION = 1
@@ -127,12 +131,14 @@ def _cmd_compute(args):
     cp = _curve(args, args.genus, None)
     canonical = cp.mode == "canonical"
     rows = []   # per rank: r, IDT_r, its t = 1 value, omega, volume (None if canonical)
+    wt, wq = weil_table(cp.genus), weil_table(cp.genus, "q")
     try:
-        polys = idt_star(cp, args.rmax) if args.rmax >= 1 else {}
-        for r in sorted(polys):
+        reps = idt_orbits(cp, args.rmax) if args.rmax >= 1 else {}
+        for r in sorted(reps):
+            # t = 1 is taken on the representatives and each is expanded once;
             # t1 is t-free, so omega and moduli_volume substitute nothing again
-            t1 = polys[r].set_var_one("t")
-            rows.append((r, polys[r], t1, omega(cp, r, idt_poly=t1),
+            t1 = wq.expand(wt.at_t_one(reps[r]))
+            rows.append((r, wt.expand(reps[r]), t1, omega(cp, r, idt_poly=t1),
                          None if canonical else moduli_volume(cp, r, 1, idt_poly=t1)))
     except ExponentRangeError as e:
         _refuse(args, e)
@@ -227,12 +233,13 @@ def _cmd_specialize(args):
         _refuse(args, e)
     cp = _curve(args, zd.genus, 1)
     try:
-        polys = idt_star(cp, args.rmax)
+        reps = idt_orbits(cp, args.rmax)
     except ExponentRangeError as e:
         _refuse(args, e)
     print("curve over F_%d with point counts %s" % (args.q0, zd.point_counts(3)))
-    for r in sorted(polys):
-        val = specialize_integer(polys[r].set_var_one("t"), zd)
+    wt = weil_table(cp.genus)
+    for r in sorted(reps):
+        val = specialize_integer(wt.at_t_one(reps[r]), zd)
         print("rank %d value at t = 1: %d" % (r, val))
     return 0
 

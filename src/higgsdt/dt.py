@@ -26,10 +26,16 @@ q (q^a - a_i^{-1} t^{l+1}), so it swaps the two binomials of N_la(1/a_i) up
 to the factors q^{-1} and q, whose product is 1.  The group acts by monomial
 maps fixing q and t, which commute with every Adams operation, so Log Z and
 every IDT_r are invariant too.  Every denominator of the main pipeline is
-free of the a_i, so `idt_star` keeps one a-exponent slice per orbit (see
-`weil`; at genus 0 that is the whole polynomial) and expands each IDT_r at
-the end.  `alt_idt` does the same with a_i -> q/a_i, which swaps the two
-factors of each (1 - a_i s)(1 - q s/a_i) in H, and fixes IDT_r at t = 1.
+free of the a_i, so the whole pipeline keeps one a-exponent slice per orbit
+(see `weil`; at genus 0 that is the whole polynomial).  A term's numerator
+is prod_i f(a_i) with f(u) = N_la(1/u), whose slice alpha is
+prod_i [u^alpha_i] f(u): `zstar_orbit_term` builds the representative
+slices alone.  `idt_orbits` returns the cleared representatives and
+`idt_star` expands them; t = 1 maps them onto representatives of the orbits
+of a_i -> q/a_i (`weil.WeilTable.at_t_one`), which is how `cli` renders
+the t = 1 values.  `alt_idt` builds and clears on those orbits: a_i -> q/a_i
+swaps the two factors of each (1 - a_i s)(1 - q s/a_i) in H, and fixes
+IDT_r at t = 1.
 """
 
 import math
@@ -98,18 +104,27 @@ def n_lambda(table, lam, u_exps=None):
     return binomial_product(table, _hook_pairs(table, lam, u_exps))
 
 
+def _zstar_term(cp, lam, table):
+    """zstar_term over cp.table() or over its representatives on
+    weil_table(g): the numerator is table.product of f(u) = N_la(1/u)."""
+    full = cp.table()
+    p = cp.p
+    sign = -1 if (p * lam.weight) % 2 else 1
+    num = table.product(lambda u: n_lambda(full, lam, -u))
+    prefactor = table.exps(q=p * lam.conjugate().n_stat(), t=p * lam.n_stat())
+    num = num.mono_mul(prefactor, sign)
+    return over_binomials(num, _hook_pairs(table, lam, table.zero_exps()))
+
+
 def zstar_term(cp, lam):
     """One partition's term of the main series (without T^|la|)."""
-    table = cp.table()
-    p = cp.p
-    w = lam.weight
-    nl = lam.n_stat()
-    nlc = lam.conjugate().n_stat()
-    sign = -1 if (p * w) % 2 else 1
-    num = table.monomial(table.exps(q=p * nlc, t=p * nl), sign)
-    for i in range(1, cp.genus + 1):
-        num = num * n_lambda(table, lam, table.exps(**{"a%d" % i: -1}))
-    return over_binomials(num, _hook_pairs(table, lam, table.zero_exps()))
+    return _zstar_term(cp, lam, cp.table())
+
+
+def zstar_orbit_term(cp, lam):
+    """zstar_term on the representatives of weil_table(g), built without
+    the whole numerator (`weil.WeilTable.product`)."""
+    return _zstar_term(cp, lam, weil_table(cp.genus))
 
 
 def partition_series(table, order, term):
@@ -152,22 +167,23 @@ def _clear_log(series, order, clearer, what):
     return out
 
 
-def idt_star(cp, order, series=None):
-    """Integer DT polynomials: map r -> coefficient r of (q-1)(1-t) Log Z.
+def idt_orbits(cp, order, series=None):
+    """IDT_r on the representatives of weil_table(g): map r -> the
+    representative terms of coefficient r of (q-1)(1-t) Log Z.
 
     series, if given, must be the main series of cp (`zstar_series`), to at
-    least T^order; a shorter or not Weil-invariant one is refused.  The
-    series, its log and the cleared coefficients are kept by Weil orbit
-    representatives (`weil.WeilTable`), exact by the module docstring, and
-    each IDT_r is expanded to every monomial at the end.
+    least T^order; a shorter or not Weil-invariant one is refused, and its
+    terms are restricted.  Without it each series term is built on the
+    representatives (`zstar_orbit_term`).  The series, its log and the
+    cleared coefficients are kept by Weil orbit representatives
+    (`weil.WeilTable`), exact by the module docstring.
 
     Raises IntegralityError when a coefficient fails to clear; that failure
     is meaningful (it falsifies the integrality property), never masked.
     """
     table = weil_table(cp.genus)
     if series is None:
-        Z = partition_series(table, order,
-                             lambda lam: table.restrict_fraction(zstar_term(cp, lam)))
+        Z = partition_series(table, order, lambda lam: zstar_orbit_term(cp, lam))
     else:
         if series.order < order or not all(table.is_invariant(c.num) for c in series.coeffs):
             raise ValueError("series= must be the main series of %r to T^%d: it is "
@@ -176,32 +192,35 @@ def idt_star(cp, order, series=None):
                         [table.restrict_fraction(c) for c in series.coeffs])
     one = table.one()
     clearer = (table.var("q") - one) * (one - table.var("t"))
-    return {r: table.expand(p)
-            for r, p in _clear_log(Z, order, clearer, "idt").items()}
+    return _clear_log(Z, order, clearer, "idt")
+
+
+def idt_star(cp, order, series=None):
+    """Integer DT polynomials: map r -> coefficient r of (q-1)(1-t) Log Z,
+    every monomial of `idt_orbits` (same arguments, same refusals)."""
+    table = weil_table(cp.genus)
+    return {r: table.expand(p) for r, p in idt_orbits(cp, order, series).items()}
 
 
 def rank_one_idt(cp):
     """Closed form of the r = 1 coefficient:
     (-1)^p prod_i (1 - a_i^{-1} t)(q - a_i)."""
     table = cp.table()
-    pairs = []
-    for i in range(1, cp.genus + 1):
-        ai = "a%d" % i
-        pairs += [(table.zero_exps(), table.exps(t=1, **{ai: -1})),
-                  (table.exps(q=1), table.exps(**{ai: 1}))]
-    out = binomial_product(table, pairs)
+    t, q = table.exps(t=1), table.exps(q=1)
+    out = table.product(lambda u: binomial_product(table, [(0, t - u), (q, u)]))
     return -out if cp.p % 2 else out
+
+
+def zeta_factor(table, m, u):
+    """(1 - x^m u)(1 - x^m q / u), m and u packed: one eigenvalue pair's
+    factor of the curve's zeta numerator at s = x^m."""
+    return binomial_product(table, [(0, m + u), (0, m + table.exps(q=1) - u)])
 
 
 def zeta_numerator(table, m):
     """prod_i (1 - x^m a_i)(1 - x^m q a_i^{-1}): the numerator of the curve's
     zeta function Z_X(s) at s = x^m (m packed)."""
-    pairs = []
-    for i in range(1, table.genus + 1):
-        ai = "a%d" % i
-        pairs += [(table.zero_exps(), m + table.exps(**{ai: 1})),
-                  (table.zero_exps(), m + table.exps(q=1, **{ai: -1}))]
-    return binomial_product(table, pairs)
+    return table.product(lambda u: zeta_factor(table, m, u))
 
 
 def jacobian_poly(table):
@@ -258,33 +277,39 @@ def moduli_volume(cp, r, d, idt_poly=None):
 # -- alternative formulation ------------------------------------------------
 
 
-def alt_h_term(cp, lam):
-    """One partition's term of the zeta-value form of the series.
-
-    prod_s (-t^{a-l} q^a)^p * t^{(1-g)(2l+1)} * Z_X(t^h q^a), with
-    Z_X(s) = prod_i (1 - a_i s)(1 - a_i^{-1} q s) / ((1 - s)(1 - q s)).
-    """
-    table = cp.table()
+def _alt_h_term(cp, lam, table):
+    """alt_h_term over cp.table() or over its representatives on
+    weil_table(g, "q"): the numerator is table.product of
+    f(u) = prod_s (1 - u t^h q^a)(1 - q t^h q^a / u)."""
+    full = cp.table()
     p, g = cp.p, cp.genus
     w = lam.weight
     sign = -1 if (p * w) % 2 else 1
     qexp = p * lam.conjugate().n_stat()
     texp = (p * (lam.conjugate().n_stat() - lam.n_stat())
             + (1 - g) * (2 * lam.n_stat() + w))
-    num = table.monomial(table.exps(q=qexp, t=texp), sign)
-    den = []
-    for a, l in lam.arm_legs():
-        m = table.exps(q=a, t=a + l + 1)  # t^h q^a, h the hook length
-        num = num * zeta_numerator(table, m)
-        den += [(table.zero_exps(), m), (table.zero_exps(), m + table.exps(q=1))]
-    return over_binomials(num, den)
+    hooks = [table.exps(q=a, t=a + l + 1) for a, l in lam.arm_legs()]  # t^h q^a
+    num = table.product(lambda u: math.prod((zeta_factor(full, m, u) for m in hooks),
+                                            start=full.one()))
+    num = num.mono_mul(table.exps(q=qexp, t=texp), sign)
+    return over_binomials(num, [(table.zero_exps(), m + d) for m in hooks
+                                for d in (table.zero_exps(), table.exps(q=1))])
+
+
+def alt_h_term(cp, lam):
+    """One partition's term of the zeta-value form of the series.
+
+    prod_s (-t^{a-l} q^a)^p * t^{(1-g)(2l+1)} * Z_X(t^h q^a), with
+    Z_X(s) = prod_i (1 - a_i s)(1 - a_i^{-1} q s) / ((1 - s)(1 - q s)).
+    """
+    return _alt_h_term(cp, lam, cp.table())
 
 
 def alt_idt(cp, order):
-    """Coefficients of (1 - t)(1 - qt) Log H, cleared on orbits of a_i -> q/a_i."""
+    """Coefficients of (1 - t)(1 - qt) Log H, built and cleared on orbits of
+    a_i -> q/a_i."""
     table = weil_table(cp.genus, "q")
-    H = partition_series(table, order,
-                         lambda lam: table.restrict_fraction(alt_h_term(cp, lam)))
+    H = partition_series(table, order, lambda lam: _alt_h_term(cp, lam, table))
     one = table.one()
     clearer = (one - table.monomial(table.exps(q=1, t=1))) * (one - table.var("t"))
     return {r: table.expand(p)

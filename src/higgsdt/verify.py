@@ -19,7 +19,7 @@ from .partitions import enumerate_partitions, partitions_up_to
 from .series import TruncSeries, pleth_exp, pleth_log
 from .dt import (CurveParams, IntegralityError, alt_idt, idt_star,
                  jacobian_poly, n_lambda, rank_one_idt,
-                 substitution_identity_check, zstar_term)
+                 substitution_identity_check, zstar_orbit_term, zstar_term)
 from .positive import (alpha_zero_check, inductive_property_check,
                        laurent_property_check, omega_plus,
                        stabilization_check)
@@ -275,14 +275,22 @@ def _check_numeric():
             ok2 = False
     out.append(("canonical rank-1 value counts curve points", ok2))
     # the premise of idt_star's Weil orbit form, which specialization then
-    # relies on: each series term's numerator is given back by its orbits
+    # relies on: each series term's numerator is given back by its orbits,
+    # and the representatives built directly are those of the whole term
     cps = [CurveParams(genus=1, ell=1), CurveParams(genus=2, ell=3),
            CurveParams(genus=1, ell=0, mode="canonical"),
            CurveParams(genus=2, ell=2, mode="canonical")]
-    inv = all(weil_table(c.genus).is_invariant(zstar_term(c, lam).num)
-              for c in cps for lam in partitions_up_to(3))
+    inv = True
+    for c in cps:
+        wt = weil_table(c.genus)
+        for lam in partitions_up_to(3):
+            term = zstar_term(c, lam)
+            if (not wt.is_invariant(term.num)
+                    or zstar_orbit_term(c, lam) != wt.restrict_fraction(term)):
+                inv = False
     out.append(("series term numerators, |lambda| <= 3, are given back by their Weil "
-                "orbit representatives: twisted (1,1), (2,3), canonical g = 1, 2", inv))
+                "orbit representatives, which the direct build matches: twisted "
+                "(1,1), (2,3), canonical g = 1, 2", inv))
     return out
 
 

@@ -9,7 +9,15 @@ the sum of the entries whose sign flips, so on packed monomials it adds one
 offset per image slice.  An invariant polynomial is therefore known from its
 representative slices, those with alpha >= 0 and non-increasing: one per
 orbit.  At genus 0 the group is trivial: there are no a-variables, the one
-slice is a-free, and `restrict` and `expand` copy.
+slice is a-free, and `restrict` and `expand` only change the table.
+
+Two ways into the orbit form skip the whole polynomial.  A product
+prod_{i=1..g} f(a_i) of one function f of one variable has the slice
+alpha prod_i [u^alpha_i] f(u), so `product` builds its representatives from
+the slices k >= 0 of f alone.  And t = 1 keeps every a-exponent and turns
+q t / a_i into q / a_i, so it maps the representatives of a polynomial
+invariant under the q t flip, slice by slice, onto those of its value at
+t = 1 under the q flip (`at_t_one`).
 """
 
 from functools import lru_cache
@@ -150,9 +158,41 @@ class WeilTable(VarTable):
                         out[e] = get(e, 0) + c
         return out
 
+    def product(self, f):
+        """The representative terms of prod_{i=1..g} f(a_i).
+
+        f maps the packed exponent of a monomial u to f(u), a polynomial over
+        `full` in q, t and u; it is called once, at u = a_1, and never at
+        genus 0, where the product is 1.  The slice alpha of the product is
+        prod_i [u^alpha_i] f(u) (module docstring), so only the slices
+        k >= 0 of f are read, and the representatives alpha_1 >= ... >=
+        alpha_g >= 0 are built a factor at a time, each prefix
+        alpha_1..alpha_j once for all of its extensions.
+        """
+        if not self.genus:
+            return self.one()
+        u = self.unit_exps("a1")
+        slices = {}
+        for e, c in f(u).terms.items():
+            k = self.digit(e, 2)
+            if k >= 0:
+                slices.setdefault(k, {})[e - k * u] = c
+        slices = [(k, LaurentPoly(self.full, slices[k])) for k in sorted(slices)]
+        # (last alpha_j, prod_{i<=j} [u^alpha_i] f, packed a-part) per prefix
+        level = [(k, s, k * u) for k, s in slices]
+        for j in range(1, self.genus):
+            unit = self.unit_exps("a%d" % (j + 1))
+            level = [(k, prefix * s, apart + k * unit)
+                     for top, prefix, apart in level
+                     for k, s in slices if k <= top]
+        return LaurentPoly(self, {e + apart: c for _, p, apart in level
+                                  for e, c in p.terms.items()})
+
     def restrict(self, poly):
         """The representative terms of a Weil-invariant poly over `full`."""
         self._check(poly, self.full)
+        if not self.genus:
+            return LaurentPoly(self, poly.terms)
         return LaurentPoly(self, {e: c for k, ts in self._slices(poly.terms).items()
                                   if self._is_rep(k) for e, c in ts.items()})
 
@@ -170,12 +210,24 @@ class WeilTable(VarTable):
         """The whole invariant polynomial, over `full`, whose representative
         terms poly holds."""
         self._check(poly, self)
+        if not self.genus:
+            return LaurentPoly(self.full, poly.terms)
         out = {}
         for k, ts in self._slices(poly.terms).items():
             for _, o in self._images(k, ts):
                 for e, c in ts.items():
                     out[e + o] = c
         return LaurentPoly(self.full, out)
+
+    def at_t_one(self, poly):
+        """The representatives over `weil_table(genus, "q")` of the value at
+        t = 1 of the invariant polynomial whose representatives over this
+        table, the q t flip's, poly holds (module docstring)."""
+        self._check(poly, self)
+        if self.flip != "qt":
+            raise ValueError("t = 1 maps representatives of the qt flip, not of %r"
+                             % self.flip)
+        return LaurentPoly(weil_table(self.genus, "q"), poly.set_var_one("t").terms)
 
     def is_invariant(self, poly):
         """Whether poly over `full` is invariant: its representatives give it back."""

@@ -28,7 +28,7 @@ from fractions import Fraction as Q
 from itertools import zip_longest
 
 from .algebra import LaurentPoly
-from .dt import zeta_numerator
+from .dt import zeta_factor
 from .weil import weil_table
 
 
@@ -275,7 +275,9 @@ def specialize_integer(poly, zd):
 
     Only polynomials invariant under permuting the eigenvalue pairs and under
     a_i -> q a_i^{-1} define numbers independent of labeling choices, so
-    anything else is rejected rather than silently evaluated.  Such a
+    anything else is rejected rather than silently evaluated.  poly is the
+    whole polynomial, or its representatives over weil_table(g, "q"), which
+    hold an invariant polynomial by construction.  Such a
     polynomial is one in q and G_k = (-1)^k C_k, k = 1..g, where C_k is the
     t^k coefficient of the symbolic L-polynomial: G_k is the k-th elementary
     symmetric function of a_1..a_g, q/a_1..q/a_g, its lex-leading a-part is
@@ -286,16 +288,17 @@ def specialize_integer(poly, zd):
     parts lie below it, so the reduction runs on representatives.
     """
     g, wt = zd.genus, weil_table(zd.genus, "q")
-    if poly.table != wt.full:
+    if poly.table not in (wt, wt.full):
         raise ValueError("need a polynomial over the variables of a genus-%d "
                          "curve, got %r" % (g, poly.table))
     if poly.uses_var("t"):
         raise ValueError("invariant still involves t; specialize it first")
-    if not wt.is_invariant(poly):
-        raise ValueError("polynomial is not symmetric in the eigenvalue pairs")
-    poly = wt.restrict(poly)
+    if poly.table == wt.full:
+        if not wt.is_invariant(poly):
+            raise ValueError("polynomial is not symmetric in the eigenvalue pairs")
+        poly = wt.restrict(poly)
     t1, q1 = wt.exps(t=1), wt.exps(q=1)
-    L = wt.restrict(zeta_numerator(wt.full, t1))
+    L = wt.product(lambda u: zeta_factor(wt.full, t1, u))
     gens = [LaurentPoly(wt, {e - k * t1: (-1) ** k * c for e, c in L.terms.items()
                              if wt.digit(e, 1) == k})
             for k in range(1, g + 1)]

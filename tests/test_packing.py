@@ -76,6 +76,40 @@ def test_named_exponents_and_rendering():
     assert t.unpack(t.zero_exps()) == (0,) * t.arity
 
 
+def format_by_columns(table, keys, names, power):
+    """format_monomials a variable at a time: one text per exponent column."""
+    cols = []
+    for i, nm in enumerate(names):
+        col = table.digits(keys, i)
+        if any(col):
+            text = {e: nm if e == 1 else power % (nm, e) for e in set(col) if e}
+            cols.append([text.get(e) for e in col])
+    if not cols:
+        return ["1"] * len(keys)
+    return [" ".join(filter(None, bits)) or "1" for bits in zip(*cols)]
+
+
+def test_format_monomials_matches_the_column_reference():
+    # the (q, t) and the other parts are formatted once each and joined
+    rng = random.Random(20)
+    t = WIDE
+    keys = [t.zero_exps()]
+    for _ in range(5000):
+        if rng.random() < 0.8:
+            exps = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(t.arity)]
+        else:
+            exps = rand_exps(rng, t.arity)
+        keys.append(t.pack(exps))
+    latex = ["\\%s_{%s}" % (nm[0], nm[1:]) if len(nm) > 1 else nm for nm in t.names]
+    for names, power in ((t.names, "%s^%d"), (latex, "%s^{%d}")):
+        got = t.format_monomials(keys, names, power)
+        assert got == format_by_columns(t, keys, names, power)
+    assert got[0] == "1"
+    assert t.format_monomials(iter(keys)) == format_by_columns(t, keys, t.names, "%s^%d")
+    for table in TABLES:
+        assert table.format_monomials([0, table.exps(t=-2)]) == ["1", "t^-2"]
+
+
 # -- the range guard ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Weil orbit form: representatives against the whole invariant polynomials."""
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from higgsdt.algebra import (EXP_LIMIT, AlgebraError, ExponentRangeError, LaurentPoly,
                              NotDivisibleError, TableMismatchError, canonical_binomial,
                              exact_divide, over_binomials, var_table)
-from higgsdt.dt import CurveParams, alt_h_term, zstar_term
+from higgsdt import dt
+from higgsdt.dt import (CurveParams, alt_h_term, idt_orbits, idt_star, n_lambda,
+                        zeta_factor, zstar_orbit_term, zstar_term)
 from higgsdt.partitions import Partition, enumerate_partitions
 from higgsdt.weil import weil_table
 
@@ -38,10 +41,11 @@ def generators(table, qfactor=None):
 # -- the premise: every term of the main series is invariant -------------------
 
 
-def main_curves():
-    for g in GENERA:
-        yield CurveParams(genus=g, ell=2 * g - 1)
-        yield CurveParams(genus=g, ell=2 * g - 2, mode="canonical")
+def main_curves(genera=GENERA):
+    for g in genera:
+        yield CurveParams(genus=g, ell=2 * g - 1 if g else 1)
+        if g:
+            yield CurveParams(genus=g, ell=2 * g - 2, mode="canonical")
 
 
 def test_every_term_is_weil_invariant_at_generic_t():
@@ -234,3 +238,85 @@ def test_one_instance_per_table_however_it_is_requested():
     for flip in FLIPS:
         assert weil_table(2, flip) is weil_table(2, flip=flip)
     assert weil_table(2) is weil_table(2, "qt") is weil_table(2, flip="qt")
+
+
+# -- building on representatives -----------------------------------------------
+
+
+def numerator_functions(table, lam):
+    """f with prod_i f(a_i) the numerator of the main and of the zeta-value
+    term of lam, up to a monomial, over a full table: neither depends on
+    the twist."""
+    hooks = [table.exps(q=a, t=a + l + 1) for a, l in lam.arm_legs()]
+    return [lambda u: n_lambda(table, lam, -u),
+            lambda u: math.prod((zeta_factor(table, m, u) for m in hooks), start=table.one())]
+
+
+@pytest.mark.parametrize("g", (0,) + GENERA)
+def test_product_is_the_restricted_whole_product(g):
+    # the slices of prod_i f(a_i) are products of slices of f: the direct
+    # build equals the restriction of the whole product on either flip
+    full, wt, wq = var_table(genus=g), weil_table(g), weil_table(g, "q")
+    for w in range(5):
+        for lam in enumerate_partitions(w):
+            for f in numerator_functions(full, lam):
+                whole = full.product(f)
+                assert wt.product(f) == wt.restrict(whole), lam
+                assert wq.product(f) == wq.restrict(whole), lam
+
+
+@pytest.mark.parametrize("g", (0,) + GENERA)
+def test_series_terms_built_on_representatives_are_the_restricted_terms(g):
+    # both series' terms, twisted and canonical, against their whole terms;
+    # genus 3 stops at weight 3, whose whole weight-4 terms take a second each
+    wt, wq = weil_table(g), weil_table(g, "q")
+    for cp in main_curves((g,)):
+        for w in range(5 if g < 3 else 4):
+            for lam in enumerate_partitions(w):
+                assert zstar_orbit_term(cp, lam) == wt.restrict_fraction(zstar_term(cp, lam))
+                assert (dt._alt_h_term(cp, lam, wq)
+                        == wq.restrict_fraction(alt_h_term(cp, lam))), (cp, lam)
+
+
+def test_genus_zero_orbit_form_only_changes_the_table():
+    # the group is trivial, so the terms are shared, never scanned or copied
+    full, wt = var_table(), weil_table(0)
+    poly = LaurentPoly(full, {full.exps(q=2, t=-1): 3, 0: -1})
+    assert wt.restrict(poly).terms is poly.terms
+    assert wt.expand(wt.restrict(poly)).terms is poly.terms
+    assert wt.product(lambda u: 1 / 0) == wt.one()
+
+
+@pytest.mark.parametrize("cp, r", [
+    (CurveParams(genus=1, ell=1), 4),
+    (CurveParams(genus=2, ell=3), 3),
+    (CurveParams(genus=3, ell=5), 2),
+    (CurveParams(genus=1, ell=0, mode="canonical"), 3),
+    (CurveParams(genus=2, ell=2, mode="canonical"), 3),
+])
+def test_t_one_maps_representatives_onto_the_q_flip(cp, r):
+    wt, wq = weil_table(cp.genus), weil_table(cp.genus, "q")
+    for rank, reps in idt_orbits(cp, r).items():
+        got = wt.at_t_one(reps)
+        assert got.table is wq
+        assert got == wq.restrict(wt.expand(reps).set_var_one("t")), rank
+        assert wq.expand(got) == wt.expand(reps).set_var_one("t"), rank
+
+
+def test_t_one_needs_the_qt_flip():
+    wq = weil_table(2, "q")
+    with pytest.raises(ValueError, match="qt flip"):
+        wq.at_t_one(wq.one())
+    with pytest.raises(TableMismatchError):
+        weil_table(2).at_t_one(wq.one())
+
+
+def test_idt_star_builds_no_whole_series_term(monkeypatch):
+    # the engine path builds every term on representatives: neither the
+    # whole term nor its restriction is ever made
+    def refuse(*args):
+        raise AssertionError("whole series term built")
+    monkeypatch.setattr(dt, "zstar_term", refuse)
+    monkeypatch.setattr(type(weil_table(3)), "restrict_fraction", refuse)
+    polys = idt_star(CurveParams(genus=3, ell=5), 3)
+    assert len(polys[3].terms) == 36881

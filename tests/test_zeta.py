@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from higgsdt.algebra import over_binomials, t_expand, var_table
-from higgsdt.dt import CurveParams, idt_star, zeta_numerator
+from higgsdt.dt import CurveParams, idt_orbits, idt_star, zeta_numerator
+from higgsdt.weil import weil_table
 from higgsdt.zeta import CountingSequence, ZetaData, counting_sequence, specialize_integer
 
 
@@ -185,6 +186,19 @@ def test_specialize_integer_values():
     for tr in range(-2, 3):
         zd = ZetaData.from_trace(2, tr)
         assert specialize_integer(poly, zd) == -(3 - tr)
+
+
+def test_specialize_integer_reads_representatives():
+    # the representatives of the t = 1 value, as `specialize` passes them,
+    # give the value of the whole polynomial; those of the qt flip are refused
+    for cp, zd in ((CurveParams(genus=1, ell=1), ZetaData.from_trace(5, 2)),
+                   (CurveParams(genus=2, ell=3), ZetaData.from_lpoly(3, (1, 3)))):
+        wt = weil_table(cp.genus)
+        for r, reps in idt_orbits(cp, 2).items():
+            whole = wt.expand(reps).set_var_one("t")
+            assert specialize_integer(wt.at_t_one(reps), zd) == specialize_integer(whole, zd)
+        with pytest.raises(ValueError, match="need a polynomial over"):
+            specialize_integer(reps.set_var_one("t"), zd)
 
 
 def test_specialize_integer_rejects_asymmetric_poly():
