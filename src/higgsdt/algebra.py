@@ -504,15 +504,11 @@ class LaurentPoly:
     def uses_var(self, name):
         return any(self.table.digits(self.terms, self.table.index[name]))
 
-    def sorted_terms(self):
-        """Deterministic descending-lex term order, for printing and hashing."""
-        return sorted(self.terms.items(), reverse=True)
-
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items(), reverse=True):
             bits.append("%s*%s" % (c, self.table.format_exps(e)))
         return " + ".join(bits)
 

@@ -6,25 +6,24 @@ Subcommands:
   oracle-p1   finite-field count on the line vs the formula
   specialize  exact values at a curve over F_q given by its L-polynomial
 
-compute renders every polynomial through poly_render (text and latex differ
-only in the monomial style and the coefficient separator) or, for csv and
-json, poly_pairs; coefficients print as str() of the exact int or Fraction.
-It takes IDT_r on Weil orbit representatives (`dt.idt_orbits`), sets t = 1
-on them, and expands each of the two once; the volume is a shift of the
-t = 1 value.
+compute takes IDT_r on Weil orbit representatives (`dt.idt_orbits`), sets
+t = 1 on them and expands each once before it writes a byte; the volume is a
+shift of the t = 1 value.  _pairs sorts and formats each printed polynomial
+once, and every format is a template over those pairs, written rank by rank.
 
-Exit status: 0 on success, 1 when a verification or comparison fails, 2 on
-usage errors and on rejected input values.  A rejected value (a bad curve or
+Exit status: 0 on success, 1 when a verification or comparison fails or
+stdout is closed before the output is written (no traceback), 2 on usage
+errors and on rejected input values.  A rejected value (a bad curve or
 twist, an exponent out of range, an unknown suite) is reported in exactly
 one stderr line, "higgsdt <command>: error: <reason>"; argparse's own usage
 errors keep argparse's form, with the usage line.
 """
 
 import argparse
-import json
+import os
 import sys
 
-from .algebra import ExponentRangeError, VarTable
+from .algebra import ExponentRangeError
 from .dt import CurveParams, idt_orbits, moduli_volume, omega
 from .oracle_p1 import SUPPORTED_Q, compare_with_formula
 from .verify import SUITES, run_suites
@@ -34,63 +33,68 @@ from .zeta import ZetaData, specialize_integer
 SCHEMA_VERSION = 1
 
 
-def _latex_monomials(table, keys):
-    # q and t keep their names; a_i and z_i become \alpha_{i}, \z_{i}
-    names = [nm if len(nm) == 1
+def _pairs(poly, latex=False):
+    """(monomial, str(coefficient)) of each term of poly, leading term first;
+    compute sorts and formats nowhere else.  The keys are distinct, so sorting
+    them alone gives the term order.  Equal coefficients share one string."""
+    table, keys = poly.table, sorted(poly.terms, reverse=True)
+    # in latex q and t keep their names; a_i and z_i become \alpha_{i}, \z_{i}
+    names = [nm if len(nm) == 1 or not latex
              else "\\%s_{%s}" % ("alpha" if nm[0] == "a" else "z", nm[1:])
              for nm in table.names]
-    return table.format_monomials(keys, names, "%s^{%d}")
-
-
-# per style: monomial renderer, separator between coefficient and monomial
-_STYLES = {"text": (VarTable.format_monomials, " "),
-           "latex": (_latex_monomials, " \\, ")}
-
-
-def poly_render(poly, style):
-    """One line for poly in the "text" or "latex" style, leading term first."""
-    if not poly.terms:
-        return "0"
-    monos_of, sep = _STYLES[style]
-    terms = poly.sorted_terms()
-    out = []
-    for mono, (_, c) in zip(monos_of(poly.table, [e for e, _ in terms]), terms):
-        mag = str(abs(c))
-        body = mag if mono == "1" else mono if mag == "1" else mag + sep + mono
-        if not out:
-            out.append("-" + body if c < 0 else body)
-        else:
-            out.append("%s %s" % ("-" if c < 0 else "+", body))
-    return " ".join(out)
+    monos = table.format_monomials(keys, names, "%s^{%d}" if latex else "%s^%d")
+    text = {c: str(c) for c in set(poly.terms.values())}
+    return [(m, text[poly.terms[e]]) for m, e in zip(monos, keys)]
 
 
 def poly_pairs(poly):
-    """Deterministic [monomial string, coefficient string] pairs."""
-    terms = poly.sorted_terms()
-    monos = poly.table.format_monomials(e for e, _ in terms)
-    return [[m, str(c)] for m, (_, c) in zip(monos, terms)]
+    """Deterministic [monomial string, coefficient string] pairs, as in json."""
+    return [[m, c] for m, c in _pairs(poly)]
 
 
-_ENCODE = json.encoder.encode_basestring_ascii
+def _line(pairs, sep):
+    """The signed sum of pairs on one line, "0" if empty; sep goes between a
+    coefficient other than 1 and its monomial."""
+    out, signs = [], ("", "-")  # the leading term: no "+", no space after "-"
+    for mono, c in pairs:
+        mag = c.lstrip("-")
+        body = mag if mono == "1" else mono if mag == "1" else mag + sep + mono
+        out.append(signs[c[0] == "-"] + body)
+        signs = ("+ ", "- ")
+    return " ".join(out) or "0"
 
 
-def _json_text(value, ind="\n"):
-    """json.dumps(value, indent=2) for the compute payload: dicts, lists,
-    strings, ints and None.  A list of lists is a list of poly_pairs and
-    goes out one format per pair, not through json's pure-Python indent
-    encoder."""
-    if not value or not isinstance(value, (dict, list)):
-        return json.dumps(value)
-    inner = ind + "  "
-    if isinstance(value, dict):
-        items = (_ENCODE(k) + ": " + _json_text(v, inner) for k, v in value.items())
-    elif isinstance(value[0], list):
-        pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
-        items = (pair % (_ENCODE(m), _ENCODE(c)) for m, c in value)
-    else:
-        items = (_json_text(v, inner) for v in value)
-    body = inner + ("," + inner).join(items) + ind
-    return "{%s}" % body if isinstance(value, dict) else "[%s]" % body
+def _json_list(pairs):
+    """json.dumps(pairs, indent=2) at the depth of a rank's fields.  No string
+    needs escaping: a monomial is "1" or names q, t, a<i>, z<i> with "^<int>"
+    exponents, joined by spaces, and a coefficient is str() of an int, so
+    neither holds '"', '\\' or a control or non-ASCII character, the only
+    characters json.dumps escapes."""
+    pair = '\n        [\n          "%s",\n          "%s"\n        ]'
+    return "[%s\n      ]" % ",".join(pair % p for p in pairs) if pairs else "[]"
+
+
+# compute --format json up to its first rank, then one rank
+_JSON_HEAD = ('{\n  "schema_version": %d,\n  "params": {\n    "genus": %d,\n'
+              '    "ell": %d,\n    "mode": "%s",\n    "rmax": %d\n  },\n  "results": [')
+_JSON_RANK = """
+    {
+      "r": %d,
+      "idt": %s,
+      "idt_t1": %s,
+      "omega": {
+        "sign": %d,
+        "half_power_exponent": %d,
+        "poly": %s
+      },
+      "volume": %s
+    }"""
+_TEXT_RANK = """rank %d
+  invariant      %s
+  at t = 1       %s
+  weighted       q^(%d/2) * [%s]
+  %s
+"""
 
 
 def _refuse(args, reason):
@@ -143,53 +147,40 @@ def _cmd_compute(args):
     except ExponentRangeError as e:
         _refuse(args, e)
 
-    # omega's body and A are t1 itself, so every format renders t1 once per rank
+    # one rank at a time; the t = 1 pairs also serve omega's body and A
+    write = sys.stdout.write
     if args.format == "json":
-        results = []
-        for r, idt, t1, hp, volume in rows:
-            t1_pairs = poly_pairs(t1)
-            entry = {
-                "r": r,
-                "idt": poly_pairs(idt),
-                "idt_t1": t1_pairs,
-                "omega": {"sign": hp.sign, "half_power_exponent": hp.half,
-                          "poly": t1_pairs},
-                "volume": None if volume is None else poly_pairs(volume),
-            }
-            if canonical:
-                entry["A"] = t1_pairs
-            results.append(entry)
-        print(_json_text({
-            "schema_version": SCHEMA_VERSION,
-            "params": {"genus": cp.genus, "ell": cp.ell, "mode": cp.mode,
-                       "rmax": args.rmax},
-            "results": results,
-        }))
+        write(_JSON_HEAD % (SCHEMA_VERSION, cp.genus, cp.ell, cp.mode, args.rmax))
+        for i, (r, idt, t1, hp, volume) in enumerate(rows):
+            t1_text = _json_list(_pairs(t1))
+            last = ('null,\n      "A": ' + t1_text if canonical
+                    else _json_list(_pairs(volume)))
+            write(("," if i else "") + _JSON_RANK % (
+                r, _json_list(_pairs(idt)), t1_text, hp.sign, hp.half,
+                t1_text.replace("\n", "\n  "), last))
+        write("\n  ]\n}\n" if rows else "]\n}\n")
         return 0
 
     if args.format == "csv":
-        print("r,field,monomial,coefficient")
+        write("r,field,monomial,coefficient\n")
         for r, idt, t1, _, volume in rows:
             for field, poly in (("idt", idt), ("idt_t1", t1), ("volume", volume)):
                 if poly is not None:
-                    for mono, c in poly_pairs(poly):
-                        print("%d,%s,%s,%s" % (r, field, mono, c))
+                    write("".join("%d,%s,%s,%s\n" % (r, field, m, c)
+                                  for m, c in _pairs(poly)))
         return 0
 
-    print("curve: genus %d, twist degree %d, %s mode"
-          % (cp.genus, cp.ell, cp.mode))
+    latex = args.format == "latex"
+    sep = " \\, " if latex else " "
+    write("curve: genus %d, twist degree %d, %s mode\n" % (cp.genus, cp.ell, cp.mode))
     for r, idt, t1, hp, volume in rows:
-        t1_line = poly_render(t1, args.format)
-        print("rank %d" % r)
-        print("  invariant      %s" % poly_render(idt, args.format))
-        print("  at t = 1       %s" % t1_line)
-        print("  weighted       q^(%d/2) * [%s]" % (hp.half, t1_line))
-        if volume is not None:
-            print("  volume (d=1)   %s" % poly_render(volume, args.format))
-        if canonical:
-            print("  A value        %s" % t1_line)
+        t1_line = _line(_pairs(t1, latex), sep)
+        last = ("A value        " + t1_line if canonical
+                else "volume (d=1)   " + _line(_pairs(volume, latex), sep))
+        write(_TEXT_RANK % (r, _line(_pairs(idt, latex), sep), t1_line, hp.half,
+                            t1_line, last))
     if not rows:
-        print("(empty table: rmax = %d)" % args.rmax)
+        write("(empty table: rmax = %d)\n" % args.rmax)
     return 0
 
 
@@ -295,7 +286,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed: point it at devnull, so that the flush at exit
+        # cannot fail again, and exit 1 as Python does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    return code
 
 
 if __name__ == "__main__":

@@ -1,14 +1,20 @@
 import ast
 import hashlib
 import json
+import os
 import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 
+from higgsdt.algebra import var_table
 from higgsdt.cli import main
 from higgsdt.verify import SUITES
 
-CLI = pathlib.Path(__file__).resolve().parent.parent / "src" / "higgsdt" / "cli.py"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+CLI = SRC / "higgsdt" / "cli.py"
 
 
 def run(capsys, *argv):
@@ -183,6 +189,64 @@ def test_one_refusal_path():
     assert writes == [] and returns == []
 
 
+def test_one_render_path():
+    # one function sorts a polynomial's terms and formats its monomials, and
+    # json is written from templates, never through the json encoder
+    tree = ast.parse(CLI.read_text())
+    sorts, formats, encodes = set(), set(), []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            call = ast.unparse(node.func)
+            if call.endswith("sorted_terms") or (
+                    call == "sorted" and ".terms" in ast.unparse(node.args[0])):
+                sorts.add(fn.name)
+            elif call.endswith(("format_monomials", "format_exps")):
+                formats.add(fn.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in (
+                "dumps", "encode_basestring", "encode_basestring_ascii"):
+            encodes.append(ast.unparse(node))
+    assert sorts == formats and len(sorts) == 1
+    assert encodes == []
+
+
+def test_json_strings_need_no_escaping():
+    # the json template writes monomials and coefficients between quotes as
+    # they are; json.dumps must agree for every string they can be
+    rng = random.Random(21)
+    strings = [str(c) for c in range(-1000, 1001)]
+    strings += [str(rng.randrange(-10 ** 40, 10 ** 40)) for _ in range(200)]
+    for genus in range(4):
+        table = var_table(genus)
+        keys = [table.pack([rng.randint(-40, 40) for _ in range(table.arity)])
+                for _ in range(300)] + [table.zero_exps()]
+        monos = table.format_monomials(keys)
+        assert monos[-1] == "1" and any("^-" in m for m in monos)
+        strings += monos
+    for s in strings:
+        assert json.dumps(s) == '"%s"' % s
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that stops after one line of about 400 kB, far more than a
+    # pipe holds: no traceback, exit status 1
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    argv = [sys.executable, "-m", "higgsdt.cli", "compute", "--genus", "2",
+            "--ell", "3", "--rmax", "4", "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"r,field,monomial,coefficient\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert err == b""  # in particular no traceback
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list")
     assert code == 0
@@ -317,6 +381,19 @@ COMPUTE_RENDER_SHA256 = {
     (1, "canonical", 2, "latex"): "5713bbf038bf62caaec86173039f3ac21742dfac59100b22ddff199ea7a6b144",
     (1, "canonical", 2, "csv"): "ab0464f24e47978e70ef0627ba25febeb0c9d10058ea852bd4b8043dbb1c54ac",
     (1, "canonical", 2, "json"): "98f76a12ed2a12f240f4a6a02e6116cdbcb44e752380501f50a78442a1ef5214",
+    # taken before compute rendered every format from one list of pairs:
+    # the empty table, three a-variables and the A key at genus 2
+    (0, 1, 0, "text"): "5dc33e60164eb20f6fa86803661d9576ea33d4a7e7929bb002c3573fe94c18a9",
+    (0, 1, 0, "latex"): "5dc33e60164eb20f6fa86803661d9576ea33d4a7e7929bb002c3573fe94c18a9",
+    (0, 1, 0, "csv"): "6b13154cc76a270f958ca4fc4f4f15fda96e19f9694f0406c06aee76ebc884a2",
+    (0, 1, 0, "json"): "0a39372d45ccaad0cb1d2b05b954b9a4cc722f1b07d0508367cdb186342063de",
+    (3, 5, 2, "text"): "3f583ae9cf22c3c1010a1a0868e7389f549e888fb34219eeac8c682b0eb98ba4",
+    (3, 5, 2, "latex"): "2a59cbe63a9c104c58718ea1bb85dbc4c7f0830ca717da0e8d002a1b4fbdb58b",
+    (3, 5, 2, "csv"): "a05a67b68fa638774e00f54d05c9d5504c7a545ba119d3ce259285b12d894712",
+    (2, "canonical", 2, "text"): "4bf1171f9226bd59ffa8ee10ae82d421c585087b5b73de0473dd2efc156030d7",
+    (2, "canonical", 2, "latex"): "d1c4e6778783d265b8c1427e50e0ac7ead514fcf9cb0fe43db418102490dbd88",
+    (2, "canonical", 2, "csv"): "ef7a27393a4f1c839375a28e1fc80ff12bd15f6d56f39af6a0d5d03a706c3e3d",
+    (2, "canonical", 2, "json"): "82d1011037e647cfe26c4c7f60ea3d2587cf078bfc789f9f430a8ccd04ec9a22",
 }
 
 
