@@ -234,8 +234,7 @@ def test_json_strings_need_no_escaping():
 def test_closed_stdout_exits_quietly():
     # a reader that stops after one line of about 400 kB, far more than a
     # pipe holds: no traceback, exit status 1
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     argv = [sys.executable, "-m", "higgsdt.cli", "compute", "--genus", "2",
             "--ell", "3", "--rmax", "4", "--format", "csv"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
