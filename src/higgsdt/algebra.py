@@ -931,73 +931,52 @@ def t_expand(frac, depth):
     t-degree, so numerator terms of t-degree above depth are dropped before
     anything is expanded.
 
+    Each factor with t is inverted as one truncated geometric series, a
+    LaurentPoly of the terms of t-degree at most depth, and multiplied in;
+    the product's terms of t-degree above depth are dropped before the next
+    factor.  Products are range-checked whole, so ExponentRangeError may
+    also come from a term that the truncation would drop.
+
     Returns a list of Fractions in the same table (t absent from every term);
     index i holds the coefficient of t^i.  t-free denominator factors
     survive into the coefficient Fractions.
     """
     table = frac.table
     ti = table.index["t"]
-    tu = table.unit_exps("t")
-    tfree, mixed = [], []
+
+    def truncated(poly):
+        terms = poly.terms
+        return LaurentPoly(table, {e: c for (e, c), d in zip(
+            terms.items(), table.digits(terms, ti)) if d <= depth})
+
+    low = frac.num.var_range("t")[0]
+    if low < 0:
+        raise NotDivisibleError("coefficient of t^%d is nonzero: not a power "
+                                "series in t" % low)
+    num = truncated(frac.num)
+    tfree = []
     for f in frac.den:
         d1, d2 = table.digit(f.m1, ti), table.digit(f.m2, ti)
         if d1 == 0 and d2 == 0:
             tfree.append(f)
-        else:
-            mixed.append((f, d1, d2))
-    # seed: numerator split by t-degree, t stripped from the exponent
-    cur = {}
-    terms = frac.num.terms
-    degrees = table.digits(terms, ti)
-    low = min(degrees, default=0)
-    if low < 0:
-        raise NotDivisibleError("coefficient of t^%d is nonzero: not a power "
-                                "series in t" % low)
-    for (e, c), d in zip(terms.items(), degrees):
-        if d > depth:
             continue
-        e0 = e - d * tu
-        lev = cur.setdefault(d, {})
-        s = lev.get(e0, 0) + c
-        if s:
-            lev[e0] = s
-        elif e0 in lev:
-            del lev[e0]
-    for f, d1, d2 in mixed:
         if d2 == 0:
             # 1/(m1 - m2) = -(1/m2) * sum_j (m1/m2)^j, t-degree step d1
             sign, pref, step, dstep = -1, f.m2, f.m1 - f.m2, d1
         else:
             # 1/(m1 - m2) = (1/m1) * sum_j (m2/m1)^j, t-degree step d2
             sign, pref, step, dstep = 1, f.m1, f.m2 - f.m1, d2
-        step0 = step - dstep * tu
-        nxt = {}
-        for d, level in cur.items():
-            jmax = (depth - d) // dstep
-            for j in range(jmax + 1):
-                nd = d + j * dstep
-                # shifts advance by less than 2^30 a digit, so this check is
-                # exact, and with the shift in range every sum below is
-                # exactly packed for the level check after the loop
-                shift = j * step0 - pref
-                table.check_range((shift,))
-                lev = nxt.setdefault(nd, {})
-                for e0, c in level.items():
-                    e = e0 + shift
-                    s = lev.get(e, 0) + c * sign
-                    if s:
-                        lev[e] = s
-                    elif e in lev:
-                        del lev[e]
-        for lev in nxt.values():
-            table.check_range(lev)
-        cur = nxt
-    out = []
+        series = {}
+        for j in range(depth // dstep + 1):
+            # terms advance by less than 2^30 a digit, so the first one out
+            # of range is still exactly packed and this check is exact
+            term = j * step - pref
+            table.check_range((term,))
+            series[term] = sign
+        num = truncated(num * LaurentPoly(table, series))
+    levels = [{} for _ in range(depth + 1)]
+    tu = table.unit_exps("t")
+    for (e, c), d in zip(num.terms.items(), table.digits(num.terms, ti)):
+        levels[d][e - d * tu] = c
     tfree = tuple(tfree)
-    for d in range(depth + 1):
-        level = cur.get(d)
-        if level:
-            out.append(Fraction(LaurentPoly(table, dict(level)), tfree))
-        else:
-            out.append(Fraction.zero(table))
-    return out
+    return [Fraction(LaurentPoly(table, level), tfree) for level in levels]

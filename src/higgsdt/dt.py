@@ -92,15 +92,13 @@ def _hook_pairs(table, lam, u_exps):
     return pairs
 
 
-def n_lambda(table, lam, u_exps=None):
+def n_lambda(table, lam, u_exps):
     """Hook product N_la(u, q, t), expanded from `_hook_pairs`.
 
-    u_exps is the packed exponent of an invertible monomial standing for u
-    (None means u = 1).  As a denominator, `zstar_term` hands the same pairs
-    at u = 1 to `over_binomials`, so N_la(1, q, t) is never expanded.
+    u_exps is the packed exponent of an invertible monomial standing for u.
+    As a denominator, `zstar_term` hands the same pairs at u = 1 to
+    `over_binomials`, so N_la(1, q, t) is never expanded.
     """
-    if u_exps is None:
-        u_exps = table.zero_exps()
     return binomial_product(table, _hook_pairs(table, lam, u_exps))
 
 

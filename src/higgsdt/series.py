@@ -71,11 +71,6 @@ class TruncSeries:
         return TruncSeries(self.table, self.order,
                            [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other):
-        self._check(other)
-        return TruncSeries(self.table, self.order,
-                           [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other):
         self._check(other)
         out = [Fraction.zero(self.table) for _ in range(self.order + 1)]

@@ -13,6 +13,7 @@ from higgsdt.algebra import (BinomialFactor, Fraction, LaurentPoly,
                              exact_divide, over_binomials, t_expand, var_table)
 
 T2 = var_table(genus=1)   # q, t, a1
+T4 = var_table(genus=2)   # q, t, a1, a2
 
 
 def rand_poly(rng, table=T2, nterms=4, span=3):
@@ -183,9 +184,10 @@ def test_exact_divide_detects_failure():
 # -- fractions ----------------------------------------------------------------
 
 
-def rand_fraction(rng, nden=2):
-    num = rand_poly(rng)
-    return over_binomials(num, [rand_binomial(rng) for _ in range(rng.randint(0, nden))])
+def rand_fraction(rng, nden=2, table=T2):
+    num = rand_poly(rng, table)
+    return over_binomials(num, [rand_binomial(rng, table)
+                                for _ in range(rng.randint(0, nden))])
 
 
 def test_fraction_field_axioms_random():
@@ -308,30 +310,31 @@ def test_t_expand_keeps_t_free_factors():
     assert all(c == want for c in coeffs)
 
 
-def test_t_expand_defining_property():
+@pytest.mark.parametrize("table", [T2, T4], ids=["genus1", "genus2"])
+@pytest.mark.parametrize("depth", [0, 1, 5, 7])
+def test_t_expand_defining_property(table, depth):
     # multiplying the truncation back by the denominator must reproduce the
     # numerator through t-degree <= depth
     rng = random.Random(20)
+    ti = table.index["t"]
     done = 0
     while done < 60:
-        f = rand_fraction(rng, nden=2)
+        f = rand_fraction(rng, nden=3, table=table)
         if f.num.is_zero():
             continue
         # shifted to t-degree >= 0, so the value is a power series in t
-        f = f.mono_mul(T2.exps(t=-min(0, f.num.var_range("t")[0])))
-        depth = 5
+        f = f.mono_mul(table.exps(t=-min(0, f.num.var_range("t")[0])))
         coeffs = t_expand(f, depth)
-        trunc = Fraction.zero(T2)
+        trunc = Fraction.zero(table)
         for i, c in enumerate(coeffs):
-            trunc = trunc + c.mono_mul(T2.exps(t=i), 1)
-        den_poly = T2.one()
+            trunc = trunc + c.mono_mul(table.exps(t=i), 1)
+        den_poly = table.one()
         for fac in f.den:
-            den_poly = den_poly * fac.to_poly(T2)
+            den_poly = den_poly * fac.to_poly(table)
         diff = trunc.mul_poly(den_poly) - Fraction(f.num)
         # diff's denominator is t-free, so the numerator decides the order
         if not diff.num.is_zero():
-            assert all(T2.digit(f2.m1, T2.index["t"]) == 0
-                       and T2.digit(f2.m2, T2.index["t"]) == 0
+            assert all(table.digit(f2.m1, ti) == 0 and table.digit(f2.m2, ti) == 0
                        for f2 in diff.den)
             assert diff.num.var_range("t")[0] > depth
         done += 1
@@ -350,8 +353,6 @@ def test_t_expand_hand_series():
 
 
 # -- exact division and the addition skip on wider tables --------------------
-
-T4 = var_table(genus=2)   # q, t, a1, a2
 
 
 def test_exact_divide_laurent_three_coordinate_direction():

@@ -194,7 +194,7 @@ def test_partition_terms_need_no_reduction():
 
 
 def test_hook_product_empty_partition():
-    assert n_lambda(T0, Partition(())) == T0.one()
+    assert n_lambda(T0, Partition(()), T0.zero_exps()) == T0.one()
 
 
 # -- clearing the scaled log ----------------------------------------------------
