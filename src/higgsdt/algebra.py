@@ -23,6 +23,11 @@ drive the whole module and are relied on by callers:
   only this module skips that, and only where the result is reduced
   already, so a Fraction left with a denominator is not a polynomial.
 
+A sum of many Fractions goes through `fraction_sum`, which adds them
+pairwise in a balanced tree: a left-to-right fold carries one growing
+partial sum through every addition, so every cofactor product and trial
+division would be paid on the largest operand.
+
 A product of binomials prod (x^e1 - x^e2) is given once, as its list of
 pairs (e1, e2): `binomial_product` expands it into a numerator, and
 `over_binomials` divides a numerator by it, putting each pair in canonical
@@ -916,6 +921,37 @@ class Fraction:
         return "(%r) / [%s]" % (self.num, ", ".join(
             "%s - %s" % (self.table.format_exps(f.m1), self.table.format_exps(f.m2))
             for f in self.den))
+
+
+def fraction_sum(fracs, table):
+    """The sum of the Fractions fracs over table, added pairwise in a tree.
+
+    The tree is the one that adds adjacent pairs level by level, an odd last
+    one passing up unchanged: the first 2^k terms, 2^k < n the largest such,
+    form a perfect tree, the rest the same tree of their own, and the root
+    adds the two.  It is built as the terms arrive: the stack holds the sums
+    of perfect subtrees, of decreasing sizes, a new term merges with each
+    top of its size, and the stack is added up from the right at the end.
+    So the n - 1 additions of a left-to-right fold are kept, but no operand
+    before the root sums more than half the terms, and at most log2(n) + 1
+    partial sums are alive: a fold drags its growing partial sum, with its
+    numerator and its common denominator, through every addition.  An empty
+    input sums to zero over table.
+    """
+    stack = []   # (terms, sum) per perfect subtree
+    for f in fracs:
+        n = 1
+        while stack and stack[-1][0] == n:
+            f, n = stack.pop()[1] + f, 2 * n
+        stack.append((n, f))
+    if not stack:
+        return Fraction.zero(table)
+    total = stack.pop()[1]
+    while stack:
+        total = stack.pop()[1] + total
+    if total.table != table:
+        raise TableMismatchError("summands use %r, expected %r" % (total.table, table))
+    return total
 
 
 def t_expand(frac, depth):

@@ -41,8 +41,8 @@ IDT_r at t = 1.
 import math
 from dataclasses import dataclass
 
-from .algebra import (AlgebraError, Fraction, LaurentPoly, NotDivisibleError,
-                      binomial_product, over_binomials, var_table)
+from .algebra import (AlgebraError, LaurentPoly, NotDivisibleError,
+                      binomial_product, fraction_sum, over_binomials, var_table)
 from .partitions import Partition, enumerate_partitions
 from .series import TruncSeries, scaled_pleth_log
 from .weil import weil_table
@@ -127,13 +127,10 @@ def zstar_orbit_term(cp, lam):
 
 def partition_series(table, order, term):
     """Series over table to T^order whose coefficient r sums term(la) over
-    |la| = r."""
+    |la| = r (`fraction_sum`, in the order of `enumerate_partitions`)."""
     s = TruncSeries.one(table, order)
     for r in range(1, order + 1):
-        acc = Fraction.zero(table)
-        for lam in enumerate_partitions(r):
-            acc = acc + term(lam)
-        s.coeffs[r] = acc
+        s.coeffs[r] = fraction_sum(map(term, enumerate_partitions(r)), table)
     return s
 
 
@@ -315,18 +312,15 @@ def alt_idt(cp, order):
 
 
 def substitution_identity_check(cp, max_weight):
-    """Termwise check that H under q -> qt, t -> t^{-1} recovers the main term.
+    """Termwise check that H under sigma: q -> qt, t -> t^{-1} recovers the
+    main term, on Weil orbit representatives.
 
-    Returns a list of (partition, bool); the monomial substitution sends
-    q^A t^B to q^A t^{A-B}.
+    Returns a list of (partition, bool).  The zeta-value term is built on
+    the representatives of weil_table(g, "q") and sent through sigma
+    (`weil.WeilTable.sigma`), which sends q^A t^B to q^A t^{A-B}, keeps
+    every a-exponent and so lands on the representatives of
+    `zstar_orbit_term`.
     """
-    table = cp.table()
-    images = {table.index["q"]: table.exps(q=1, t=1),
-              table.index["t"]: table.exps(t=-1)}
-    out = []
-    for w in range(max_weight + 1):
-        for lam in enumerate_partitions(w):
-            lhs = alt_h_term(cp, lam).substitute_monomials(images)
-            rhs = zstar_term(cp, lam)
-            out.append((lam, lhs == rhs))
-    return out
+    wq = weil_table(cp.genus, "q")
+    return [(lam, wq.sigma(_alt_h_term(cp, lam, wq)) == zstar_orbit_term(cp, lam))
+            for w in range(max_weight + 1) for lam in enumerate_partitions(w)]

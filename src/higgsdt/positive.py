@@ -13,7 +13,9 @@ before summation, so only distinct-monomial denominators ever appear.  The
 prefactor and each sigma-term list their numerator and denominator
 binomials as pairs, expanded by `binomial_product` and divided by
 `over_binomials` into one Fraction; like every Fraction it is reduced,
-which lets the sum skip the factors coprimality rules out.
+which lets the sum skip the factors coprimality rules out.  The n!
+sigma-terms are added pairwise in a tree (`fraction_sum`), in the order of
+`itertools.permutations`, and the sum is multiplied by the prefactor once.
 f_sum is the one implementation of this sum: the series, the formal f and
 every property check call it, the check at vanishing a_k^{-1} with the
 inverse eigenvalues deformed to t a_k^{-1}.  MAX_SN caps n, since the sum
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .algebra import (Fraction, NotDivisibleError, ZeroDenominatorError,
-                      binomial_product, over_binomials, t_expand, var_table)
+                      binomial_product, fraction_sum, over_binomials, t_expand,
+                      var_table)
 from .series import pleth_log
 from .dt import idt_star, partition_series, zstar_term
 
@@ -40,6 +43,7 @@ def f_sum(table, values, ainv=None):
 
     ainv holds the packed inverse eigenvalues, a_k^{-1} for k = 1..genus of
     the table unless given (alpha_zero_check deforms them to t a_k^{-1}).
+    Returns the prefactor times the `fraction_sum` of the sigma-terms.
     """
     n = len(values)
     if n > MAX_SN:
@@ -57,8 +61,7 @@ def f_sum(table, values, ainv=None):
         binomial_product(table, [(zero, ak) for w in values for ak in ainv]),
         [(zero, ak + w) for w in values for ak in ainv])
 
-    total = Fraction.zero(table)
-    for sigma in permutations(range(n)):
+    def term(sigma):
         w = [values[s] for s in sigma]
         num, den = [], []
         for i in range(n):
@@ -71,8 +74,9 @@ def f_sum(table, values, ainv=None):
                 if i > j + 1:
                     num.append((zero, qe + ratio))
         num += [(zero, w[i]) for i in range(1, n)]
-        total = total + over_binomials(binomial_product(table, num), den)
-    return pref * total
+        return over_binomials(binomial_product(table, num), den)
+
+    return pref * fraction_sum(map(term, permutations(range(n))), table)
 
 
 def f_symbolic(n, genus):

@@ -8,7 +8,7 @@ exponential and logarithm are defined against.
 
 from fractions import Fraction as Q
 
-from .algebra import Fraction, TableMismatchError
+from .algebra import Fraction, TableMismatchError, fraction_sum
 
 
 def mobius(n):
@@ -73,15 +73,11 @@ class TruncSeries:
 
     def __mul__(self, other):
         self._check(other)
-        out = [Fraction.zero(self.table) for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.table, self.order, out)
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries(self.table, self.order, [
+            fraction_sum([a[i] * b[m - i] for i in range(m + 1)
+                          if not a[i].is_zero() and not b[m - i].is_zero()], self.table)
+            for m in range(self.order + 1)])
 
     def scale(self, c):
         return TruncSeries(self.table, self.order, [f.scale(c) for f in self.coeffs])
@@ -109,18 +105,27 @@ class TruncSeries:
             self.order, "; ".join("T^%d: %r" % (d, c) for d, c in enumerate(self.coeffs)))
 
 
+def _adams_sum(coeffs, table, weight):
+    """Coefficients of sum_n weight(n) * psi_n(A), A = sum_d coeffs[d] T^d,
+    for a weight with weight(1) = 1: entry r adds coeffs[r] and
+    weight(n) * psi_n(coeffs[r/n]) over the divisors n >= 2 of r with
+    weight(n) != 0."""
+    return [fraction_sum([c] + [coeffs[r // n].adams(n).scale(w)
+                                for n in range(2, r + 1)
+                                if r % n == 0 and (w := weight(n))], table)
+            for r, c in enumerate(coeffs)]
+
+
 def _exp(series):
     """Ordinary exp of a series with zero constant term, via E' = B'E."""
-    R = series.order
-    E = [Fraction.one(series.table)]
+    R, table = series.order, series.table
+    B = series.coeffs
+    E = [Fraction.one(table)]
     for r in range(1, R + 1):
-        acc = Fraction.zero(series.table)
-        for k in range(1, r + 1):
-            b = series.coeffs[k]
-            if not b.is_zero() and not E[r - k].is_zero():
-                acc = acc + (b * E[r - k]).scale(k)
-        E.append(acc.scale(Q(1, r)))
-    return TruncSeries(series.table, R, E)
+        E.append(fraction_sum([(B[k] * E[r - k]).scale(k) for k in range(1, r + 1)
+                               if not B[k].is_zero() and not E[r - k].is_zero()],
+                              table).scale(Q(1, r)))
+    return TruncSeries(table, R, E)
 
 
 def pleth_exp(series):
@@ -130,11 +135,8 @@ def pleth_exp(series):
     """
     if not series.coeffs[0].is_zero():
         raise ValueError("pleth_exp needs a zero constant term")
-    R = series.order
-    acc = series
-    for n in range(2, R + 1):
-        acc = acc + series.adams(n).scale(Q(1, n))
-    return _exp(acc)
+    return _exp(TruncSeries(series.table, series.order,
+                            _adams_sum(series.coeffs, series.table, lambda n: Q(1, n))))
 
 
 def scaled_pleth_log(series):
@@ -148,24 +150,14 @@ def scaled_pleth_log(series):
     """
     if series.coeffs[0] != Fraction.one(series.table):
         raise ValueError("pleth_log needs constant term 1")
-    R = series.order
+    R, table = series.order, series.table
     B = series.coeffs
-    M = [Fraction.zero(series.table)]
+    M = [Fraction.zero(table)]
     for r in range(1, R + 1):
-        acc = B[r].scale(r)
-        for k in range(1, r):
-            b = B[r - k]
-            if not M[k].is_zero() and not b.is_zero():
-                acc = acc - M[k] * b
-        M.append(acc)
-    out = list(M)
-    for n in range(2, R + 1):
-        m = mobius(n)
-        if m:
-            for d in range(1, R // n + 1):
-                if not M[d].is_zero():
-                    out[n * d] = out[n * d] + M[d].adams(n).scale(m)
-    return TruncSeries(series.table, R, out)
+        M.append(fraction_sum([B[r].scale(r)] + [-(M[k] * B[r - k]) for k in range(1, r)
+                                                 if not M[k].is_zero()
+                                                 and not B[r - k].is_zero()], table))
+    return TruncSeries(table, R, _adams_sum(M, table, mobius))
 
 
 def pleth_log(series):

@@ -17,7 +17,10 @@ alpha prod_i [u^alpha_i] f(u), so `product` builds its representatives from
 the slices k >= 0 of f alone.  And t = 1 keeps every a-exponent and turns
 q t / a_i into q / a_i, so it maps the representatives of a polynomial
 invariant under the q t flip, slice by slice, onto those of its value at
-t = 1 under the q flip (`at_t_one`).
+t = 1 under the q flip (`at_t_one`).  The other way, sigma: q -> q t,
+t -> 1/t keeps every a-exponent and turns q / a_i into q t / a_i, so it maps
+the representatives of a Fraction invariant under the q flip onto those of
+its image under the q t flip (`sigma`).
 """
 
 from functools import lru_cache
@@ -228,6 +231,19 @@ class WeilTable(VarTable):
             raise ValueError("t = 1 maps representatives of the qt flip, not of %r"
                              % self.flip)
         return LaurentPoly(weil_table(self.genus, "q"), poly.set_var_one("t").terms)
+
+    def sigma(self, frac):
+        """The representatives over `weil_table(genus)`, the q t flip's, of
+        the image under sigma: q -> q t, t -> 1/t of the invariant Fraction
+        whose representatives over this table, the q flip's, frac holds
+        (module docstring)."""
+        self._check(frac.num, self)
+        if self.flip != "q":
+            raise ValueError("sigma maps representatives of the q flip, not of %r"
+                             % self.flip)
+        image = frac.substitute_monomials({self.index["q"]: self.exps(q=1, t=1),
+                                           self.index["t"]: self.exps(t=-1)})
+        return Fraction(LaurentPoly(weil_table(self.genus), image.num.terms), image.den)
 
     def is_invariant(self, poly):
         """Whether poly over `full` is invariant: its representatives give it back."""

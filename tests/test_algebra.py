@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -10,7 +12,10 @@ from higgsdt.algebra import (BinomialFactor, Fraction, LaurentPoly,
                              NotDivisibleError, TableMismatchError,
                              ZeroDenominatorError, _lcd_parts,
                              binomial_product, canonical_binomial,
-                             exact_divide, over_binomials, t_expand, var_table)
+                             exact_divide, fraction_sum, over_binomials, t_expand,
+                             var_table)
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "higgsdt"
 
 T2 = var_table(genus=1)   # q, t, a1
 T4 = var_table(genus=2)   # q, t, a1, a2
@@ -531,3 +536,117 @@ def test_over_binomials_is_the_canonical_factor_form():
     assert over_binomials(T2.zero(), [(0, q)]).den == ()
     h = z * over_binomials(T2.one(), [(0, t)])
     assert h.is_zero() and h.den == ()
+
+
+# -- balanced summation ---------------------------------------------------------
+
+TZ = var_table(genus=1, nz=2)   # q, t, a1, z1, z2
+
+
+def _fold(fracs, table):
+    """The left-to-right sum fraction_sum replaces."""
+    acc = Fraction.zero(table)
+    for f in fracs:
+        acc = acc + f
+    return acc
+
+
+def test_fraction_sum_of_nothing_and_of_one():
+    rng = random.Random(23)
+    for table in (var_table(0), T2, TZ):
+        s = fraction_sum([], table)
+        assert s.table == table and s.is_zero() and s.den == ()
+        a = rand_fraction(rng, table=table)
+        assert fraction_sum([a], table) is a
+        assert fraction_sum(iter([a]), table) is a
+    with pytest.raises(TableMismatchError):
+        fraction_sum([Fraction.one(T2)], T4)
+
+
+@pytest.mark.parametrize("table", [var_table(0), T2, TZ], ids=["genus0", "genus1", "z"])
+def test_fraction_sum_is_the_left_to_right_sum(table, monkeypatch):
+    rng = random.Random(24 + table.arity)
+    adds = []
+    add = Fraction.__add__
+    monkeypatch.setattr(Fraction, "__add__", lambda a, b: adds.append(1) or add(a, b))
+    for _ in range(40):
+        fracs = [rand_fraction(rng, table=table) for _ in range(rng.randint(0, 8))]
+        shared = [rand_binomial(rng, table) for _ in range(rng.randint(1, 2))]
+        fracs += [over_binomials(rand_poly(rng, table), shared) for _ in range(2)]
+        fracs += [Fraction.zero(table)] * rng.randint(0, 2)
+        if rng.random() < 0.5:
+            fracs.append(-rng.choice(fracs))
+        rng.shuffle(fracs)
+        del adds[:]
+        got = fraction_sum(fracs, table)
+        assert len(adds) == len(fracs) - 1
+        assert got == _fold(fracs, table)
+        assert got.table == table
+
+
+class _Leaf:
+    """A summand that records the tree it is added in."""
+
+    table = T2
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def __add__(self, other):
+        return _Leaf((self.shape, other.shape))
+
+
+def test_fraction_sum_adds_adjacent_pairs_level_by_level():
+    for n in range(1, 40):
+        level = list(range(n))
+        while len(level) > 1:
+            odd = level[len(level) & ~1:]
+            level = [(a, b) for a, b in zip(level[::2], level[1::2])] + odd
+        assert fraction_sum(map(_Leaf, range(n)), T2).shape == level[0], n
+
+
+def accumulate_sites(source):
+    """(line, text) of every statement inside a loop that adds to or
+    subtracts from its own target, unless what it adds is a literal
+    constant or list (counters and pair lists)."""
+    out = []
+    for loop in ast.walk(ast.parse(source)):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if (isinstance(node, ast.AugAssign)
+                    and isinstance(node.op, (ast.Add, ast.Sub))):
+                added = node.value
+            elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                  and isinstance(node.value, ast.BinOp)
+                  and isinstance(node.value.op, (ast.Add, ast.Sub))
+                  and ast.unparse(node.value.left) == ast.unparse(node.targets[0])):
+                added = node.value.right
+            else:
+                continue
+            if not isinstance(added, (ast.Constant, ast.List, ast.ListComp)):
+                out.append((node.lineno, ast.unparse(node)))
+    return sorted(set(out))
+
+
+def test_guard_sees_every_accumulate_loop():
+    source = ("for lam in parts:\n"
+              "    acc = acc + term(lam)\n"
+              "    acc = acc - m * b\n"
+              "    out[i + j] = out[i + j] + a * b\n"
+              "    total += f\n"
+              "    d += 1\n"
+              "    pairs += [(zero, w)]\n"
+              "    both = one + other\n"
+              "acc = acc + last\n"
+              "while r:\n"
+              "    s -= x\n")
+    assert [line for line, _ in accumulate_sites(source)] == [2, 3, 4, 5, 11]
+
+
+def test_no_fraction_fold_outside_fraction_sum():
+    # many Fractions are added by algebra.fraction_sum, pairwise in a tree;
+    # none of the modules that sum series terms folds them in a loop
+    found = {name: accumulate_sites((SRC / name).read_text())
+             for name in ("dt.py", "series.py", "positive.py")}
+    assert found == {"dt.py": [], "series.py": [], "positive.py": []}

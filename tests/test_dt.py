@@ -4,7 +4,7 @@ import pytest
 
 from higgsdt import dt
 from higgsdt.algebra import Fraction, LaurentPoly, over_binomials, var_table
-from higgsdt.partitions import Partition, enumerate_partitions
+from higgsdt.partitions import Partition, enumerate_partitions, partitions_up_to
 from higgsdt.series import TruncSeries
 from higgsdt.dt import (CurveParams, IntegralityError, alt_idt, alt_h_term,
                         idt_star, moduli_volume, n_lambda, omega,
@@ -166,6 +166,55 @@ def test_alt_form_agrees_at_unit_t():
         b = idt_star(cp, 3)
         for r in (1, 2, 3):
             assert a[r].set_var_one("t") == b[r].set_var_one("t")
+
+
+def _sigma(table):
+    """Images of q -> q t, t -> 1/t over a whole table."""
+    return {table.index["q"]: table.exps(q=1, t=1), table.index["t"]: table.exps(t=-1)}
+
+
+@pytest.mark.parametrize("cp", [CurveParams(genus=g, ell=2 * g + 1) for g in (0, 1, 2)]
+                         + [CurveParams(genus=2, ell=2, mode="canonical")])
+def test_substitution_identity_on_whole_terms(cp):
+    # reference for substitution_identity_check, which compares orbit
+    # representatives: the whole zeta-value term through sigma is the whole
+    # main term, and its representatives are those the check compares
+    wq, wt = weil_table(cp.genus, "q"), weil_table(cp.genus)
+    images = _sigma(cp.table())
+    checked = substitution_identity_check(cp, 4)
+    assert [lam for lam, _ in checked] == partitions_up_to(4)
+    for lam, ok in checked:
+        whole = alt_h_term(cp, lam).substitute_monomials(images)
+        assert ok and whole == zstar_term(cp, lam), lam
+        assert wq.sigma(dt._alt_h_term(cp, lam, wq)) == wt.restrict_fraction(whole), lam
+
+
+def test_substitution_identity_check_can_fail(monkeypatch):
+    # with the prefactor's twist off by one the zeta-value terms of positive
+    # weight no longer map onto the main terms
+    cp = CurveParams(genus=1, ell=3)
+    wrong = CurveParams(genus=1, ell=4)
+    alt = dt._alt_h_term
+    monkeypatch.setattr(dt, "_alt_h_term", lambda c, lam, table: alt(wrong, lam, table))
+    checked = substitution_identity_check(cp, 2)
+    assert [ok for _, ok in checked] == [True, False, False, False]
+
+
+@pytest.mark.parametrize("cp, rmax", [(CurveParams(genus=0, ell=1), 9),
+                                      (CurveParams(genus=1, ell=1), 4),
+                                      (CurveParams(genus=2, ell=3), 3)])
+def test_idt_is_symmetric_in_q_and_t(cp, rmax):
+    # q <-> t sends N_la to N_la' (the hooks identity) and la's prefactor
+    # q^{p n(la')} t^{p n(la)} to la''s, and fixes (q - 1)(1 - t), so it
+    # fixes Z and every IDT_r with the a_i fixed.  Rank 9 at genus 0 is past
+    # the ranks the benchmark goldens pin.
+    table = cp.table()
+    swap = {table.index["q"]: table.exps(t=1), table.index["t"]: table.exps(q=1)}
+    polys = idt_star(cp, rmax)
+    assert sorted(polys) == list(range(1, rmax + 1))
+    for r, poly in polys.items():
+        assert poly.substitute_monomials(swap) == poly, r
+    assert polys[rmax].uses_var("t") and polys[rmax].var_range("q") != (0, 0)
 
 
 def test_alt_term_weight_one_genus_zero():

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from higgsdt.algebra import (EXP_LIMIT, AlgebraError, ExponentRangeError, LaurentPoly,
-                             NotDivisibleError, TableMismatchError, canonical_binomial,
-                             exact_divide, over_binomials, var_table)
+from higgsdt.algebra import (EXP_LIMIT, AlgebraError, ExponentRangeError, Fraction,
+                             LaurentPoly, NotDivisibleError, TableMismatchError,
+                             canonical_binomial, exact_divide, over_binomials,
+                             var_table)
 from higgsdt import dt
 from higgsdt.dt import (CurveParams, alt_h_term, idt_orbits, idt_star, n_lambda,
                         zeta_factor, zstar_orbit_term, zstar_term)
@@ -309,6 +310,29 @@ def test_t_one_needs_the_qt_flip():
         wq.at_t_one(wq.one())
     with pytest.raises(TableMismatchError):
         weil_table(2).at_t_one(wq.one())
+
+
+@pytest.mark.parametrize("g", (0,) + GENERA)
+def test_sigma_maps_representatives_onto_the_qt_flip(g):
+    # q -> q t, t -> 1/t on representatives of the q flip is the restriction
+    # of the same map on the whole Fraction, over the q t flip's table
+    cp = CurveParams(genus=g, ell=2 * g + 1)
+    wq, wt = weil_table(g, "q"), weil_table(g)
+    full = cp.table()
+    images = {full.index["q"]: full.exps(q=1, t=1), full.index["t"]: full.exps(t=-1)}
+    for lam in enumerate_partitions(3):
+        got = wq.sigma(wq.restrict_fraction(alt_h_term(cp, lam)))
+        assert got.table is wt
+        whole = alt_h_term(cp, lam).substitute_monomials(images)
+        assert got == wt.restrict_fraction(whole)
+
+
+def test_sigma_needs_the_q_flip():
+    wt, wq = weil_table(2), weil_table(2, "q")
+    with pytest.raises(ValueError, match="q flip"):
+        wt.sigma(Fraction.one(wt))
+    with pytest.raises(TableMismatchError):
+        wq.sigma(Fraction.one(wt))
 
 
 def test_idt_star_builds_no_whole_series_term(monkeypatch):
