@@ -15,6 +15,12 @@ drive the whole module and are relied on by callers:
   fail, and `exact_divide` refuses most of those from two line sums;
   exact division never refuses in-range input: it returns the quotient or
   raises NotDivisibleError;
+* a canonical factor x^m2 (x^v - 1) whose v = m1 - m2 is primitive is
+  prime in the Laurent ring, so it divides a product iff it divides one
+  of the factors: a product of Fractions (`_reduced_product`, behind
+  `Fraction.__mul__` and `mul_poly`) tries such a factor of one
+  denominator on the other numerator before multiplying, and only the
+  factors X^k - 1 with k > 1 on the product;
 * every denominator factor is kept in a canonical form (monomial content
   removed, larger monomial first in lexicographic order), which makes multiset
   intersection meaningful and keeps signs deterministic;
@@ -296,7 +302,8 @@ class VarTable:
 
     def mul_terms(self, a, b):
         """Terms of the product of the term dicts a and b, a the shorter and
-        nonempty; zero coefficients are not removed."""
+        nonempty, both without zero coefficients; a coefficient that sums
+        to zero is deleted where it does, so none is stored."""
         rows = iter(a.items())
         ea, ca = next(rows)
         # the first row cannot collide with itself: no lookups needed
@@ -305,7 +312,12 @@ class VarTable:
         for ea, ca in rows:
             for eb, cb in b.items():
                 e = ea + eb
-                out[e] = get(e, 0) + ca * cb
+                c = get(e, 0) + ca * cb
+                if c:
+                    out[e] = c
+                else:
+                    # ca * cb != 0, so a zero sum met a stored term
+                    del out[e]
         return out
 
 
@@ -403,7 +415,7 @@ class LaurentPoly:
             a, b = b, a
         if not a:
             return self.table.zero()
-        out = {e: c for e, c in self.table.mul_terms(a, b).items() if c}
+        out = self.table.mul_terms(a, b)
         self.table.check_range(out)
         return LaurentPoly(self.table, out)
 
@@ -620,7 +632,8 @@ def exact_divide(poly, factor, ranges=None):
 
     ranges, a dict from variable index to the support's (min, max) exponent
     in that variable, lends and keeps the range in i0; a caller trying
-    several factors on one dividend passes the same dict to each.
+    several factors on one dividend passes the same dict to each, and
+    `_reduce_fraction` hands it on to the quotient.
     """
     terms = poly.terms
     if not terms:
@@ -653,24 +666,28 @@ def exact_divide(poly, factor, ranges=None):
     for e in starts:
         if e in joined:
             continue
-        d = 0
+        d, c = 0, terms[e]
         while True:
-            d -= terms[e]
+            # c is the coefficient at e; the lookup of the next point both
+            # tests it for the support and reads what the next step subtracts
+            d -= c
             nxt = e + v
+            c = get(nxt)
             if d:
                 out[e - m2] = d
-                if nxt not in terms:
+                if c is None:
                     # the next run starts within steps of e, or never
                     for _ in range(steps - 1):
                         out[nxt - m2] = d
                         nxt += v
-                        if nxt in terms:
+                        c = get(nxt)
+                        if c is not None:
                             break
                     else:
                         raise NotDivisibleError("remainder on the line through",
                                                 table, e)
                     joined.add(nxt)
-            elif nxt not in terms:
+            elif c is None:
                 break
             e = nxt
     return LaurentPoly(table, out)
@@ -732,21 +749,67 @@ def _reduce_fraction(num, den):
 
     One pass suffices: a factor that does not divide num divides no quotient
     of it.  A monomial numerator is a unit, which no binomial divides.  The
-    digit ranges of num's support are read once and kept until a division
-    changes num.
+    digit ranges of num's support are read once and handed on through every
+    division: num = quotient * (x^m1 - x^m2), the Newton polytope of a
+    product is the Minkowski sum of its factors', and over a domain the
+    extreme terms of a product do not cancel, so the quotient's range in
+    variable i is [lo - min(m1_i, m2_i), hi - max(m1_i, m2_i)].
     """
     if not num.terms:
         return num, ()
     if len(num.terms) == 1:
         return num, tuple(den)
+    table = num.table
     kept, ranges = [], {}
     for f in den:
         try:
             num = exact_divide(num, f, ranges)
-            ranges = {}
         except NotDivisibleError:
             kept.append(f)
+            continue
+        for i, (lo, hi) in ranges.items():
+            d1, d2 = table.digit(f.m1, i), table.digit(f.m2, i)
+            ranges[i] = (lo - min(d1, d2), hi - max(d1, d2))
     return num, tuple(kept)
+
+
+def _reduced_product(na, da, nb, db):
+    """(na / prod da) * (nb / prod db), both reduced, as a reduced Fraction:
+    the product of `Fraction.__mul__` and of `mul_poly` (db empty).
+
+    The result is Fraction(na * nb, sorted(da + db)), which multiplies
+    first and tries every factor on the product, but a prime factor of one
+    denominator is tried on the other numerator alone, before the product
+    exists.  A canonical factor x^m2 (x^v - 1) whose v = m1 - m2 is its
+    primitive direction (`_direction`) is prime:
+
+    * a change of variables in GL_n(Z) taking the primitive v to the first
+      basis vector is a ring automorphism of the Laurent ring, and it sends
+      x^v - 1 to y - 1, which is prime;
+    * so a prime f of da divides na * nb iff it divides na or nb, and it
+      does not divide na, the fraction being reduced: f | na * nb iff
+      f | nb, and dividing nb by f divides the product by f;
+    * every other factor of f's direction w is X^k - 1, X = x^w, with
+      k > 1 and a larger m1, so in sorted order the primes come first in
+      their direction; a factor of another direction shares no prime
+      factor with f (the cyclotomic Phi_d(X) are irreducible and differ
+      between directions), so no factor tried before f changes whether
+      f divides.
+
+    The same holds for db and na; if f is in both denominators it divides
+    neither numerator.  The factors X^k - 1 with k > 1 are tried on the
+    product, in sorted order, after the primes: their cyclotomic parts may
+    divide na and nb in turn, as in (q + 1)/(q^2 - 1) * (q - 1)/(t - 1) =
+    1/(t - 1).  So every factor sees the divisions it would see in
+    Fraction(na * nb, sorted(da + db)), and the result is that one.
+    """
+    _check_tables(na, nb)
+    table = na.table
+    prime = {f: _direction(table, f) == f.m1 - f.m2 for f in da + db}
+    nb, kept_a = _reduce_fraction(nb, [f for f in da if prime[f]])
+    na, kept_b = _reduce_fraction(na, [f for f in db if prime[f]])
+    num, kept = _reduce_fraction(na * nb, sorted(f for f in da + db if not prime[f]))
+    return Fraction._reduced(num, kept_a + kept_b + kept)
 
 
 class Fraction:
@@ -856,11 +919,10 @@ class Fraction:
         return self + (-other)
 
     def __mul__(self, other):
-        _check_tables(self, other)
-        return Fraction(self.num * other.num, self.den + other.den)
+        return _reduced_product(self.num, self.den, other.num, other.den)
 
     def mul_poly(self, poly):
-        return Fraction(self.num * poly, self.den)
+        return _reduced_product(self.num, self.den, poly, ())
 
     def scale(self, c):
         return Fraction._reduced(self.num.scale(c), self.den)

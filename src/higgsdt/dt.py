@@ -84,11 +84,13 @@ class CurveParams:
 
 def _hook_pairs(table, lam, u_exps):
     """The 2|la| binomials of N_la(u, q, t) as pairs: each box contributes
-    (q^a - u t^{l+1})(q^{a+1} - u^{-1} t^l), u = x^u_exps."""
+    (q^a - u t^{l+1})(q^{a+1} - u^{-1} t^l), u = x^u_exps.  The monomials
+    are multiples of the packed q and t; `binomial_product` and
+    `canonical_binomial` range-check every pair."""
+    q, t = table.unit_exps("q"), table.unit_exps("t")
     pairs = []
     for a, l in lam.arm_legs():
-        pairs += [(table.exps(q=a), table.exps(t=l + 1) + u_exps),
-                  (table.exps(q=a + 1), table.exps(t=l) - u_exps)]
+        pairs += [(a * q, (l + 1) * t + u_exps), ((a + 1) * q, l * t - u_exps)]
     return pairs
 
 

@@ -134,7 +134,7 @@ class WeilTable(VarTable):
         image slices whose sum is a representative adds the product of the two
         stored slices, shifted by the sum of their offsets.  A factor with
         only the a-free slice, and every factor at genus 0, is multiplied as
-        it is."""
+        it is.  As there, a coefficient that sums to zero is deleted."""
         if not self.genus:
             return super().mul_terms(a, b)
         sa = self._slices(a)
@@ -158,7 +158,11 @@ class WeilTable(VarTable):
                 for s in shifts:
                     for e, c in terms.items():
                         e += s
-                        out[e] = get(e, 0) + c
+                        c += get(e, 0)
+                        if c:
+                            out[e] = c
+                        else:
+                            del out[e]
         return out
 
     def product(self, f):

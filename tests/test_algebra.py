@@ -416,6 +416,196 @@ def test_fraction_add_skip_matches_trying_every_factor():
     assert cancelled >= 20
 
 
+# -- products: prime factors cancel before multiplying ------------------------
+
+def _factor(e1, e2=0):
+    return canonical_binomial(T2, e1, e2)[0]
+
+
+# shared directions: q - 1 | q^2 - 1 | q^4 - 1, t - 1 | t^2 - 1 and
+# q - t | q^2 - t^2, with the primes q - t^2 and q t - a1 alone in theirs
+MUL_POOL = ([_factor(T2.exps(q=k)) for k in (1, 2, 4)]
+            + [_factor(T2.exps(t=k)) for k in (1, 2)]
+            + [_factor(T2.exps(q=k), T2.exps(t=k)) for k in (1, 2)]
+            + [_factor(T2.exps(q=1), T2.exps(t=2)), _factor(T2.exps(q=1, t=1), T2.exps(a1=1))])
+MUL_Q, MUL_T, MUL_ONE = T2.var("q"), T2.var("t"), T2.one()
+# X^k - 1 with k > 1 from the pool, as a product of two numerator parts
+MUL_SPLITS = [
+    (_factor(T2.exps(q=2)), MUL_Q + MUL_ONE, MUL_Q - MUL_ONE),
+    (_factor(T2.exps(q=4)), MUL_Q * MUL_Q + MUL_ONE, MUL_Q * MUL_Q - MUL_ONE),
+    (_factor(T2.exps(q=4)), MUL_Q + MUL_ONE, (MUL_Q * MUL_Q + MUL_ONE) * (MUL_Q - MUL_ONE)),
+    (_factor(T2.exps(t=2)), MUL_T + MUL_ONE, MUL_T - MUL_ONE),
+    (_factor(T2.exps(q=2), T2.exps(t=2)), MUL_Q + MUL_T, MUL_Q - MUL_T)]
+MUL_PARTS = [f.to_poly(T2) for f in MUL_POOL] + [p for _, p, _ in MUL_SPLITS]
+
+
+def _is_prime_factor(f):
+    return math.gcd(*T2.unpack(f.m1 - f.m2)) == 1
+
+
+def _divides(num, f):
+    try:
+        exact_divide(num, f)
+    except NotDivisibleError:
+        return False
+    return True
+
+
+def _product_trying_every_factor(num, den):
+    """(num, den) of num / prod(den) once every factor of sorted(den) has
+    been tried on num, in that order."""
+    kept = []
+    for f in sorted(den):
+        try:
+            num = exact_divide(num, f)
+        except NotDivisibleError:
+            kept.append(f)
+    return num, tuple(kept)
+
+
+def _rand_pool_poly(rng):
+    """A polynomial with pool factors and cyclotomic parts of them, some
+    repeated."""
+    num = rand_poly(rng, nterms=3, span=1)
+    for _ in range(rng.randint(0, 3)):
+        num = num * rng.choice(MUL_PARTS)
+    return num
+
+
+def _rand_pool_pair(rng):
+    """Two reduced Fractions over denominators drawn from the pool with
+    repeats; in a third of the pairs the first denominator has a factor
+    X^k - 1, k > 1, that each numerator holds a part of."""
+    nums = [_rand_pool_poly(rng), _rand_pool_poly(rng)]
+    dens = [[rng.choice(MUL_POOL) for _ in range(rng.randint(0, 3))] for _ in nums]
+    if rng.random() < 1 / 3:
+        f, part, rest = rng.choice(MUL_SPLITS)
+        dens[0].append(f)
+        nums = [nums[0] * part, nums[1] * rest]
+    return [Fraction(num, den) for num, den in zip(nums, dens)]
+
+
+def test_fraction_mul_matches_trying_every_factor():
+    rng = random.Random(24)
+    prime_cancels = split_cancels = 0
+    for _ in range(400):
+        a, b = _rand_pool_pair(rng)
+        p = _rand_pool_poly(rng)
+        want = _product_trying_every_factor(a.num * b.num, a.den + b.den)
+        for got, (num, den) in ((a * b, want), (b * a, want),
+                                (a.mul_poly(p), _product_trying_every_factor(a.num * p, a.den))):
+            assert got.num == num
+            assert got.den == den
+        # what cancelled in a * b: a prime, which divides one numerator, or
+        # a factor X^k - 1, k > 1, whose parts were split between the two
+        gone = Counter(a.den + b.den) - Counter((a * b).den)
+        prime_cancels += any(map(_is_prime_factor, gone))
+        split_cancels += any(not _is_prime_factor(f) and not _divides(a.num, f)
+                             and not _divides(b.num, f) for f in gone)
+    assert prime_cancels >= 40
+    assert split_cancels >= 20
+
+
+def test_fraction_mul_cancels_a_factor_split_between_the_numerators():
+    # (q + 1)/(q^2 - 1) * (q - 1)/(t - 1) = 1/(t - 1)
+    q, one = T2.var("q"), T2.one()
+    a = over_binomials(q + one, [(T2.exps(q=2), 0)])
+    b = over_binomials(q - one, [(T2.exps(t=1), 0)])
+    for got in (a * b, b * a):
+        assert got.num == one
+        assert got.den == (canonical_binomial(T2, T2.exps(t=1), 0)[0],)
+    got = a.mul_poly(q - one)
+    assert (got.num, got.den) == (one, ())
+
+
+def test_fraction_mul_tries_primes_on_the_numerators_only(monkeypatch):
+    # every factor is prime, so no trial division sees the product
+    q, t, a1, one = T2.var("q"), T2.var("t"), T2.var("a1"), T2.one()
+    seen = []
+    divide = algebra.exact_divide
+
+    def recording(poly, factor, ranges=None):
+        seen.append(poly)
+        return divide(poly, factor, ranges)
+
+    qt, t1 = [(T2.exps(q=1), T2.exps(t=1))], [(T2.exps(t=1), 0)]
+    cases = [
+        # both primes divide the other numerator: nothing is left
+        (over_binomials((t - one) * (one + a1), qt),
+         over_binomials((q - t) * (one + a1 + a1 * a1), t1), 0),
+        # neither does: both stay
+        (over_binomials(one + a1 + q, qt), over_binomials(one + a1 * t + t * t, t1), 2)]
+    for a, b, left in cases:
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "exact_divide", recording)
+            got = a * b
+        assert len(got.den) == left
+        assert len(seen) == 2
+        assert all(p == a.num or p == b.num for p in seen)
+        assert got == Fraction(a.num * b.num, a.den + b.den)
+
+
+# -- products store no zero, divisions hand their ranges on -------------------
+
+
+def _accumulated(a, b):
+    """Every coefficient of the product of the term dicts a and b, summed
+    in a dict without removing any."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return out
+
+
+def test_products_store_no_zero_coefficient():
+    # (1 + x)(1 - x) = 1 - x^2, (1 + x + y)(1 - x + y) and (x^2 + y)(x^2 - y)
+    # have cancelling cross terms, in the plain table and, with
+    # x = a1 + q t / a1, on the representatives of weil_table(1)
+    from higgsdt.weil import weil_table
+    w = weil_table(1)
+    a_sum = T2.var("a1") + T2.monomial(T2.exps(q=1, t=1, a1=-1))
+    for table, x, y in ((T2, a_sum, T2.var("t")), (w, w.restrict(a_sum), w.var("q"))):
+        one = table.one()
+        for f, g in ((one + x, one - x), (one + x + y, one - x + y),
+                     (x * x + y, x * x - y)):
+            prod = f * g
+            assert 0 not in table.mul_terms(f.terms, g.terms).values()
+            assert 0 not in prod.terms.values()
+            if table is w:
+                assert w.expand(prod) == w.expand(f) * w.expand(g)
+            else:
+                full = _accumulated(f.terms, g.terms)
+                assert 0 in full.values()
+                assert prod.terms == {e: c for e, c in full.items() if c}
+
+
+def test_divisions_hand_on_the_exact_range(monkeypatch):
+    # every range _reduce_fraction lends exact_divide is the dividend's own
+    from higgsdt.dt import CurveParams, idt_orbits
+    divide = algebra.exact_divide
+    last = {}     # id of a ranges dict -> (the dict, its last dividend)
+    carried = []  # dividends met with a range handed on by a division
+
+    def checking(poly, factor, ranges=None):
+        if ranges is not None:
+            for i, span in ranges.items():
+                assert span == poly.table.digit_range(poly.terms, i)
+            # a filled dict met again with another dividend was handed on
+            # by a division
+            if ranges and last.get(id(ranges), (ranges, poly))[1] is not poly:
+                carried.append(poly)
+            last[id(ranges)] = ranges, poly
+        return divide(poly, factor, ranges)
+
+    monkeypatch.setattr(algebra, "exact_divide", checking)
+    for genus, ell, order in ((0, 1, 5), (1, 1, 3)):
+        carried.clear()
+        idt_orbits(CurveParams(genus=genus, ell=ell), order)
+        assert len(carried) >= 10
+
+
 # -- the divisibility-matched common denominator ------------------------------
 
 # divisibility chains in three directions: q^k - 1, q^k - t^k and, with

@@ -45,6 +45,11 @@ def kernel_fractions():
                 a * Fraction.zero(T), a.mul_poly(binomial(Q, TE)),
                 a.mul_poly(binomial(2 * Q, 2 * TE)), a * over_binomials(T.one(), [(Q, A)]),
                 b * over_binomials(T.one(), [(2 * Q, 2 * TE)]),
+                # a prime of one side cancels in the other numerator, and
+                # q^2 - 1 in the two numerators' parts q + 1 and q - 1
+                c * over_binomials(binomial(Q, TE) * T.var("a1"), [(0, TE)]),
+                over_binomials(T.var("q") + T.one(), [(2 * Q, 0)])
+                * over_binomials(binomial(Q, 0), [(TE, 0)]),
                 a.substitute_monomials({T.index["a1"]: Q}),
                 b.substitute_monomials({T.index["a1"]: TE - Q}))
     yield from t_expand(b * over_binomials(T.one(), [(Q, 0)]), 3)
