@@ -11,8 +11,10 @@ drive the whole module and are relied on by callers:
   denominator matches factors of one direction by divisibility (x^aw - 1
   divides x^bw - 1 when a | b) rather than taking the multiset union, and
   a factor that coprimality rules out (binomials of distinct primitive
-  directions share no factor) is never tried; most trial divisions still
-  fail, and `exact_divide` refuses most of those from two line sums;
+  directions share no factor) is never tried, nor is any factor on a
+  numerator whose coefficients do not sum to zero (every factor vanishes
+  where all variables are 1, `_reduce_fraction`); most trial divisions
+  still fail, and `exact_divide` refuses most of those from two line sums;
   exact division never refuses in-range input: it returns the quotient or
   raises NotDivisibleError;
 * a canonical factor x^m2 (x^v - 1) whose v = m1 - m2 is primitive is
@@ -57,6 +59,29 @@ Adams operations, substitutions and t-expansions check their results (or,
 for Adams operations, their inputs) before anything is stored.  A digit never
 carries into its neighbour silently: the sum or difference of two in-range
 exponents still has digits within +-2^31, where the check is exact.
+
+Every LaurentPoly carries exponent bounds, so that these checks and the
+ranges `exact_divide` walks need no scan of the terms.  `bounds` is None
+(nothing known) or a tuple with one entry per variable: None (unknown) or a
+pair (lo, hi), -EXP_LIMIT <= lo <= hi < EXP_LIMIT, that contains that
+variable's exponent in every term.
+* A product's bounds are the sums of its factors': over a domain the
+  extreme terms of a product do not cancel, its Newton polytope is the
+  Minkowski sum of the factors', so the sums are exact where the factors'
+  bounds are.  On a `slicewise` table (`weil.WeilTable` at genus >= 1) a
+  product mixes slices, and that holds only when one factor is a-free.
+* A shift adds the shift's exponents, an Adams operation multiplies by n,
+  negation and scaling keep the bounds, and an exact quotient shrinks them
+  (`exact_divide`); all of these are exact where the operand's are.  A sum
+  takes the hull, which is loose where extreme terms cancel.
+* `one`, `monomial`, `binomial_product`, a factor's `to_poly` and
+  `weil.WeilTable.product` fill them in; every other constructor leaves
+  them unknown, and `exact_divide` fills in the one entry it reads.
+A product, shift or Adams operation whose bounds prove its result in range
+(`VarTable.fits`) stores it without the scan; otherwise it scans as it
+would without bounds, so every refusal is the scan's, and the bounds of
+what passes are cut to the range.  `var_range` and the pole test of
+`t_expand` still read the terms.
 
 Coefficients are exact rationals; no floats enter the kernel.  On the
 symbolic pipeline they stay Python ints end to end: the hook-product series
@@ -127,6 +152,11 @@ class VarTable:
 
     __slots__ = ("names", "index", "arity", "genus", "nz",
                  "_shifts", "_bias", "_guards")
+
+    # whether a product mixes the a-slices of its factors, so that its
+    # bounds are the sums of theirs only when one factor is a-free
+    # (`weil.WeilTable` at genus >= 1)
+    slicewise = False
 
     def __init__(self, genus=0, nz=0):
         names = (["q", "t"] + ["a%d" % i for i in range(1, genus + 1)]
@@ -219,6 +249,19 @@ class VarTable:
                 % (EXP_BITS, EXP_BITS, " after scaling by %d" % scale if scale != 1 else "",
                    self.unpack(bad)))
 
+    def exact_bounds(self, keys):
+        """The exact bounds (module docstring) of a few packed monomials."""
+        return tuple((min(d), max(d)) for d in zip(*map(self.unpack, keys)))
+
+    def fits(self, bounds, scale=1):
+        """Whether bounds prove that check_range(keys, scale) passes for
+        every collection keys they contain: every entry is known and lies
+        where that check demands the digits to lie."""
+        if bounds is None:
+            return False
+        lim = 1 << (EXP_BITS - (scale - 1).bit_length())
+        return all(b is not None and -lim <= b[0] and b[1] < lim for b in bounds)
+
     def exps(self, **kw):
         """Packed monomial with the named exponents set, all others zero."""
         e = [0] * self.arity
@@ -279,13 +322,13 @@ class VarTable:
         return LaurentPoly(self, {})
 
     def one(self):
-        return LaurentPoly(self, {0: 1})
+        return LaurentPoly(self, {0: 1}, ((0, 0),) * self.arity)
 
     def monomial(self, exps, coeff=1):
         if not coeff:
             return self.zero()
         self.check_range((exps,))
-        return LaurentPoly(self, {exps: coeff})
+        return LaurentPoly(self, {exps: coeff}, self.exact_bounds((exps,)))
 
     def var(self, name):
         return self.monomial(self.unit_exps(name))
@@ -361,14 +404,41 @@ def _substitute(table, keys, images):
     return out
 
 
+def _clamped(bounds):
+    """bounds cut to the stored range, once a scan has shown every term in it."""
+    return bounds and tuple(b and (max(b[0], -EXP_LIMIT), min(b[1], EXP_LIMIT - 1))
+                            for b in bounds)
+
+
+def _hull(a, b):
+    """The bounds of a sum of two nonzero polynomials with bounds a and b."""
+    return a and b and tuple(x and y and (min(x[0], y[0]), max(x[1], y[1]))
+                             for x, y in zip(a, b))
+
+
+def _product_bounds(x, y):
+    """The bounds of the product of the LaurentPolys x and y: the sums of
+    theirs, or None where they are not known to hold."""
+    a, b = x.bounds, y.bounds
+    if a is None or b is None:
+        return None
+    table = x.table
+    if table.slicewise and not any(
+            all(e == (0, 0) for e in ab[2:2 + table.genus]) for ab in (a, b)):
+        return None
+    return tuple(u and w and (u[0] + w[0], u[1] + w[1]) for u, w in zip(a, b))
+
+
 class LaurentPoly:
-    """Laurent polynomial: dict from packed monomial to nonzero rational."""
+    """Laurent polynomial: dict from packed monomial to nonzero rational,
+    with the exponent bounds of the module docstring (None: none known)."""
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "terms", "bounds")
 
-    def __init__(self, table, terms):
+    def __init__(self, table, terms, bounds=None):
         self.table = table
         self.terms = terms
+        self.bounds = bounds
 
     # -- predicates -------------------------------------------------------
 
@@ -400,10 +470,12 @@ class LaurentPoly:
                 out[e] = s
             elif e in out:
                 del out[e]
-        return LaurentPoly(self.table, out)
+        bounds = (_hull(self.bounds, other.bounds) if self.terms and other.terms
+                  else self.bounds if self.terms else other.bounds)
+        return LaurentPoly(self.table, out, bounds)
 
     def __neg__(self):
-        return LaurentPoly(self.table, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly(self.table, {e: -c for e, c in self.terms.items()}, self.bounds)
 
     def __sub__(self, other):
         return self + (-other)
@@ -415,14 +487,19 @@ class LaurentPoly:
             a, b = b, a
         if not a:
             return self.table.zero()
-        out = self.table.mul_terms(a, b)
-        self.table.check_range(out)
-        return LaurentPoly(self.table, out)
+        table = self.table
+        out = table.mul_terms(a, b)
+        bounds = _product_bounds(self, other)
+        if not table.fits(bounds):
+            table.check_range(out)
+            bounds = _clamped(bounds)
+        return LaurentPoly(table, out, bounds)
 
     def scale(self, c):
         if not c:
             return self.table.zero()
-        return LaurentPoly(self.table, {e: co * c for e, co in self.terms.items()})
+        return LaurentPoly(self.table, {e: co * c for e, co in self.terms.items()},
+                           self.bounds)
 
     def divide_coefficients(self, n):
         """Divide every coefficient by the nonzero integer n, exactly.
@@ -437,7 +514,7 @@ class LaurentPoly:
                 raise NotDivisibleError("coefficient %s of %s is not divisible by %d"
                                         % (c, self.table.format_exps(e), n))
             out[e] = quo
-        return LaurentPoly(self.table, out)
+        return LaurentPoly(self.table, out, self.bounds)
 
     def mono_mul(self, exps, coeff=1):
         """Multiply by coeff * x^exps (a single monomial)."""
@@ -445,10 +522,15 @@ class LaurentPoly:
             return self if coeff == 1 else self.scale(coeff)
         if not coeff:
             return self.table.zero()
-        self.table.check_range((exps,))
+        table = self.table
+        table.check_range((exps,))
         out = {e + exps: c * coeff for e, c in self.terms.items()}
-        self.table.check_range(out)
-        return LaurentPoly(self.table, out)
+        bounds = self.bounds and tuple(b and (b[0] + d, b[1] + d)
+                                       for b, d in zip(self.bounds, table.unpack(exps)))
+        if not table.fits(bounds):
+            table.check_range(out)
+            bounds = _clamped(bounds)
+        return LaurentPoly(table, out, bounds)
 
     def __pow__(self, n):
         if n < 0:
@@ -466,8 +548,11 @@ class LaurentPoly:
             return self
         if n < 1:
             raise ValueError("Adams operations need n >= 1, got %d" % n)
-        self.table.check_range(self.terms, scale=n)
-        return LaurentPoly(self.table, {n * e: c for e, c in self.terms.items()})
+        bounds = self.bounds and tuple(b and (n * b[0], n * b[1]) for b in self.bounds)
+        if not self.table.fits(self.bounds, scale=n):
+            self.table.check_range(self.terms, scale=n)
+            bounds = _clamped(bounds)
+        return LaurentPoly(self.table, {n * e: c for e, c in self.terms.items()}, bounds)
 
     def substitute_monomials(self, images):
         """Substitute variables by monomials.
@@ -541,7 +626,7 @@ class BinomialFactor(NamedTuple):
     m2: int
 
     def to_poly(self, table):
-        return LaurentPoly(table, {self.m1: 1, self.m2: -1})
+        return LaurentPoly(table, {self.m1: 1, self.m2: -1}, table.exact_bounds(self))
 
 
 def canonical_binomial(table, e1, e2):
@@ -571,7 +656,8 @@ def binomial_product(table, pairs):
     out = table.one()
     for e1, e2 in pairs:
         table.check_range((e1, e2))
-        out = out * LaurentPoly(table, {e1: 1, e2: -1} if e1 != e2 else {})
+        out = out * (LaurentPoly(table, {e1: 1, e2: -1}, table.exact_bounds((e1, e2)))
+                     if e1 != e2 else table.zero())
     return out
 
 
@@ -593,7 +679,7 @@ def over_binomials(num, pairs):
     return Fraction(num.mono_mul(-unit, sign), factors)
 
 
-def exact_divide(poly, factor, ranges=None):
+def exact_divide(poly, factor):
     """Divide a LaurentPoly by a canonical BinomialFactor, exactly.
 
     With v = m1 - m2 the factor is x^m2 * (x^v - 1), so p = quotient * factor
@@ -605,14 +691,18 @@ def exact_divide(poly, factor, ranges=None):
     dividend: exact division never refuses.
 
     Lines are measured in the coordinate i0 where |v_i| is largest (the
-    first such): a line leaves the dividend once its digit there leaves the
-    support's range [lo, hi], so a walk from a term meets the dividend again
-    within steps = (hi - lo) // |v_i0| steps of v, or never.  With the
-    largest step, steps * max|v_i| = steps * |v_i0| <= hi - lo < 2^31, so
-    every point tested (a term plus or minus one step, or plus at most steps
-    steps) differs from each term by less than 2^32 in every digit, where
-    packed ints are equal only if their exponent vectors are: every
-    membership test is exact.
+    first such): a line leaves the dividend once its digit there leaves
+    [lo, hi], the dividend's bounds in i0, so a walk from a term meets the
+    dividend again within steps = (hi - lo) // |v_i0| steps of v, or never.
+    The bounds are read from poly.bounds; only a missing entry i0 is
+    computed, by one scan of that digit, and stored there for the next
+    factor tried on the same dividend.  Known bounds lie in the stored
+    range, so a superset of the support's range only lengthens the lines
+    walked.  With the largest step, steps * max|v_i| = steps * |v_i0| <=
+    hi - lo < 2^31, so every point tested (a term plus or minus one step,
+    or plus at most steps steps) differs from each term by less than 2^32 in
+    every digit, where packed ints are equal only if their exponent vectors
+    are: every membership test is exact.
 
     Most divisions the kernel tries fail, so two lines are probed first: the
     ones through the first and the last stored term, each summed whole in at
@@ -624,16 +714,14 @@ def exact_divide(poly, factor, ranges=None):
     sum is not zero carries it through the gap to the next run of its line,
     which must exist within steps of it.  Runs start in increasing packed
     order, which is increasing along each line (v > 0 as a packed int), so
-    a carried sum always reaches a run that has not been walked yet.  The
-    quotient of an exact division has, in every variable, its exponents
-    within the dividend's range (its Newton polytope plus the factor's
-    segment is the dividend's, and the factor's smaller end is 0), so it
-    needs no range check.
+    a carried sum always reaches a run that has not been walked yet.
 
-    ranges, a dict from variable index to the support's (min, max) exponent
-    in that variable, lends and keeps the range in i0; a caller trying
-    several factors on one dividend passes the same dict to each, and
-    `_reduce_fraction` hands it on to the quotient.
+    The quotient of an exact division needs no range check, and its bounds
+    are the dividend's, shrunk: the Newton polytope of the dividend is the
+    quotient's plus the factor's segment from 0 (the factor's smaller end,
+    the factor being canonical) to |v| per variable, and over a domain the
+    extreme terms of a product do not cancel, so the quotient's range in
+    variable i is [lo_i, hi_i - |v_i|], exact when the dividend's is.
     """
     terms = poly.terms
     if not terms:
@@ -643,12 +731,11 @@ def exact_divide(poly, factor, ranges=None):
     v = m1 - m2
     vs = table.unpack(v)
     i0 = max(range(table.arity), key=lambda i: abs(vs[i]))
-    if ranges is None:
-        ranges = {}
-    span = ranges.get(i0)
-    if span is None:
-        span = ranges[i0] = table.digit_range(terms, i0)
-    lo, hi = span
+    bounds = poly.bounds or (None,) * table.arity
+    if bounds[i0] is None:
+        bounds = poly.bounds = (bounds[:i0] + (table.digit_range(terms, i0),)
+                                + bounds[i0 + 1:])
+    lo, hi = bounds[i0]
     vi = abs(vs[i0])
     steps = (hi - lo) // vi
     get = terms.get
@@ -690,7 +777,8 @@ def exact_divide(poly, factor, ranges=None):
             elif c is None:
                 break
             e = nxt
-    return LaurentPoly(table, out)
+    return LaurentPoly(table, out, tuple(b and (b[0], b[1] - abs(d))
+                                         for b, d in zip(bounds, vs)))
 
 
 @lru_cache(maxsize=None)
@@ -748,28 +836,38 @@ def _reduce_fraction(num, den):
     """Cancel denominator factors that divide the numerator exactly.
 
     One pass suffices: a factor that does not divide num divides no quotient
-    of it.  A monomial numerator is a unit, which no binomial divides.  The
-    digit ranges of num's support are read once and handed on through every
-    division: num = quotient * (x^m1 - x^m2), the Newton polytope of a
-    product is the Minkowski sum of its factors', and over a domain the
-    extreme terms of a product do not cancel, so the quotient's range in
-    variable i is [lo - min(m1_i, m2_i), hi - max(m1_i, m2_i)].
+    of it.  A numerator whose coefficients do not sum to zero is divisible
+    by no factor, so nothing is tried on it (this covers a monomial, a unit):
+
+    * every canonical factor m1 - m2 vanishes at the point 1 where every
+      variable is 1, and evaluation there is a ring map of the Laurent
+      ring, so f | N gives N(1) = (N / f)(1) * f(1) = 0; N(1) is the sum of
+      N's coefficients;
+    * over a `weil.WeilTable` at genus >= 1 the stored terms are the
+      representative slices N_alpha of an invariant N, whose sum is not
+      N(1).  But every Fraction over such a table has a-free factors (the
+      term builders, `restrict_fraction` and `sigma` make no other kind),
+      and an a-free factor divides slice by slice: f | N gives
+      N_alpha = f * Q_alpha for every alpha, so the stored coefficients sum
+      to sum_alpha N_alpha(1) = 0 just the same.
+
+    The test is repeated on each quotient, and once it holds the remaining
+    factors are kept untried.
     """
     if not num.terms:
         return num, ()
-    if len(num.terms) == 1:
+    if sum(num.terms.values()):
         return num, tuple(den)
-    table = num.table
-    kept, ranges = [], {}
-    for f in den:
+    kept = []
+    factors = iter(den)
+    for f in factors:
         try:
-            num = exact_divide(num, f, ranges)
+            num = exact_divide(num, f)
         except NotDivisibleError:
             kept.append(f)
             continue
-        for i, (lo, hi) in ranges.items():
-            d1, d2 = table.digit(f.m1, i), table.digit(f.m2, i)
-            ranges[i] = (lo - min(d1, d2), hi - max(d1, d2))
+        if sum(num.terms.values()):
+            kept.extend(factors)
     return num, tuple(kept)
 
 

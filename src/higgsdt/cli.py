@@ -26,7 +26,6 @@ import sys
 from .algebra import ExponentRangeError
 from .dt import CurveParams, idt_orbits, moduli_volume, omega
 from .oracle_p1 import SUPPORTED_Q, compare_with_formula
-from .verify import SUITES, run_suites
 from .weil import weil_table
 from .zeta import ZetaData, specialize_integer
 
@@ -185,6 +184,8 @@ def _cmd_compute(args):
 
 
 def _cmd_verify(args):
+    # imported here: the suites are compiled and registered only for verify
+    from .verify import SUITES, run_suites
     if args.list:
         for name in SUITES:
             print("%-14s %s" % (name, SUITES[name][0]))

@@ -16,10 +16,11 @@ binomials as pairs, expanded by `binomial_product` and divided by
 which lets the sum skip the factors coprimality rules out.  The n!
 sigma-terms are added pairwise in a tree (`fraction_sum`), in the order of
 `itertools.permutations`, and the sum is multiplied by the prefactor once.
-f_sum is the one implementation of this sum: the series, the formal f and
-every property check call it, the check at vanishing a_k^{-1} with the
-inverse eigenvalues deformed to t a_k^{-1}.  MAX_SN caps n, since the sum
-has n! terms.
+`_f_parts` is the one implementation of this sum, and f_sum the product
+of its two parts: the series, the formal f and the other property checks
+call f_sum; the check at vanishing a_k^{-1}, with the inverse eigenvalues
+deformed to t a_k^{-1}, reads the two parts at t = 0 and never forms f.
+MAX_SN caps n, since the sum has n! terms.
 
 The degree-d slices of (q - 1) Log of the resulting T-series stabilize, for
 d large, to the d-independent invariant of the main pipeline; `t_expand`
@@ -38,12 +39,13 @@ from .dt import idt_star, partition_series, zstar_term
 MAX_SN = 4  # n! symmetrization terms; raise deliberately, not by accident
 
 
-def f_sum(table, values, ainv=None):
-    """The symmetrized sum with w_i = x^values[i] (monomials, pairwise distinct).
+def _f_parts(table, values, ainv=None):
+    """(prefactor, sigma-sum) of the symmetrized sum with w_i = x^values[i]
+    (monomials, pairwise distinct): f_sum is their product.
 
     ainv holds the packed inverse eigenvalues, a_k^{-1} for k = 1..genus of
     the table unless given (alpha_zero_check deforms them to t a_k^{-1}).
-    Returns the prefactor times the `fraction_sum` of the sigma-terms.
+    The sigma-sum is the `fraction_sum` of the sigma-terms.
     """
     n = len(values)
     if n > MAX_SN:
@@ -76,7 +78,15 @@ def f_sum(table, values, ainv=None):
         num += [(zero, w[i]) for i in range(1, n)]
         return over_binomials(binomial_product(table, num), den)
 
-    return pref * fraction_sum(map(term, permutations(range(n))), table)
+    return pref, fraction_sum(map(term, permutations(range(n))), table)
+
+
+def f_sum(table, values, ainv=None):
+    """The symmetrized sum with w_i = x^values[i] (monomials, pairwise
+    distinct): the prefactor times the sigma-sum of `_f_parts` (same
+    arguments)."""
+    pref, total = _f_parts(table, values, ainv)
+    return pref * total
 
 
 def f_symbolic(n, genus):
@@ -143,17 +153,24 @@ def alpha_zero_check(n, genus):
     """f equals 1 when every a_k^{-1} is set to 0.
 
     Implemented honestly by deforming a_k^{-1} to t a_k^{-1} (t is free in
-    the z-table) and reading the summed fraction at t = 0: its t^0
-    coefficient is 1, and `t_expand` refuses it if a coefficient below t^0
-    survives.
+    the z-table) and reading f at t = 0, factor by factor: f = P * S with P
+    the prefactor and S the sigma-sum (`_f_parts`), and the check is
+    P(0) * S(0) == 1, where X(0) is the t^0 coefficient `t_expand(X, 0)[0]`.
+    That is f(0) == 1, without the product f:
+
+    * P = prod (1 - t a_k^{-1}) / (1 - t a_k^{-1} w_i) is a power series in
+      t with P(0) = 1, a unit of the power series ring, so f = P * S is a
+      power series iff S is: `t_expand`, which refuses exactly the
+      fractions with a pole at t = 0, refuses S iff it would refuse f;
+    * on power series, t = 0 is a ring map, so f(0) = P(0) * S(0).
     """
     table = var_table(genus=genus, nz=n)
     te = table.exps(t=1)
     values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
     ainv = [te + table.exps(**{"a%d" % k: -1}) for k in range(1, genus + 1)]
-    f = f_sum(table, values, ainv)
+    pref, total = _f_parts(table, values, ainv)
     try:
-        return t_expand(f, 0)[0] == Fraction.one(table)
+        return t_expand(pref, 0)[0] * t_expand(total, 0)[0] == Fraction.one(table)
     except NotDivisibleError:
         return False
 

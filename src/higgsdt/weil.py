@@ -47,9 +47,14 @@ class WeilTable(VarTable):
 
     Representative terms are in range like any stored term; the images of a
     slice are checked by `_images` before an offset is added.
+
+    At genus >= 1 the table is `slicewise`: the exponent bounds of a product
+    (see `algebra`) are the sums of its factors' only when one factor is
+    a-free, the case `mul_terms` multiplies as it is.
     """
 
-    __slots__ = ("full", "flip", "_flip", "_amask", "_abias", "_reps", "_orbits")
+    __slots__ = ("full", "flip", "slicewise", "_flip", "_amask", "_abias", "_reps",
+                 "_orbits")
 
     def __init__(self, genus, flip="qt"):
         if flip not in ("qt", "q"):
@@ -57,6 +62,7 @@ class WeilTable(VarTable):
         super().__init__(genus)
         self.full = var_table(genus)
         self.flip = flip
+        self.slicewise = genus > 0
         self._flip = self.exps(**{v: 1 for v in flip})
         self._amask = (1 << DIGIT_BITS * genus) - 1   # the a digits are the lowest
         self._abias = self._bias & self._amask
@@ -175,16 +181,25 @@ class WeilTable(VarTable):
         k >= 0 of f are read, and the representatives alpha_1 >= ... >=
         alpha_g >= 0 are built a factor at a time, each prefix
         alpha_1..alpha_j once for all of its extensions.
+
+        Where f(u) has bounds, every slice takes its q and t bounds, and the
+        result the hull of its prefixes' in q and t and, in each a_i, the
+        least and the largest k read: (k, ..., k) is a representative.
         """
         if not self.genus:
             return self.one()
         u = self.unit_exps("a1")
+        fu = f(u)
         slices = {}
-        for e, c in f(u).terms.items():
+        for e, c in fu.terms.items():
             k = self.digit(e, 2)
             if k >= 0:
                 slices.setdefault(k, {})[e - k * u] = c
-        slices = [(k, LaurentPoly(self.full, slices[k])) for k in sorted(slices)]
+        qt = fu.bounds and fu.bounds[:2]
+        if qt and None in qt:
+            qt = None
+        flat = qt and qt + ((0, 0),) * self.genus
+        slices = [(k, LaurentPoly(self.full, slices[k], flat)) for k in sorted(slices)]
         # (last alpha_j, prod_{i<=j} [u^alpha_i] f, packed a-part) per prefix
         level = [(k, s, k * u) for k, s in slices]
         for j in range(1, self.genus):
@@ -192,16 +207,22 @@ class WeilTable(VarTable):
             level = [(k, prefix * s, apart + k * unit)
                      for top, prefix, apart in level
                      for k, s in slices if k <= top]
+        bounds = None
+        if qt and level:
+            ends = [p.bounds[:2] for _, p, _ in level]
+            bounds = (tuple((min(b[i][0] for b in ends), max(b[i][1] for b in ends))
+                            for i in range(2))
+                      + ((slices[0][0], slices[-1][0]),) * self.genus)
         return LaurentPoly(self, {e + apart: c for _, p, apart in level
-                                  for e, c in p.terms.items()})
+                                  for e, c in p.terms.items()}, bounds)
 
     def restrict(self, poly):
         """The representative terms of a Weil-invariant poly over `full`."""
         self._check(poly, self.full)
         if not self.genus:
-            return LaurentPoly(self, poly.terms)
+            return LaurentPoly(self, poly.terms, poly.bounds)
         return LaurentPoly(self, {e: c for k, ts in self._slices(poly.terms).items()
-                                  if self._is_rep(k) for e, c in ts.items()})
+                                  if self._is_rep(k) for e, c in ts.items()}, poly.bounds)
 
     def restrict_fraction(self, frac):
         """`restrict` of a Fraction over `full` whose denominator is a-free.

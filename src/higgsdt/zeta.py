@@ -25,15 +25,24 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import zip_longest
+from itertools import compress, zip_longest
 
 from .algebra import LaurentPoly
 from .dt import zeta_factor
 from .weil import weil_table
 
 
-_SMALL_PRIMES = [p for p in range(2, 1000)
-                 if all(p % d for d in range(2, math.isqrt(p) + 1))]
+def _primes_below(n):
+    """The primes below n >= 2, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return list(compress(range(n), sieve))
+
+
+_SMALL_PRIMES = _primes_below(1000)
 _MR_BASES = _SMALL_PRIMES[:13]            # 2, 3, 5, ..., 41
 _MR_LIMIT = 3317044064679887385961981     # those bases decide every n below it
 

@@ -8,8 +8,8 @@ from fractions import Fraction as Q
 import pytest
 
 from higgsdt import algebra
-from higgsdt.algebra import (BinomialFactor, Fraction, LaurentPoly,
-                             NotDivisibleError, TableMismatchError,
+from higgsdt.algebra import (EXP_LIMIT, BinomialFactor, ExponentRangeError, Fraction,
+                             LaurentPoly, NotDivisibleError, TableMismatchError,
                              ZeroDenominatorError, _lcd_parts,
                              binomial_product, canonical_binomial,
                              exact_divide, fraction_sum, over_binomials, t_expand,
@@ -524,29 +524,32 @@ def test_fraction_mul_tries_primes_on_the_numerators_only(monkeypatch):
     seen = []
     divide = algebra.exact_divide
 
-    def recording(poly, factor, ranges=None):
+    def recording(poly, factor):
         seen.append(poly)
-        return divide(poly, factor, ranges)
+        return divide(poly, factor)
 
     qt, t1 = [(T2.exps(q=1), T2.exps(t=1))], [(T2.exps(t=1), 0)]
     cases = [
         # both primes divide the other numerator: nothing is left
         (over_binomials((t - one) * (one + a1), qt),
-         over_binomials((q - t) * (one + a1 + a1 * a1), t1), 0),
-        # neither does: both stay
-        (over_binomials(one + a1 + q, qt), over_binomials(one + a1 * t + t * t, t1), 2)]
-    for a, b, left in cases:
+         over_binomials((q - t) * (one + a1 + a1 * a1), t1), 0, 2),
+        # neither does, though both numerators sum to zero: both stay
+        (over_binomials(one + a1 - q - t, qt),
+         over_binomials(one + a1 * t - t * t - q, t1), 2, 2),
+        # numerators summing to 3 are divisible by no factor: nothing is tried
+        (over_binomials(one + a1 + q, qt), over_binomials(one + a1 * t + t * t, t1), 2, 0)]
+    for a, b, left, tried in cases:
         seen.clear()
         with monkeypatch.context() as m:
             m.setattr(algebra, "exact_divide", recording)
             got = a * b
         assert len(got.den) == left
-        assert len(seen) == 2
+        assert len(seen) == tried
         assert all(p == a.num or p == b.num for p in seen)
         assert got == Fraction(a.num * b.num, a.den + b.den)
 
 
-# -- products store no zero, divisions hand their ranges on -------------------
+# -- products store no zero; exponent bounds ---------------------------------
 
 
 def _accumulated(a, b):
@@ -581,29 +584,191 @@ def test_products_store_no_zero_coefficient():
                 assert prod.terms == {e: c for e, c in full.items() if c}
 
 
-def test_divisions_hand_on_the_exact_range(monkeypatch):
-    # every range _reduce_fraction lends exact_divide is the dividend's own
+def _support_bounds(poly):
+    table = poly.table
+    return tuple(table.digit_range(poly.terms, i) for i in range(table.arity))
+
+
+def _contains(bounds, exact):
+    return all(b is None or b[0] <= lo and hi <= b[1] for b, (lo, hi) in zip(bounds, exact))
+
+
+@pytest.mark.parametrize("genus,ell,order", [(0, 1, 5), (1, 1, 3), (2, 3, 2)])
+def test_bounds_contain_the_support_and_products_add_them(monkeypatch, genus, ell, order):
+    # every known bound contains its support; a product of two polynomials
+    # with exact bounds has exact bounds wherever they are promised (over a
+    # slicewise table, when a factor is a-free), and so has a quotient
     from higgsdt.dt import CurveParams, idt_orbits
-    divide = algebra.exact_divide
-    last = {}     # id of a ranges dict -> (the dict, its last dividend)
-    carried = []  # dividends met with a range handed on by a division
+    made = []
+    exact = {"product": 0, "quotient": 0, "slicewise": 0}
+    init, mul, divide = LaurentPoly.__init__, LaurentPoly.__mul__, algebra.exact_divide
 
-    def checking(poly, factor, ranges=None):
-        if ranges is not None:
-            for i, span in ranges.items():
-                assert span == poly.table.digit_range(poly.terms, i)
-            # a filled dict met again with another dividend was handed on
-            # by a division
-            if ranges and last.get(id(ranges), (ranges, poly))[1] is not poly:
-                carried.append(poly)
-            last[id(ranges)] = ranges, poly
-        return divide(poly, factor, ranges)
+    def recording_init(self, table, terms, bounds=None):
+        init(self, table, terms, bounds)
+        made.append(self)
 
-    monkeypatch.setattr(algebra, "exact_divide", checking)
-    for genus, ell, order in ((0, 1, 5), (1, 1, 3)):
-        carried.clear()
-        idt_orbits(CurveParams(genus=genus, ell=ell), order)
-        assert len(carried) >= 10
+    def checked(a, b, out, kind):
+        # entry i of the result is exact where entry i of both operands is
+        if not (a.terms and b.terms and out.terms and a.bounds and b.bounds):
+            return
+        if out.table.slicewise and not any(
+                all(e == (0, 0) for e in x.bounds[2:]) for x in (a, b)):
+            assert out.bounds is None
+            return
+        assert out.bounds is not None
+        for ea, eb, eo, sa, sb, so in zip(a.bounds, b.bounds, out.bounds, _support_bounds(a),
+                                          _support_bounds(b), _support_bounds(out)):
+            if ea == sa and eb == sb:
+                assert eo == so
+                exact[kind] += 1
+                exact["slicewise"] += out.table.slicewise
+
+    def checking_mul(self, other):
+        out = mul(self, other)
+        checked(self, other, out, "product")
+        return out
+
+    def checking_divide(poly, factor):
+        out = divide(poly, factor)
+        checked(poly, factor.to_poly(poly.table), out, "quotient")
+        return out
+
+    monkeypatch.setattr(LaurentPoly, "__init__", recording_init)
+    monkeypatch.setattr(LaurentPoly, "__mul__", checking_mul)
+    monkeypatch.setattr(algebra, "exact_divide", checking_divide)
+    idt_orbits(CurveParams(genus=genus, ell=ell), order)
+    known = [p for p in made if p.terms and p.bounds and any(p.bounds)]
+    assert len(known) >= 50
+    for p in known:
+        assert _contains(p.bounds, _support_bounds(p))
+        assert all(-EXP_LIMIT <= b[0] and b[1] < EXP_LIMIT for b in p.bounds if b)
+    assert exact["product"] >= 50 and exact["quotient"] >= 20
+    assert exact["slicewise"] >= (20 if genus else 0)
+
+
+def _bare(poly):
+    """poly without its bounds: every operation scans it."""
+    return LaurentPoly(poly.table, dict(poly.terms))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ExponentRangeError:
+        return ExponentRangeError
+
+
+def test_refusals_near_the_limit_are_unchanged_by_bounds():
+    # products, shifts and Adams operations of polynomials with known
+    # bounds near 2^30 raise exactly when the scan of the bare polynomial
+    # does, which is when a stored exponent would leave the range
+    one = T2.one()
+    for k in (1, 2, 3, 4, 5, 6, 7, 8):
+        edge = EXP_LIMIT - k
+        x = T2.monomial(T2.exps(q=edge // 2, a1=-(edge // 3))) + one
+        for y in (T2.monomial(T2.exps(q=edge // 2 + j, t=1)) - one for j in range(-2, 3)):
+            for a, b in ((x, y), (y, x)):
+                assert a.bounds and b.bounds
+                got, want = _outcome(a.__mul__, b), _outcome(_bare(a).__mul__, _bare(b))
+                assert got == want
+                top = a.table.unpack(max(a.terms))[0] + b.table.unpack(max(b.terms))[0]
+                assert (got is ExponentRangeError) == (top >= EXP_LIMIT)
+        for j in range(-3, 4):
+            shift = T2.exps(q=k + j - 4, a1=-j)
+            assert _outcome(x.mono_mul, shift) == _outcome(_bare(x).mono_mul, shift)
+        for n in (2, 3, 4, 5):
+            assert _outcome(x.adams, n) == _outcome(_bare(x).adams, n)
+    # the shift that leaves the range raises, the one that stays does not
+    x = T2.monomial(T2.exps(q=EXP_LIMIT - 3)) + one
+    x.mono_mul(T2.exps(q=2))
+    with pytest.raises(ExponentRangeError):
+        x.mono_mul(T2.exps(q=3))
+    with pytest.raises(ExponentRangeError):
+        (x * x.mono_mul(T2.exps(q=-5)))
+
+
+def test_loose_bounds_of_a_cancelled_sum_refuse_nothing():
+    # the extreme terms of a + b cancel, so its bounds reach 2^29 + 10 in q
+    # while its support is q + 1: products, shifts and Adams operations
+    # that the support allows still go through
+    far = T2.monomial(T2.exps(q=(1 << 29) + 10))
+    s = (far + T2.var("q")) + (T2.one() - far)
+    assert s == T2.var("q") + T2.one()
+    assert s.bounds[0] == (0, (1 << 29) + 10)
+    for got in (s * s * s * s, s.mono_mul(T2.exps(q=(1 << 29) + 20)), s.adams(2),
+                s.adams(3), s * s.mono_mul(T2.exps(q=(1 << 29) + 5))):
+        assert got == _bare(got)
+        assert _contains(got.bounds, _support_bounds(got))
+        assert all(-EXP_LIMIT <= b[0] and b[1] < EXP_LIMIT for b in got.bounds)
+    assert s * s == _bare(s) * _bare(s)
+
+
+# -- the all-ones rule --------------------------------------------------------
+
+
+def _weil_invariant(rng, wt):
+    """A random polynomial over wt.full invariant under a1 -> q t / a1."""
+    p = rand_poly(rng, table=wt.full, nterms=5, span=2)
+    return p + p.substitute_monomials({wt.index["a1"]: wt.exps(q=1, t=1, a1=-1)})
+
+
+def test_nonzero_coefficient_sum_rules_out_every_factor():
+    # a numerator whose coefficients do not sum to zero is divisible by no
+    # factor of the pool; one that a factor divides sums to zero and still
+    # divides, also on the representatives of weil_table(1) with a-free
+    # factors
+    from higgsdt.weil import weil_table
+    wt = weil_table(1)
+    afree = [f for f in MUL_POOL if not T2.digit(f.m1, 2) and not T2.digit(f.m2, 2)]
+    rng = random.Random(2025)
+    ruled_out = divided = 0
+    for _ in range(300):
+        num = rand_poly(rng, nterms=6, span=2)
+        whole = _weil_invariant(rng, wt)
+        reps = wt.restrict(whole)
+        for poly, pool in ((num, MUL_POOL), (reps, afree)):
+            if sum(poly.terms.values()):
+                ruled_out += 1
+                for f in pool:
+                    with pytest.raises(NotDivisibleError):
+                        exact_divide(poly, f)
+                    assert Fraction(poly, [f]).den == (f,)
+        f = rng.choice(MUL_POOL)
+        prod = num * f.to_poly(T2)
+        g = rng.choice(afree)
+        rprod = wt.restrict(whole * g.to_poly(T2))
+        for poly, fac, quo in ((prod, f, num), (rprod, g, reps)):
+            assert sum(poly.terms.values()) == 0
+            if poly:
+                assert exact_divide(poly, fac) == quo
+                got = Fraction(poly, [fac])
+                assert (got.num, got.den) == (quo, ())
+                divided += 1
+    assert ruled_out >= 200 and divided >= 200
+
+
+def test_weil_fractions_have_a_free_factors(monkeypatch):
+    # the all-ones rule on representatives needs a-free factors: every
+    # factor tried or kept over a slicewise table is a-free
+    from higgsdt.dt import CurveParams, alt_idt, idt_orbits, substitution_identity_check
+    reduce, seen = algebra._reduce_fraction, []
+
+    def checking(num, den):
+        den = tuple(den)
+        table = num.table
+        if table.slicewise:
+            seen.append(len(den))
+            for f in den:
+                assert not any(table.unpack(f.m1)[2:]) and not any(table.unpack(f.m2)[2:])
+        return reduce(num, den)
+
+    monkeypatch.setattr(algebra, "_reduce_fraction", checking)
+    for genus, ell in ((1, 1), (2, 3)):
+        cp = CurveParams(genus=genus, ell=ell)
+        idt_orbits(cp, 3)
+        alt_idt(cp, 2)
+        assert all(ok for _, ok in substitution_identity_check(cp, 2))
+    assert len(seen) >= 100 and sum(seen) >= 100
 
 
 # -- the divisibility-matched common denominator ------------------------------

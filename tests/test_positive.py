@@ -1,11 +1,12 @@
 import pytest
 
 from higgsdt.algebra import (Fraction, ZeroDenominatorError, binomial_product,
-                             over_binomials, var_table)
+                             over_binomials, t_expand, var_table)
 from higgsdt.partitions import Partition
 from higgsdt.dt import CurveParams, idt_star
-from higgsdt.positive import (f_lambda, f_sum, f_symbolic, laurent_property_check,
-                              omega_plus, stabilization_check, zplus_series)
+from higgsdt.positive import (_f_parts, alpha_zero_check, f_lambda, f_sum, f_symbolic,
+                              laurent_property_check, omega_plus, stabilization_check,
+                              zplus_series)
 
 
 def test_genus_zero_kernel_is_one():
@@ -59,6 +60,23 @@ def test_deformed_inverse_eigenvalues_at_u_one_give_f():
             at_one = deformed.substitute_monomials({table.index["t"]: table.zero_exps()})
             assert at_one == f, (g, n)
             assert deformed.num.uses_var("t"), (g, n)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_alpha_zero_check_matches_the_whole_f_route(n, g):
+    # the reference: form f = prefactor * sigma-sum whole and read its t^0
+    # coefficient; the check reads the two parts at t = 0 instead
+    table = var_table(genus=g, nz=n)
+    te = table.exps(t=1)
+    values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
+    ainv = [te + table.exps(**{"a%d" % k: -1}) for k in range(1, g + 1)]
+    pref, total = _f_parts(table, values, ainv)
+    f = f_sum(table, values, ainv)
+    assert pref * total == f
+    assert t_expand(pref, 0)[0] == Fraction.one(table)
+    assert t_expand(f, 0)[0] == Fraction.one(table)
+    assert alpha_zero_check(n, g)
 
 
 def test_positive_series_needs_twisted_mode():

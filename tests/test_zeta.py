@@ -239,6 +239,15 @@ def _trial_division_prime_power(n):
     return n == 1
 
 
+def test_small_primes_sieve_is_the_trial_division_list():
+    from higgsdt.zeta import _SMALL_PRIMES, _primes_below
+    want = [p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert len(want) == 168
+    assert _SMALL_PRIMES == want
+    for n in (2, 3, 4, 5, 25, 26, 121):
+        assert _primes_below(n) == [p for p in want if p < n]
+
+
 def test_is_prime_power_matches_trial_division():
     from higgsdt.zeta import is_prime_power
     assert all(is_prime_power(n) == _trial_division_prime_power(n)
