@@ -846,8 +846,9 @@ def _reduce_fraction(num, den):
     * over a `weil.WeilTable` at genus >= 1 the stored terms are the
       representative slices N_alpha of an invariant N, whose sum is not
       N(1).  But every Fraction over such a table has a-free factors (the
-      term builders, `restrict_fraction` and `sigma` make no other kind),
-      and an a-free factor divides slice by slice: f | N gives
+      term builders, `restrict_fraction` and `sigma` make no other kind,
+      and sums, products, Adams operations and `t_expand` keep, drop or
+      scale factors), and an a-free factor divides slice by slice: f | N gives
       N_alpha = f * Q_alpha for every alpha, so the stored coefficients sum
       to sum_alpha N_alpha(1) = 0 just the same.
 
