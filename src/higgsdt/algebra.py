@@ -94,6 +94,8 @@ coefficients still work everywhere, for hand-built inputs.
 """
 
 import math
+import sys
+from array import array
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import NamedTuple
@@ -1030,10 +1032,15 @@ class Fraction:
         return Fraction._reduced(self.num.mono_mul(exps, coeff), self.den)
 
     def __eq__(self, other):
-        """Equal values: the difference has a zero numerator."""
+        """Equal values.  Both are reduced, so over one den they are equal
+        iff their numerators are; otherwise the difference is zero."""
         if not isinstance(other, Fraction):
             return NotImplemented
-        return self.table == other.table and not (self - other)
+        if self.table != other.table:
+            return False
+        if self.den == other.den:
+            return self.num.terms == other.num.terms
+        return not (self - other)
 
     __hash__ = None
 
@@ -1084,6 +1091,426 @@ class Fraction:
             for f in self.den))
 
 
+# -- row-packed numerators ----------------------------------------------------
+
+
+ROW_WIDTH = 64      # bits per q-digit of a fresh encoding; a multiple of 64
+ROW_MIN_SPAN = 12   # q-digits a sum must span to be added on rows
+ROW_MIN_DIGITS = 4  # q-digits per row below which a sum stops adding on rows
+ROW_MAX_SPAN = 4096 # q-digits a row may span; a wider sum leaves the rows
+
+
+class _LeaveRows(Exception):
+    """An addition of `fraction_sum` is made on dicts: its sum would span
+    fewer than ROW_MIN_SPAN q-digits or more than ROW_MAX_SPAN, or a
+    summand has a coefficient that is not an int."""
+
+
+class _Sparse(_LeaveRows):
+    """A sum on rows came out with fewer than ROW_MIN_DIGITS q-digits per
+    row: the rest of its `fraction_sum` is made on dicts."""
+
+
+def _check_span(span):
+    if span > ROW_MAX_SPAN:
+        raise _LeaveRows(span)
+
+
+@lru_cache(maxsize=None)
+def _spread_digit(width, n):
+    """sum_{j<n} 2^(width - 1) * 2^(width j): the bias of n balanced digits."""
+    return ((1 << width * n) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+class _Rows:
+    """A numerator with int coefficients as q-rows (module docstring).
+
+    The stored value is sum_r x^r q^q0 X_r(q), r over packed monomials with
+    q-digit 0, and `rows` maps r to the int X_r(2^width) (never 0).  Every
+    X_r is a polynomial in q with its degrees in [0, span) and its
+    coefficients at most `bound` in absolute value, bound < 2^(width - 1).
+    """
+
+    __slots__ = ("table", "width", "q0", "span", "rows", "bound")
+
+    def __init__(self, table, width, q0, span, rows, bound):
+        self.table, self.width, self.q0, self.span = table, width, q0, span
+        self.rows, self.bound = rows, bound
+
+
+def _row_encode(poly, bound=None, width=ROW_WIDTH, need=1):
+    """The nonzero poly as _Rows at the least width >= width, doubled, where
+    need * bound < 2^(width - 1), bound measured unless given; None if a
+    coefficient is not an int."""
+    terms = poly.terms
+    if bound is None:
+        if type(next(iter(terms.values()))) is not int:
+            return None
+        bound = max(map(abs, terms.values()))
+    table = poly.table
+    s0 = table._shifts[0]
+    lo, hi = table.digit(min(terms), 0), table.digit(max(terms), 0)
+    if hi - lo >= ROW_MAX_SPAN:
+        return None
+    # j = (e - off) >> s0 is the q-digit of e less lo; r = e - j x_q - lo x_q
+    off, lo_s = ((lo + _HALF) << s0) - table._bias, lo << s0
+    rows = {}
+    get = rows.get
+    try:
+        while (need * bound) >> (width - 1):
+            width *= 2
+        for e, c in terms.items():
+            j = (e - off) >> s0
+            r = e - (j << s0) - lo_s
+            rows[r] = get(r, 0) + (c << width * j)
+    except TypeError:
+        return None
+    return _Rows(table, width, lo, hi - lo + 1, rows, bound)
+
+
+def _row_decode(x):
+    """The LaurentPoly x holds, with exact bounds: each row's digits are
+    read off X_r + spread, whose digits c + 2^(width - 1) are unsigned."""
+    table = x.table
+    width = x.width
+    s0 = table._shifts[0]
+    unit = 1 << s0
+    k, h = width // 8, 1 << (width - 1)
+    terms = {}
+    for r, X in x.rows.items():
+        e = r + (x.q0 << s0)
+        if -h < X < h:
+            terms[e] = X
+            continue
+        n = X.bit_length() // width + 1
+        s = _spread_digit(width, n)
+        if width == 64:
+            # the unsigned digit c + 2^63 with its top bit flipped is c as a
+            # signed 64-bit word
+            digits = array("q")
+            digits.frombytes(((X + s) ^ s).to_bytes(8 * n, sys.byteorder))
+        else:
+            b = (X + s).to_bytes(k * n, "little")
+            digits = [int.from_bytes(b[i:i + k], "little") - h for i in range(0, k * n, k)]
+        for c in digits:
+            if c:
+                terms[e] = c
+            e += unit
+    return LaurentPoly(table, terms, _row_bounds(x))
+
+
+def _row_bounds(x):
+    """The exact bounds of x's terms."""
+    if not x.rows:
+        return None
+    width = x.width
+    lo = min((X & -X).bit_length() - 1 for X in x.rows.values()) // width
+    hi = max(X.bit_length() for X in x.rows.values()) // width
+    table = x.table
+    return ((x.q0 + lo, x.q0 + hi),) + tuple(table.digit_range(x.rows, i)
+                                             for i in range(1, table.arity))
+
+
+def _row_remeasure(x, need=1, width=None):
+    """x with its bound measured, at the least width >= width (default
+    x's), doubled, where need * bound < 2^(width - 1)."""
+    return _row_encode(_row_decode(x), None, width or x.width, need)
+
+
+def _row_fit(x, need):
+    """x, re-measured or widened if need * bound may reach 2^(width - 1)."""
+    if (need * x.bound) >> (x.width - 1):
+        return _row_remeasure(x, need)
+    return x
+
+
+def _row_lift(x, poly):
+    """x * poly."""
+    table = x.table
+    if table.slicewise and any(any(table.digits(poly.terms, i))
+                               for i in range(2, 2 + table.genus)):
+        # a product that mixes slices (`weil.WeilTable.mul_terms`)
+        out = _row_encode(_row_decode(x) * poly)
+        if out is None:
+            raise _LeaveRows(poly)
+        return out
+    s0 = table._shifts[0]
+    bias = table._bias
+    parts = {}
+    for e, c in poly.terms.items():
+        qd = ((e + bias) >> s0) - _HALF
+        parts.setdefault(e - (qd << s0), []).append((qd, c))
+    qmin = min(qd for ps in parts.values() for qd, _ in ps)
+    qmax = max(qd for ps in parts.values() for qd, _ in ps)
+    _check_span(x.span + qmax - qmin)
+    norm = sum(map(abs, poly.terms.values()))
+    x = _row_fit(x, norm)
+    width = x.width
+    ints = [(s, sum(c << width * (qd - qmin) for qd, c in ps)) for s, ps in parts.items()]
+    out = {}
+    get = out.get
+    for r, X in x.rows.items():
+        for s, P in ints:
+            k = r + s
+            y = get(k, 0) + X * P
+            if y:
+                out[k] = y
+            else:
+                del out[k]
+    lifted = _Rows(table, width, x.q0 + qmin, x.span + qmax - qmin, out, x.bound * norm)
+    _row_check_range(lifted)
+    return lifted
+
+
+def _row_check_range(x):
+    """Refuse, as a scan of the terms would, a term out of range."""
+    table = x.table
+    table.check_range(x.rows)
+    if x.rows and not -EXP_LIMIT <= x.q0 <= x.q0 + x.span - 1 < EXP_LIMIT:
+        (lo, hi), = _row_bounds(x)[:1]
+        if not -EXP_LIMIT <= lo <= hi < EXP_LIMIT:
+            raise ExponentRangeError(
+                "exponent range [-2^%d, 2^%d) exceeded at q^%d"
+                % (EXP_BITS, EXP_BITS, lo if lo < -EXP_LIMIT else hi))
+
+
+def _row_add(x, y):
+    """x + y, both nonzero."""
+    if x.width != y.width:
+        width = max(x.width, y.width)
+        x, y = (z if z.width == width else _row_remeasure(z, 1, width) for z in (x, y))
+    bound = x.bound + y.bound
+    if bound >> (x.width - 1):
+        return _row_add(_row_remeasure(x, 2), _row_remeasure(y, 2))
+    if x.q0 > y.q0:
+        x, y = y, x
+    span = max(x.span, y.q0 - x.q0 + y.span)
+    _check_span(span)
+    shift = x.width * (y.q0 - x.q0)
+    out = dict(x.rows)
+    get = out.get
+    for r, Y in y.rows.items():
+        z = get(r, 0) + (Y << shift)
+        if z:
+            out[r] = z
+        else:
+            del out[r]
+    return _Rows(x.table, x.width, x.q0, span, out, bound)
+
+
+def _row_maybe_zero_sum(x):
+    """False when x's coefficients provably do not sum to zero: the sum
+    of the rows is N(1) modulo 2^width - 1."""
+    return not sum(x.rows.values()) % ((1 << x.width) - 1)
+
+
+def _row_divide(x, factor):
+    """x / factor for a canonical factor, or None if it does not divide."""
+    table = x.table
+    m1, m2 = factor
+    v = m1 - m2
+    s0 = table._shifts[0]
+    vq = table.digit(v, 0)
+    u = v - (vq << s0)
+    if vq >= x.span:
+        return None
+    if not u:
+        # q^vq - 1 and m2 = 0: one exact division per row
+        need = (x.span - 1) // vq + 1
+        x = _row_fit(x, need)
+        m = (1 << x.width * vq) - 1
+        out = {}
+        for r, X in x.rows.items():
+            y, rem = divmod(X, m)
+            if rem:
+                return None
+            out[r] = y
+        return _Rows(table, x.width, x.q0, x.span - vq, out, x.bound * need)
+    us = table.unpack(u)
+    i0 = max(range(1, table.arity), key=lambda i: abs(us[i]))
+    ui, step_i0 = us[i0], abs(us[i0])
+    rows = x.rows
+    get = rows.get
+    ds = table.digits(rows, i0)
+    lo, hi = min(ds), max(ds)
+    m = (1 << x.width) - 1
+    probes = ((next(iter(rows)), ds[0]), (next(reversed(rows)), ds[-1]))
+    if (hi - lo) // step_i0 >= len(rows):
+        probes = ()     # a line longer than the rows: the walk below is cheaper
+    for r, d in probes:
+        # the line through r at q = 1, summed modulo 2^width - 1
+        back, ahead = (d - lo) // step_i0, (hi - d) // step_i0
+        if ui < 0:
+            back, ahead = ahead, back
+        if sum(get(r + j * u, 0) for j in range(-back, ahead + 1)) % m:
+            return None
+    # a row r = base + k u, k >= 0 counted from where digit i0 is least
+    lines = {}
+    sign = 1 if ui > 0 else -1
+    for r, d in zip(rows, ds):
+        k = (d - lo) // step_i0 * sign
+        line = lines.get(r - k * u)
+        if line is None:
+            lines[r - k * u] = [k]
+        else:
+            line.append(k)
+    need = max(map(len, lines.values()))
+    if vq:
+        need = min(need, (x.span - 1) // vq + 1)
+    x = _row_fit(x, need)
+    width, rows, span = x.width, x.rows, x.span - vq
+    if span <= 0:
+        return None
+    step, limit = width * vq, width * span
+    out, gaps = {}, []
+    for base, ps in lines.items():
+        ps.sort()
+        d, prev = 0, None
+        for p in ps:
+            if d:
+                gap = p - prev - 1
+                if gap:
+                    if step:
+                        if d.bit_length() + step * gap >= limit:
+                            return None
+                        for k in range(prev + 1, p):
+                            d <<= step
+                            out[base + k * u - m2] = d
+                    else:
+                        gaps.append((base + (prev + 1) * u - m2, gap, d))
+                d <<= step
+            r = base + p * u
+            d -= rows[r]
+            if d:
+                if d.bit_length() >= limit:
+                    return None
+                out[r - m2] = d
+            prev = p
+        if d:
+            return None
+    for r, gap, d in gaps:
+        for _ in range(gap):
+            out[r] = d
+            r += u
+    return _Rows(table, width, x.q0, span, out, x.bound * need)
+
+
+def _row_reduce(x, den):
+    """`_reduce_fraction` on rows: (x with the factors that divide it
+    divided out, the factors left)."""
+    if not x.rows:
+        return x, ()
+    if not _row_maybe_zero_sum(x):
+        return x, tuple(den)
+    kept = []
+    factors = iter(den)
+    for f in factors:
+        y = _row_divide(x, f)
+        if y is None:
+            kept.append(f)
+            continue
+        x = y
+        if not _row_maybe_zero_sum(x):
+            kept.extend(factors)
+    return x, tuple(kept)
+
+
+def _row_sum(a, b):
+    """a + b for two summands of `fraction_sum`, each a reduced Fraction or
+    a pair (rows, den) of one, as `Fraction.__add__` adds them: the pair of
+    the sum, or the other summand when one is zero.  The lcd and the factors
+    tried are `Fraction.__add__`'s (over one den, the den itself).  None,
+    before anything is encoded or lifted, when the addition is one for
+    dicts (`fraction_sum`)."""
+    if _node_zero(a):
+        return b
+    if _node_zero(b):
+        return a
+    for node in (a, b):
+        if type(node) is Fraction and type(next(iter(node.num.terms.values()))) is not int:
+            return None
+    common, only_a, only_b = [], list(_node_den(a)), []
+    for f in _node_den(b):
+        if f in only_a:
+            only_a.remove(f)
+            common.append(f)
+        else:
+            only_b.append(f)
+    table = _node_table(a)
+    tried, kept, mul_a, mul_b = _lcd_parts(table, only_a, only_b)
+    # the q-digits of the lifted numerators lie in [lo, hi)
+    ends = []
+    for node, mul in ((a, mul_a), (b, mul_b)):
+        lo, hi = _q_range(node)
+        for p in mul:
+            plo, phi = p.bounds[0] if p.bounds and p.bounds[0] else table.digit_range(p.terms, 0)
+            lo, hi = lo + plo, hi + phi
+        ends.append((lo, hi))
+    span = max(hi for _, hi in ends) - min(lo for lo, _ in ends)
+    if not ROW_MIN_SPAN <= span <= ROW_MAX_SPAN:
+        return None
+    xa, xb = _rows_of(a), _rows_of(b)
+    if xa is None or xb is None:
+        return None
+    for p in mul_a:
+        xa = _row_lift(xa, p)
+    for p in mul_b:
+        xb = _row_lift(xb, p)
+    num = _row_add(xa, xb)
+    if num.rows and _row_density(num) < ROW_MIN_DIGITS:
+        raise _Sparse()
+    num, left = _row_reduce(num, common + tried)
+    return num, tuple(sorted(left + tuple(kept))) if num.rows else ()
+
+
+# A summand of `fraction_sum` is a Fraction until it is first added as rows,
+# and a pair (rows, den) after that.
+
+def _node_table(node):
+    return node[0].table if type(node) is tuple else node.table
+
+
+def _node_den(node):
+    return node[1] if type(node) is tuple else node.den
+
+
+def _node_zero(node):
+    return not (node[0].rows if type(node) is tuple else node.num.terms)
+
+
+def _q_range(node):
+    """[lo, hi) holding the q-exponents of a nonzero summand's numerator."""
+    if type(node) is tuple:
+        x = node[0]
+        return x.q0, x.q0 + x.span
+    terms, table = node.num.terms, node.table
+    return table.digit(min(terms), 0), table.digit(max(terms), 0) + 1
+
+
+def _rows_of(node):
+    """The rows of a nonzero summand, encoded if it is a Fraction (None if
+    it does not encode)."""
+    if type(node) is tuple:
+        return node[0]
+    return _row_encode(node.num)
+
+
+def _node_fraction(node):
+    """The Fraction of a summand."""
+    if type(node) is not tuple:
+        return node
+    rows, den = node
+    if not rows.rows:
+        return Fraction.zero(rows.table)
+    return Fraction._reduced(_row_decode(rows), den)
+
+
+def _row_density(x):
+    """q-digits per row of the nonzero x, each row counted to its top digit."""
+    width = x.width
+    return sum(X.bit_length() // width for X in x.rows.values()) / len(x.rows) + 1
+
+
 def fraction_sum(fracs, table):
     """The sum of the Fractions fracs over table, added pairwise in a tree.
 
@@ -1099,17 +1526,38 @@ def fraction_sum(fracs, table):
     numerator and its common denominator, through every addition.  An empty
     input sums to zero over table.
     """
+    dense = True     # no sum on rows has come out sparse yet
+
+    def add(a, b):
+        nonlocal dense
+        if dense and type(a) in (tuple, Fraction) and type(b) in (tuple, Fraction):
+            ta, tb = _node_table(a), _node_table(b)
+            if ta != tb:
+                raise TableMismatchError("operands use different variable tables: %r vs %r"
+                                         % (ta, tb))
+            try:
+                s = _row_sum(a, b)
+            except _Sparse:
+                dense = False
+            except _LeaveRows:
+                pass
+            else:
+                if s is not None:
+                    return s
+        return _node_fraction(a) + _node_fraction(b)
+
     stack = []   # (terms, sum) per perfect subtree
     for f in fracs:
         n = 1
         while stack and stack[-1][0] == n:
-            f, n = stack.pop()[1] + f, 2 * n
+            f, n = add(stack.pop()[1], f), 2 * n
         stack.append((n, f))
     if not stack:
         return Fraction.zero(table)
     total = stack.pop()[1]
     while stack:
-        total = stack.pop()[1] + total
+        total = add(stack.pop()[1], total)
+    total = _node_fraction(total)
     if total.table != table:
         raise TableMismatchError("summands use %r, expected %r" % (total.table, table))
     return total

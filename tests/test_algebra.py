@@ -600,8 +600,9 @@ def test_bounds_contain_the_support_and_products_add_them(monkeypatch, genus, el
     # slicewise table, when a factor is a-free), and so has a quotient
     from higgsdt.dt import CurveParams, idt_orbits
     made = []
-    exact = {"product": 0, "quotient": 0, "slicewise": 0}
+    exact = {"product": 0, "quotient": 0, "row quotient": 0, "slicewise": 0}
     init, mul, divide = LaurentPoly.__init__, LaurentPoly.__mul__, algebra.exact_divide
+    row_divide = algebra._row_divide
 
     def recording_init(self, table, terms, bounds=None):
         init(self, table, terms, bounds)
@@ -633,9 +634,23 @@ def test_bounds_contain_the_support_and_products_add_them(monkeypatch, genus, el
         checked(poly, factor.to_poly(poly.table), out, "quotient")
         return out
 
+    def checking_row_divide(x, factor):
+        # a quotient of the row walk inside a sum, decoded with its bounds
+        out = row_divide(x, factor)
+        if out is not None:
+            dividend, quo = algebra._row_decode(x), algebra._row_decode(out)
+            assert quo * factor.to_poly(x.table) == dividend
+            checked(dividend, factor.to_poly(x.table), quo, "row quotient")
+        return out
+
     monkeypatch.setattr(LaurentPoly, "__init__", recording_init)
     monkeypatch.setattr(LaurentPoly, "__mul__", checking_mul)
     monkeypatch.setattr(algebra, "exact_divide", checking_divide)
+    monkeypatch.setattr(algebra, "_row_divide", checking_row_divide)
+    # cofactor quotients cached by earlier tests would skip their divisions;
+    # every sum is added on rows, so that their quotients are seen too
+    algebra._binomial_quotient.cache_clear()
+    _rows_throughout(monkeypatch)
     idt_orbits(CurveParams(genus=genus, ell=ell), order)
     known = [p for p in made if p.terms and p.bounds and any(p.bounds)]
     assert len(known) >= 50
@@ -643,7 +658,14 @@ def test_bounds_contain_the_support_and_products_add_them(monkeypatch, genus, el
         assert _contains(p.bounds, _support_bounds(p))
         assert all(-EXP_LIMIT <= b[0] and b[1] < EXP_LIMIT for b in p.bounds if b)
     assert exact["product"] >= 50 and exact["quotient"] >= 20
+    assert exact["row quotient"] >= 5
     assert exact["slicewise"] >= (20 if genus else 0)
+
+
+def _rows_throughout(monkeypatch):
+    """Make `fraction_sum` add every sum of int numerators on rows."""
+    monkeypatch.setattr(algebra, "ROW_MIN_SPAN", 0)
+    monkeypatch.setattr(algebra, "ROW_MIN_DIGITS", 0)
 
 
 def _bare(poly):
@@ -757,24 +779,36 @@ def test_weil_fractions_have_a_free_factors(monkeypatch):
     # the all-ones rule on representatives needs a-free factors: every
     # factor tried or kept over a slicewise table is a-free
     from higgsdt.dt import CurveParams, alt_idt, idt_orbits, substitution_identity_check
-    reduce, seen = algebra._reduce_fraction, []
+    # (the constructor's and products' `_reduce_fraction`, and the sums'
+    # `_row_reduce` on row-packed numerators)
+    reduce, row_reduce, seen, row_seen = algebra._reduce_fraction, algebra._row_reduce, [], []
+
+    def check(table, den, record):
+        if table.slicewise:
+            record.append(len(den))
+            for f in den:
+                assert not any(table.unpack(f.m1)[2:]) and not any(table.unpack(f.m2)[2:])
 
     def checking(num, den):
         den = tuple(den)
-        table = num.table
-        if table.slicewise:
-            seen.append(len(den))
-            for f in den:
-                assert not any(table.unpack(f.m1)[2:]) and not any(table.unpack(f.m2)[2:])
+        check(num.table, den, seen)
         return reduce(num, den)
 
+    def row_checking(x, den):
+        den = tuple(den)
+        check(x.table, den, row_seen)
+        return row_reduce(x, den)
+
     monkeypatch.setattr(algebra, "_reduce_fraction", checking)
+    monkeypatch.setattr(algebra, "_row_reduce", row_checking)
+    _rows_throughout(monkeypatch)
     for genus, ell in ((1, 1), (2, 3)):
         cp = CurveParams(genus=genus, ell=ell)
         idt_orbits(cp, 3)
         alt_idt(cp, 2)
         assert all(ok for _, ok in substitution_identity_check(cp, 2))
     assert len(seen) >= 100 and sum(seen) >= 100
+    assert len(row_seen) >= 10 and sum(row_seen) >= 40
 
 
 # -- the divisibility-matched common denominator ------------------------------
@@ -924,12 +958,27 @@ def test_fraction_sum_of_nothing_and_of_one():
         fraction_sum([Fraction.one(T2)], T4)
 
 
+@pytest.mark.parametrize("throughout", [False, True], ids=["", "rows"])
 @pytest.mark.parametrize("table", [var_table(0), T2, TZ], ids=["genus0", "genus1", "z"])
-def test_fraction_sum_is_the_left_to_right_sum(table, monkeypatch):
+def test_fraction_sum_is_the_left_to_right_sum(table, throughout, monkeypatch):
+    # an addition is a Fraction.__add__ or, on row-packed partial sums, an
+    # algebra._row_sum that returns a sum; with the size rules of algebra at 0
+    # every sum of int numerators is added on rows
+    if throughout:
+        _rows_throughout(monkeypatch)
     rng = random.Random(24 + table.arity)
     adds = []
-    add = Fraction.__add__
+    add, row_sum = Fraction.__add__, algebra._row_sum
+
+    def counted_row_sum(a, b):
+        out = row_sum(a, b)
+        if out is not None:
+            adds.append(2)
+        return out
+
     monkeypatch.setattr(Fraction, "__add__", lambda a, b: adds.append(1) or add(a, b))
+    monkeypatch.setattr(algebra, "_row_sum", counted_row_sum)
+    rows = 0
     for _ in range(40):
         fracs = [rand_fraction(rng, table=table) for _ in range(rng.randint(0, 8))]
         shared = [rand_binomial(rng, table) for _ in range(rng.randint(1, 2))]
@@ -941,8 +990,10 @@ def test_fraction_sum_is_the_left_to_right_sum(table, monkeypatch):
         del adds[:]
         got = fraction_sum(fracs, table)
         assert len(adds) == len(fracs) - 1
+        rows += adds.count(2)
         assert got == _fold(fracs, table)
         assert got.table == table
+    assert rows >= (20 if throughout else 0)
 
 
 class _Leaf:
