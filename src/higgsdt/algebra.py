@@ -31,64 +31,11 @@ drive the whole module and are relied on by callers:
   only this module skips that, and only where the result is reduced
   already, so a Fraction left with a denominator is not a polynomial.
 
-A sum of many Fractions goes through `fraction_sum`, which adds them
-pairwise in a balanced tree: a left-to-right fold carries one growing
-partial sum through every addition, so every cofactor product and trial
-division would be paid on the largest operand.
-
-* Row-packed sums.  Inside `fraction_sum` a numerator N with int
-  coefficients is held as q-rows (`_Rows`): N = q^q0 sum_r x^r N_r(q), r
-  over packed monomials with q-digit 0, each N_r a polynomial in q of
-  degree below span, stored as the one int X_r = N_r(2^W), W the width.
-  Evaluation at q = 2^W is a ring map Z[q] -> Z, so lifting by a cofactor
-  is shifts, products and adds per row (a term c x^s q^k sends X_r into
-  row r + s as c X_r 2^(kW)), a sum adds rows, and the divisions below are
-  recurrences on ints.  The one invariant: every int that is decoded or
-  decides anything is the image of a polynomial whose coefficients lie in
-  (-2^(W-1), 2^(W-1)).  Such an image determines the polynomial: adding
-  sum_j 2^(W-1) 2^(jW) makes every digit c_j + 2^(W-1) an unsigned base-2^W
-  digit, so the image is 0 iff every c_j is, the digits decode exactly,
-  and the top nonzero digit is bit_length // W, the lowest the trailing
-  zero count // W.  So each _Rows carries a proven bound B on its
-  coefficients: a leaf's largest |c|, measured when it is encoded; B times
-  the cofactor's l1 norm after a lift; B_a + B_b after a sum; B times L
-  after a quotient, L the most terms a line partial sum adds.  Before any
-  step whose bound would reach 2^(W-1) the operand is decoded, its bound
-  measured, and encoded again, at twice the width while the measured bound
-  still needs it (`_row_fit`): nothing is decoded or decided at a width the
-  bound does not prove.
-  - The all-ones rule reads sum_r X_r modulo 2^W - 1, which is N(1) modulo
-    2^W - 1 (2^W = 1 there).  A nonzero residue proves N(1) != 0 at any
-    width; a zero one only lets the trial divisions run, and they decide,
-    so at worst (N(1) a nonzero multiple of 2^W - 1) a factor is tried
-    that the dict path skips, and fails.
-  - A canonical factor has q-digit 0 in m2 (its q-digits are >= 0 with
-    minimum 0, and m1 >= m2 there), so it is x^m2 (q^vq x^u - 1) with
-    vq >= 0 and u the non-q part of v.  For u = 0 (m2 = 0, q^vq - 1) each
-    row is one divmod by 2^(vq W) - 1: X_r = (2^(vq W) - 1) S(2^W) +
-    R(2^W), R_j the sum of N_r's coefficients of degree j mod vq, so
-    |R_j| <= L B < 2^(W-1) with L = ceil(span / vq), |R(2^W)| < 2^(vq W) - 1,
-    and the remainder is 0 iff R = 0, that is iff q^vq - 1 divides N_r.
-  - For u != 0 the quotient Q satisfies Q[r - m2] = (Q[r - m2 - u] << W vq)
-    - X[r] along every line r + Z u of rows, walked from its least row:
-    Q[.] is a line partial sum of N's coefficients, of at most L terms (the
-    rows of the line; with vq > 0 also ceil(span / vq)), and the division
-    is exact iff every line ends with Q = 0.  A quotient's q-degrees lie
-    below span - vq (its Newton polytope plus the factor's is N's), so a Q
-    whose bit length reaches W (span - vq) refuses.  Rows are grouped into
-    lines first, so a carry crosses a gap of empty rows at once: with vq > 0
-    the bit-length test bounds it before it is stored, with vq = 0 the gap's
-    quotient rows, all equal to the carry, are stored only after every line
-    has ended with 0.
-  So a sum on rows tries the same factors in the same order as
-  `Fraction.__add__` and decides each exactly: it is the same reduced
-  Fraction.  A lift refuses an exponent out of range exactly where the dict
-  product does: the row keys are scanned, and the q-digits read exactly
-  when their range is not proved.  Additions too narrow, too wide or too
-  sparse along q for rows to pay stay on dicts (`fraction_sum`), as do
-  coefficients that are not ints; products, `Fraction(num, den)` and
-  `exact_divide` keep the dict walk, which two probe lines and the run
-  walk make cheaper where most of their numerators are sparse along q.
+A sum of many Fractions goes through `fraction_sum` (module `sums`), which
+adds them pairwise in a balanced tree with row-packed numerators: a
+left-to-right fold carries one growing partial sum through every addition,
+so every cofactor product and trial division would be paid on the largest
+operand.
 
 A product of binomials prod (x^e1 - x^e2) is given once, as its list of
 pairs (e1, e2): `binomial_product` expands it into a numerator, and
@@ -148,8 +95,6 @@ coefficients still work everywhere, for hand-built inputs.
 """
 
 import math
-import sys
-from array import array
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import NamedTuple
@@ -888,9 +833,13 @@ def _lcd_parts(table, only_a, only_b):
     return tried, kept, mul[0], mul[1]
 
 
-def _split_dens(da, db):
-    """(common, only_a, only_b): the multiset intersection of the dens da
-    and db, and what is left of each."""
+def _lcd(table, da, db):
+    """(tried, kept, mul_a, mul_b) of the lcd of the dens da and db, as
+    `Fraction.__add__` takes it: the factors the sum tries (the common ones,
+    then `_lcd_parts`'s tried), those it keeps untried, and the cofactors
+    that lift each numerator."""
+    if da == db:
+        return list(da), (), (), ()
     common, only_a, only_b = [], list(da), []
     for f in db:
         if f in only_a:
@@ -898,7 +847,19 @@ def _split_dens(da, db):
             common.append(f)
         else:
             only_b.append(f)
-    return common, only_a, only_b
+    tried, kept, mul_a, mul_b = _lcd_parts(table, only_a, only_b)
+    return common + tried, kept, mul_a, mul_b
+
+
+def _lifted_sum(na, nb, lcd):
+    """na / prod(da) + nb / prod(db) over their lcd (`_lcd`), reduced."""
+    tried, kept, mul_a, mul_b = lcd
+    for p in mul_a:
+        na = na * p
+    for p in mul_b:
+        nb = nb * p
+    num, left = _reduce_fraction(na + nb, tried)
+    return Fraction._reduced(num, left + tuple(kept))
 
 
 def _reduce_fraction(num, den):
@@ -1063,16 +1024,7 @@ class Fraction:
             return self
         if self.den == other.den:
             return Fraction(self.num + other.num, self.den)
-        common, only_a, only_b = _split_dens(self.den, other.den)
-        tried, kept, mul_a, mul_b = _lcd_parts(self.table, only_a, only_b)
-        na = self.num
-        for p in mul_a:
-            na = na * p
-        nb = other.num
-        for p in mul_b:
-            nb = nb * p
-        num, left = _reduce_fraction(na + nb, common + tried)
-        return Fraction._reduced(num, left + tuple(kept))
+        return _lifted_sum(self.num, other.num, _lcd(self.table, self.den, other.den))
 
     def __neg__(self):
         return Fraction._reduced(-self.num, self.den)
@@ -1152,493 +1104,6 @@ class Fraction:
             for f in self.den))
 
 
-# -- row-packed numerators ----------------------------------------------------
-
-
-ROW_WIDTH = 64      # bits per q-digit of a fresh encoding; a multiple of 64
-ROW_MIN_SPAN = 12   # q-digits a sum must span to be added on rows
-ROW_MIN_DIGITS = 4  # q-digits per row below which a sum stops adding on rows
-ROW_MAX_SPAN = 4096 # q-digits a row may span; a wider sum leaves the rows
-
-
-class _LeaveRows(Exception):
-    """An addition of `fraction_sum` is made on dicts: its sum would span
-    fewer than ROW_MIN_SPAN q-digits or more than ROW_MAX_SPAN, or a
-    summand has a coefficient that is not an int."""
-
-
-class _Sparse(_LeaveRows):
-    """A sum on rows came out with fewer than ROW_MIN_DIGITS q-digits per
-    row: the rest of its `fraction_sum` is made on dicts."""
-
-
-def _check_span(span):
-    if span > ROW_MAX_SPAN:
-        raise _LeaveRows(span)
-
-
-@lru_cache(maxsize=None)
-def _spread_digit(width, n):
-    """sum_{j<n} 2^(width - 1) * 2^(width j): the bias of n balanced digits."""
-    return ((1 << width * n) - 1) // ((1 << width) - 1) << (width - 1)
-
-
-class _Rows:
-    """A numerator with int coefficients as q-rows (module docstring).
-
-    The stored value is sum_r x^r q^q0 X_r(q), r over packed monomials with
-    q-digit 0, and `rows` maps r to the int X_r(2^width) (never 0).  Every
-    X_r is a polynomial in q with its degrees in [0, span) and its
-    coefficients at most `bound` in absolute value, bound < 2^(width - 1).
-    """
-
-    __slots__ = ("table", "width", "q0", "span", "rows", "bound")
-
-    def __init__(self, table, width, q0, span, rows, bound):
-        self.table, self.width, self.q0, self.span = table, width, q0, span
-        self.rows, self.bound = rows, bound
-
-
-def _row_encode(poly, bound=None, width=ROW_WIDTH, need=1):
-    """The nonzero poly as _Rows at the least width >= width, doubled, where
-    need * bound < 2^(width - 1), bound measured unless given; None if a
-    coefficient is not an int."""
-    terms = poly.terms
-    if bound is None:
-        if type(next(iter(terms.values()))) is not int:
-            return None
-        bound = max(map(abs, terms.values()))
-    table = poly.table
-    s0 = table._shifts[0]
-    lo, hi = table.digit(min(terms), 0), table.digit(max(terms), 0)
-    if hi - lo >= ROW_MAX_SPAN:
-        return None
-    # j = (e - off) >> s0 is the q-digit of e less lo; r = e - j x_q - lo x_q
-    off, lo_s = ((lo + _HALF) << s0) - table._bias, lo << s0
-    rows = {}
-    get = rows.get
-    try:
-        while (need * bound) >> (width - 1):
-            width *= 2
-        for e, c in terms.items():
-            j = (e - off) >> s0
-            r = e - (j << s0) - lo_s
-            rows[r] = get(r, 0) + (c << width * j)
-    except TypeError:
-        return None
-    return _Rows(table, width, lo, hi - lo + 1, rows, bound)
-
-
-def _row_decode(x):
-    """The LaurentPoly x holds, with exact bounds: each row's digits are
-    read off X_r + spread, whose digits c + 2^(width - 1) are unsigned."""
-    table = x.table
-    width = x.width
-    s0 = table._shifts[0]
-    unit = 1 << s0
-    k, h = width // 8, 1 << (width - 1)
-    terms = {}
-    for r, X in x.rows.items():
-        e = r + (x.q0 << s0)
-        if -h < X < h:
-            terms[e] = X
-            continue
-        n = X.bit_length() // width + 1
-        s = _spread_digit(width, n)
-        if width == 64:
-            # the unsigned digit c + 2^63 with its top bit flipped is c as a
-            # signed 64-bit word
-            digits = array("q")
-            digits.frombytes(((X + s) ^ s).to_bytes(8 * n, sys.byteorder))
-        else:
-            b = (X + s).to_bytes(k * n, "little")
-            digits = [int.from_bytes(b[i:i + k], "little") - h for i in range(0, k * n, k)]
-        for c in digits:
-            if c:
-                terms[e] = c
-            e += unit
-    return LaurentPoly(table, terms, _row_bounds(x))
-
-
-def _row_bounds(x):
-    """The exact bounds of x's terms."""
-    if not x.rows:
-        return None
-    width = x.width
-    lo = min((X & -X).bit_length() - 1 for X in x.rows.values()) // width
-    hi = max(X.bit_length() for X in x.rows.values()) // width
-    table = x.table
-    return ((x.q0 + lo, x.q0 + hi),) + tuple(table.digit_range(x.rows, i)
-                                             for i in range(1, table.arity))
-
-
-def _row_remeasure(x, need=1, width=None):
-    """x with its bound measured, at the least width >= width (default
-    x's), doubled, where need * bound < 2^(width - 1)."""
-    return _row_encode(_row_decode(x), None, width or x.width, need)
-
-
-def _row_fit(x, need):
-    """x, re-measured or widened if need * bound may reach 2^(width - 1)."""
-    if (need * x.bound) >> (x.width - 1):
-        return _row_remeasure(x, need)
-    return x
-
-
-def _row_lift(x, poly):
-    """x times the LaurentPoly poly: poly's terms with the same non-q part
-    s make one int P_s(2^W), and row r adds X_r P_s to row r + s."""
-    table = x.table
-    if table.slicewise and any(any(table.digits(poly.terms, i))
-                               for i in range(2, 2 + table.genus)):
-        # a product that mixes slices (`weil.WeilTable.mul_terms`)
-        out = _row_encode(_row_decode(x) * poly)
-        if out is None:
-            raise _LeaveRows(poly)
-        return out
-    s0 = table._shifts[0]
-    bias = table._bias
-    parts = {}
-    for e, c in poly.terms.items():
-        qd = ((e + bias) >> s0) - _HALF
-        parts.setdefault(e - (qd << s0), []).append((qd, c))
-    qmin = min(qd for ps in parts.values() for qd, _ in ps)
-    qmax = max(qd for ps in parts.values() for qd, _ in ps)
-    _check_span(x.span + qmax - qmin)
-    norm = sum(map(abs, poly.terms.values()))
-    x = _row_fit(x, norm)
-    width = x.width
-    ints = [(s, sum(c << width * (qd - qmin) for qd, c in ps)) for s, ps in parts.items()]
-    out = {}
-    get = out.get
-    for r, X in x.rows.items():
-        for s, P in ints:
-            k = r + s
-            y = get(k, 0) + X * P
-            if y:
-                out[k] = y
-            else:
-                del out[k]
-    lifted = _Rows(table, width, x.q0 + qmin, x.span + qmax - qmin, out, x.bound * norm)
-    _row_check_range(lifted)
-    return lifted
-
-
-def _row_check_range(x):
-    """Refuse, as a scan of the terms would, a term out of range."""
-    table = x.table
-    table.check_range(x.rows)
-    if x.rows and not -EXP_LIMIT <= x.q0 <= x.q0 + x.span - 1 < EXP_LIMIT:
-        (lo, hi), = _row_bounds(x)[:1]
-        if not -EXP_LIMIT <= lo <= hi < EXP_LIMIT:
-            raise ExponentRangeError(
-                "exponent range [-2^%d, 2^%d) exceeded at q^%d"
-                % (EXP_BITS, EXP_BITS, lo if lo < -EXP_LIMIT else hi))
-
-
-def _row_add(x, y):
-    """x + y, both nonzero: the rows of the one with the larger q0 shifted
-    by the difference, at the wider width."""
-    if x.width != y.width:
-        width = max(x.width, y.width)
-        x, y = (z if z.width == width else _row_remeasure(z, 1, width) for z in (x, y))
-    bound = x.bound + y.bound
-    if bound >> (x.width - 1):
-        return _row_add(_row_remeasure(x, 2), _row_remeasure(y, 2))
-    if x.q0 > y.q0:
-        x, y = y, x
-    span = max(x.span, y.q0 - x.q0 + y.span)
-    _check_span(span)
-    shift = x.width * (y.q0 - x.q0)
-    out = dict(x.rows)
-    get = out.get
-    for r, Y in y.rows.items():
-        z = get(r, 0) + (Y << shift)
-        if z:
-            out[r] = z
-        else:
-            del out[r]
-    return _Rows(x.table, x.width, x.q0, span, out, bound)
-
-
-def _row_maybe_zero_sum(x):
-    """False when x's coefficients provably do not sum to zero: the sum
-    of the rows is N(1) modulo 2^width - 1."""
-    return not sum(x.rows.values()) % ((1 << x.width) - 1)
-
-
-def _row_divide(x, factor):
-    """x / factor for a canonical factor, or None if it does not divide
-    (module docstring).  Two lines are probed first, at q = 1, as
-    `exact_divide` probes them, unless a line is longer than the rows."""
-    table = x.table
-    m1, m2 = factor
-    v = m1 - m2
-    s0 = table._shifts[0]
-    vq = table.digit(v, 0)
-    u = v - (vq << s0)
-    if vq >= x.span:
-        return None
-    if not u:
-        # q^vq - 1 and m2 = 0: one exact division per row
-        need = (x.span - 1) // vq + 1
-        x = _row_fit(x, need)
-        m = (1 << x.width * vq) - 1
-        out = {}
-        for r, X in x.rows.items():
-            y, rem = divmod(X, m)
-            if rem:
-                return None
-            out[r] = y
-        return _Rows(table, x.width, x.q0, x.span - vq, out, x.bound * need)
-    us = table.unpack(u)
-    i0 = max(range(1, table.arity), key=lambda i: abs(us[i]))
-    ui, step_i0 = us[i0], abs(us[i0])
-    rows = x.rows
-    get = rows.get
-    ds = table.digits(rows, i0)
-    lo, hi = min(ds), max(ds)
-    m = (1 << x.width) - 1
-    probes = ((next(iter(rows)), ds[0]), (next(reversed(rows)), ds[-1]))
-    if (hi - lo) // step_i0 >= len(rows):
-        probes = ()     # a line longer than the rows: the walk below is cheaper
-    for r, d in probes:
-        # the line through r at q = 1, summed modulo 2^width - 1
-        back, ahead = (d - lo) // step_i0, (hi - d) // step_i0
-        if ui < 0:
-            back, ahead = ahead, back
-        if sum(get(r + j * u, 0) for j in range(-back, ahead + 1)) % m:
-            return None
-    # a row r = base + k u, k >= 0 counted from where digit i0 is least
-    lines = {}
-    sign = 1 if ui > 0 else -1
-    for r, d in zip(rows, ds):
-        k = (d - lo) // step_i0 * sign
-        line = lines.get(r - k * u)
-        if line is None:
-            lines[r - k * u] = [k]
-        else:
-            line.append(k)
-    need = max(map(len, lines.values()))
-    if vq:
-        need = min(need, (x.span - 1) // vq + 1)
-    x = _row_fit(x, need)
-    width, rows, span = x.width, x.rows, x.span - vq
-    if span <= 0:
-        return None
-    step, limit = width * vq, width * span
-    out, gaps = {}, []
-    for base, ps in lines.items():
-        ps.sort()
-        d, prev = 0, None
-        for p in ps:
-            if d:
-                gap = p - prev - 1
-                if gap:
-                    if step:
-                        if d.bit_length() + step * gap >= limit:
-                            return None
-                        for k in range(prev + 1, p):
-                            d <<= step
-                            out[base + k * u - m2] = d
-                    else:
-                        gaps.append((base + (prev + 1) * u - m2, gap, d))
-                d <<= step
-            r = base + p * u
-            d -= rows[r]
-            if d:
-                if d.bit_length() >= limit:
-                    return None
-                out[r - m2] = d
-            prev = p
-        if d:
-            return None
-    for r, gap, d in gaps:
-        for _ in range(gap):
-            out[r] = d
-            r += u
-    return _Rows(table, width, x.q0, span, out, x.bound * need)
-
-
-def _row_reduce(x, den):
-    """`_reduce_fraction` on rows: (x with the factors that divide it
-    divided out, the factors left)."""
-    if not x.rows:
-        return x, ()
-    if not _row_maybe_zero_sum(x):
-        return x, tuple(den)
-    kept = []
-    factors = iter(den)
-    for f in factors:
-        y = _row_divide(x, f)
-        if y is None:
-            kept.append(f)
-            continue
-        x = y
-        if not _row_maybe_zero_sum(x):
-            kept.extend(factors)
-    return x, tuple(kept)
-
-
-def _row_sum(a, b):
-    """a + b for two summands of `fraction_sum`, each a reduced Fraction or
-    a pair (rows, den) of one, as `Fraction.__add__` adds them: the pair of
-    the sum, or the other summand when one is zero.  The lcd and the factors
-    tried are `Fraction.__add__`'s (over one den, the den itself).  None,
-    before anything is encoded or lifted, when the addition is one for
-    dicts (`fraction_sum`)."""
-    if _node_zero(a):
-        return b
-    if _node_zero(b):
-        return a
-    for node in (a, b):
-        if type(node) is Fraction and type(next(iter(node.num.terms.values()))) is not int:
-            return None
-    common, only_a, only_b = _split_dens(_node_den(a), _node_den(b))
-    table = _node_table(a)
-    tried, kept, mul_a, mul_b = _lcd_parts(table, only_a, only_b)
-    # the q-digits of the lifted numerators lie in [lo, hi)
-    ends = []
-    for node, mul in ((a, mul_a), (b, mul_b)):
-        lo, hi = _q_range(node)
-        for p in mul:
-            plo, phi = p.bounds[0] if p.bounds and p.bounds[0] else table.digit_range(p.terms, 0)
-            lo, hi = lo + plo, hi + phi
-        ends.append((lo, hi))
-    span = max(hi for _, hi in ends) - min(lo for lo, _ in ends)
-    if not ROW_MIN_SPAN <= span <= ROW_MAX_SPAN:
-        return None
-    xa, xb = _rows_of(a), _rows_of(b)
-    if xa is None or xb is None:
-        return None
-    for p in mul_a:
-        xa = _row_lift(xa, p)
-    for p in mul_b:
-        xb = _row_lift(xb, p)
-    num = _row_add(xa, xb)
-    if num.rows and _row_density(num) < ROW_MIN_DIGITS:
-        raise _Sparse()
-    num, left = _row_reduce(num, common + tried)
-    return num, tuple(sorted(left + tuple(kept))) if num.rows else ()
-
-
-# A summand of `fraction_sum` is a Fraction until it is first added as rows,
-# and a pair (rows, den) after that.
-
-def _node_table(node):
-    return node[0].table if type(node) is tuple else node.table
-
-
-def _node_den(node):
-    return node[1] if type(node) is tuple else node.den
-
-
-def _node_zero(node):
-    return not (node[0].rows if type(node) is tuple else node.num.terms)
-
-
-def _q_range(node):
-    """[lo, hi) holding the q-exponents of a nonzero summand's numerator."""
-    if type(node) is tuple:
-        x = node[0]
-        return x.q0, x.q0 + x.span
-    terms, table = node.num.terms, node.table
-    return table.digit(min(terms), 0), table.digit(max(terms), 0) + 1
-
-
-def _rows_of(node):
-    """The rows of a nonzero summand, encoded if it is a Fraction (None if
-    it does not encode)."""
-    if type(node) is tuple:
-        return node[0]
-    return _row_encode(node.num)
-
-
-def _node_fraction(node):
-    """The Fraction of a summand."""
-    if type(node) is not tuple:
-        return node
-    rows, den = node
-    if not rows.rows:
-        return Fraction.zero(rows.table)
-    return Fraction._reduced(_row_decode(rows), den)
-
-
-def _row_density(x):
-    """q-digits per row of the nonzero x, each row counted to its top digit."""
-    width = x.width
-    return sum(X.bit_length() // width for X in x.rows.values()) / len(x.rows) + 1
-
-
-def fraction_sum(fracs, table):
-    """The sum of the Fractions fracs over table, added pairwise in a tree.
-
-    The tree is the one that adds adjacent pairs level by level, an odd last
-    one passing up unchanged: the first 2^k terms, 2^k < n the largest such,
-    form a perfect tree, the rest the same tree of their own, and the root
-    adds the two.  It is built as the terms arrive: the stack holds the sums
-    of perfect subtrees, of decreasing sizes, a new term merges with each
-    top of its size, and the stack is added up from the right at the end.
-    So the n - 1 additions of a left-to-right fold are kept, but no operand
-    before the root sums more than half the terms, and at most log2(n) + 1
-    partial sums are alive: a fold drags its growing partial sum, with its
-    numerator and its common denominator, through every addition.  An empty
-    input sums to zero over table.
-
-    Additions are made on row-packed numerators (module docstring): a leaf
-    is encoded when it is first added on rows and the root decoded once.
-    An addition stays on dicts when a summand has a coefficient that is not
-    an int, or when the lifted numerators would span fewer than ROW_MIN_SPAN
-    or more than ROW_MAX_SPAN q-digits, and the whole rest of the sum does
-    once a sum on rows comes out with fewer than ROW_MIN_DIGITS q-digits per
-    row.  Each addition was timed both ways (the least of three, in
-    process, 2-vCPU host) over `verify` and idt_orbits at (0,1,8), (1,1,6),
-    (3,5,3) and (2,3,4): the verify sums took 0.257 s on dicts, 0.248 s on
-    rows and 0.224 s under these rules; the idt_orbits sums 0.817 s on dicts
-    and 0.316 s under them.  A span of 12 sends the `fprops` sums over
-    z-variables (span 8, six digits per row, rows no faster than dicts
-    before their encoding and decoding) to dicts and costs the idt_orbits
-    sums nothing; 4 digits per row ends the sums whose rows hold one or two
-    digits.  The widest row of idt_orbits at (0,1,12) spans 228 q-digits,
-    and 4096 at width 64 is 32 KiB a row.
-    """
-    dense = True     # no sum on rows has come out sparse yet
-
-    def add(a, b):
-        nonlocal dense
-        if dense and type(a) in (tuple, Fraction) and type(b) in (tuple, Fraction):
-            ta, tb = _node_table(a), _node_table(b)
-            if ta != tb:
-                raise TableMismatchError("operands use different variable tables: %r vs %r"
-                                         % (ta, tb))
-            try:
-                s = _row_sum(a, b)
-            except _Sparse:
-                dense = False
-            except _LeaveRows:
-                pass
-            else:
-                if s is not None:
-                    return s
-        return _node_fraction(a) + _node_fraction(b)
-
-    stack = []   # (terms, sum) per perfect subtree
-    for f in fracs:
-        n = 1
-        while stack and stack[-1][0] == n:
-            f, n = add(stack.pop()[1], f), 2 * n
-        stack.append((n, f))
-    if not stack:
-        return Fraction.zero(table)
-    total = stack.pop()[1]
-    while stack:
-        total = add(stack.pop()[1], total)
-    total = _node_fraction(total)
-    if total.table != table:
-        raise TableMismatchError("summands use %r, expected %r" % (total.table, table))
-    return total
-
-
 def t_expand(frac, depth):
     """t-adic expansion of a Fraction: coefficients of t^0 .. t^depth.
 
@@ -1701,3 +1166,33 @@ def t_expand(frac, depth):
         levels[d][e - d * tu] = c
     tfree = tuple(tfree)
     return [Fraction(LaurentPoly(table, level), tfree) for level in levels]
+
+
+def fraction_sum(fracs, table):
+    """The sum of the Fractions fracs over table, added pairwise in a tree.
+
+    The tree is the one that adds adjacent pairs level by level, an odd last
+    one passing up unchanged: the first 2^k terms, 2^k < n the largest such,
+    form a perfect tree, the rest the same tree of their own, and the root
+    adds the two.  It is built as the terms arrive: the stack holds the sums
+    of perfect subtrees, of decreasing sizes, a new term merges with each
+    top of its size, and the stack is added up from the right at the end.
+    So the n - 1 additions of a left-to-right fold are kept, but no operand
+    before the root sums more than half the terms, and at most log2(n) + 1
+    partial sums are alive: a fold drags its growing partial sum, with its
+    numerator and its common denominator, through every addition.  An empty
+    input sums to zero over table.  The tree and its row-packed numerators
+    are `sums.tree_sum`'s.
+    """
+    total = _sums.tree_sum(fracs)
+    if total is None:
+        return Fraction.zero(table)
+    if type(total) is tuple:
+        total = Fraction._reduced(*total)
+    if total.table != table:
+        raise TableMismatchError("summands use %r, expected %r" % (total.table, table))
+    return total
+
+
+# sums builds on everything above
+from . import sums as _sums  # noqa: E402

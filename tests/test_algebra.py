@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from higgsdt import algebra
+from higgsdt import algebra, sums
 from higgsdt.algebra import (EXP_LIMIT, BinomialFactor, ExponentRangeError, Fraction,
                              LaurentPoly, NotDivisibleError, TableMismatchError,
                              ZeroDenominatorError, _lcd_parts,
@@ -602,7 +602,7 @@ def test_bounds_contain_the_support_and_products_add_them(monkeypatch, genus, el
     made = []
     exact = {"product": 0, "quotient": 0, "row quotient": 0, "slicewise": 0}
     init, mul, divide = LaurentPoly.__init__, LaurentPoly.__mul__, algebra.exact_divide
-    row_divide = algebra._row_divide
+    row_divide = sums._row_divide
 
     def recording_init(self, table, terms, bounds=None):
         init(self, table, terms, bounds)
@@ -638,7 +638,7 @@ def test_bounds_contain_the_support_and_products_add_them(monkeypatch, genus, el
         # a quotient of the row walk inside a sum, decoded with its bounds
         out = row_divide(x, factor)
         if out is not None:
-            dividend, quo = algebra._row_decode(x), algebra._row_decode(out)
+            dividend, quo = sums._row_decode(x), sums._row_decode(out)
             assert quo * factor.to_poly(x.table) == dividend
             checked(dividend, factor.to_poly(x.table), quo, "row quotient")
         return out
@@ -646,7 +646,7 @@ def test_bounds_contain_the_support_and_products_add_them(monkeypatch, genus, el
     monkeypatch.setattr(LaurentPoly, "__init__", recording_init)
     monkeypatch.setattr(LaurentPoly, "__mul__", checking_mul)
     monkeypatch.setattr(algebra, "exact_divide", checking_divide)
-    monkeypatch.setattr(algebra, "_row_divide", checking_row_divide)
+    monkeypatch.setattr(sums, "_row_divide", checking_row_divide)
     # cofactor quotients cached by earlier tests would skip their divisions;
     # every sum is added on rows, so that their quotients are seen too
     algebra._binomial_quotient.cache_clear()
@@ -664,8 +664,8 @@ def test_bounds_contain_the_support_and_products_add_them(monkeypatch, genus, el
 
 def _rows_throughout(monkeypatch):
     """Make `fraction_sum` add every sum of int numerators on rows."""
-    monkeypatch.setattr(algebra, "ROW_MIN_SPAN", 0)
-    monkeypatch.setattr(algebra, "ROW_MIN_DIGITS", 0)
+    monkeypatch.setattr(sums, "ROW_MIN_SPAN", 0)
+    monkeypatch.setattr(sums, "ROW_MIN_DIGITS", 0)
 
 
 def _bare(poly):
@@ -781,7 +781,7 @@ def test_weil_fractions_have_a_free_factors(monkeypatch):
     from higgsdt.dt import CurveParams, alt_idt, idt_orbits, substitution_identity_check
     # (the constructor's and products' `_reduce_fraction`, and the sums'
     # `_row_reduce` on row-packed numerators)
-    reduce, row_reduce, seen, row_seen = algebra._reduce_fraction, algebra._row_reduce, [], []
+    reduce, row_reduce, seen, row_seen = algebra._reduce_fraction, sums._row_reduce, [], []
 
     def check(table, den, record):
         if table.slicewise:
@@ -800,7 +800,7 @@ def test_weil_fractions_have_a_free_factors(monkeypatch):
         return row_reduce(x, den)
 
     monkeypatch.setattr(algebra, "_reduce_fraction", checking)
-    monkeypatch.setattr(algebra, "_row_reduce", row_checking)
+    monkeypatch.setattr(sums, "_row_reduce", row_checking)
     _rows_throughout(monkeypatch)
     for genus, ell in ((1, 1), (2, 3)):
         cp = CurveParams(genus=genus, ell=ell)
@@ -961,23 +961,23 @@ def test_fraction_sum_of_nothing_and_of_one():
 @pytest.mark.parametrize("throughout", [False, True], ids=["", "rows"])
 @pytest.mark.parametrize("table", [var_table(0), T2, TZ], ids=["genus0", "genus1", "z"])
 def test_fraction_sum_is_the_left_to_right_sum(table, throughout, monkeypatch):
-    # an addition is a Fraction.__add__ or, on row-packed partial sums, an
-    # algebra._row_sum that returns a sum; with the size rules of algebra at 0
+    # every addition of the tree is one sums._add_summands, made on rows
+    # when sums._row_sum returns a sum; with the size rules of sums at 0
     # every sum of int numerators is added on rows
     if throughout:
         _rows_throughout(monkeypatch)
     rng = random.Random(24 + table.arity)
     adds = []
-    add, row_sum = Fraction.__add__, algebra._row_sum
+    add, row_sum = sums._add_summands, sums._row_sum
 
-    def counted_row_sum(a, b):
-        out = row_sum(a, b)
+    def counted_row_sum(a, b, lcd):
+        out = row_sum(a, b, lcd)
         if out is not None:
             adds.append(2)
         return out
 
-    monkeypatch.setattr(Fraction, "__add__", lambda a, b: adds.append(1) or add(a, b))
-    monkeypatch.setattr(algebra, "_row_sum", counted_row_sum)
+    monkeypatch.setattr(sums, "_add_summands", lambda a, b, r: adds.append(1) or add(a, b, r))
+    monkeypatch.setattr(sums, "_row_sum", counted_row_sum)
     rows = 0
     for _ in range(40):
         fracs = [rand_fraction(rng, table=table) for _ in range(rng.randint(0, 8))]
@@ -989,7 +989,7 @@ def test_fraction_sum_is_the_left_to_right_sum(table, throughout, monkeypatch):
         rng.shuffle(fracs)
         del adds[:]
         got = fraction_sum(fracs, table)
-        assert len(adds) == len(fracs) - 1
+        assert adds.count(1) == len(fracs) - 1
         rows += adds.count(2)
         assert got == _fold(fracs, table)
         assert got.table == table

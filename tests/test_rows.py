@@ -1,4 +1,4 @@
-"""Row-packed numerators in `algebra.fraction_sum`.
+"""Row-packed numerators in `fraction_sum` (module `sums`).
 
 A partial sum of `fraction_sum` holds its numerator as q-rows: one Python int
 per monomial in the variables other than q, the row's q-polynomial evaluated
@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from higgsdt import algebra, dt, positive, series
+from higgsdt import dt, positive, series, sums
 from higgsdt.algebra import (EXP_LIMIT, ExponentRangeError, Fraction, LaurentPoly,
                              NotDivisibleError, canonical_binomial, exact_divide,
                              fraction_sum, over_binomials, var_table)
@@ -22,8 +22,8 @@ from higgsdt.weil import weil_table
 
 def rows_throughout(monkeypatch):
     """Add every sum of int numerators on rows, however narrow or sparse."""
-    monkeypatch.setattr(algebra, "ROW_MIN_SPAN", 0)
-    monkeypatch.setattr(algebra, "ROW_MIN_DIGITS", 0)
+    monkeypatch.setattr(sums, "ROW_MIN_SPAN", 0)
+    monkeypatch.setattr(sums, "ROW_MIN_DIGITS", 0)
 
 
 def tree_sum(fracs, table):
@@ -192,7 +192,7 @@ def test_large_coefficients_force_a_remeasure_or_a_widening(top, monkeypatch):
     # before they add.  The result is still the dict tree's
     rows_throughout(monkeypatch)
     encoded, remeasured = [], []
-    encode, remeasure = algebra._row_encode, algebra._row_remeasure
+    encode, remeasure = sums._row_encode, sums._row_remeasure
 
     def encoding(poly, bound=None, width=64, need=1):
         out = encode(poly, bound, width, need)
@@ -204,8 +204,8 @@ def test_large_coefficients_force_a_remeasure_or_a_widening(top, monkeypatch):
         remeasured.append((x.width, out.width))
         return out
 
-    monkeypatch.setattr(algebra, "_row_encode", encoding)
-    monkeypatch.setattr(algebra, "_row_remeasure", counting)
+    monkeypatch.setattr(sums, "_row_encode", encoding)
+    monkeypatch.setattr(sums, "_row_remeasure", counting)
     t = var_table(1)
     q, tt = t.exps(q=1), t.exps(t=1)
     rng = random.Random(top % 1000)
@@ -235,16 +235,16 @@ def test_rows_decode_to_what_they_encode(table):
         for _ in range(20):
             poly = rand_num(rng, table, nterms=12,
                             coeffs=(h - 1, 1 - h, h // 2, -1, 1, 7))
-            x = algebra._row_encode(poly, None, width)
+            x = sums._row_encode(poly, None, width)
             assert x.width == width and x.bound < h
-            back = algebra._row_decode(x)
+            back = sums._row_decode(x)
             assert back.terms == poly.terms
             assert back.bounds == table.exact_bounds(poly.terms)
         # a coefficient of 2^(width - 1) does not fit: the encoding widens
         poly = LaurentPoly(table, {0: h, table.exps(q=1): -h})
-        x = algebra._row_encode(poly, None, width)
+        x = sums._row_encode(poly, None, width)
         assert x.width == 2 * width
-        assert algebra._row_decode(x).terms == poly.terms
+        assert sums._row_decode(x).terms == poly.terms
 
 
 # -- the division walk ---------------------------------------------------------
@@ -281,12 +281,12 @@ def test_row_division_is_exact_division(table):
             want = exact_divide(num, f)
         except NotDivisibleError:
             want = None
-        x = algebra._row_encode(num)
+        x = sums._row_encode(num)
         x.span += rng.randint(0, 2)      # a span that is only a bound
-        y = algebra._row_divide(x, f)
+        y = sums._row_divide(x, f)
         assert (y is None) == (want is None)
         if want is not None:
-            got = algebra._row_decode(y)
+            got = sums._row_decode(y)
             assert got.terms == want.terms
             assert got.bounds == table.exact_bounds(want.terms)
             seen["widened"] += y.width > 64
@@ -305,10 +305,10 @@ def test_a_carry_across_a_wide_gap_is_refused_at_once(through_q, monkeypatch):
     n = 10 ** 6
     num = t.one() - t.monomial(t.exps(q=1, t=n))
     f = _factor(t, (1, 1) if through_q else (0, 1), (0, 0))
-    x = algebra._row_encode(num)
+    x = sums._row_encode(num)
     tracemalloc.start()
     start = time.perf_counter()
-    assert algebra._row_divide(x, f) is None
+    assert sums._row_divide(x, f) is None
     elapsed = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
@@ -329,10 +329,10 @@ def test_a_divisible_gap_is_filled():
     n = 2000
     num = t.one() - t.monomial(t.exps(q=2, t=n))
     f = _factor(t, (0, 1), (0, 0))
-    assert algebra._row_divide(algebra._row_encode(num), f) is None
+    assert sums._row_divide(sums._row_encode(num), f) is None
     num = t.monomial(t.exps(q=2)) - t.monomial(t.exps(q=2, t=n))
-    y = algebra._row_divide(algebra._row_encode(num), f)
-    assert algebra._row_decode(y).terms == exact_divide(num, f).terms
+    y = sums._row_divide(sums._row_encode(num), f)
+    assert sums._row_decode(y).terms == exact_divide(num, f).terms
     assert len(y.rows) == n
 
 
@@ -341,17 +341,17 @@ def test_a_sum_spread_wide_along_q_leaves_the_rows(monkeypatch):
     # here: a leaf that wide is not encoded, and a sum or a lift that would
     # get that wide is added on dicts instead
     rows_throughout(monkeypatch)
-    monkeypatch.setattr(algebra, "ROW_MAX_SPAN", 64)
+    monkeypatch.setattr(sums, "ROW_MAX_SPAN", 64)
     spans, on_dicts = [], []
-    encode, add = algebra._row_encode, Fraction.__add__
+    encode, add = sums._row_encode, sums._lifted_sum
 
     def encoding(poly, bound=None, width=64, need=1):
         out = encode(poly, bound, width, need)
         spans.append(out.span if out else 0)
         return out
 
-    monkeypatch.setattr(algebra, "_row_encode", encoding)
-    monkeypatch.setattr(Fraction, "__add__", lambda x, y: on_dicts.append(1) or add(x, y))
+    monkeypatch.setattr(sums, "_row_encode", encoding)
+    monkeypatch.setattr(sums, "_lifted_sum", lambda x, y, lcd: on_dicts.append(1) or add(x, y, lcd))
     t = var_table(1)
     big, q, tt = t.exps(q=1000), t.exps(q=1), t.exps(t=1)
     wide = over_binomials(t.monomial(big) + t.one(), [(q, 0)])
@@ -359,7 +359,7 @@ def test_a_sum_spread_wide_along_q_leaves_the_rows(monkeypatch):
     far = over_binomials(t.monomial(big), [(tt, 0)])
     near = over_binomials(-t.one(), [(tt, 0)])
     lifted = over_binomials(t.one(), [(big, 0), (tt, 0)])
-    assert algebra._row_encode(wide.num) is None
+    assert sums._row_encode(wide.num) is None
     for fracs in ([wide, small], [far, near], [small, far, near, wide], [near, lifted]):
         on_dicts.clear()
         got = fraction_sum(fracs, t)
@@ -367,7 +367,7 @@ def test_a_sum_spread_wide_along_q_leaves_the_rows(monkeypatch):
         assert same(got, tree_sum(fracs, t))
     assert spans and max(spans) <= 64
     # at 2^29 q-digits the rows would take gigabytes: refused in little memory
-    monkeypatch.setattr(algebra, "ROW_MAX_SPAN", 4096)
+    monkeypatch.setattr(sums, "ROW_MAX_SPAN", 4096)
     far = over_binomials(t.monomial(t.exps(q=2 ** 29)), [(tt, 0)])
     tracemalloc.start()
     got = fraction_sum([far, near], t)
