@@ -31,11 +31,24 @@ drive the whole module and are relied on by callers:
   only this module skips that, and only where the result is reduced
   already, so a Fraction left with a denominator is not a polynomial.
 
-A sum of many Fractions goes through `fraction_sum` (module `sums`), which
-adds them pairwise in a balanced tree with row-packed numerators: a
-left-to-right fold carries one growing partial sum through every addition,
-so every cofactor product and trial division would be paid on the largest
-operand.
+A sum of many Fractions goes through `fraction_sum`, which adds them
+pairwise in a balanced tree: a left-to-right fold carries one growing
+partial sum through every addition, so every cofactor product and trial
+division would be paid on the largest operand.
+
+* Row-packed sums (module `sums`, which runs the tree): inside
+  `fraction_sum` a numerator with int coefficients is held as q-rows, one
+  int X_r = N_r(2^W) per monomial r in the variables other than q, N_r
+  the row's polynomial in q.  Evaluation at q = 2^W is a ring map, so
+  lifts, sums and the row divisions are exact integer arithmetic, and the
+  one invariant is: every int that is decoded or decides anything is the
+  image of a polynomial with coefficients in (-2^(W-1), 2^(W-1)), which
+  that image determines (its balanced base-2^W digits).  Each partial sum
+  carries a proven coefficient bound (a leaf's largest |c|, times the
+  cofactor's l1 norm on lifting, added on summing, times the line length
+  per quotient) and is re-measured exactly or widened before any step
+  whose bound would reach 2^(W-1).  The proofs are in `sums`; the sum is
+  the Fraction `Fraction.__add__` gives, factor for factor.
 
 A product of binomials prod (x^e1 - x^e2) is given once, as its list of
 pairs (e1, e2): `binomial_product` expands it into a numerator, and
@@ -1104,6 +1117,32 @@ class Fraction:
             for f in self.den))
 
 
+def fraction_sum(fracs, table):
+    """The sum of the Fractions fracs over table, added pairwise in a tree.
+
+    The tree is the one that adds adjacent pairs level by level, an odd last
+    one passing up unchanged: the first 2^k terms, 2^k < n the largest such,
+    form a perfect tree, the rest the same tree of their own, and the root
+    adds the two.  It is built as the terms arrive: the stack holds the sums
+    of perfect subtrees, of decreasing sizes, a new term merges with each
+    top of its size, and the stack is added up from the right at the end.
+    So the n - 1 additions of a left-to-right fold are kept, but no operand
+    before the root sums more than half the terms, and at most log2(n) + 1
+    partial sums are alive: a fold drags its growing partial sum, with its
+    numerator and its common denominator, through every addition.  An empty
+    input sums to zero over table.  The tree and its row-packed numerators
+    are `sums.tree_sum`'s.
+    """
+    total = _sums.tree_sum(fracs)
+    if total is None:
+        return Fraction.zero(table)
+    if type(total) is tuple:
+        total = Fraction._reduced(*total)
+    if total.table != table:
+        raise TableMismatchError("summands use %r, expected %r" % (total.table, table))
+    return total
+
+
 def t_expand(frac, depth):
     """t-adic expansion of a Fraction: coefficients of t^0 .. t^depth.
 
@@ -1166,32 +1205,6 @@ def t_expand(frac, depth):
         levels[d][e - d * tu] = c
     tfree = tuple(tfree)
     return [Fraction(LaurentPoly(table, level), tfree) for level in levels]
-
-
-def fraction_sum(fracs, table):
-    """The sum of the Fractions fracs over table, added pairwise in a tree.
-
-    The tree is the one that adds adjacent pairs level by level, an odd last
-    one passing up unchanged: the first 2^k terms, 2^k < n the largest such,
-    form a perfect tree, the rest the same tree of their own, and the root
-    adds the two.  It is built as the terms arrive: the stack holds the sums
-    of perfect subtrees, of decreasing sizes, a new term merges with each
-    top of its size, and the stack is added up from the right at the end.
-    So the n - 1 additions of a left-to-right fold are kept, but no operand
-    before the root sums more than half the terms, and at most log2(n) + 1
-    partial sums are alive: a fold drags its growing partial sum, with its
-    numerator and its common denominator, through every addition.  An empty
-    input sums to zero over table.  The tree and its row-packed numerators
-    are `sums.tree_sum`'s.
-    """
-    total = _sums.tree_sum(fracs)
-    if total is None:
-        return Fraction.zero(table)
-    if type(total) is tuple:
-        total = Fraction._reduced(*total)
-    if total.table != table:
-        raise TableMismatchError("summands use %r, expected %r" % (total.table, table))
-    return total
 
 
 # sums builds on everything above

@@ -958,12 +958,20 @@ def test_fraction_sum_of_nothing_and_of_one():
         fraction_sum([Fraction.one(T2)], T4)
 
 
-@pytest.mark.parametrize("throughout", [False, True], ids=["", "rows"])
 @pytest.mark.parametrize("table", [var_table(0), T2, TZ], ids=["genus0", "genus1", "z"])
-def test_fraction_sum_is_the_left_to_right_sum(table, throughout, monkeypatch):
+def test_fraction_sum_is_the_left_to_right_sum(table, monkeypatch):
+    _check_left_to_right(table, False, monkeypatch)
+
+
+@pytest.mark.parametrize("table", [var_table(0), T2, TZ], ids=["genus0", "genus1", "z"])
+def test_fraction_sum_on_rows_is_the_left_to_right_sum(table, monkeypatch):
+    _check_left_to_right(table, True, monkeypatch)
+
+
+def _check_left_to_right(table, throughout, monkeypatch):
     # every addition of the tree is one sums._add_summands, made on rows
     # when sums._row_sum returns a sum; with the size rules of sums at 0
-    # every sum of int numerators is added on rows
+    # (throughout) every sum of int numerators is added on rows
     if throughout:
         _rows_throughout(monkeypatch)
     rng = random.Random(24 + table.arity)
