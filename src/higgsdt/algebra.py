@@ -1035,8 +1035,6 @@ class Fraction:
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return Fraction(self.num + other.num, self.den)
         return _lifted_sum(self.num, other.num, _lcd(self.table, self.den, other.den))
 
     def __neg__(self):

@@ -67,10 +67,10 @@ from .algebra import (_HALF, EXP_BITS, EXP_LIMIT, ExponentRangeError, Fraction,
                       LaurentPoly, TableMismatchError, _lcd, _lifted_sum)
 
 
-ROW_WIDTH = 64      # bits per q-digit of a fresh encoding; a multiple of 64
-ROW_MIN_SPAN = 12   # q-digits a sum must span to be added on rows
-ROW_MIN_DIGITS = 4  # q-digits per row below which a sum stops adding on rows
-ROW_MAX_SPAN = 4096 # q-digits a row may span; a wider sum leaves the rows
+ROW_WIDTH = 64       # bits per q-digit of a fresh encoding; a multiple of 64
+ROW_MIN_SPAN = 12    # q-digits a sum must span to be added on rows
+ROW_MIN_DIGITS = 4   # q-digits per row below which a sum stops adding on rows
+ROW_MAX_SPAN = 4096  # q-digits a row may span; a wider sum leaves the rows
 
 
 class _LeaveRows(Exception):
