@@ -720,8 +720,10 @@ def exact_divide(poly, factor):
 
     Most divisions the kernel tries fail, so two lines are probed first: the
     ones through the first and the last stored term, each summed whole in at
-    most steps + 1 dict lookups.  A nonzero sum is a remainder, so the
-    refusal is exact; zero sums prove nothing and the walk below decides.
+    most steps + 1 dict lookups, or, when that is more than the terms, over
+    the terms that lie on it (f - e = j v: the digits i0 give j, and f = e +
+    j v is exact as above).  A nonzero sum is a remainder, so the refusal is
+    exact; zero sums prove nothing and the walk below decides.
 
     The sums are taken run by run, a run being a maximal stretch e, e + v,
     ..., e + k*v of the support, walked from its lowest term.  A run whose
@@ -759,7 +761,13 @@ def exact_divide(poly, factor):
         back, ahead = (d - lo) // vi, (hi - d) // vi
         if vs[i0] < 0:
             back, ahead = ahead, back
-        if sum(get(e + j * v, 0) for j in range(-back, ahead + 1)):
+        if back + ahead < len(terms):
+            line = sum(get(e + j * v, 0) for j in range(-back, ahead + 1))
+        else:
+            # more points than terms: sum the terms f = e + j v on the line
+            line = sum(c for (f, c), df in zip(terms.items(), table.digits(terms, i0))
+                       if not (df - d) % vi and f == e + (df - d) // vs[i0] * v)
+        if line:
             raise NotDivisibleError("remainder on the line through", table, e)
     starts = sorted([e for e in terms if e - v not in terms])
     out = {}

@@ -21,10 +21,16 @@ zero count // W.  So each _Rows carries a proven bound B on its
 coefficients: a leaf's largest |c|, measured when it is encoded; B times
 the cofactor's l1 norm after a lift; B_a + B_b after a sum; B times L
 after a quotient, L the most terms a line partial sum adds.  Before any
-step whose bound would reach 2^(W-1) the operand is decoded, its bound
-measured, and encoded again, at twice the width while the measured bound
-still needs it (`_row_fit`): nothing is decoded or decided at a width the
-bound does not prove.
+step whose bound would reach 2^(W-1) the operand's bound is measured
+(`_row_fit`): its rows' digits are read in place, as a decode reads them,
+and the largest |c| replaces the bound on the same _Rows, its rows left as
+they are.  Only a measured bound that still needs more width is decoded
+and encoded again, at twice the width while it needs it.  A bound is only
+ever replaced by a smaller proven one, and a measurement reads digits only
+while the stored bound is still below 2^(W-1), so the digits it reads are
+exact: nothing is decoded or decided at a width the bound does not prove.
+An operand fitted for a trial division that fails keeps its measured
+bound for the next factor tried.
 * The all-ones rule reads sum_r X_r modulo 2^W - 1, which is N(1) modulo
   2^W - 1 (2^W = 1 there).  A nonzero residue proves N(1) != 0 at any
   width; a zero one only lets the trial divisions run, and they decide,
@@ -141,35 +147,56 @@ def _row_encode(poly, bound=None, width=ROW_WIDTH, need=1):
     return _Rows(table, width, lo, hi - lo + 1, rows, bound)
 
 
+def _row_digits(X, width):
+    """The balanced digits of the row X, lowest first: read off X + spread,
+    whose digits c + 2^(width - 1) are unsigned."""
+    n = X.bit_length() // width + 1
+    s = _spread_digit(width, n)
+    if width == 64:
+        # the unsigned digit c + 2^63 with its top bit flipped is c as a
+        # signed 64-bit word
+        digits = array("q")
+        digits.frombytes(((X + s) ^ s).to_bytes(8 * n, sys.byteorder))
+        return digits
+    k, h = width // 8, 1 << (width - 1)
+    b = (X + s).to_bytes(k * n, "little")
+    return [int.from_bytes(b[i:i + k], "little") - h for i in range(0, k * n, k)]
+
+
 def _row_decode(x):
-    """The LaurentPoly x holds, with exact bounds: each row's digits are
-    read off X_r + spread, whose digits c + 2^(width - 1) are unsigned."""
+    """The LaurentPoly x holds, with exact bounds."""
     table = x.table
     width = x.width
     s0 = table._shifts[0]
     unit = 1 << s0
-    k, h = width // 8, 1 << (width - 1)
+    h = 1 << (width - 1)
     terms = {}
     for r, X in x.rows.items():
         e = r + (x.q0 << s0)
         if -h < X < h:
             terms[e] = X
             continue
-        n = X.bit_length() // width + 1
-        s = _spread_digit(width, n)
-        if width == 64:
-            # the unsigned digit c + 2^63 with its top bit flipped is c as a
-            # signed 64-bit word
-            digits = array("q")
-            digits.frombytes(((X + s) ^ s).to_bytes(8 * n, sys.byteorder))
-        else:
-            b = (X + s).to_bytes(k * n, "little")
-            digits = [int.from_bytes(b[i:i + k], "little") - h for i in range(0, k * n, k)]
-        for c in digits:
+        for c in _row_digits(X, width):
             if c:
                 terms[e] = c
             e += unit
     return LaurentPoly(table, terms, _row_bounds(x))
+
+
+def _row_measure(x):
+    """The largest |coefficient| of x, read off its rows' digits."""
+    width = x.width
+    h = 1 << (width - 1)
+    bound = 0
+    for X in x.rows.values():
+        if -h < X < h:
+            c = abs(X)
+        else:
+            digits = _row_digits(X, width)
+            c = max(max(digits), -min(digits))
+        if c > bound:
+            bound = c
+    return bound
 
 
 def _row_bounds(x):
@@ -186,8 +213,14 @@ def _row_bounds(x):
 
 def _row_remeasure(x, need=1, width=None):
     """x with its bound measured, at the least width >= width (default
-    x's), doubled, where need * bound < 2^(width - 1)."""
-    return _row_encode(_row_decode(x), None, width or x.width, need)
+    x's), doubled, where need * bound < 2^(width - 1).  The measured bound
+    replaces x.bound on x itself, and x is returned when its width still
+    holds it; only a widening decodes x and encodes it again."""
+    x.bound = _row_measure(x)
+    width = width or x.width
+    if width == x.width and not (need * x.bound) >> (width - 1):
+        return x
+    return _row_encode(_row_decode(x), x.bound, width, need)
 
 
 def _row_fit(x, need):

@@ -2,6 +2,7 @@ import ast
 import math
 import pathlib
 import random
+import time
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -184,6 +185,41 @@ def test_exact_divide_detects_failure():
     with pytest.raises(NotDivisibleError) as err:
         exact_divide(T2.var("q") + T2.one(), fac)
     assert str(err.value) == "remainder on the line through q"
+
+
+@pytest.mark.parametrize("k", [24, 29])
+def test_a_probe_along_a_long_line_sums_only_its_terms(k):
+    # q^(2^k) + 1 + q t over q^2 - 1: the line of 1 has 2^(k-1) + 1 points
+    # and two terms, so the probe sums the terms on it and refuses at once
+    fac, _, _ = canonical_binomial(T2, T2.exps(q=2), 0)
+    num = LaurentPoly(T2, {T2.exps(q=2 ** k): 1, 0: 1, T2.exps(q=1, t=1): 1})
+    start = time.perf_counter()
+    with pytest.raises(NotDivisibleError):
+        exact_divide(num, fac)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_probes_over_the_terms_decide_as_the_walk_does():
+    # dividends spread far along the factor's direction, so that the probed
+    # lines are longer than the terms: a product divides, a product plus a
+    # monomial does not, and plus m - m X^j (X the factor's x^v) divides
+    rng = random.Random(2702)
+    for _ in range(200):
+        e1, e2 = rand_binomial(rng)
+        fac, _, _ = canonical_binomial(T2, e1, e2)
+        v = fac.m1 - fac.m2
+        a = rand_poly(rng)
+        if a.is_zero():
+            continue
+        prod = a * fac.to_poly(T2)
+        m = T2.monomial(T2.pack(rng.randint(-3, 3) for _ in range(3)))
+        far = m * T2.monomial(rng.randint(40, 400) * v)
+        want = exact_divide(prod + m - far, fac)
+        assert want * fac.to_poly(T2) == prod + m - far
+        with pytest.raises(NotDivisibleError):
+            exact_divide(prod + m, fac)
+        with pytest.raises(NotDivisibleError):
+            exact_divide(prod + far, fac)
 
 
 # -- fractions ----------------------------------------------------------------

@@ -225,6 +225,104 @@ def test_large_coefficients_force_a_remeasure_or_a_widening(top, monkeypatch):
         assert any(b > a for a, b in remeasured)
 
 
+H64 = 1 << 63
+
+
+def _wide_rows(rng, t, coeffs, nterms=12):
+    """Rows at width 64 over var_table(1) encoded with the loosest bound
+    the width holds, 2^63 - 1; some rows of one digit."""
+    terms = {}
+    for _ in range(rng.randint(1, nterms)):
+        qd = rng.randint(0, 6) if rng.random() < 0.7 else 0
+        terms[t.pack((qd, rng.randint(-2, 2), rng.randint(0, 1)))] = rng.choice(coeffs)
+    return sums._row_encode(LaurentPoly(t, terms), H64 - 1)
+
+
+def _largest(x):
+    return max(map(abs, sums._row_decode(x).terms.values()))
+
+
+def test_a_measured_bound_is_the_largest_decoded_coefficient():
+    # at width 64 the digits read in place give the largest |c| of the
+    # decoded rows: digits at +-(2^63 - 1), rows of one digit, negative rows
+    # and rows whose top digit is the largest
+    t = var_table(1)
+    q, tt = t.exps(q=1), t.exps(t=1)
+    for top in (H64 - 1, 1 - H64, -2, 3):
+        for lower in ({0: 1}, {0: -5, tt: 7}, {tt: 1 - H64 if top > 0 else H64 - 1}):
+            poly = LaurentPoly(t, {**lower, 3 * q: top})
+            x = sums._row_encode(poly, H64 - 1)
+            assert sums._row_measure(x) == max(map(abs, poly.terms.values()))
+    rng = random.Random(2701)
+    signs = {"one digit": 0, "negative": 0}
+    for _ in range(300):
+        x = _wide_rows(rng, t, (H64 - 1, 1 - H64, -1, 1, 5, rng.randint(1 - H64, H64 - 1)))
+        assert x.width == 64
+        assert sums._row_measure(x) == _largest(x)
+        signs["one digit"] += any(-H64 < X < H64 for X in x.rows.values())
+        signs["negative"] += any(X < -H64 for X in x.rows.values())
+    assert min(signs.values()) >= 50, signs
+
+
+def test_a_remeasure_tightens_the_bound_in_place():
+    # at an unchanged width the re-measure returns x itself, its rows the
+    # same object and its bound never raised; a bound that still needs more
+    # width widens into new rows
+    t = var_table(1)
+    rng = random.Random(2702)
+    for _ in range(100):
+        x = _wide_rows(rng, t, (-3, -1, 1, 2, 1 << 20, -(1 << 40)))
+        rows, before = x.rows, x.bound
+        largest = _largest(x)
+        need = rng.randint(1, (H64 - 1) // largest)
+        assert sums._row_remeasure(x, need) is x
+        assert x.rows is rows and x.bound == largest <= before
+        assert sums._row_remeasure(x) is x and x.bound == largest
+        wide = sums._row_remeasure(x, H64 // largest + 1)
+        assert wide is not x and wide.width == 128 and wide.bound == largest
+        assert x.rows is rows and x.bound == largest
+
+
+def test_a_failed_trial_division_keeps_its_measured_bound():
+    # (q - 1)(1 + q + ... + q^11) + t over q - 1 fails; the operand, fitted
+    # for the division, keeps the bound it was measured at for the next
+    # factor tried on it, which then needs no re-measure
+    t = var_table(1)
+    num = LaurentPoly(t, {t.exps(q=12): 1, 0: -1, t.exps(t=1): 1})
+    x = sums._row_encode(num, H64 - 1)
+    f = _factor(t, (1, 0, 0), (0, 0, 0))
+    assert sums._row_divide(x, f) is None
+    assert x.bound == 1
+    g = _factor(t, (0, 1, 0), (0, 0, 0))
+    assert sums._row_divide(x, g) is None and x.bound == 1
+
+
+def test_pipeline_remeasures_read_the_digits_in_place(monkeypatch):
+    # idt_orbits at (0,1,8) re-measures a bound 11 times when each
+    # re-measure decodes and encodes again into new rows; read in place, a
+    # fitted operand keeps its bound and no re-measure decodes
+    from higgsdt.dt import CurveParams, idt_orbits
+    remeasure, decode = sums._row_remeasure, sums._row_decode
+    calls, inside = [], []
+
+    def remeasuring(x, need=1, width=None):
+        calls.append(x.width)
+        inside.append(x)
+        try:
+            return remeasure(x, need, width)
+        finally:
+            inside.pop()
+
+    def decoding(x):
+        assert not inside, "a re-measure decoded its rows"
+        return decode(x)
+
+    monkeypatch.setattr(sums, "_row_remeasure", remeasuring)
+    monkeypatch.setattr(sums, "_row_decode", decoding)
+    idt_orbits(CurveParams(genus=0, ell=1), 8)
+    assert 0 < len(calls) < 11, calls
+
+
 @pytest.mark.parametrize("table", TABLES, ids=TABLE_IDS)
 def test_rows_decode_to_what_they_encode(table):
     # balanced digits at every width: the extreme coefficients of a width,
