@@ -199,6 +199,20 @@ def test_a_probe_along_a_long_line_sums_only_its_terms(k):
     assert time.perf_counter() - start < 0.05
 
 
+def test_a_dict_sum_spread_far_along_q_tries_its_factors_at_once(monkeypatch):
+    # (q^(2^29) + 1)/(q - 1) - 4t/(q^2 - 1) on dicts: the lifted numerator's
+    # coefficients sum to zero, so q^2 - 1 is tried on a line of 2^28 points
+    monkeypatch.setattr(sums, "ROW_MIN_SPAN", EXP_LIMIT)
+    q = T2.exps(q=1)
+    a = over_binomials(T2.monomial(T2.exps(q=2 ** 29)) + T2.one(), [(q, 0)])
+    b = over_binomials(T2.monomial(T2.exps(t=1), -4), [(2 * q, 0)])
+    start = time.perf_counter()
+    got = fraction_sum([a, b], T2)
+    assert time.perf_counter() - start < 0.05
+    assert got.den == canonical_binomial(T2, 2 * q, 0)[:1]
+    assert len(got.num.terms) == 5
+
+
 def test_probes_over_the_terms_decide_as_the_walk_does():
     # dividends spread far along the factor's direction, so that the probed
     # lines are longer than the terms: a product divides, a product plus a
