@@ -718,12 +718,20 @@ def exact_divide(poly, factor):
     every digit, where packed ints are equal only if their exponent vectors
     are: every membership test is exact.
 
-    Most divisions the kernel tries fail, so two lines are probed first: the
-    ones through the first and the last stored term, each summed whole in at
-    most steps + 1 dict lookups, or, when that is more than the terms, over
-    the terms that lie on it (f - e = j v: the digits i0 give j, and f = e +
-    j v is exact as above).  A nonzero sum is a remainder, so the refusal is
-    exact; zero sums prove nothing and the walk below decides.
+    Most divisions the kernel tries fail, so lines are summed first.  When
+    the dividend has more terms than steps, two lines are probed: the ones
+    through the first and the last stored term, each summed whole in at
+    most steps + 1 dict lookups; zero sums prove nothing and the walk below
+    decides.  Otherwise every line is summed over its terms, in one pass: a
+    term f goes back j = (f_i0 - lo) // |v_i0| <= steps steps along its
+    line, to the line's one point with digit i0 in [lo, lo + |v_i0|), so
+    the terms of a line meet at one point, and two such points are equal
+    only if their exponent vectors are (each differs from its term by less
+    than 2^31 in every digit, and terms differ by less than 2^31).  This
+    decides the division, and so a carried sum crosses a gap longer than
+    the dividend has terms only in an exact division, where every position
+    of the gap is a quotient term.  Either way a nonzero sum is a
+    remainder, so the refusal is exact.
 
     The sums are taken run by run, a run being a maximal stretch e, e + v,
     ..., e + k*v of the support, walked from its lowest term.  A run whose
@@ -755,20 +763,26 @@ def exact_divide(poly, factor):
     vi = abs(vs[i0])
     steps = (hi - lo) // vi
     get = terms.get
-    for e in (next(iter(terms)), next(reversed(terms))):
-        # the whole line through e, every point of it within [lo, hi]
-        d = table.digit(e, i0)
-        back, ahead = (d - lo) // vi, (hi - d) // vi
-        if vs[i0] < 0:
-            back, ahead = ahead, back
-        if back + ahead < len(terms):
-            line = sum(get(e + j * v, 0) for j in range(-back, ahead + 1))
-        else:
-            # more points than terms: sum the terms f = e + j v on the line
-            line = sum(c for (f, c), df in zip(terms.items(), table.digits(terms, i0))
-                       if not (df - d) % vi and f == e + (df - d) // vs[i0] * v)
-        if line:
-            raise NotDivisibleError("remainder on the line through", table, e)
+    if steps < len(terms):
+        for e in (next(iter(terms)), next(reversed(terms))):
+            # the whole line through e, every point of it within [lo, hi]
+            d = table.digit(e, i0)
+            back, ahead = (d - lo) // vi, (hi - d) // vi
+            if vs[i0] < 0:
+                back, ahead = ahead, back
+            if sum(get(e + j * v, 0) for j in range(-back, ahead + 1)):
+                raise NotDivisibleError("remainder on the line through", table, e)
+    else:
+        # every line, keyed by its point with digit i0 in [lo, lo + vi) and
+        # named by its first term
+        w = v if vs[i0] > 0 else -v
+        first, lines = {}, {}
+        for (f, c), d in zip(terms.items(), table.digits(terms, i0)):
+            e = first.setdefault(f - (d - lo) // vi * w, f)
+            lines[e] = lines.get(e, 0) + c
+        for e, line in lines.items():
+            if line:
+                raise NotDivisibleError("remainder on the line through", table, e)
     starts = sorted([e for e in terms if e - v not in terms])
     out = {}
     joined = set()    # run starts reached by a carried sum

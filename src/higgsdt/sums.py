@@ -58,11 +58,11 @@ So a sum on rows tries the same factors in the same order as
 `Fraction.__add__` and decides each exactly: it is the same reduced
 Fraction.  A lift refuses an exponent out of range exactly where the dict
 product does: the row keys are scanned, and the q-digits read exactly
-when their range is not proved.  Additions too narrow, too wide or too
-sparse along q for rows to pay stay on dicts (`fraction_sum`), as do
-coefficients that are not ints; products, `Fraction(num, den)` and
-`exact_divide` keep the dict walk, which two probe lines and the run
-walk make cheaper where most of their numerators are sparse along q.
+when their range is not proved.  Additions too narrow or too wide along
+q for rows to pay stay on dicts (`fraction_sum`), as do coefficients that
+are not ints; products, `Fraction(num, den)` and `exact_divide` keep the
+dict walk, which its line sums and the run walk make cheaper where most
+of their numerators are sparse along q.
 """
 
 import sys
@@ -75,24 +75,7 @@ from .algebra import (_HALF, EXP_BITS, EXP_LIMIT, ExponentRangeError, Fraction,
 
 ROW_WIDTH = 64       # bits per q-digit of a fresh encoding; a multiple of 64
 ROW_MIN_SPAN = 12    # q-digits a sum must span to be added on rows
-ROW_MIN_DIGITS = 4   # q-digits per row below which a sum stops adding on rows
-ROW_MAX_SPAN = 4096  # q-digits a row may span; a wider sum leaves the rows
-
-
-class _LeaveRows(Exception):
-    """An addition of `fraction_sum` is made on dicts: its sum would span
-    fewer than ROW_MIN_SPAN q-digits or more than ROW_MAX_SPAN, or a
-    summand has a coefficient that is not an int."""
-
-
-class _Sparse(_LeaveRows):
-    """A sum on rows came out with fewer than ROW_MIN_DIGITS q-digits per
-    row: the rest of its `fraction_sum` is made on dicts."""
-
-
-def _check_span(span):
-    if span > ROW_MAX_SPAN:
-        raise _LeaveRows(span)
+ROW_MAX_SPAN = 4096  # q-digits a sum may span to be added on rows
 
 
 @lru_cache(maxsize=None)
@@ -118,32 +101,25 @@ class _Rows:
 
 
 def _row_encode(poly, bound=None, width=ROW_WIDTH, need=1):
-    """The nonzero poly as _Rows at the least width >= width, doubled, where
-    need * bound < 2^(width - 1), bound measured unless given; None if a
-    coefficient is not an int."""
+    """The nonzero poly, its coefficients ints, as _Rows at the least width
+    >= width, doubled, where need * bound < 2^(width - 1), bound measured
+    unless given."""
     terms = poly.terms
     if bound is None:
-        if type(next(iter(terms.values()))) is not int:
-            return None
         bound = max(map(abs, terms.values()))
+    while (need * bound) >> (width - 1):
+        width *= 2
     table = poly.table
     s0 = table._shifts[0]
     lo, hi = table.digit(min(terms), 0), table.digit(max(terms), 0)
-    if hi - lo >= ROW_MAX_SPAN:
-        return None
     # j = (e - off) >> s0 is the q-digit of e less lo; r = e - j x_q - lo x_q
     off, lo_s = ((lo + _HALF) << s0) - table._bias, lo << s0
     rows = {}
     get = rows.get
-    try:
-        while (need * bound) >> (width - 1):
-            width *= 2
-        for e, c in terms.items():
-            j = (e - off) >> s0
-            r = e - (j << s0) - lo_s
-            rows[r] = get(r, 0) + (c << width * j)
-    except TypeError:
-        return None
+    for e, c in terms.items():
+        j = (e - off) >> s0
+        r = e - (j << s0) - lo_s
+        rows[r] = get(r, 0) + (c << width * j)
     return _Rows(table, width, lo, hi - lo + 1, rows, bound)
 
 
@@ -232,15 +208,11 @@ def _row_fit(x, need):
 
 def _row_lift(x, poly):
     """x times the LaurentPoly poly: poly's terms with the same non-q part
-    s make one int P_s(2^W), and row r adds X_r P_s to row r + s."""
+    s make one int P_s(2^W), and row r adds X_r P_s to row r + s.  Over a
+    slicewise table poly is a cofactor of factors that are all a-free
+    (`algebra._reduce_fraction`), so it is a-free, and an a-free product
+    is made slice by slice, as here (`weil.WeilTable.mul_terms`)."""
     table = x.table
-    if table.slicewise and any(any(table.digits(poly.terms, i))
-                               for i in range(2, 2 + table.genus)):
-        # a product that mixes slices (`weil.WeilTable.mul_terms`)
-        out = _row_encode(_row_decode(x) * poly)
-        if out is None:
-            raise _LeaveRows(poly)
-        return out
     s0 = table._shifts[0]
     bias = table._bias
     parts = {}
@@ -249,7 +221,6 @@ def _row_lift(x, poly):
         parts.setdefault(e - (qd << s0), []).append((qd, c))
     qmin = min(qd for ps in parts.values() for qd, _ in ps)
     qmax = max(qd for ps in parts.values() for qd, _ in ps)
-    _check_span(x.span + qmax - qmin)
     norm = sum(map(abs, poly.terms.values()))
     x = _row_fit(x, norm)
     width = x.width
@@ -293,7 +264,6 @@ def _row_add(x, y):
     if x.q0 > y.q0:
         x, y = y, x
     span = max(x.span, y.q0 - x.q0 + y.span)
-    _check_span(span)
     shift = x.width * (y.q0 - x.q0)
     out = dict(x.rows)
     get = out.get
@@ -314,8 +284,7 @@ def _row_maybe_zero_sum(x):
 
 def _row_divide(x, factor):
     """x / factor for a canonical factor, or None if it does not divide
-    (module docstring).  Two lines are probed first, at q = 1, as
-    `exact_divide` probes them, unless a line is longer than the rows."""
+    (module docstring)."""
     table = x.table
     m1, m2 = factor
     v = m1 - m2
@@ -340,20 +309,8 @@ def _row_divide(x, factor):
     i0 = max(range(1, table.arity), key=lambda i: abs(us[i]))
     ui, step_i0 = us[i0], abs(us[i0])
     rows = x.rows
-    get = rows.get
     ds = table.digits(rows, i0)
-    lo, hi = min(ds), max(ds)
-    m = (1 << x.width) - 1
-    probes = ((next(iter(rows)), ds[0]), (next(reversed(rows)), ds[-1]))
-    if (hi - lo) // step_i0 >= len(rows):
-        probes = ()     # a line longer than the rows: the walk below is cheaper
-    for r, d in probes:
-        # the line through r at q = 1, summed modulo 2^width - 1
-        back, ahead = (d - lo) // step_i0, (hi - d) // step_i0
-        if ui < 0:
-            back, ahead = ahead, back
-        if sum(get(r + j * u, 0) for j in range(-back, ahead + 1)) % m:
-            return None
+    lo = min(ds)
     # a row r = base + k u, k >= 0 counted from where digit i0 is least
     lines = {}
     sign = 1 if ui > 0 else -1
@@ -428,58 +385,51 @@ def _row_reduce(x, den):
 def _row_sum(a, b, lcd):
     """a + b on rows for two nonzero summands of `fraction_sum`, each a
     reduced Fraction or a pair (rows, den) of one, over their lcd (`_lcd`):
-    the pair of the sum, as `Fraction.__add__` would make it.  None, before
-    anything is encoded or lifted, when the addition is one for dicts."""
+    the pair of the sum, as `Fraction.__add__` would make it.
+
+    None, before anything is encoded or lifted, when the addition is one for
+    dicts: a summand has a coefficient that is not an int, or the lifted
+    numerators would span fewer than ROW_MIN_SPAN q-digits or more than
+    ROW_MAX_SPAN.  This is the one test: the range is read off bounds that
+    contain the support, every row of the sum lies inside it, and a
+    division only narrows it, so no step after it leaves the rows."""
     tried, kept, mul_a, mul_b = lcd
-    for node in (a, b):
-        if type(node) is Fraction and type(next(iter(node.num.terms.values()))) is not int:
-            return None
     # the q-digits of the lifted numerators lie in [lo_a, hi_a) and [lo_b, hi_b)
     lo_a, hi_a = _lifted_q_range(a, mul_a)
     lo_b, hi_b = _lifted_q_range(b, mul_b)
     if not ROW_MIN_SPAN <= max(hi_a, hi_b) - min(lo_a, lo_b) <= ROW_MAX_SPAN:
         return None
+    for node in (a, b):
+        if type(node) is Fraction and not all(type(c) is int for c in node.num.terms.values()):
+            return None
     xa, xb = _rows_of(a), _rows_of(b)
-    if xa is None or xb is None:
-        return None
     for p in mul_a:
         xa = _row_lift(xa, p)
     for p in mul_b:
         xb = _row_lift(xb, p)
-    num = _row_add(xa, xb)
-    if num.rows and _row_density(num) < ROW_MIN_DIGITS:
-        raise _Sparse()
-    num, left = _row_reduce(num, tried)
+    num, left = _row_reduce(_row_add(xa, xb), tried)
     return num, tuple(sorted(left + tuple(kept))) if num.rows else ()
 
 
-def _add_summands(a, b, rows):
-    """(a + b, rows after it) for two summands of `fraction_sum`; the sum is
-    made on rows while rows is true and `_row_sum` takes it, on dicts over
-    the same lcd otherwise, and a sparse sum on rows turns rows off.
-    Summands that are neither Fractions nor pairs add as they add."""
+def _add_summands(a, b):
+    """a + b for two summands of `fraction_sum`: made on rows when
+    `_row_sum` takes it, on dicts over the same lcd otherwise.  Summands
+    that are neither Fractions nor pairs add as they add."""
     if type(a) not in (tuple, Fraction) or type(b) not in (tuple, Fraction):
-        return a + b, rows
+        return a + b
     ta, tb = _node_table(a), _node_table(b)
     if ta is not tb and ta != tb:
         raise TableMismatchError("operands use different variable tables: %r vs %r"
                                  % (ta, tb))
     if _node_zero(a):
-        return b, rows
+        return b
     if _node_zero(b):
-        return a, rows
+        return a
     lcd = _lcd(ta, _node_den(a), _node_den(b))
-    if rows:
-        try:
-            s = _row_sum(a, b, lcd)
-        except _Sparse:
-            rows = False
-        except _LeaveRows:
-            pass
-        else:
-            if s is not None:
-                return s, rows
-    return _lifted_sum(_node_num(a), _node_num(b), lcd), rows
+    s = _row_sum(a, b, lcd)
+    if s is not None:
+        return s
+    return _lifted_sum(_node_num(a), _node_num(b), lcd)
 
 
 # A summand of `fraction_sum` is a Fraction until it is first added as rows,
@@ -517,22 +467,13 @@ def _lifted_q_range(node, polys):
 
 
 def _rows_of(node):
-    """The rows of a nonzero summand, encoded if it is a Fraction (None if
-    it does not encode)."""
-    if type(node) is tuple:
-        return node[0]
-    return _row_encode(node.num)
+    """The rows of a nonzero summand, encoded if it is a Fraction."""
+    return node[0] if type(node) is tuple else _row_encode(node.num)
 
 
 def _node_num(node):
     """The numerator of a summand, decoded if it is on rows."""
     return _row_decode(node[0]) if type(node) is tuple else node.num
-
-
-def _row_density(x):
-    """q-digits per row of the nonzero x, each row counted to its top digit."""
-    width = x.width
-    return sum(X.bit_length() // width for X in x.rows.values()) / len(x.rows) + 1
 
 
 def tree_sum(fracs):
@@ -544,31 +485,28 @@ def tree_sum(fracs):
     is encoded when it is first added on rows and the root decoded once.
     An addition stays on dicts when a summand has a coefficient that is not
     an int, or when the lifted numerators would span fewer than ROW_MIN_SPAN
-    or more than ROW_MAX_SPAN q-digits, and the whole rest of the sum does
-    once a sum on rows comes out with fewer than ROW_MIN_DIGITS q-digits per
-    row.  Each addition was timed both ways (the least of three, in
-    process, 2-vCPU host) over `verify` and idt_orbits at (0,1,8), (1,1,6),
-    (3,5,3) and (2,3,4): the verify sums took 0.257 s on dicts, 0.248 s on
-    rows and 0.224 s under these rules; the idt_orbits sums 0.817 s on dicts
-    and 0.316 s under them.  A span of 12 sends the `fprops` sums over
-    z-variables (span 8, six digits per row, rows no faster than dicts
-    before their encoding and decoding) to dicts and costs the idt_orbits
-    sums nothing; 4 digits per row ends the sums whose rows hold one or two
-    digits.  The widest row of idt_orbits at (0,1,12) spans 228 q-digits,
-    and 4096 at width 64 is 32 KiB a row.
+    or more than ROW_MAX_SPAN q-digits (`_row_sum`).  Each addition was
+    timed both ways (the least of three, in process, 2-vCPU host) over
+    `verify` and idt_orbits at (0,1,8), (1,1,6), (3,5,3) and (2,3,4): the
+    verify sums took 0.257 s on dicts, 0.248 s on rows and 0.224 s under
+    these rules; the idt_orbits sums 0.817 s on dicts and 0.316 s under
+    them.  A span of 12 sends the `fprops` sums over z-variables (span 8,
+    six digits per row, rows no faster than dicts before their encoding and
+    decoding) to dicts and costs the idt_orbits sums nothing.  The widest
+    row of idt_orbits at (0,1,12) spans 228 q-digits, and 4096 at width 64
+    is 32 KiB a row.
     """
-    rows = True      # no sum on rows has come out sparse yet
     stack = []       # (terms, sum) per perfect subtree
     for f in fracs:
         n = 1
         while stack and stack[-1][0] == n:
-            (f, rows), n = _add_summands(stack.pop()[1], f, rows), 2 * n
+            f, n = _add_summands(stack.pop()[1], f), 2 * n
         stack.append((n, f))
     if not stack:
         return None
     total = stack.pop()[1]
     while stack:
-        total, rows = _add_summands(stack.pop()[1], total, rows)
+        total = _add_summands(stack.pop()[1], total)
     if type(total) is tuple:
         return _row_decode(total[0]), total[1]
     return total

@@ -3,6 +3,7 @@ import math
 import pathlib
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -190,13 +191,43 @@ def test_exact_divide_detects_failure():
 @pytest.mark.parametrize("k", [24, 29])
 def test_a_probe_along_a_long_line_sums_only_its_terms(k):
     # q^(2^k) + 1 + q t over q^2 - 1: the line of 1 has 2^(k-1) + 1 points
-    # and two terms, so the probe sums the terms on it and refuses at once
+    # and two terms, so the lines are summed over their terms and the line
+    # of 1 refuses at once
     fac, _, _ = canonical_binomial(T2, T2.exps(q=2), 0)
     num = LaurentPoly(T2, {T2.exps(q=2 ** k): 1, 0: 1, T2.exps(q=1, t=1): 1})
     start = time.perf_counter()
     with pytest.raises(NotDivisibleError):
         exact_divide(num, fac)
     assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("k", [22, 29])
+def test_a_carry_across_a_long_gap_is_refused_before_it_is_walked(k):
+    # 1 + q^3 t - q^(2^k) over q^2 - 1: the lines through the first and the
+    # last term sum to zero, and the carried -1 of the line of 1 would cross
+    # 2^(k-1) - 1 empty points; the lines, longer than the terms, are summed
+    # over the terms first, and the line of q^3 t refuses
+    fac, _, _ = canonical_binomial(T2, T2.exps(q=2), 0)
+    num = LaurentPoly(T2, {0: 1, T2.exps(q=3, t=1): 1, T2.exps(q=2 ** k): -1})
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(NotDivisibleError) as err:
+        exact_divide(num, fac)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 0.05 and peak < 1_000_000
+    assert str(err.value) == "remainder on the line through q^3 t"
+
+
+def test_a_long_gap_of_an_exact_division_is_filled():
+    # (1 + q^3 t)(1 - q^(2^13)) over q^2 - 1: each line carries its sum
+    # across a gap of 2^12 - 1 points, every one a term of the quotient
+    fac, _, _ = canonical_binomial(T2, T2.exps(q=2), 0)
+    num = (T2.one() + T2.monomial(T2.exps(q=3, t=1))) * (T2.one() - T2.monomial(T2.exps(q=2 ** 13)))
+    quo = exact_divide(num, fac)
+    assert len(quo.terms) == 2 ** 13
+    assert quo * fac.to_poly(T2) == num
 
 
 def test_a_dict_sum_spread_far_along_q_tries_its_factors_at_once(monkeypatch):
@@ -214,8 +245,8 @@ def test_a_dict_sum_spread_far_along_q_tries_its_factors_at_once(monkeypatch):
 
 
 def test_probes_over_the_terms_decide_as_the_walk_does():
-    # dividends spread far along the factor's direction, so that the probed
-    # lines are longer than the terms: a product divides, a product plus a
+    # dividends spread far along the factor's direction, so that the lines
+    # are longer than the terms: a product divides, a product plus a
     # monomial does not, and plus m - m X^j (X the factor's x^v) divides
     rng = random.Random(2702)
     for _ in range(200):
@@ -715,7 +746,6 @@ def test_bounds_contain_the_support_and_products_add_them(monkeypatch, genus, el
 def _rows_throughout(monkeypatch):
     """Make `fraction_sum` add every sum of int numerators on rows."""
     monkeypatch.setattr(sums, "ROW_MIN_SPAN", 0)
-    monkeypatch.setattr(sums, "ROW_MIN_DIGITS", 0)
 
 
 def _bare(poly):
@@ -830,8 +860,10 @@ def test_weil_fractions_have_a_free_factors(monkeypatch):
     # factor tried or kept over a slicewise table is a-free
     from higgsdt.dt import CurveParams, alt_idt, idt_orbits, substitution_identity_check
     # (the constructor's and products' `_reduce_fraction`, and the sums'
-    # `_row_reduce` on row-packed numerators)
+    # `_row_reduce` on row-packed numerators); and every cofactor a sum on
+    # rows lifts by is a-free, as the row lift needs
     reduce, row_reduce, seen, row_seen = algebra._reduce_fraction, sums._row_reduce, [], []
+    row_lift, lifted = sums._row_lift, []
 
     def check(table, den, record):
         if table.slicewise:
@@ -849,8 +881,16 @@ def test_weil_fractions_have_a_free_factors(monkeypatch):
         check(x.table, den, row_seen)
         return row_reduce(x, den)
 
+    def lift_checking(x, poly):
+        table = x.table
+        if table.slicewise:
+            lifted.append(len(poly.terms))
+            assert not any(any(table.digits(poly.terms, i)) for i in range(2, 2 + table.genus))
+        return row_lift(x, poly)
+
     monkeypatch.setattr(algebra, "_reduce_fraction", checking)
     monkeypatch.setattr(sums, "_row_reduce", row_checking)
+    monkeypatch.setattr(sums, "_row_lift", lift_checking)
     _rows_throughout(monkeypatch)
     for genus, ell in ((1, 1), (2, 3)):
         cp = CurveParams(genus=genus, ell=ell)
@@ -859,6 +899,7 @@ def test_weil_fractions_have_a_free_factors(monkeypatch):
         assert all(ok for _, ok in substitution_identity_check(cp, 2))
     assert len(seen) >= 100 and sum(seen) >= 100
     assert len(row_seen) >= 10 and sum(row_seen) >= 40
+    assert len(lifted) >= 10, lifted
 
 
 # -- the divisibility-matched common denominator ------------------------------
@@ -1034,7 +1075,7 @@ def _check_left_to_right(table, throughout, monkeypatch):
             adds.append(2)
         return out
 
-    monkeypatch.setattr(sums, "_add_summands", lambda a, b, r: adds.append(1) or add(a, b, r))
+    monkeypatch.setattr(sums, "_add_summands", lambda a, b: adds.append(1) or add(a, b))
     monkeypatch.setattr(sums, "_row_sum", counted_row_sum)
     rows = 0
     for _ in range(40):

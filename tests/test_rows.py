@@ -21,9 +21,8 @@ from higgsdt.weil import weil_table
 
 
 def rows_throughout(monkeypatch):
-    """Add every sum of int numerators on rows, however narrow or sparse."""
+    """Add every sum of int numerators on rows, however narrow."""
     monkeypatch.setattr(sums, "ROW_MIN_SPAN", 0)
-    monkeypatch.setattr(sums, "ROW_MIN_DIGITS", 0)
 
 
 def tree_sum(fracs, table):
@@ -436,8 +435,8 @@ def test_a_divisible_gap_is_filled():
 
 def test_a_sum_spread_wide_along_q_leaves_the_rows(monkeypatch):
     # rows of q^1000 and q^0 would span 1001 q-digits, over a limit of 64
-    # here: a leaf that wide is not encoded, and a sum or a lift that would
-    # get that wide is added on dicts instead
+    # here: a sum or a lift that would get that wide is added on dicts, and
+    # nothing is encoded for it, while a sum that fits is added on rows
     rows_throughout(monkeypatch)
     monkeypatch.setattr(sums, "ROW_MAX_SPAN", 64)
     spans, on_dicts = [], []
@@ -445,7 +444,7 @@ def test_a_sum_spread_wide_along_q_leaves_the_rows(monkeypatch):
 
     def encoding(poly, bound=None, width=64, need=1):
         out = encode(poly, bound, width, need)
-        spans.append(out.span if out else 0)
+        spans.append(out.span)
         return out
 
     monkeypatch.setattr(sums, "_row_encode", encoding)
@@ -457,12 +456,16 @@ def test_a_sum_spread_wide_along_q_leaves_the_rows(monkeypatch):
     far = over_binomials(t.monomial(big), [(tt, 0)])
     near = over_binomials(-t.one(), [(tt, 0)])
     lifted = over_binomials(t.one(), [(big, 0), (tt, 0)])
-    assert sums._row_encode(wide.num) is None
     for fracs in ([wide, small], [far, near], [small, far, near, wide], [near, lifted]):
         on_dicts.clear()
         got = fraction_sum(fracs, t)
         assert on_dicts
         assert same(got, tree_sum(fracs, t))
+    assert not spans
+    # t/(q^2 - 1) - 1/(t - 1) spans 3 q-digits: added on rows
+    on_dicts.clear()
+    assert same(fraction_sum([small, near], t), tree_sum([small, near], t))
+    assert not on_dicts
     assert spans and max(spans) <= 64
     # at 2^29 q-digits the rows would take gigabytes: refused in little memory
     monkeypatch.setattr(sums, "ROW_MAX_SPAN", 4096)
