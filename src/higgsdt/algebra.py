@@ -101,10 +101,13 @@ Coefficients are exact rationals; no floats enter the kernel.  On the
 symbolic pipeline they stay Python ints end to end: the hook-product series
 has integer numerators, `series.scaled_pleth_log` carries r * Log_r instead
 of Log_r, and exact division by a binomial only forms running sums.  The
-single division by r happens per cleared coefficient in `dt` (checked by
-`LaurentPoly.divide_coefficients`), or once per coefficient in
-`series.pleth_log` when the true Log is asked for.  fractions.Fraction
-coefficients still work everywhere, for hand-built inputs.
+one division by r per coefficient is exact: per cleared coefficient in `dt`
+(`LaurentPoly.divide_coefficients`), and in `series.pleth_log` and
+`series.pleth_exp` through `Fraction.divide`.  Exp and Log of a series with
+int numerators are integral (lambda-ring integrality), and a product of
+binomials has content 1, so by Gauss's lemma r divides the reduced
+numerator.  fractions.Fraction coefficients still work everywhere, for
+hand-built inputs; `Fraction.divide` scales those by 1/r.
 """
 
 import math
@@ -718,20 +721,20 @@ def exact_divide(poly, factor):
     every digit, where packed ints are equal only if their exponent vectors
     are: every membership test is exact.
 
-    Most divisions the kernel tries fail, so lines are summed first.  When
-    the dividend has more terms than steps, two lines are probed: the ones
-    through the first and the last stored term, each summed whole in at
-    most steps + 1 dict lookups; zero sums prove nothing and the walk below
-    decides.  Otherwise every line is summed over its terms, in one pass: a
-    term f goes back j = (f_i0 - lo) // |v_i0| <= steps steps along its
-    line, to the line's one point with digit i0 in [lo, lo + |v_i0|), so
-    the terms of a line meet at one point, and two such points are equal
-    only if their exponent vectors are (each differs from its term by less
-    than 2^31 in every digit, and terms differ by less than 2^31).  This
-    decides the division, and so a carried sum crosses a gap longer than
-    the dividend has terms only in an exact division, where every position
-    of the gap is a quotient term.  Either way a nonzero sum is a
-    remainder, so the refusal is exact.
+    Most divisions the kernel tries fail, so when the dividend has more
+    terms than steps, two lines are probed first: the ones through the
+    first and the last stored term, each summed whole in at most steps + 1
+    dict lookups.  A nonzero sum is a remainder, so the refusal is exact;
+    zero sums prove nothing and the walk below decides.
+
+    The empty points that carried sums cross are charged to a budget of
+    len(terms), once per gap.  When it runs out, every line is summed over
+    its terms in one pass (`_sum_lines`), which refuses exactly or proves
+    the division exact, and the walk then finishes uncharged.  So a
+    refusal walks at most len(terms) empty points, and a carry crosses
+    more only in an exact division, where every one of them is a quotient
+    term.  While the budget lasts, a carry that finds no run within steps
+    refuses as it stands.
 
     The sums are taken run by run, a run being a maximal stretch e, e + v,
     ..., e + k*v of the support, walked from its lowest term.  A run whose
@@ -772,20 +775,10 @@ def exact_divide(poly, factor):
                 back, ahead = ahead, back
             if sum(get(e + j * v, 0) for j in range(-back, ahead + 1)):
                 raise NotDivisibleError("remainder on the line through", table, e)
-    else:
-        # every line, keyed by its point with digit i0 in [lo, lo + vi) and
-        # named by its first term
-        w = v if vs[i0] > 0 else -v
-        first, lines = {}, {}
-        for (f, c), d in zip(terms.items(), table.digits(terms, i0)):
-            e = first.setdefault(f - (d - lo) // vi * w, f)
-            lines[e] = lines.get(e, 0) + c
-        for e, line in lines.items():
-            if line:
-                raise NotDivisibleError("remainder on the line through", table, e)
     starts = sorted([e for e in terms if e - v not in terms])
     out = {}
     joined = set()    # run starts reached by a carried sum
+    budget = len(terms)    # empty points carried sums may cross unproven
     for e in starts:
         if e in joined:
             continue
@@ -800,21 +793,53 @@ def exact_divide(poly, factor):
                 out[e - m2] = d
                 if c is None:
                     # the next run starts within steps of e, or never
-                    for _ in range(steps - 1):
+                    for k in range(min(steps - 1, budget)):
                         out[nxt - m2] = d
                         nxt += v
                         c = get(nxt)
                         if c is not None:
+                            budget -= k + 1
                             break
                     else:
-                        raise NotDivisibleError("remainder on the line through",
-                                                table, e)
+                        if budget >= steps - 1:
+                            raise NotDivisibleError("remainder on the line through",
+                                                    table, e)
+                        # the budget ran out: unless a line sums to a
+                        # remainder, the division is exact and the next run
+                        # is there
+                        _sum_lines(table, terms, i0, lo, vi, v if vs[i0] > 0 else -v)
+                        budget = math.inf
+                        while c is None:
+                            out[nxt - m2] = d
+                            nxt += v
+                            c = get(nxt)
                     joined.add(nxt)
             elif c is None:
                 break
             e = nxt
     return LaurentPoly(table, out, tuple(b and (b[0], b[1] - abs(d))
                                          for b, d in zip(bounds, vs)))
+
+
+def _sum_lines(table, terms, i0, lo, vi, w):
+    """Sum every line of `exact_divide` over its terms, in one pass; raise
+    NotDivisibleError naming the first term of a line whose sum is not zero.
+
+    w = +-v is the step along which digit i0 grows by vi = |v_i0|, lo the
+    least digit i0 of the terms.  A term f goes back j = (f_i0 - lo) // vi
+    <= steps steps along its line, to the line's one point with digit i0 in
+    [lo, lo + vi), so the terms of a line meet at one point, and two such
+    points are equal only if their exponent vectors are: each differs from
+    its term by less than 2^31 in every digit, and terms differ by less
+    than 2^31.
+    """
+    first, lines = {}, {}
+    for (f, c), d in zip(terms.items(), table.digits(terms, i0)):
+        e = first.setdefault(f - (d - lo) // vi * w, f)
+        lines[e] = lines.get(e, 0) + c
+    for e, line in lines.items():
+        if line:
+            raise NotDivisibleError("remainder on the line through", table, e)
 
 
 @lru_cache(maxsize=None)
@@ -1073,6 +1098,13 @@ class Fraction:
 
     def scale(self, c):
         return Fraction._reduced(self.num.scale(c), self.den)
+
+    def divide(self, n):
+        """self / n for a positive int n: int coefficients are divided
+        exactly (`LaurentPoly.divide_coefficients`), others scaled by 1/n."""
+        if all(type(c) is int for c in self.num.terms.values()):
+            return Fraction._reduced(self.num.divide_coefficients(n), self.den)
+        return self.scale(Q(1, n))
 
     def mono_mul(self, exps, coeff=1):
         return Fraction._reduced(self.num.mono_mul(exps, coeff), self.den)

@@ -4,9 +4,13 @@ The coefficient ring is the localized Laurent ring of `algebra`; T itself is
 not a table variable.  Adams operations act on T-degree and on every table
 variable at once, which is exactly the lambda-ring structure the plethystic
 exponential and logarithm are defined against.
-"""
 
-from fractions import Fraction as Q
+Exp and Log are one pair of recurrences run in the two directions
+(`scaled_pleth_log`, `pleth_exp`), whose Adams sums have the integer weights
+mu(n) and 1.  Neither divides; the one division per coefficient, by r, is
+`Fraction.divide`, exact on int numerators, so Exp and Log of a series with
+int numerators keep them.
+"""
 
 from .algebra import Fraction, TableMismatchError, fraction_sum
 
@@ -79,9 +83,6 @@ class TruncSeries:
                           if not a[i].is_zero() and not b[m - i].is_zero()], self.table)
             for m in range(self.order + 1)])
 
-    def scale(self, c):
-        return TruncSeries(self.table, self.order, [f.scale(c) for f in self.coeffs])
-
     def adams(self, n):
         """psi_n: T -> T^n and every table variable exponent scaled by n."""
         out = [Fraction.zero(self.table) for _ in range(self.order + 1)]
@@ -107,36 +108,32 @@ class TruncSeries:
 
 def _adams_sum(coeffs, table, weight):
     """Coefficients of sum_n weight(n) * psi_n(A), A = sum_d coeffs[d] T^d,
-    for a weight with weight(1) = 1: entry r adds coeffs[r] and
-    weight(n) * psi_n(coeffs[r/n]) over the divisors n >= 2 of r with
-    weight(n) != 0."""
+    for an int weight with weight(1) = 1 (mu for Log, 1 for Exp): entry r
+    adds coeffs[r] and weight(n) * psi_n(coeffs[r/n]) over the divisors
+    n >= 2 of r with weight(n) != 0."""
     return [fraction_sum([c] + [coeffs[r // n].adams(n).scale(w)
                                 for n in range(2, r + 1)
                                 if r % n == 0 and (w := weight(n))], table)
             for r, c in enumerate(coeffs)]
 
 
-def _exp(series):
-    """Ordinary exp of a series with zero constant term, via E' = B'E."""
-    R, table = series.order, series.table
-    B = series.coeffs
-    E = [Fraction.one(table)]
-    for r in range(1, R + 1):
-        E.append(fraction_sum([(B[k] * E[r - k]).scale(k) for k in range(1, r + 1)
-                               if not B[k].is_zero() and not E[r - k].is_zero()],
-                              table).scale(Q(1, r)))
-    return TruncSeries(table, R, E)
-
-
 def pleth_exp(series):
-    """Plethystic exponential Exp[A] = exp(sum_n psi_n(A)/n).
+    """Plethystic exponential Exp[A] = exp(sum_n psi_n(A)/n); requires a
+    zero constant term.
 
-    Requires a zero constant term.
+    scaled_pleth_log run backwards: with R_r = r * A_r, M = sum_n psi_n(R)
+    is r times log B, B = Exp[A], and r * B_r = sum_{k=1}^r M_k * B_{r-k}.
     """
     if not series.coeffs[0].is_zero():
         raise ValueError("pleth_exp needs a zero constant term")
-    return _exp(TruncSeries(series.table, series.order,
-                            _adams_sum(series.coeffs, series.table, lambda n: Q(1, n))))
+    R, table = series.order, series.table
+    M = _adams_sum([c.scale(r) for r, c in enumerate(series.coeffs)], table, lambda n: 1)
+    B = [Fraction.one(table)]
+    for r in range(1, R + 1):
+        B.append(fraction_sum([M[k] * B[r - k] for k in range(1, r + 1)
+                               if not M[k].is_zero() and not B[r - k].is_zero()],
+                              table).divide(r))
+    return TruncSeries(table, R, B)
 
 
 def scaled_pleth_log(series):
@@ -164,10 +161,9 @@ def pleth_log(series):
     """Plethystic logarithm, inverse of pleth_exp; requires constant term 1.
 
     Log[B] = sum_n mu(n)/n * psi_n(log B).  The coefficients are those of
-    scaled_pleth_log, each divided by r once at the end; nothing before
-    that leaves the numerators' coefficient ring.
+    scaled_pleth_log, each divided by r once at the end (`Fraction.divide`);
+    nothing before that leaves the numerators' coefficient ring.
     """
     R = scaled_pleth_log(series)
     return TruncSeries(R.table, R.order,
-                       [c if r < 2 else c.scale(Q(1, r))
-                        for r, c in enumerate(R.coeffs)])
+                       [c if r < 2 else c.divide(r) for r, c in enumerate(R.coeffs)])

@@ -191,8 +191,8 @@ def test_exact_divide_detects_failure():
 @pytest.mark.parametrize("k", [24, 29])
 def test_a_probe_along_a_long_line_sums_only_its_terms(k):
     # q^(2^k) + 1 + q t over q^2 - 1: the line of 1 has 2^(k-1) + 1 points
-    # and two terms, so the lines are summed over their terms and the line
-    # of 1 refuses at once
+    # and two terms; its carry spends the budget of three empty points, so
+    # the lines are summed over their terms and the line of 1 refuses
     fac, _, _ = canonical_binomial(T2, T2.exps(q=2), 0)
     num = LaurentPoly(T2, {T2.exps(q=2 ** k): 1, 0: 1, T2.exps(q=1, t=1): 1})
     start = time.perf_counter()
@@ -203,10 +203,10 @@ def test_a_probe_along_a_long_line_sums_only_its_terms(k):
 
 @pytest.mark.parametrize("k", [22, 29])
 def test_a_carry_across_a_long_gap_is_refused_before_it_is_walked(k):
-    # 1 + q^3 t - q^(2^k) over q^2 - 1: the lines through the first and the
-    # last term sum to zero, and the carried -1 of the line of 1 would cross
-    # 2^(k-1) - 1 empty points; the lines, longer than the terms, are summed
-    # over the terms first, and the line of q^3 t refuses
+    # 1 + q^3 t - q^(2^k) over q^2 - 1: the line of 1 sums to zero, and its
+    # carried -1 would cross 2^(k-1) - 1 empty points; after three, the
+    # budget, the lines are summed over their terms, and the line of q^3 t
+    # refuses
     fac, _, _ = canonical_binomial(T2, T2.exps(q=2), 0)
     num = LaurentPoly(T2, {0: 1, T2.exps(q=3, t=1): 1, T2.exps(q=2 ** k): -1})
     tracemalloc.start()
@@ -218,6 +218,44 @@ def test_a_carry_across_a_long_gap_is_refused_before_it_is_walked(k):
     tracemalloc.stop()
     assert elapsed < 0.05 and peak < 1_000_000
     assert str(err.value) == "remainder on the line through q^3 t"
+
+
+def _lines_over_t_minus_one(n, top, bad=None):
+    """sum_{k<n} q^k (1 - t^top) over t - 1, plus 7 q^bad t after q^bad."""
+    terms = {}
+    for k in range(n):
+        terms[T2.exps(q=k)] = 1
+        if k == bad:
+            terms[T2.exps(q=k, t=1)] = 7
+        terms[T2.exps(q=k, t=top)] = -1
+    return LaurentPoly(T2, terms), canonical_binomial(T2, T2.exps(t=1), 0)[0]
+
+
+@pytest.mark.parametrize("n,top", [(500, 900), (1000, 1900)])
+def test_carries_across_many_gaps_spend_one_budget(n, top):
+    # the lines through the first and the last term sum to zero, and each
+    # line's carry crosses top - 1 empty points: the lines before q^250 spend
+    # the budget of one empty point per term, the lines are summed, and the
+    # line of q^250 refuses without the walk of every line before it
+    num, fac = _lines_over_t_minus_one(n, top, bad=250)
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(NotDivisibleError) as err:
+        exact_divide(num, fac)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 0.05 and peak < 1_000_000
+    assert str(err.value) == "remainder on the line through q^250"
+
+
+def test_an_exact_division_past_the_budget_is_walked_whole():
+    # 200 lines q^k (1 - t^900) over t - 1: the first carry spends the
+    # budget, every line sums to zero, and the walk fills 899 points a line
+    num, fac = _lines_over_t_minus_one(200, 900)
+    quo = exact_divide(num, fac)
+    assert len(quo.terms) == 200 * 900
+    assert quo * fac.to_poly(T2) == num
 
 
 def test_a_long_gap_of_an_exact_division_is_filled():

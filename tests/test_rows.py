@@ -15,8 +15,8 @@ import pytest
 
 from higgsdt import dt, positive, series, sums
 from higgsdt.algebra import (EXP_LIMIT, ExponentRangeError, Fraction, LaurentPoly,
-                             NotDivisibleError, canonical_binomial, exact_divide,
-                             fraction_sum, over_binomials, var_table)
+                             NotDivisibleError, TableMismatchError, canonical_binomial,
+                             exact_divide, fraction_sum, over_binomials, var_table)
 from higgsdt.weil import weil_table
 
 
@@ -507,6 +507,63 @@ def test_a_lift_out_of_range_is_refused_as_the_dict_path_refuses(var, monkeypatc
             assert got == _outcome(tree_sum, [a, b], t)
             seen.add(got is ExponentRangeError)
     assert seen == {True, False}
+
+
+def test_a_lift_past_the_top_of_q_is_refused_on_rows(monkeypatch):
+    # q^(2^30 - 2)/(q^20 - 1) + q^(2^30 - 30)/(q^3 - 1): the lifted
+    # numerators span 32 q-digits, so the sum is admitted on rows, and the
+    # first lift, by q^3 - 1, reaches q^(2^30 + 1); the dicts refuse it too
+    t = var_table(0)
+    a = over_binomials(t.monomial(t.exps(q=EXP_LIMIT - 2)), [(t.exps(q=20), 0)])
+    b = over_binomials(t.monomial(t.exps(q=EXP_LIMIT - 30)), [(t.exps(q=3), 0)])
+    spans = []
+    lift = sums._row_lift
+    monkeypatch.setattr(sums, "_row_lift",
+                        lambda x, poly: spans.append(x.span) or lift(x, poly))
+    assert _outcome(fraction_sum, [a, b], t) is ExponentRangeError
+    assert spans
+    monkeypatch.setattr(sums, "ROW_MIN_SPAN", EXP_LIMIT)
+    assert _outcome(fraction_sum, [a, b], t) is ExponentRangeError
+    assert _outcome(tree_sum, [a, b], t) is ExponentRangeError
+
+
+def test_a_factor_longer_than_the_rows_is_kept_unread(monkeypatch):
+    # (1 - q^15)/(q^20 - 1) + t (q^2 - q^13)/(q^20 - 1) spans 16 q-digits,
+    # so q^20 - 1 cannot divide it: the one trial division keeps the factor
+    # by its degree, and fits no row to try it
+    t = var_table(0)
+    q = lambda k, e=0: t.monomial(t.exps(q=k, t=e))
+    den = [(t.exps(q=20), 0)]
+    a = over_binomials(t.one() - q(15), den)
+    b = over_binomials(q(2, 1) - q(13, 1), den)
+    trials, fits = [], []
+    divide, fit = sums._row_divide, sums._row_fit
+    monkeypatch.setattr(sums, "_row_fit", lambda x, need: fits.append(need) or fit(x, need))
+
+    def trial(x, factor):
+        before = len(fits)
+        out = divide(x, factor)
+        trials.append((x.span, t.digit(factor.m1 - factor.m2, 0), out, len(fits) - before))
+        return out
+
+    monkeypatch.setattr(sums, "_row_divide", trial)
+    got = fraction_sum([a, b], t)
+    assert trials == [(16, 20, None, 0)]
+    assert same(got, tree_sum([a, b], t))
+    assert got.den == canonical_binomial(t, t.exps(q=20), 0)[:1]
+
+
+@pytest.mark.parametrize("spread", [0, 20], ids=["dicts", "rows"])
+def test_summands_over_two_tables_are_refused(spread):
+    # 1 + q^spread over var_table(0) and over var_table(1), both over q - 1:
+    # spread over 20 q-digits the pair would be added on rows
+    sums_of = []
+    for table in (var_table(0), var_table(1)):
+        num = table.one() + table.monomial(table.exps(q=spread))
+        sums_of.append(over_binomials(num, [(table.exps(q=1), 0)]))
+    for fracs in (sums_of, sums_of[::-1]):
+        with pytest.raises(TableMismatchError):
+            fraction_sum(fracs, fracs[0].table)
 
 
 # -- equality ----------------------------------------------------------------------

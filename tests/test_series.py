@@ -197,3 +197,36 @@ def test_scaled_log_matches_pointwise_recurrence():
         for r in range(1, order + 1):
             want = sum(mobius(n) * M[n][r // n] for n in range(1, r + 1) if r % n == 0)
             assert scaled.coefficient(r).eval(list(point)) == want
+
+
+def _int_series(rng, table, order, constant):
+    """A series with the given constant term and, above it, int numerators
+    over products of up to two binomials x^k - 1, x a variable or q t."""
+    directions = [table.unit_exps(v) for v in table.names] + [table.exps(q=1, t=1)]
+    coeffs = {0: constant}
+    for d in range(1, order + 1):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            e = table.pack(rng.randint(-2, 2) for _ in range(table.arity))
+            terms[e] = terms.get(e, 0) + rng.choice((-4, -3, -1, 1, 2, 5))
+        pairs = [(rng.randint(1, 3) * rng.choice(directions), 0)
+                 for _ in range(rng.randint(0, 2))]
+        coeffs[d] = over_binomials(LaurentPoly(table, {e: c for e, c in terms.items() if c}),
+                                   pairs)
+    return TruncSeries.from_terms(table, order, coeffs)
+
+
+@pytest.mark.parametrize("genus", [0, 1])
+def test_exp_and_log_keep_integer_coefficients(genus):
+    # lambda-ring integrality: Exp and Log of a series with int numerators
+    # over binomials have int numerators, so each division by r is exact
+    table = var_table(genus)
+    rng = random.Random(2900 + genus)
+    for _ in range(50):
+        a = _int_series(rng, table, 4, Fraction.zero(table))
+        b = _int_series(rng, table, 4, Fraction.one(table))
+        e = pleth_exp(a)
+        assert pleth_log(e) == a
+        for s in (e, pleth_log(b)):
+            for c in s.coeffs:
+                assert all(type(v) is int for v in c.num.terms.values())
