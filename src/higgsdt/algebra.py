@@ -102,12 +102,10 @@ symbolic pipeline they stay Python ints end to end: the hook-product series
 has integer numerators, `series.scaled_pleth_log` carries r * Log_r instead
 of Log_r, and exact division by a binomial only forms running sums.  The
 one division by r per coefficient is exact: per cleared coefficient in `dt`
-(`LaurentPoly.divide_coefficients`), and in `series.pleth_log` and
-`series.pleth_exp` through `Fraction.divide`.  Exp and Log of a series with
-int numerators are integral (lambda-ring integrality), and a product of
-binomials has content 1, so by Gauss's lemma r divides the reduced
-numerator.  fractions.Fraction coefficients still work everywhere, for
-hand-built inputs; `Fraction.divide` scales those by 1/r.
+(`LaurentPoly.divide_coefficients`), in `series.pleth_log` and
+`series.pleth_exp` through `Fraction.divide` (lambda-ring integrality, and
+Gauss's lemma: binomials are primitive).  fractions.Fraction coefficients
+still work everywhere, for hand-built inputs.
 """
 
 import math
@@ -822,17 +820,14 @@ def exact_divide(poly, factor):
 
 
 def _sum_lines(table, terms, i0, lo, vi, w):
-    """Sum every line of `exact_divide` over its terms, in one pass; raise
-    NotDivisibleError naming the first term of a line whose sum is not zero.
+    """Sum every line of `exact_divide` over its terms in one pass; raise
+    NotDivisibleError naming the first term of a line with a nonzero sum.
 
-    w = +-v is the step along which digit i0 grows by vi = |v_i0|, lo the
-    least digit i0 of the terms.  A term f goes back j = (f_i0 - lo) // vi
-    <= steps steps along its line, to the line's one point with digit i0 in
-    [lo, lo + vi), so the terms of a line meet at one point, and two such
-    points are equal only if their exponent vectors are: each differs from
-    its term by less than 2^31 in every digit, and terms differ by less
-    than 2^31.
-    """
+    w = +-v has digit i0 equal to vi > 0.  A term f goes back
+    (f_i0 - lo) // vi <= steps steps, to its line's one point with digit i0
+    in [lo, lo + vi); two such points are equal only if their exponent
+    vectors are, each differing from its term, and terms from each other,
+    by less than 2^31 in every digit."""
     first, lines = {}, {}
     for (f, c), d in zip(terms.items(), table.digits(terms, i0)):
         e = first.setdefault(f - (d - lo) // vi * w, f)
@@ -1100,8 +1095,7 @@ class Fraction:
         return Fraction._reduced(self.num.scale(c), self.den)
 
     def divide(self, n):
-        """self / n for a positive int n: int coefficients are divided
-        exactly (`LaurentPoly.divide_coefficients`), others scaled by 1/n."""
+        """self / n, n > 0: exact on int coefficients, else scaled by 1/n."""
         if all(type(c) is int for c in self.num.terms.values()):
             return Fraction._reduced(self.num.divide_coefficients(n), self.den)
         return self.scale(Q(1, n))

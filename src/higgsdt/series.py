@@ -3,13 +3,9 @@
 The coefficient ring is the localized Laurent ring of `algebra`; T itself is
 not a table variable.  Adams operations act on T-degree and on every table
 variable at once, which is exactly the lambda-ring structure the plethystic
-exponential and logarithm are defined against.
-
-Exp and Log are one pair of recurrences run in the two directions
-(`scaled_pleth_log`, `pleth_exp`), whose Adams sums have the integer weights
-mu(n) and 1.  Neither divides; the one division per coefficient, by r, is
-`Fraction.divide`, exact on int numerators, so Exp and Log of a series with
-int numerators keep them.
+exponential and logarithm are defined against.  Both run one pair of integer
+recurrences (`scaled_pleth_log`, backwards in `pleth_exp`) and divide by r
+once per coefficient (`Fraction.divide`), so int numerators stay ints.
 """
 
 from .algebra import Fraction, TableMismatchError, fraction_sum
@@ -118,12 +114,9 @@ def _adams_sum(coeffs, table, weight):
 
 
 def pleth_exp(series):
-    """Plethystic exponential Exp[A] = exp(sum_n psi_n(A)/n); requires a
-    zero constant term.
-
-    scaled_pleth_log run backwards: with R_r = r * A_r, M = sum_n psi_n(R)
-    is r times log B, B = Exp[A], and r * B_r = sum_{k=1}^r M_k * B_{r-k}.
-    """
+    """Plethystic exponential Exp[A] = exp(sum_n psi_n(A)/n), for A_0 = 0:
+    with R_r = r * A_r, M = sum_n psi_n(R) is r times log B, B = Exp[A],
+    and r * B_r = sum_{k=1}^r M_k * B_{r-k} (scaled_pleth_log backwards)."""
     if not series.coeffs[0].is_zero():
         raise ValueError("pleth_exp needs a zero constant term")
     R, table = series.order, series.table
