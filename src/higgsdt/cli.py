@@ -185,13 +185,13 @@ def _cmd_compute(args):
 
 def _cmd_verify(args):
     # imported here: the suites are compiled and registered only for verify
-    from .verify import SUITES, run_suites
+    from .verify import SUITES, run_suites_timed
     if args.list:
         for name in SUITES:
             print("%-14s %s" % (name, SUITES[name][0]))
         return 0
     try:
-        results, failures = run_suites(args.suite or None)
+        results, failures, seconds = run_suites_timed(args.suite or None)
     except KeyError as e:
         _refuse(args, e.args[0])
     for r in results:
@@ -200,6 +200,9 @@ def _cmd_verify(args):
         if r.detail:
             line += "  (%s)" % r.detail
         print(line)
+    if args.timings:
+        for name, wall in seconds:
+            print("TIME  [%s] %.3f s" % (name, wall), file=sys.stderr)
     checked = sum(1 for r in results if r.ok is not None)
     print("%d checks, %d failed" % (checked, failures), file=sys.stderr)
     return 1 if failures else 0
@@ -257,6 +260,8 @@ def build_parser():
     pv.add_argument("--suite", action="append",
                     help="suite name, repeatable (default: all)")
     pv.add_argument("--list", action="store_true", help="list suites and exit")
+    pv.add_argument("--timings", action="store_true",
+                    help="write each suite's wall seconds to stderr")
     pv.set_defaults(fn=_cmd_verify, parser=pv)
 
     po = sub.add_parser("oracle-p1",

@@ -16,11 +16,14 @@ binomials as pairs, expanded by `binomial_product` and divided by
 which lets the sum skip the factors coprimality rules out.  The n!
 sigma-terms are added pairwise in a tree (`fraction_sum`), in the order of
 `itertools.permutations`, and the sum is multiplied by the prefactor once.
-`_f_parts` is the one implementation of this sum, and f_sum the product
-of its two parts: the series, the formal f and the other property checks
-call f_sum; the check at vanishing a_k^{-1}, with the inverse eigenvalues
-deformed to t a_k^{-1}, reads the two parts at t = 0 and never forms f.
-MAX_SN caps n, since the sum has n! terms.
+`_f_terms` is the one builder of the prefactor and the sigma-terms,
+`_f_parts` adds the terms up, and f_sum is the product of its two parts:
+the series, the formal f and the other property checks call f_sum.  The
+check at vanishing a_k^{-1}, with the inverse eigenvalues deformed to
+t a_k^{-1}, reads the prefactor and each sigma-term at t = 0 before it
+adds them, and never forms the sigma-sum or f: each is a power series in
+t, and t = 0 is additive and multiplicative on power series.  MAX_SN caps
+n, since the sum has n! terms.
 
 The degree-d slices of (q - 1) Log of the resulting T-series stabilize, for
 d large, to the d-independent invariant of the main pipeline; `t_expand`
@@ -39,13 +42,13 @@ from .dt import idt_star, partition_series, zstar_term
 MAX_SN = 4  # n! symmetrization terms; raise deliberately, not by accident
 
 
-def _f_parts(table, values, ainv=None):
-    """(prefactor, sigma-sum) of the symmetrized sum with w_i = x^values[i]
-    (monomials, pairwise distinct): f_sum is their product.
+def _f_terms(table, values, ainv=None):
+    """(prefactor, sigma-terms) of the symmetrized sum with w_i = x^values[i]
+    (monomials, pairwise distinct): the terms are an iterator of n!
+    Fractions, in the order of `itertools.permutations`.
 
     ainv holds the packed inverse eigenvalues, a_k^{-1} for k = 1..genus of
     the table unless given (alpha_zero_check deforms them to t a_k^{-1}).
-    The sigma-sum is the `fraction_sum` of the sigma-terms.
     """
     n = len(values)
     if n > MAX_SN:
@@ -78,7 +81,14 @@ def _f_parts(table, values, ainv=None):
         num += [(zero, w[i]) for i in range(1, n)]
         return over_binomials(binomial_product(table, num), den)
 
-    return pref, fraction_sum(map(term, permutations(range(n))), table)
+    return pref, map(term, permutations(range(n)))
+
+
+def _f_parts(table, values, ainv=None):
+    """(prefactor, sigma-sum) of `_f_terms` (same arguments): f_sum is their
+    product, and the sigma-sum is the `fraction_sum` of the sigma-terms."""
+    pref, terms = _f_terms(table, values, ainv)
+    return pref, fraction_sum(terms, table)
 
 
 def f_sum(table, values, ainv=None):
@@ -153,24 +163,32 @@ def alpha_zero_check(n, genus):
     """f equals 1 when every a_k^{-1} is set to 0.
 
     Implemented honestly by deforming a_k^{-1} to t a_k^{-1} (t is free in
-    the z-table) and reading f at t = 0, factor by factor: f = P * S with P
-    the prefactor and S the sigma-sum (`_f_parts`), and the check is
-    P(0) * S(0) == 1, where X(0) is the t^0 coefficient `t_expand(X, 0)[0]`.
-    That is f(0) == 1, without the product f:
+    the z-table) and reading f at t = 0, factor by factor and term by term:
+    f = P * S with P the prefactor and S the sum of the sigma-terms
+    (`_f_terms`), and the check is P(0) * sum_sigma term(0) == 1, where X(0)
+    is the t^0 coefficient `t_expand(X, 0)[0]`.  That is f(0) == 1, without
+    forming f or S:
 
-    * P = prod (1 - t a_k^{-1}) / (1 - t a_k^{-1} w_i) is a power series in
-      t with P(0) = 1, a unit of the power series ring, so f = P * S is a
-      power series iff S is: `t_expand`, which refuses exactly the
-      fractions with a pole at t = 0, refuses S iff it would refuse f;
-    * on power series, t = 0 is a ring map, so f(0) = P(0) * S(0).
+    * every t-factor of P or of a sigma-term, 1 - t a_k^{-1} w_i or
+      1 - q t a_k^{-1} w_i/w_j, is a unit of the power series ring in t, and
+      the other factors are t-free, so P and each sigma-term are power
+      series in t (`t_expand` refuses exactly the fractions with a pole at
+      t = 0, and the check is then False), with P(0) = 1;
+    * on power series, t = 0 is a ring map, so S(0) is the sum of the
+      term(0) and f(0) = P(0) * S(0).
+
+    So the n! terms are summed after truncation, with the t-free
+    denominators of term(0) alone, where the sum of the whole terms carries
+    every t-factor of each.
     """
     table = var_table(genus=genus, nz=n)
     te = table.exps(t=1)
     values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
     ainv = [te + table.exps(**{"a%d" % k: -1}) for k in range(1, genus + 1)]
-    pref, total = _f_parts(table, values, ainv)
+    pref, terms = _f_terms(table, values, ainv)
     try:
-        return t_expand(pref, 0)[0] * t_expand(total, 0)[0] == Fraction.one(table)
+        total = fraction_sum((t_expand(s, 0)[0] for s in terms), table)
+        return t_expand(pref, 0)[0] * total == Fraction.one(table)
     except NotDivisibleError:
         return False
 
@@ -186,6 +204,13 @@ def zplus_series(cp, order):
     return partition_series(cp.table(), order, term)
 
 
+def _check_rank_depth(r, depth):
+    if r < 1:
+        raise ValueError("rank must be at least 1, got %d" % r)
+    if depth < 0:
+        raise ValueError("depth must be nonnegative, got %d" % depth)
+
+
 def omega_plus(cp, order, depth):
     """Degree table of the positive invariants: {(r, d): Fraction in q and
     the Weil variables}, the t^d coefficient of (q - 1) Log_r for
@@ -193,8 +218,10 @@ def omega_plus(cp, order, depth):
 
     Entries carry the normalization q^{-p r/2}: the honest degree-d invariant
     is q^{p r / 2} times the entry.  NotDivisibleError means a negative
-    power of t survives in some (q - 1) Log_r.
+    power of t survives in some (q - 1) Log_r.  ValueError refuses an order
+    below 1 or a negative depth.
     """
+    _check_rank_depth(order, depth)
     L = pleth_log(zplus_series(cp, order))
     table = cp.table()
     qminus1 = table.monomial(table.exps(q=1)) - table.one()
@@ -219,7 +246,9 @@ class StabilizationReport:
 
 def stabilization_check(cp, r, depth=8, table=None):
     """Locate the degree from which the entries become constant and compare
-    the constant with the main invariant at t = 1."""
+    the constant with the main invariant at t = 1.  ValueError refuses r
+    below 1 or a negative depth."""
+    _check_rank_depth(r, depth)
     tab = table if table is not None else omega_plus(cp, r, depth)
     target = Fraction(idt_star(cp, r)[r].set_var_one("t"))
     entries = [tab[(r, d)] for d in range(depth + 1)]

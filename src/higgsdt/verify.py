@@ -13,6 +13,7 @@ someone proves them).
 from dataclasses import dataclass
 import math
 import random
+import time
 
 from .algebra import Fraction, var_table
 from .partitions import enumerate_partitions, partitions_up_to
@@ -311,12 +312,23 @@ def _check_degrees():
 
 def run_suites(names=None):
     """Run the named suites (all by default); returns (results, failures)."""
+    results, failures, _ = run_suites_timed(names)
+    return results, failures
+
+
+def run_suites_timed(names=None):
+    """run_suites, with a third value: (name, wall seconds) of each suite,
+    in the order run."""
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise KeyError("unknown suites: %s (have %s)"
                        % (", ".join(unknown), ", ".join(sorted(SUITES))))
-    results = [CheckResult(n, *check) for n in names for check in SUITES[n][1]()]
+    results, seconds = [], []
+    for n in names:
+        start = time.perf_counter()
+        results += [CheckResult(n, *check) for check in SUITES[n][1]()]
+        seconds.append((n, time.perf_counter() - start))
     failures = sum(1 for r in results if r.ok is False)
-    return results, failures
+    return results, failures, seconds

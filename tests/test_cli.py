@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -259,6 +260,20 @@ def test_verify_subset(capsys):
     assert "FAIL" not in out
     assert out.count("PASS") >= 2
     assert "0 failed" in err
+
+
+def test_verify_timings_go_to_stderr_before_the_summary(capsys):
+    suites = ("--suite", "partitions", "--suite", "hooks")
+    code, out, err = run(capsys, "verify", *suites)
+    assert code == 0 and err == "6 checks, 0 failed\n"
+    code, timed_out, timed_err = run(capsys, "verify", "--timings", *suites)
+    assert code == 0 and timed_out == out
+    lines = timed_err.splitlines()
+    assert lines[-1] == "6 checks, 0 failed"
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["TIME", "[partitions]"], ["TIME", "[hooks]"]]
+    for line in lines[:-1]:
+        assert re.fullmatch(r"TIME  \[\w+\] \d+\.\d{3} s", line), line
 
 
 def test_oracle_match(capsys):

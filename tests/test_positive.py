@@ -1,10 +1,10 @@
 import pytest
 
 from higgsdt.algebra import (Fraction, ZeroDenominatorError, binomial_product,
-                             over_binomials, t_expand, var_table)
+                             fraction_sum, over_binomials, t_expand, var_table)
 from higgsdt.partitions import Partition
 from higgsdt.dt import CurveParams, idt_star
-from higgsdt.positive import (_f_parts, alpha_zero_check, f_lambda, f_sum, f_symbolic,
+from higgsdt.positive import (_f_parts, _f_terms, alpha_zero_check, f_lambda, f_sum, f_symbolic,
                               laurent_property_check, omega_plus, stabilization_check,
                               zplus_series)
 
@@ -62,21 +62,76 @@ def test_deformed_inverse_eigenvalues_at_u_one_give_f():
             assert deformed.num.uses_var("t"), (g, n)
 
 
-@pytest.mark.parametrize("g", [1, 2])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_alpha_zero_check_matches_the_whole_f_route(n, g):
-    # the reference: form f = prefactor * sigma-sum whole and read its t^0
-    # coefficient; the check reads the two parts at t = 0 instead
+def _deformed(n, g):
+    """The z-table of f in n variables at genus g and the packed values and
+    deformed inverse eigenvalues t a_k^{-1} of alpha_zero_check."""
     table = var_table(genus=g, nz=n)
     te = table.exps(t=1)
     values = [table.unit_exps("z%d" % i) for i in range(1, n + 1)]
     ainv = [te + table.exps(**{"a%d" % k: -1}) for k in range(1, g + 1)]
+    return table, values, ainv
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_alpha_zero_check_matches_the_whole_f_route(n, g):
+    # the reference: form f = prefactor * sigma-sum whole and read its t^0
+    # coefficient; the check reads the prefactor and each sigma-term at
+    # t = 0 and sums the truncated terms instead
+    table, values, ainv = _deformed(n, g)
     pref, total = _f_parts(table, values, ainv)
     f = f_sum(table, values, ainv)
     assert pref * total == f
     assert t_expand(pref, 0)[0] == Fraction.one(table)
     assert t_expand(f, 0)[0] == Fraction.one(table)
+    _, terms = _f_terms(table, values, ainv)
+    truncated = fraction_sum((t_expand(s, 0)[0] for s in terms), table)
+    assert truncated == t_expand(total, 0)[0]
     assert alpha_zero_check(n, g)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_alpha_zero_check_at_the_sn_cap(g):
+    # n = MAX_SN: 24 sigma-terms, each read at t = 0 before the sum
+    assert alpha_zero_check(4, g)
+
+
+@pytest.mark.parametrize("n, g, verdict", [(2, 1, True), (3, 1, False),
+                                           (2, 2, False), (3, 2, True)])
+def test_alpha_zero_check_catches_a_sign_mutant(monkeypatch, n, g, verdict):
+    # swapping the first pair of every product of more than three pairs
+    # negates each sigma-term at n = 3 and the prefactor at g = 2; the
+    # check must fail where the sign of f flips, as the whole route does
+    import higgsdt.positive as positive
+    real = positive.binomial_product
+
+    def mutant(table, pairs):
+        pairs = list(pairs)
+        if len(pairs) > 3:
+            pairs[0] = pairs[0][::-1]
+        return real(table, pairs)
+
+    monkeypatch.setattr(positive, "binomial_product", mutant)
+    table, values, ainv = _deformed(n, g)
+    whole = t_expand(f_sum(table, values, ainv), 0)[0] == Fraction.one(table)
+    assert alpha_zero_check(n, g) is whole is verdict
+
+
+@pytest.mark.parametrize("r, depth", [(0, 8), (-1, 8), (1, -1), (2, -3)])
+def test_rank_below_one_or_negative_depth_is_refused(r, depth):
+    cp = CurveParams(genus=0, ell=1)
+    with pytest.raises(ValueError):
+        stabilization_check(cp, r, depth=depth)
+    with pytest.raises(ValueError):
+        omega_plus(cp, r, depth)
+
+
+def test_depth_zero_is_a_one_entry_table():
+    # the least depth allowed: one entry, which is no evidence of stability
+    cp = CurveParams(genus=0, ell=1)
+    assert set(omega_plus(cp, 1, 0)) == {(1, 0)}
+    rep = stabilization_check(cp, 1, depth=0)
+    assert (rep.depth, rep.stable_from, rep.ok()) == (0, -1, False)
 
 
 def test_positive_series_needs_twisted_mode():
