@@ -1,5 +1,6 @@
 import pytest
 
+import higgsdt.positive as positive
 from higgsdt.algebra import (Fraction, ZeroDenominatorError, binomial_product,
                              fraction_sum, over_binomials, t_expand, var_table)
 from higgsdt.partitions import Partition
@@ -102,7 +103,6 @@ def test_alpha_zero_check_catches_a_sign_mutant(monkeypatch, n, g, verdict):
     # swapping the first pair of every product of more than three pairs
     # negates each sigma-term at n = 3 and the prefactor at g = 2; the
     # check must fail where the sign of f flips, as the whole route does
-    import higgsdt.positive as positive
     real = positive.binomial_product
 
     def mutant(table, pairs):
