@@ -29,7 +29,11 @@ drive the whole module and are relied on by callers:
 * every Fraction is reduced: no denominator factor divides the numerator,
   and a zero Fraction has no denominator.  `Fraction(num, den)` cancels;
   only this module skips that, and only where the result is reduced
-  already, so a Fraction left with a denominator is not a polynomial.
+  already, so a Fraction left with a denominator is not a polynomial;
+* the product or sum of two Fractions with no denominator has none, so it
+  is reduced: `_reduced_product` and `Fraction.__add__` multiply or add
+  the numerators and try nothing (no prime dict, no lcd, no coefficient
+  sum), and `sums` hands such a pair of summands to `Fraction.__add__`.
 
 A sum of many Fractions goes through `fraction_sum`, which adds them
 pairwise in a balanced tree: a left-to-right fold carries one growing
@@ -988,6 +992,8 @@ def _reduced_product(na, da, nb, db):
     Fraction(na * nb, sorted(da + db)), and the result is that one.
     """
     _check_tables(na, nb)
+    if not (da or db):
+        return Fraction._reduced(na * nb, ())
     table = na.table
     prime = {f: _direction(table, f) == f.m1 - f.m2 for f in da + db}
     nb, kept_a = _reduce_fraction(nb, [f for f in da if prime[f]])
@@ -1077,6 +1083,8 @@ class Fraction:
             return other
         if other.is_zero():
             return self
+        if not (self.den or other.den):
+            return Fraction._reduced(self.num + other.num, ())
         return _lifted_sum(self.num, other.num, _lcd(self.table, self.den, other.den))
 
     def __neg__(self):

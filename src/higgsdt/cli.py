@@ -191,7 +191,7 @@ def _cmd_verify(args):
             print("%-14s %s" % (name, SUITES[name][0]))
         return 0
     try:
-        results, failures, seconds = run_suites_timed(args.suite or None)
+        results, failures, seconds, memo = run_suites_timed(args.suite or None)
     except KeyError as e:
         _refuse(args, e.args[0])
     for r in results:
@@ -203,6 +203,9 @@ def _cmd_verify(args):
     if args.timings:
         for name, wall in seconds:
             print("TIME  [%s] %.3f s" % (name, wall), file=sys.stderr)
+        print("SHARED  idt tables built %d, served %d; terms built %d, served %d"
+              % (memo.tables_built, memo.tables_served, memo.terms_built,
+                 memo.terms_served), file=sys.stderr)
     checked = sum(1 for r in results if r.ok is not None)
     print("%d checks, %d failed" % (checked, failures), file=sys.stderr)
     return 1 if failures else 0
@@ -261,7 +264,8 @@ def build_parser():
                     help="suite name, repeatable (default: all)")
     pv.add_argument("--list", action="store_true", help="list suites and exit")
     pv.add_argument("--timings", action="store_true",
-                    help="write each suite's wall seconds to stderr")
+                    help="write each suite's wall seconds, and what the "
+                         "run built and shared, to stderr")
     pv.set_defaults(fn=_cmd_verify, parser=pv)
 
     po = sub.add_parser("oracle-p1",

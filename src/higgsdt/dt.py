@@ -36,10 +36,22 @@ of a_i -> q/a_i (`weil.WeilTable.at_t_one`), which is how `cli` renders
 the t = 1 values.  `alt_idt` builds and clears on those orbits: a_i -> q/a_i
 swaps the two factors of each (1 - a_i s)(1 - q s/a_i) in H, and fixes
 IDT_r at t = 1.
+
+Inside one `shared` block (`verify` runs its suites in one) each of these
+is built once per key and then served: `zstar_orbit_term(cp, la)`, the
+zeta-value term on the representatives of weil_table(g, "q") that
+`substitution_identity_check` and `alt_idt` read, and `idt_orbits(cp, r)`
+without series=, a lower order being read off the longest table built and
+a higher one rebuilding it.  The block's memo is emptied when it exits,
+also on an exception, and outside a block nothing is kept: the cache is
+scoped to a run, not to the process, because tests patch kernel internals
+and then call these functions directly, and because a long-lived process
+would otherwise keep every table it ever built.
 """
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 from .algebra import (AlgebraError, LaurentPoly, NotDivisibleError,
                       binomial_product, fraction_sum, over_binomials, var_table)
@@ -80,6 +92,53 @@ class CurveParams:
 
     def table(self):
         return var_table(genus=self.genus)
+
+
+# -- run-scoped sharing (module docstring) ---------------------------------
+
+
+@dataclass
+class Shared:
+    """The memo of one `shared` block and what it built and served."""
+
+    terms: dict = field(default_factory=dict)    # (kind, cp, la) -> Fraction
+    tables: dict = field(default_factory=dict)   # cp -> {r: IDT_r orbits}
+    terms_built: int = 0
+    terms_served: int = 0
+    tables_built: int = 0
+    tables_served: int = 0
+
+
+_shared = None   # the open block's Shared, or None
+
+
+@contextmanager
+def shared():
+    """Share series terms and IDT tables inside the block; yields its
+    `Shared`, whose counts outlive the block and whose memo does not."""
+    global _shared
+    outer, memo = _shared, Shared()
+    _shared = memo
+    try:
+        yield memo
+    finally:
+        _shared = outer
+        memo.terms.clear()
+        memo.tables.clear()
+
+
+def _shared_term(key, build):
+    """build(), or inside `shared` the term built for key before."""
+    memo = _shared
+    if memo is None:
+        return build()
+    term = memo.terms.get(key)
+    if term is None:
+        term = memo.terms[key] = build()
+        memo.terms_built += 1
+    else:
+        memo.terms_served += 1
+    return term
 
 
 def _hook_pairs(table, lam, u_exps):
@@ -123,8 +182,9 @@ def zstar_term(cp, lam):
 
 def zstar_orbit_term(cp, lam):
     """zstar_term on the representatives of weil_table(g), built without
-    the whole numerator (`weil.WeilTable.product`)."""
-    return _zstar_term(cp, lam, weil_table(cp.genus))
+    the whole numerator (`weil.WeilTable.product`); shared inside `shared`."""
+    return _shared_term(("zstar", cp, lam),
+                        lambda: _zstar_term(cp, lam, weil_table(cp.genus)))
 
 
 def partition_series(table, order, term):
@@ -171,13 +231,28 @@ def idt_orbits(cp, order, series=None):
     series, if given, must be the main series of cp (`zstar_series`), to at
     least T^order; a shorter or not Weil-invariant one is refused, and its
     terms are restricted.  Without it each series term is built on the
-    representatives (`zstar_orbit_term`).  The series, its log and the
-    cleared coefficients are kept by Weil orbit representatives
-    (`weil.WeilTable`), exact by the module docstring.
+    representatives (`zstar_orbit_term`), and inside `shared` the table is
+    built once per curve: the longest order built serves every lower one.
+    The series, its log and the cleared coefficients are kept by Weil orbit
+    representatives (`weil.WeilTable`), exact by the module docstring.
 
     Raises IntegralityError when a coefficient fails to clear; that failure
     is meaningful (it falsifies the integrality property), never masked.
     """
+    memo = _shared
+    if series is not None or memo is None:
+        return _idt_orbits(cp, order, series)
+    held = memo.tables.get(cp)
+    if held is not None and len(held) >= order:
+        memo.tables_served += 1
+    else:
+        held = memo.tables[cp] = _idt_orbits(cp, order, None)
+        memo.tables_built += 1
+    return {r: held[r] for r in range(1, order + 1)}
+
+
+def _idt_orbits(cp, order, series):
+    """idt_orbits, built."""
     table = weil_table(cp.genus)
     if series is None:
         Z = partition_series(table, order, lambda lam: zstar_orbit_term(cp, lam))
@@ -302,11 +377,18 @@ def alt_h_term(cp, lam):
     return _alt_h_term(cp, lam, cp.table())
 
 
+def _alt_orbit_term(cp, lam):
+    """_alt_h_term on the representatives of weil_table(g, "q"), shared
+    inside `shared`."""
+    return _shared_term(("alt", cp, lam),
+                        lambda: _alt_h_term(cp, lam, weil_table(cp.genus, "q")))
+
+
 def alt_idt(cp, order):
     """Coefficients of (1 - t)(1 - qt) Log H, built and cleared on orbits of
     a_i -> q/a_i."""
     table = weil_table(cp.genus, "q")
-    H = partition_series(table, order, lambda lam: _alt_h_term(cp, lam, table))
+    H = partition_series(table, order, lambda lam: _alt_orbit_term(cp, lam))
     one = table.one()
     clearer = (one - table.monomial(table.exps(q=1, t=1))) * (one - table.var("t"))
     return {r: table.expand(p)
@@ -324,5 +406,5 @@ def substitution_identity_check(cp, max_weight):
     `zstar_orbit_term`.
     """
     wq = weil_table(cp.genus, "q")
-    return [(lam, wq.sigma(_alt_h_term(cp, lam, wq)) == zstar_orbit_term(cp, lam))
+    return [(lam, wq.sigma(_alt_orbit_term(cp, lam)) == zstar_orbit_term(cp, lam))
             for w in range(max_weight + 1) for lam in enumerate_partitions(w)]

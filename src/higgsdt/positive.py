@@ -247,8 +247,14 @@ class StabilizationReport:
 def stabilization_check(cp, r, depth=8, table=None):
     """Locate the degree from which the entries become constant and compare
     the constant with the main invariant at t = 1.  ValueError refuses r
-    below 1 or a negative depth."""
+    below 1, a negative depth, or a table (from `omega_plus`) without some
+    entry (r, d), d <= depth, before anything is built."""
     _check_rank_depth(r, depth)
+    if table is not None:
+        missing = [(r, d) for d in range(depth + 1) if (r, d) not in table]
+        if missing:
+            raise ValueError("table has no entry (r, d) = %r: it needs ranks to "
+                             "%d and degrees to %d" % (missing[0], r, depth))
     tab = table if table is not None else omega_plus(cp, r, depth)
     target = Fraction(idt_star(cp, r)[r].set_var_one("t"))
     entries = [tab[(r, d)] for d in range(depth + 1)]

@@ -414,8 +414,12 @@ def _row_sum(a, b, lcd):
 def _add_summands(a, b):
     """a + b for two summands of `fraction_sum`: made on rows when
     `_row_sum` takes it, on dicts over the same lcd otherwise.  Summands
-    that are neither Fractions nor pairs add as they add."""
+    that are neither Fractions nor pairs add as they add, and so do two
+    Fractions without denominators (`Fraction.__add__` adds their
+    numerators)."""
     if type(a) not in (tuple, Fraction) or type(b) not in (tuple, Fraction):
+        return a + b
+    if type(a) is Fraction and type(b) is Fraction and not (a.den or b.den):
         return a + b
     ta, tb = _node_table(a), _node_table(b)
     if ta is not tb and ta != tb:

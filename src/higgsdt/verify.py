@@ -8,6 +8,11 @@ into CheckResult lines under the registered name.  ok is True or False for
 real assertions and None for informational lines that are reported but
 never counted as failures (degree observations stay in that category until
 someone proves them).
+
+run_suites runs its suites inside one `dt.shared` block, so a series term
+or IDT table that several suites read is built once per run (the `dt`
+module docstring); a suite run alone gives the lines it gives in a run of
+all of them.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ from .algebra import Fraction, var_table
 from .partitions import enumerate_partitions, partitions_up_to
 from .series import TruncSeries, pleth_exp, pleth_log
 from .dt import (CurveParams, IntegralityError, alt_idt, idt_star,
-                 jacobian_poly, n_lambda, rank_one_idt,
+                 jacobian_poly, n_lambda, rank_one_idt, shared,
                  substitution_identity_check, zstar_orbit_term, zstar_term)
 from .positive import (alpha_zero_check, inductive_property_check,
                        laurent_property_check, omega_plus,
@@ -312,13 +317,13 @@ def _check_degrees():
 
 def run_suites(names=None):
     """Run the named suites (all by default); returns (results, failures)."""
-    results, failures, _ = run_suites_timed(names)
+    results, failures, _, _ = run_suites_timed(names)
     return results, failures
 
 
 def run_suites_timed(names=None):
-    """run_suites, with a third value: (name, wall seconds) of each suite,
-    in the order run."""
+    """run_suites, with two more values: (name, wall seconds) of each
+    suite, in the order run, and the run's `dt.Shared` counts."""
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
@@ -326,9 +331,10 @@ def run_suites_timed(names=None):
         raise KeyError("unknown suites: %s (have %s)"
                        % (", ".join(unknown), ", ".join(sorted(SUITES))))
     results, seconds = [], []
-    for n in names:
-        start = time.perf_counter()
-        results += [CheckResult(n, *check) for check in SUITES[n][1]()]
-        seconds.append((n, time.perf_counter() - start))
+    with shared() as memo:
+        for n in names:
+            start = time.perf_counter()
+            results += [CheckResult(n, *check) for check in SUITES[n][1]()]
+            seconds.append((n, time.perf_counter() - start))
     failures = sum(1 for r in results if r.ok is False)
-    return results, failures, seconds
+    return results, failures, seconds, memo

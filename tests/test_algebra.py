@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 import pathlib
 import random
@@ -1204,3 +1205,84 @@ def test_no_fraction_fold_outside_fraction_sum():
     found = {name: accumulate_sites((SRC / name).read_text())
              for name in ("dt.py", "series.py", "positive.py")}
     assert found == {"dt.py": [], "series.py": [], "positive.py": []}
+
+
+# -- Fractions without denominators ---------------------------------------------
+
+
+def _den_free(rng, table, rational):
+    """A Fraction with no denominator: a sum of monomials (bounds known) or,
+    half the time, the same terms with no bounds; int coefficients, or
+    fractions.Fraction ones when rational."""
+    num = table.zero()
+    for _ in range(rng.randint(0, 5)):
+        e = table.pack(rng.randint(-3, 3) for _ in range(table.arity))
+        c = rng.randint(-4, 4)
+        num = num + table.monomial(e, Q(c, rng.randint(1, 3)) if rational else c)
+    if rng.random() < 0.5:
+        num = LaurentPoly(table, dict(num.terms))
+    return Fraction(num)
+
+
+def _bounded(f):
+    assert f.den == ()
+    if f.num.terms and f.num.bounds:
+        assert _contains(f.num.bounds, _support_bounds(f.num))
+
+
+@pytest.mark.parametrize("throughout", [False, True], ids=["default", "rows-throughout"])
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "rational"])
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_den_free_products_and_sums_are_the_general_ones(genus, rational, throughout,
+                                                         monkeypatch):
+    # the product and sum of two Fractions with no denominator add or
+    # multiply the numerators and try nothing: equal to Fraction(na * nb)
+    # and to the sum over the lcd, term for term, with bounds that contain
+    # their support
+    if throughout:
+        _rows_throughout(monkeypatch)
+    table = var_table(genus)
+    rng = random.Random(3200 + 2 * genus + rational)
+    reduce_fraction = algebra._reduce_fraction
+
+    def general_sum(x, y):
+        # Fraction.__add__'s path for operands with denominators
+        return algebra._lifted_sum(x.num, y.num, algebra._lcd(table, x.den, y.den))
+
+    for _ in range(60):
+        a, b = _den_free(rng, table, rational), _den_free(rng, table, rational)
+        poly = _den_free(rng, table, rational).num
+        general_products = Fraction(a.num * b.num), Fraction(a.num * poly)
+        fracs = [_den_free(rng, table, rational) for _ in range(rng.randint(1, 9))]
+        general_total = functools.reduce(general_sum, fracs)
+        monkeypatch.setattr(algebra, "_reduce_fraction",
+                            lambda *args: pytest.fail("a den-free operand was reduced"))
+        got = (a * b, a.mul_poly(poly), a + b, fraction_sum(fracs, table))
+        monkeypatch.setattr(algebra, "_reduce_fraction", reduce_fraction)
+        for f, want in zip(got, general_products + (general_sum(a, b), general_total)):
+            assert f.num.terms == want.num.terms and want.den == ()
+            _bounded(f)
+        assert fraction_sum(fracs, table) == _fold(fracs, table)
+
+
+def test_a_den_free_summand_with_a_denominator_takes_the_lcd(monkeypatch):
+    # only two den-free operands skip the common denominator
+    rng = random.Random(3210)
+    lcds = []
+    lcd = algebra._lcd
+    counting = lambda *args: lcds.append(1) or lcd(*args)
+    monkeypatch.setattr(algebra, "_lcd", counting)
+    monkeypatch.setattr(sums, "_lcd", counting)
+    for _ in range(30):
+        a = _den_free(rng, T2, False)
+        if not a:
+            continue
+        b = over_binomials(rand_poly(rng) + T2.one(), [rand_binomial(rng)])
+        del lcds[:]
+        assert a + b == b + a == fraction_sum([a, b], T2) == fraction_sum([b, a], T2)
+        assert len(lcds) == 4
+        assert a + b == Fraction(a.num * b.den[0].to_poly(T2) + b.num, b.den)
+        del lcds[:]
+        a + a.scale(2)
+        fraction_sum([a, a], T2)
+        assert lcds == []

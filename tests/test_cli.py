@@ -270,10 +270,28 @@ def test_verify_timings_go_to_stderr_before_the_summary(capsys):
     assert code == 0 and timed_out == out
     lines = timed_err.splitlines()
     assert lines[-1] == "6 checks, 0 failed"
-    assert [line.split()[:2] for line in lines[:-1]] == [
+    # neither suite builds a series term or an IDT table
+    assert lines[-2] == "SHARED  idt tables built 0, served 0; terms built 0, served 0"
+    assert [line.split()[:2] for line in lines[:-2]] == [
         ["TIME", "[partitions]"], ["TIME", "[hooks]"]]
-    for line in lines[:-1]:
+    for line in lines[:-2]:
         assert re.fullmatch(r"TIME  \[\w+\] \d+\.\d{3} s", line), line
+
+
+def test_verify_timings_count_what_the_run_shares(capsys):
+    # rank1 builds 23 tables to rank 1 or 3, from 27 terms and one served
+    # (canonical genus 1 asks for rank 1, then rank 3); integrality asks
+    # four of those curves for rank 3 or 4, which rebuilds their tables
+    # from 35 new terms and serves the 4 of weight 1; degrees reads three
+    # of them to rank 3 off those tables
+    suites = ("--suite", "rank1", "--suite", "integrality", "--suite", "degrees")
+    code, out, err = run(capsys, "verify", *suites)
+    code_t, timed_out, timed_err = run(capsys, "verify", "--timings", *suites)
+    assert code == code_t == 0 and timed_out == out
+    lines = timed_err.splitlines()
+    assert err == lines[-1] + "\n" == "7 checks, 0 failed\n"
+    assert lines[-2] == "SHARED  idt tables built 27, served 3; terms built 62, served 5"
+    assert [line.split()[0] for line in lines[:-2]] == ["TIME"] * 3
 
 
 def test_oracle_match(capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import higgsdt.positive as positive
@@ -132,6 +134,17 @@ def test_depth_zero_is_a_one_entry_table():
     assert set(omega_plus(cp, 1, 0)) == {(1, 0)}
     rep = stabilization_check(cp, 1, depth=0)
     assert (rep.depth, rep.stable_from, rep.ok()) == (0, -1, False)
+
+
+@pytest.mark.parametrize("r, depth, first", [(3, 4, (3, 0)), (2, 8, (2, 5))])
+def test_a_table_without_an_entry_is_refused_first(r, depth, first, monkeypatch):
+    # the table covers ranks 1, 2 and degrees 0..4: rank 3, or degrees past
+    # 4, is refused with the first missing entry, before idt_star runs
+    cp = CurveParams(genus=0, ell=1)
+    tab = omega_plus(cp, 2, 4)
+    monkeypatch.setattr(positive, "idt_star", lambda *a: pytest.fail("idt_star ran"))
+    with pytest.raises(ValueError, match=r"no entry \(r, d\) = %s" % re.escape(repr(first))):
+        stabilization_check(cp, r, depth=depth, table=tab)
 
 
 def test_positive_series_needs_twisted_mode():
