@@ -40,8 +40,9 @@ pairwise in a balanced tree: a left-to-right fold carries one growing
 partial sum through every addition, so every cofactor product and trial
 division would be paid on the largest operand.
 
-* Row-packed sums (module `sums`, which runs the tree): inside
-  `fraction_sum` a numerator with int coefficients is held as q-rows, one
+* Row-packed sums (module `sums`, which makes each addition of the tree,
+  `sums._add`): a summand is a reduced Fraction or its numerator, with int
+  coefficients, held as q-rows over its den (`sums._Rows`), one
   int X_r = N_r(2^W) per monomial r in the variables other than q, N_r
   the row's polynomial in q.  Evaluation at q = 2^W is a ring map, so
   lifts, sums and the row divisions are exact integer arithmetic, and the
@@ -1184,16 +1185,26 @@ def fraction_sum(fracs, table):
     before the root sums more than half the terms, and at most log2(n) + 1
     partial sums are alive: a fold drags its growing partial sum, with its
     numerator and its common denominator, through every addition.  An empty
-    input sums to zero over table.  The tree and its row-packed numerators
-    are `sums.tree_sum`'s.
+    input sums to zero over table.  Each addition is one `sums._add`, which
+    adds on row-packed numerators where they pay: a summand is encoded when
+    it is first added on rows, and a root on rows is decoded once, here.
     """
-    total = _sums.tree_sum(fracs)
-    if total is None:
+    add = _sums._add
+    stack = []       # (terms, sum) per perfect subtree
+    for f in fracs:
+        n = 1
+        while stack and stack[-1][0] == n:
+            f, n = add(stack.pop()[1], f), 2 * n
+        stack.append((n, f))
+    if not stack:
         return Fraction.zero(table)
-    if type(total) is tuple:
-        total = Fraction._reduced(*total)
+    total = stack.pop()[1]
+    while stack:
+        total = add(stack.pop()[1], total)
     if total.table != table:
         raise TableMismatchError("summands use %r, expected %r" % (total.table, table))
+    if type(total) is _sums._Rows:
+        total = Fraction._reduced(_sums._row_decode(total), total.den)
     return total
 
 

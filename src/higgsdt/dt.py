@@ -313,13 +313,19 @@ class HalfPowerValue:
         return "q^(%d/2) * (%r)" % (self.half, self.body)
 
 
+def _check_rank(r):
+    if r < 1:
+        raise ValueError("rank must be at least 1, got %d" % r)
+
+
 def omega(cp, r, idt_poly=None):
     """Rank-r invariant as a half-power value over IDT_r(q, 1).
 
     Twisted mode: q^{pr/2} * IDT_r(q, 1); canonical mode: q * IDT_r(q, 1).
     The value is independent of the degree d.  idt_poly may be IDT_r or
-    already its value at t = 1.
+    already its value at t = 1.  A rank below 1 is refused.
     """
+    _check_rank(r)
     if idt_poly is None:
         idt_poly = idt_star(cp, r)[r]
     body = idt_poly.set_var_one("t")
@@ -331,8 +337,10 @@ def moduli_volume(cp, r, d, idt_poly=None):
     """Volume polynomial of the smooth coprime moduli space:
     (-1)^{pr} q^{(g-1)r^2 + p r(r+1)/2} * IDT_r(q, 1).
 
-    idt_poly may be IDT_r or already its value at t = 1.
+    idt_poly may be IDT_r or already its value at t = 1.  A rank below 1 is
+    refused.
     """
+    _check_rank(r)
     if cp.mode != "twisted":
         raise ValueError("volume formula applies in twisted mode")
     if math.gcd(r, d) != 1:

@@ -142,6 +142,7 @@ def gl_order(q, n):
 def aut_count(typ, q):
     """#Aut(O(b_1) + ... + O(b_r)): block GL factors times the unipotent
     part q^{sum over b_i > b_j of (b_i - b_j + 1)}."""
+    _check_field(q)
     blocks = {}
     for b in typ:
         blocks[b] = blocks.get(b, 0) + 1
@@ -220,6 +221,7 @@ def semistable_count_by_enumeration(typ, ell, q, cap=2 ** 28):
     """
     if ell < 0:
         raise ValueError("twist degree must be nonnegative")
+    _check_field(q)
     typ = tuple(sorted(typ, reverse=True))
     if len(typ) == 1:
         return q ** (ell + 1)
@@ -269,11 +271,11 @@ def semistable_count(typ, ell, q):
     """
     if ell < 0:
         raise ValueError("twist degree must be nonnegative")
+    _check_field(q)
     if len(typ) == 1:
         return q ** (ell + 1)
     if len(typ) != 2:
         raise NotImplementedError("instability test implemented for rank <= 2")
-    _check_field(q)
     a1, a2 = sorted(typ, reverse=True)
     s = a1 - a2
     dim = sum(max(0, deg + 1) for row in _phi_degrees(typ, ell) for deg in row)

@@ -16,14 +16,14 @@ binomials as pairs, expanded by `binomial_product` and divided by
 which lets the sum skip the factors coprimality rules out.  The n!
 sigma-terms are added pairwise in a tree (`fraction_sum`), in the order of
 `itertools.permutations`, and the sum is multiplied by the prefactor once.
-`_f_terms` is the one builder of the prefactor and the sigma-terms,
-`_f_parts` adds the terms up, and f_sum is the product of its two parts:
-the series, the formal f and the other property checks call f_sum.  The
-check at vanishing a_k^{-1}, with the inverse eigenvalues deformed to
-t a_k^{-1}, reads the prefactor and each sigma-term at t = 0 before it
-adds them, and never forms the sigma-sum or f: each is a power series in
-t, and t = 0 is additive and multiplicative on power series.  MAX_SN caps
-n, since the sum has n! terms.
+`_f_terms` is the one builder of the prefactor and the sigma-terms, and
+f_sum is the prefactor times the sum of the terms: the series, the formal
+f and the other property checks call f_sum.  The check at vanishing
+a_k^{-1}, with the inverse eigenvalues deformed to t a_k^{-1}, reads the
+prefactor and each sigma-term at t = 0 before it adds them, and never
+forms the sigma-sum or f: each is a power series in t, and t = 0 is
+additive and multiplicative on power series.  MAX_SN caps n, since the
+sum has n! terms.
 
 The degree-d slices of (q - 1) Log of the resulting T-series stabilize, for
 d large, to the d-independent invariant of the main pipeline; `t_expand`
@@ -37,7 +37,7 @@ from .algebra import (Fraction, NotDivisibleError, ZeroDenominatorError,
                       binomial_product, fraction_sum, over_binomials, t_expand,
                       var_table)
 from .series import pleth_log
-from .dt import idt_star, partition_series, zstar_term
+from .dt import _check_rank, idt_star, partition_series, zstar_term
 
 MAX_SN = 4  # n! symmetrization terms; raise deliberately, not by accident
 
@@ -84,19 +84,12 @@ def _f_terms(table, values, ainv=None):
     return pref, map(term, permutations(range(n)))
 
 
-def _f_parts(table, values, ainv=None):
-    """(prefactor, sigma-sum) of `_f_terms` (same arguments): f_sum is their
-    product, and the sigma-sum is the `fraction_sum` of the sigma-terms."""
-    pref, terms = _f_terms(table, values, ainv)
-    return pref, fraction_sum(terms, table)
-
-
 def f_sum(table, values, ainv=None):
     """The symmetrized sum with w_i = x^values[i] (monomials, pairwise
-    distinct): the prefactor times the sigma-sum of `_f_parts` (same
-    arguments)."""
-    pref, total = _f_parts(table, values, ainv)
-    return pref * total
+    distinct): the prefactor of `_f_terms` (same arguments) times the
+    `fraction_sum` of its sigma-terms."""
+    pref, terms = _f_terms(table, values, ainv)
+    return pref * fraction_sum(terms, table)
 
 
 def f_symbolic(n, genus):
@@ -205,8 +198,7 @@ def zplus_series(cp, order):
 
 
 def _check_rank_depth(r, depth):
-    if r < 1:
-        raise ValueError("rank must be at least 1, got %d" % r)
+    _check_rank(r)
     if depth < 0:
         raise ValueError("depth must be nonnegative, got %d" % depth)
 

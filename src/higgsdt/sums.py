@@ -1,7 +1,8 @@
-"""Sums of many Fractions: a balanced tree on row-packed numerators.
+"""The additions of `fraction_sum`'s tree, on row-packed numerators.
 
-`fraction_sum` adds its summands pairwise in a balanced tree, and inside
-the tree a numerator N with int coefficients is held as q-rows (`_Rows`):
+`algebra.fraction_sum` adds its summands pairwise in a balanced tree, one
+`_add` per addition.  A summand is a reduced Fraction or a `_Rows`: its
+numerator N, with int coefficients, held as q-rows over its den,
 N = q^q0 sum_r x^r N_r(q), r over packed monomials with q-digit 0, each
 N_r a polynomial in q of degree below span, stored as the one int
 X_r = N_r(2^W), W the width.  This module is the only one that knows the
@@ -59,7 +60,7 @@ So a sum on rows tries the same factors in the same order as
 Fraction.  A lift refuses an exponent out of range exactly where the dict
 product does: the row keys are scanned, and the q-digits read exactly
 when their range is not proved.  Additions too narrow or too wide along
-q for rows to pay stay on dicts (`fraction_sum`), as do coefficients that
+q for rows to pay stay on dicts (`_row_sum`), as do coefficients that
 are not ints; products, `Fraction(num, den)` and `exact_divide` keep the
 dict walk, which its line sums and the run walk make cheaper where most
 of their numerators are sparse along q.
@@ -74,6 +75,16 @@ from .algebra import (_HALF, EXP_BITS, EXP_LIMIT, ExponentRangeError, Fraction,
 
 
 ROW_WIDTH = 64       # bits per q-digit of a fresh encoding; a multiple of 64
+# An addition stays on dicts when the lifted numerators would span fewer than
+# ROW_MIN_SPAN or more than ROW_MAX_SPAN q-digits (`_row_sum`).  Each addition
+# was timed both ways (the least of three, in process, 2-vCPU host) over
+# `verify` and idt_orbits at (0,1,8), (1,1,6), (3,5,3) and (2,3,4): the
+# verify sums took 0.257 s on dicts, 0.248 s on rows and 0.224 s under these
+# rules; the idt_orbits sums 0.817 s on dicts and 0.316 s under them.  A span
+# of 12 sends the `fprops` sums over z-variables (span 8, six digits per row,
+# rows no faster than dicts before their encoding and decoding) to dicts and
+# costs the idt_orbits sums nothing.  The widest row of idt_orbits at
+# (0,1,12) spans 228 q-digits, and 4096 at width 64 is 32 KiB a row.
 ROW_MIN_SPAN = 12    # q-digits a sum must span to be added on rows
 ROW_MAX_SPAN = 4096  # q-digits a sum may span to be added on rows
 
@@ -91,13 +102,18 @@ class _Rows:
     q-digit 0, and `rows` maps r to the int X_r(2^width) (never 0).  Every
     X_r is a polynomial in q with its degrees in [0, span) and its
     coefficients at most `bound` in absolute value, bound < 2^(width - 1).
+    A summand of `fraction_sum` on rows is the reduced Fraction of this
+    numerator over `den`, sorted; the steps that make one leave den empty.
     """
 
-    __slots__ = ("table", "width", "q0", "span", "rows", "bound")
+    __slots__ = ("table", "width", "q0", "span", "rows", "bound", "den")
 
     def __init__(self, table, width, q0, span, rows, bound):
         self.table, self.width, self.q0, self.span = table, width, q0, span
-        self.rows, self.bound = rows, bound
+        self.rows, self.bound, self.den = rows, bound, ()
+
+    def is_zero(self):
+        return not self.rows
 
 
 def _row_encode(poly, bound=None, width=ROW_WIDTH, need=1):
@@ -383,9 +399,9 @@ def _row_reduce(x, den):
 
 
 def _row_sum(a, b, lcd):
-    """a + b on rows for two nonzero summands of `fraction_sum`, each a
-    reduced Fraction or a pair (rows, den) of one, over their lcd (`_lcd`):
-    the pair of the sum, as `Fraction.__add__` would make it.
+    """a + b on rows for two nonzero summands of `fraction_sum` over their
+    lcd (`_lcd`): the _Rows of the sum, its den the one `Fraction.__add__`
+    would leave.
 
     None, before anything is encoded or lifted, when the addition is one for
     dicts: a summand has a coefficient that is not an int, or the lifted
@@ -402,61 +418,44 @@ def _row_sum(a, b, lcd):
     for node in (a, b):
         if type(node) is Fraction and not all(type(c) is int for c in node.num.terms.values()):
             return None
-    xa, xb = _rows_of(a), _rows_of(b)
+    xa, xb = (x if type(x) is _Rows else _row_encode(x.num) for x in (a, b))
     for p in mul_a:
         xa = _row_lift(xa, p)
     for p in mul_b:
         xb = _row_lift(xb, p)
     num, left = _row_reduce(_row_add(xa, xb), tried)
-    return num, tuple(sorted(left + tuple(kept))) if num.rows else ()
+    num.den = tuple(sorted(left + tuple(kept))) if num.rows else ()
+    return num
 
 
-def _add_summands(a, b):
-    """a + b for two summands of `fraction_sum`: made on rows when
-    `_row_sum` takes it, on dicts over the same lcd otherwise.  Summands
-    that are neither Fractions nor pairs add as they add, and so do two
-    Fractions without denominators (`Fraction.__add__` adds their
-    numerators)."""
-    if type(a) not in (tuple, Fraction) or type(b) not in (tuple, Fraction):
-        return a + b
+def _add(a, b):
+    """a + b for two summands of `fraction_sum`, each a reduced Fraction or
+    the _Rows of one: made on rows when `_row_sum` takes it, on dicts over
+    the same lcd otherwise.  Two Fractions without denominators add by
+    `Fraction.__add__`, which adds their numerators."""
     if type(a) is Fraction and type(b) is Fraction and not (a.den or b.den):
         return a + b
-    ta, tb = _node_table(a), _node_table(b)
-    if ta is not tb and ta != tb:
+    table = a.table
+    if b.table is not table and b.table != table:
         raise TableMismatchError("operands use different variable tables: %r vs %r"
-                                 % (ta, tb))
-    if _node_zero(a):
+                                 % (table, b.table))
+    if a.is_zero():
         return b
-    if _node_zero(b):
+    if b.is_zero():
         return a
-    lcd = _lcd(ta, _node_den(a), _node_den(b))
+    lcd = _lcd(table, a.den, b.den)
     s = _row_sum(a, b, lcd)
     if s is not None:
         return s
-    return _lifted_sum(_node_num(a), _node_num(b), lcd)
-
-
-# A summand of `fraction_sum` is a Fraction until it is first added as rows,
-# and a pair (rows, den) after that.
-
-def _node_table(node):
-    return node[0].table if type(node) is tuple else node.table
-
-
-def _node_den(node):
-    return node[1] if type(node) is tuple else node.den
-
-
-def _node_zero(node):
-    return not (node[0].rows if type(node) is tuple else node.num.terms)
+    na, nb = (_row_decode(x) if type(x) is _Rows else x.num for x in (a, b))
+    return _lifted_sum(na, nb, lcd)
 
 
 def _lifted_q_range(node, polys):
     """[lo, hi) holding the q-exponents of a nonzero summand's numerator
     times polys."""
-    if type(node) is tuple:
-        x = node[0]
-        lo, hi = x.q0, x.q0 + x.span
+    if type(node) is _Rows:
+        lo, hi = node.q0, node.q0 + node.span
     else:
         num = node.num
         if num.bounds and num.bounds[0]:
@@ -468,49 +467,3 @@ def _lifted_q_range(node, polys):
         plo, phi = p.bounds[0] if p.bounds and p.bounds[0] else p.table.digit_range(p.terms, 0)
         lo, hi = lo + plo, hi + phi
     return lo, hi
-
-
-def _rows_of(node):
-    """The rows of a nonzero summand, encoded if it is a Fraction."""
-    return node[0] if type(node) is tuple else _row_encode(node.num)
-
-
-def _node_num(node):
-    """The numerator of a summand, decoded if it is on rows."""
-    return _row_decode(node[0]) if type(node) is tuple else node.num
-
-
-def tree_sum(fracs):
-    """The sum of fracs in the tree of `algebra.fraction_sum`: None when
-    there are none, else a Fraction or the pair (num, den) of a reduced one,
-    num a LaurentPoly and den sorted.
-
-    Additions are made on row-packed numerators (module docstring): a leaf
-    is encoded when it is first added on rows and the root decoded once.
-    An addition stays on dicts when a summand has a coefficient that is not
-    an int, or when the lifted numerators would span fewer than ROW_MIN_SPAN
-    or more than ROW_MAX_SPAN q-digits (`_row_sum`).  Each addition was
-    timed both ways (the least of three, in process, 2-vCPU host) over
-    `verify` and idt_orbits at (0,1,8), (1,1,6), (3,5,3) and (2,3,4): the
-    verify sums took 0.257 s on dicts, 0.248 s on rows and 0.224 s under
-    these rules; the idt_orbits sums 0.817 s on dicts and 0.316 s under
-    them.  A span of 12 sends the `fprops` sums over z-variables (span 8,
-    six digits per row, rows no faster than dicts before their encoding and
-    decoding) to dicts and costs the idt_orbits sums nothing.  The widest
-    row of idt_orbits at (0,1,12) spans 228 q-digits, and 4096 at width 64
-    is 32 KiB a row.
-    """
-    stack = []       # (terms, sum) per perfect subtree
-    for f in fracs:
-        n = 1
-        while stack and stack[-1][0] == n:
-            f, n = _add_summands(stack.pop()[1], f), 2 * n
-        stack.append((n, f))
-    if not stack:
-        return None
-    total = stack.pop()[1]
-    while stack:
-        total = _add_summands(stack.pop()[1], total)
-    if type(total) is tuple:
-        return _row_decode(total[0]), total[1]
-    return total

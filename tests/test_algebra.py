@@ -1104,14 +1104,14 @@ def test_fraction_sum_on_rows_is_the_left_to_right_sum(table, monkeypatch):
 
 
 def _check_left_to_right(table, throughout, monkeypatch):
-    # every addition of the tree is one sums._add_summands, made on rows
-    # when sums._row_sum returns a sum; with the size rules of sums at 0
+    # every addition of the tree is one sums._add, made on rows when
+    # sums._row_sum returns a sum; with the size rules of sums at 0
     # (throughout) every sum of int numerators is added on rows
     if throughout:
         _rows_throughout(monkeypatch)
     rng = random.Random(24 + table.arity)
     adds = []
-    add, row_sum = sums._add_summands, sums._row_sum
+    add, row_sum = sums._add, sums._row_sum
 
     def counted_row_sum(a, b, lcd):
         out = row_sum(a, b, lcd)
@@ -1119,7 +1119,7 @@ def _check_left_to_right(table, throughout, monkeypatch):
             adds.append(2)
         return out
 
-    monkeypatch.setattr(sums, "_add_summands", lambda a, b: adds.append(1) or add(a, b))
+    monkeypatch.setattr(sums, "_add", lambda a, b: adds.append(1) or add(a, b))
     monkeypatch.setattr(sums, "_row_sum", counted_row_sum)
     rows = 0
     for _ in range(40):
@@ -1147,11 +1147,11 @@ class _Leaf:
     def __init__(self, shape):
         self.shape = shape
 
-    def __add__(self, other):
-        return _Leaf((self.shape, other.shape))
 
-
-def test_fraction_sum_adds_adjacent_pairs_level_by_level():
+def test_fraction_sum_adds_adjacent_pairs_level_by_level(monkeypatch):
+    # every addition of the tree is one sums._add: a combiner in its place
+    # records which partial sums each addition pairs
+    monkeypatch.setattr(sums, "_add", lambda a, b: _Leaf((a.shape, b.shape)))
     for n in range(1, 40):
         level = list(range(n))
         while len(level) > 1:

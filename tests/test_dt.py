@@ -147,6 +147,21 @@ def test_volume_rejects_shared_factor():
         moduli_volume(cp, 2, 4)
 
 
+@pytest.mark.parametrize("r", [0, -1, -2])
+def test_omega_and_volume_refuse_a_rank_below_one(r, monkeypatch):
+    # refused by name before anything is built: gcd(0, 1) = 1 passes the
+    # coprimality test, and a negative rank would reach the series' order
+    def building(*args):
+        raise AssertionError("idt_star called")
+
+    monkeypatch.setattr(dt, "idt_star", building)
+    cp = CurveParams(genus=0, ell=1)
+    with pytest.raises(ValueError, match="rank must be at least 1, got %d" % r):
+        omega(cp, r)
+    with pytest.raises(ValueError, match="rank must be at least 1, got %d" % r):
+        moduli_volume(cp, r, 1)
+
+
 def test_volume_rejects_canonical_mode():
     cp = CurveParams(genus=1, ell=0, mode="canonical")
     with pytest.raises(ValueError):

@@ -42,8 +42,17 @@ def test_unsupported_field_size():
     with pytest.raises(ValueError):
         gf_tables(11)
     for count in COUNTS:
+        for typ in ((0,), (1, 0)):
+            with pytest.raises(ValueError, match="unsupported field size"):
+                count(typ, 1, 6)
+    # every rank refuses a field that does not exist, also the rank-1
+    # volume that needs no field arithmetic
+    for typ in ((0,), (1, 0)):
         with pytest.raises(ValueError, match="unsupported field size"):
-            count((1, 0), 1, 6)
+            aut_count(typ, 6)
+    for r, d, q in ((1, 0, 6), (1, 1, 11), (2, 1, 6)):
+        with pytest.raises(ValueError, match="unsupported field size"):
+            compare_with_formula(r, d, 1, q)
 
 
 def test_gl_orders():

@@ -7,7 +7,7 @@ from higgsdt.algebra import (Fraction, ZeroDenominatorError, binomial_product,
                              fraction_sum, over_binomials, t_expand, var_table)
 from higgsdt.partitions import Partition
 from higgsdt.dt import CurveParams, idt_star
-from higgsdt.positive import (_f_parts, _f_terms, alpha_zero_check, f_lambda, f_sum, f_symbolic,
+from higgsdt.positive import (_f_terms, alpha_zero_check, f_lambda, f_sum, f_symbolic,
                               laurent_property_check, omega_plus, stabilization_check,
                               zplus_series)
 
@@ -82,12 +82,13 @@ def test_alpha_zero_check_matches_the_whole_f_route(n, g):
     # coefficient; the check reads the prefactor and each sigma-term at
     # t = 0 and sums the truncated terms instead
     table, values, ainv = _deformed(n, g)
-    pref, total = _f_parts(table, values, ainv)
+    pref, terms = _f_terms(table, values, ainv)
+    terms = list(terms)
+    total = fraction_sum(terms, table)
     f = f_sum(table, values, ainv)
     assert pref * total == f
     assert t_expand(pref, 0)[0] == Fraction.one(table)
     assert t_expand(f, 0)[0] == Fraction.one(table)
-    _, terms = _f_terms(table, values, ainv)
     truncated = fraction_sum((t_expand(s, 0)[0] for s in terms), table)
     assert truncated == t_expand(total, 0)[0]
     assert alpha_zero_check(n, g)
