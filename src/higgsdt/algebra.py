@@ -68,8 +68,13 @@ base 2^32 with balanced (signed) digits and q as the most significant digit.
 Integer order on packed monomials is the lexicographic order on exponent
 vectors, and the packing is linear, so multiplying monomials adds their
 packed ints, an Adams operation multiplies them, and a monomial substitution
-is a linear map.  Only `VarTable` knows the format: `exps`, `pack`, `unpack`
-and the digit readers are the way in and out.
+is a linear map.  `VarTable` owns the format: `exps`, `pack`, `unpack` and
+the digit readers are the way in and out.  Two modules read the digit layout
+directly, to keep per-term work inside their loops, and move with any change
+of the format: `sums` reads `_shifts`, `_bias` and `_HALF` (`_row_encode`,
+`_row_decode`, `_row_lift`, `_row_divide`), and `weil.WeilTable`, a
+`VarTable`, reads `_shifts`, `_bias` and `DIGIT_BITS` (its `_amask` and
+`_abias` masks, `_slices`, `_orbit` and `restrict_fraction`).
 
 Every stored exponent lies in [-2^30, 2^30) (`EXP_LIMIT`).  `exps` and `pack`
 refuse anything outside with `ExponentRangeError`, and so does every kernel

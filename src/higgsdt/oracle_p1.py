@@ -16,13 +16,14 @@ no code with it beyond Python itself, so agreement between the two is
 evidence, not circularity.  The one bridge is formula_volume_p1, which
 reads the engine's public volume formula, dt.moduli_volume, at q = q0.
 
-Rank 1 and 2 only.  The rank-2 semistable count is a closed form: the only
-saturated line subbundle of more than half the degree is the top summand,
-invariant exactly when the lower corner entry vanishes (proof in
-semistable_count).  semistable_count_by_enumeration, used by the tests,
-recounts by listing every matrix and checking, for every line bundle of more
-than half the total degree, the coefficient-wise vanishing of the induced
-cross form.
+Rank 1 and 2 only: `_check_rank` refuses a rank below 1 with ValueError and
+one above 2 with NotImplementedError.  The rank-2 semistable count is a
+closed form: the only saturated line subbundle of more than half the degree
+is the top summand, invariant exactly when the lower corner entry vanishes
+(proof in semistable_count).  semistable_count_by_enumeration, used by the
+tests, recounts by listing every matrix and checking, for every line bundle
+of more than half the total degree, the coefficient-wise vanishing of the
+induced cross form.
 """
 
 from fractions import Fraction as Q
@@ -56,6 +57,13 @@ def _polymod(ds, mod, p):
             for k in range(len(mod)):
                 ds[i - n + k] = (ds[i - n + k] - c * mod[k]) % p
     return tuple(ds[:n])
+
+
+def _check_rank(r):
+    if r < 1:
+        raise ValueError("rank must be at least 1, got %d" % r)
+    if r > 2:
+        raise NotImplementedError("oracle covers rank <= 2, got %d" % r)
 
 
 def _check_field(q):
@@ -165,11 +173,10 @@ def aut_count_by_enumeration(typ, q):
     its diagonal-block reduction is, and for rank <= 2 that reduces to a
     determinant in F_q.
     """
+    _check_rank(len(typ))
     add, mul, neg = gf_tables(q)
     if len(typ) == 1:
         return q - 1
-    if len(typ) != 2:
-        raise ValueError("enumeration implemented for rank <= 2")
     a1, a2 = typ
     s = a1 - a2
     count = 0
@@ -223,10 +230,9 @@ def semistable_count_by_enumeration(typ, ell, q, cap=2 ** 28):
         raise ValueError("twist degree must be nonnegative")
     _check_field(q)
     typ = tuple(sorted(typ, reverse=True))
+    _check_rank(len(typ))
     if len(typ) == 1:
         return q ** (ell + 1)
-    if len(typ) != 2:
-        raise NotImplementedError("instability test implemented for rank <= 2")
     a1, a2 = typ
     d = a1 + a2
     degs = _phi_degrees(typ, ell)
@@ -272,10 +278,9 @@ def semistable_count(typ, ell, q):
     if ell < 0:
         raise ValueError("twist degree must be nonnegative")
     _check_field(q)
+    _check_rank(len(typ))
     if len(typ) == 1:
         return q ** (ell + 1)
-    if len(typ) != 2:
-        raise NotImplementedError("instability test implemented for rank <= 2")
     a1, a2 = sorted(typ, reverse=True)
     s = a1 - a2
     dim = sum(max(0, deg + 1) for row in _phi_degrees(typ, ell) for deg in row)
@@ -286,10 +291,9 @@ def semistable_count(typ, ell, q):
 
 def splitting_types(r, d, spread_cap):
     """Decreasing r-tuples (r <= 2) with the given sum and b_1 - b_r <= spread_cap."""
+    _check_rank(r)
     if r == 1:
         return [(d,)]
-    if r != 2:
-        raise NotImplementedError("splitting types listed for rank <= 2")
     return [((d + s) // 2, (d - s) // 2) for s in range(d % 2, spread_cap + 1, 2)]
 
 
@@ -299,10 +303,9 @@ def stack_volume_p1(r, d, ell, q):
     The spread window is validated, not assumed: the first type past the
     bound (r - 1) ell is recounted and must come out empty.
     """
+    _check_rank(r)
     if r == 1:
         return Q(semistable_count((d,), ell, q), aut_count((d,), q))
-    if r != 2:
-        raise NotImplementedError("oracle covers rank <= 2")
     total = sum((Q(semistable_count(typ, ell, q), aut_count(typ, q))
                  for typ in splitting_types(2, d, ell)), Q(0))
     # the spreads ell + 1 and ell + 2 hold exactly one type of parity d

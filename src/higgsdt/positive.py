@@ -197,31 +197,26 @@ def zplus_series(cp, order):
     return partition_series(cp.table(), order, term)
 
 
-def _check_rank_depth(r, depth):
-    _check_rank(r)
-    if depth < 0:
-        raise ValueError("depth must be nonnegative, got %d" % depth)
-
-
 def omega_plus(cp, order, depth):
-    """Degree table of the positive invariants: {(r, d): Fraction in q and
-    the Weil variables}, the t^d coefficient of (q - 1) Log_r for
-    r = 1..order and d = 0..depth.
+    """Degree table of the positive invariants: {r: [c_0, ..., c_depth]} for
+    r = 1..order, where c_d is the t^d coefficient of (q - 1) Log_r, a
+    Fraction in q and the Weil variables.
 
     Entries carry the normalization q^{-p r/2}: the honest degree-d invariant
-    is q^{p r / 2} times the entry.  NotDivisibleError means a negative
-    power of t survives in some (q - 1) Log_r.  ValueError refuses an order
-    below 1 or a negative depth.
+    is q^{p r / 2} times the entry.  (q - 1) Log_r reads the series only up
+    to T^r, so a table of any order >= r has the same rank-r list.
+    NotDivisibleError means a negative power of t survives in some
+    (q - 1) Log_r.  ValueError refuses an order below 1 or a negative depth
+    before anything is built.
     """
-    _check_rank_depth(order, depth)
+    _check_rank(order)
+    if depth < 0:
+        raise ValueError("depth must be nonnegative, got %d" % depth)
     L = pleth_log(zplus_series(cp, order))
     table = cp.table()
     qminus1 = table.monomial(table.exps(q=1)) - table.one()
-    entries = {}
-    for r in range(1, order + 1):
-        for d, c in enumerate(t_expand(L.coeffs[r].mul_poly(qminus1), depth)):
-            entries[(r, d)] = c
-    return entries
+    return {r: t_expand(L.coeffs[r].mul_poly(qminus1), depth)
+            for r in range(1, order + 1)}
 
 
 @dataclass
@@ -236,25 +231,22 @@ class StabilizationReport:
         return self.stable_from >= 0 and self.matches
 
 
-def stabilization_check(cp, r, depth=8, table=None):
-    """Locate the degree from which the entries become constant and compare
-    the constant with the main invariant at t = 1.  ValueError refuses r
-    below 1, a negative depth, or a table (from `omega_plus`) without some
-    entry (r, d), d <= depth, before anything is built."""
-    _check_rank_depth(r, depth)
-    if table is not None:
-        missing = [(r, d) for d in range(depth + 1) if (r, d) not in table]
-        if missing:
-            raise ValueError("table has no entry (r, d) = %r: it needs ranks to "
-                             "%d and degrees to %d" % (missing[0], r, depth))
-    tab = table if table is not None else omega_plus(cp, r, depth)
-    target = Fraction(idt_star(cp, r)[r].set_var_one("t"))
-    entries = [tab[(r, d)] for d in range(depth + 1)]
-    stable_from = depth
-    while stable_from > 0 and entries[stable_from - 1] == entries[depth]:
-        stable_from -= 1
-    if stable_from == depth:
-        # a single trailing value is no evidence of stability
-        return StabilizationReport(r, depth, -1, False, target)
-    return StabilizationReport(r, depth, stable_from,
-                               entries[depth] == target, target)
+def stabilization_check(cp, order, depth=8):
+    """One report per rank r = 1..order, from one `omega_plus(cp, order,
+    depth)` and one `idt_star(cp, order)`: locate the degree from which the
+    rank-r entries become constant and compare the constant with the main
+    invariant at t = 1.  ValueError refuses an order below 1 or a negative
+    depth before anything is built."""
+    tab = omega_plus(cp, order, depth)
+    main = idt_star(cp, order)
+    reports = []
+    for r, entries in tab.items():
+        target = Fraction(main[r].set_var_one("t"))
+        stable_from = depth
+        while stable_from > 0 and entries[stable_from - 1] == entries[depth]:
+            stable_from -= 1
+        if stable_from == depth:   # one trailing value is no evidence of stability
+            stable_from = -1
+        matches = stable_from >= 0 and entries[depth] == target
+        reports.append(StabilizationReport(r, depth, stable_from, matches, target))
+    return reports

@@ -114,6 +114,22 @@ def test_rank_cap():
         stack_volume_p1(3, 1, 1, 2)
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_rank_below_one_is_refused(r):
+    with pytest.raises(ValueError, match="rank must be at least 1, got %d" % r):
+        stack_volume_p1(r, 1, 1, 2)
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        splitting_types(r, 1, 3)
+
+
+def test_empty_type_is_refused():
+    for count in (semistable_count, semistable_count_by_enumeration):
+        with pytest.raises(ValueError, match="rank must be at least 1, got 0"):
+            count((), 1, 2)
+    with pytest.raises(ValueError, match="rank must be at least 1, got 0"):
+        aut_count_by_enumeration((), 2)
+
+
 def test_enumeration_cap_guard():
     with pytest.raises(ValueError):
         semistable_count_by_enumeration((1, 0), 5, 2, cap=100)

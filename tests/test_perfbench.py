@@ -4,10 +4,13 @@ perfbench/worker.py's traced mode rebuilds each workload from public higgsdt
 names that the package itself no longer calls: `idt_star(series=)`,
 `dt.zstar_series` and the `dt.enumerate_partitions` global it patches,
 `LaurentPoly.has_integer_coefficients`, `HalfPowerValue.sign`, `.half` and
-`.body`, `moduli_volume(idt_poly=)` and `cli.poly_pairs`.  These tests run
-two traced workloads in-process and hold them to the benchmark's goldens, so
-a change to any of those names fails here rather than only in a benchmark
-run.  The worker is imported as it is, with perfbench/ on sys.path.
+`.body`, `moduli_volume(idt_poly=)` and `cli.poly_pairs`; its traced
+verify-all patches `verify.stack_volume_p1` and `oracle_p1.semistable_count`
+by name and calls `verify.run_suites` once per suite.  These tests run the
+traced workloads, and verify-all's untraced body, in-process and hold them to
+the benchmark's goldens, so a change to any of those names fails here rather
+than only in a benchmark run.  The worker is imported as it is, with
+perfbench/ on sys.path.
 """
 
 import sys
@@ -48,3 +51,15 @@ def test_traced_oracle_rank2_holds_its_golden(bench):
     assert (attempted, failed) == (4, 0)
     _, points = worker.oracle_plan(0)
     assert volumes == [golden["oracle-rank2"]["%d,%d" % p] for p in points]
+
+
+def test_verify_all_bodies_hold_their_golden(bench):
+    # the traced body patches verify and oracle_p1 names and runs each suite
+    # alone; both bodies must count every check and fail none
+    worker, golden, tracer = bench
+    plain = worker.verify_body("verify-all", 0, golden)
+    traced = worker.verify_traced("verify-all", 0, golden, tracer("verify-all"))
+    for attempted, failed, counts in (plain, traced[:3]):
+        assert (attempted, failed) == (49, 0)
+        assert counts == [golden["verify-all"]["checks"], 0]
+    assert traced[4] == {"verify.checks": 49, "verify.failed": 0}

@@ -1,5 +1,3 @@
-import re
-
 import pytest
 
 import higgsdt.positive as positive
@@ -120,32 +118,60 @@ def test_alpha_zero_check_catches_a_sign_mutant(monkeypatch, n, g, verdict):
     assert alpha_zero_check(n, g) is whole is verdict
 
 
-@pytest.mark.parametrize("r, depth", [(0, 8), (-1, 8), (1, -1), (2, -3)])
-def test_rank_below_one_or_negative_depth_is_refused(r, depth):
+@pytest.mark.parametrize("order, depth", [(0, 8), (-1, 8), (1, -1), (2, -3)])
+def test_rank_below_one_or_negative_depth_is_refused(order, depth, monkeypatch):
+    # refused before either table is built
+    def fail(*args):
+        pytest.fail("a table was built")
+    monkeypatch.setattr(positive, "zplus_series", fail)
+    monkeypatch.setattr(positive, "idt_star", fail)
     cp = CurveParams(genus=0, ell=1)
     with pytest.raises(ValueError):
-        stabilization_check(cp, r, depth=depth)
+        stabilization_check(cp, order, depth=depth)
     with pytest.raises(ValueError):
-        omega_plus(cp, r, depth)
+        omega_plus(cp, order, depth)
 
 
 def test_depth_zero_is_a_one_entry_table():
     # the least depth allowed: one entry, which is no evidence of stability
     cp = CurveParams(genus=0, ell=1)
-    assert set(omega_plus(cp, 1, 0)) == {(1, 0)}
-    rep = stabilization_check(cp, 1, depth=0)
-    assert (rep.depth, rep.stable_from, rep.ok()) == (0, -1, False)
+    tab = omega_plus(cp, 1, 0)
+    assert {r: len(entries) for r, entries in tab.items()} == {1: 1}
+    [rep] = stabilization_check(cp, 1, depth=0)
+    assert (rep.r, rep.depth, rep.stable_from, rep.ok()) == (1, 0, -1, False)
 
 
-@pytest.mark.parametrize("r, depth, first", [(3, 4, (3, 0)), (2, 8, (2, 5))])
-def test_a_table_without_an_entry_is_refused_first(r, depth, first, monkeypatch):
-    # the table covers ranks 1, 2 and degrees 0..4: rank 3, or degrees past
-    # 4, is refused with the first missing entry, before idt_star runs
-    cp = CurveParams(genus=0, ell=1)
-    tab = omega_plus(cp, 2, 4)
-    monkeypatch.setattr(positive, "idt_star", lambda *a: pytest.fail("idt_star ran"))
-    with pytest.raises(ValueError, match=r"no entry \(r, d\) = %s" % re.escape(repr(first))):
-        stabilization_check(cp, r, depth=depth, table=tab)
+@pytest.mark.parametrize("g, ell, order, depth, want", [
+    (0, 1, 3, 8, [(1, 0, True), (2, 0, True), (3, 1, True)]),
+    (1, 1, 3, 8, [(1, 0, True), (2, 0, True), (3, 1, True)]),
+    (0, 2, 3, 10, [(1, 0, True), (2, 1, True), (3, 4, True)]),
+])
+def test_one_report_per_rank(g, ell, order, depth, want):
+    # the reports the one-rank-per-call check gave at each rank
+    reports = stabilization_check(CurveParams(genus=g, ell=ell), order, depth=depth)
+    assert [(rep.r, rep.stable_from, rep.ok()) for rep in reports] == want
+    assert all(rep.depth == depth for rep in reports)
+
+
+def test_one_check_builds_each_table_once(monkeypatch):
+    calls = []
+    for name in ("omega_plus", "idt_star"):
+        def counted(*args, name=name, real=getattr(positive, name)):
+            calls.append((name, args[1:]))
+            return real(*args)
+        monkeypatch.setattr(positive, name, counted)
+    reports = stabilization_check(CurveParams(genus=0, ell=2), 3, depth=6)
+    assert [rep.r for rep in reports] == [1, 2, 3]
+    assert calls == [("omega_plus", (3, 6)), ("idt_star", (3,))]
+
+
+def test_a_higher_order_table_has_the_same_lower_rank_lists():
+    # (q - 1) Log_r reads the series only up to T^r
+    cp = CurveParams(genus=1, ell=1)
+    tab = omega_plus(cp, 3, 5)
+    assert list(tab) == [1, 2, 3]
+    for r in (1, 2):
+        assert tab[r] == omega_plus(cp, r, 5)[r]
 
 
 def test_positive_series_needs_twisted_mode():
@@ -157,10 +183,10 @@ def test_positive_series_needs_twisted_mode():
 def test_entries_stabilize_to_main_invariant():
     # twist 1 at genus 0 and 1 is the verify suite's; twist 2 is not
     cp = CurveParams(genus=0, ell=2)
-    tab = omega_plus(cp, 2, 8)
-    for r in (1, 2):
-        rep = stabilization_check(cp, r, depth=8, table=tab)
-        assert rep.ok(), (r, rep)
+    reports = stabilization_check(cp, 2, depth=8)
+    assert [rep.r for rep in reports] == [1, 2]
+    for rep in reports:
+        assert rep.ok(), rep
 
 
 def test_rank_one_entries_all_degrees_genus_zero():
@@ -168,11 +194,11 @@ def test_rank_one_entries_all_degrees_genus_zero():
     for ell in (1, 2):
         cp = CurveParams(genus=0, ell=ell)
         tab = omega_plus(cp, 1, 6)
-        assert set(tab) == {(1, d) for d in range(7)}
+        assert {r: len(entries) for r, entries in tab.items()} == {1: 7}
         table = cp.table()
         want = Fraction(table.monomial(table.zero_exps(), (-1) ** cp.p))
         for d in range(7):
-            assert tab[(1, d)] == want
+            assert tab[1][d] == want
 
 
 def test_rank_one_entries_genus_one():
@@ -183,19 +209,21 @@ def test_rank_one_entries_genus_one():
     num = ((table.one() - table.monomial(table.exps(a1=-1)))
            * (table.monomial(table.exps(q=1)) - table.monomial(table.exps(a1=1))))
     want = Fraction(-num)
+    assert len(tab[1]) == 6
     for d in range(6):
-        assert tab[(1, d)] == want
+        assert tab[1][d] == want
 
 
 def test_nontrivial_stabilization_window():
     # genus 0 twist 2 rank 2: the degree-0 entry differs from the stable one
     cp = CurveParams(genus=0, ell=2)
-    rep = stabilization_check(cp, 2, depth=8)
+    rep = stabilization_check(cp, 2, depth=8)[1]
+    assert rep.r == 2
     assert rep.ok()
     assert rep.stable_from == 1
     tab = omega_plus(cp, 2, 8)
-    assert tab[(2, 0)] != tab[(2, 1)]
-    assert tab[(2, 1)] == Fraction(idt_star(cp, 2)[2].set_var_one("t"))
+    assert tab[2][0] != tab[2][1]
+    assert tab[2][1] == Fraction(idt_star(cp, 2)[2].set_var_one("t"))
 
 
 def test_laurent_property_check_lets_kernel_bugs_through(monkeypatch):
