@@ -68,13 +68,13 @@ base 2^32 with balanced (signed) digits and q as the most significant digit.
 Integer order on packed monomials is the lexicographic order on exponent
 vectors, and the packing is linear, so multiplying monomials adds their
 packed ints, an Adams operation multiplies them, and a monomial substitution
-is a linear map.  `VarTable` owns the format: `exps`, `pack`, `unpack` and
-the digit readers are the way in and out.  Two modules read the digit layout
-directly, to keep per-term work inside their loops, and move with any change
-of the format: `sums` reads `_shifts`, `_bias` and `_HALF` (`_row_encode`,
-`_row_decode`, `_row_lift`, `_row_divide`), and `weil.WeilTable`, a
-`VarTable`, reads `_shifts`, `_bias` and `DIGIT_BITS` (its `_amask` and
-`_abias` masks, `_slices`, `_orbit` and `restrict_fraction`).
+is a linear map.  `VarTable` owns the format: `exps`, `pack`, `unpack`, the
+digit readers `digit`, `digits` and `digit_range`, and the unit steps
+`unit_exps` are the way in and out; `sums` reads its row keys through them.
+The one other reader of the digit layout, which moves with any change of the
+format, is `weil.WeilTable`, a `VarTable`: it reads `_shifts`, `_bias` and
+`DIGIT_BITS` (its `_amask` and `_abias` masks, `_slices`, `_orbit` and
+`restrict_fraction`).
 
 Every stored exponent lies in [-2^30, 2^30) (`EXP_LIMIT`).  `exps` and `pack`
 refuse anything outside with `ExponentRangeError`, and so does every kernel
@@ -85,7 +85,10 @@ carries into its neighbour silently: the sum or difference of two in-range
 exponents still has digits within +-2^31, where the check is exact.
 
 Every LaurentPoly carries exponent bounds, so that these checks and the
-ranges `exact_divide` walks need no scan of the terms.  `bounds` is None
+ranges `exact_divide` walks need no scan of the terms.  Only those two
+decide anything from stored bounds: the range scan that a product, shift or
+Adams operation skips when `VarTable.fits` proves it, and the dividend range
+of `exact_divide`; everything else only carries them.  `bounds` is None
 (nothing known) or a tuple with one entry per variable: None (unknown) or a
 pair (lo, hi), -EXP_LIMIT <= lo <= hi < EXP_LIMIT, that contains that
 variable's exponent in every term.
@@ -184,6 +187,9 @@ class VarTable:
     slicewise = False
 
     def __init__(self, genus=0, nz=0):
+        for what, n in (("genus", genus), ("nz", nz)):
+            if n < 0:
+                raise ValueError("%s must be nonnegative, got %d" % (what, n))
         names = (["q", "t"] + ["a%d" % i for i in range(1, genus + 1)]
                  + ["z%d" % i for i in range(1, nz + 1)])
         self.names = tuple(names)
@@ -1234,8 +1240,10 @@ def t_expand(frac, depth):
 
     Returns a list of Fractions in the same table (t absent from every term);
     index i holds the coefficient of t^i.  t-free denominator factors
-    survive into the coefficient Fractions.
+    survive into the coefficient Fractions.  A negative depth is refused.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative, got %d" % depth)
     table = frac.table
     ti = table.index["t"]
 

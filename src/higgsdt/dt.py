@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from .algebra import (AlgebraError, LaurentPoly, NotDivisibleError,
                       binomial_product, fraction_sum, over_binomials, var_table)
 from .partitions import Partition, enumerate_partitions
-from .series import TruncSeries, scaled_pleth_log
+from .series import TruncSeries, check_order, scaled_pleth_log
 from .weil import weil_table
 
 
@@ -238,7 +238,9 @@ def idt_orbits(cp, order, series=None):
 
     Raises IntegralityError when a coefficient fails to clear; that failure
     is meaningful (it falsifies the integrality property), never masked.
+    A negative order is refused before the memo is read.
     """
+    check_order(order)
     memo = _shared
     if series is not None or memo is None:
         return _idt_orbits(cp, order, series)

@@ -29,14 +29,19 @@ def mobius(n):
     return out
 
 
+def check_order(order):
+    """Refuse a negative truncation order."""
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative, got %d" % order)
+
+
 class TruncSeries:
     """Series sum_{d=0}^{order} c_d T^d with Fraction coefficients."""
 
     __slots__ = ("table", "order", "coeffs")
 
     def __init__(self, table, order, coeffs=None):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative, got %d" % order)
+        check_order(order)
         self.table = table
         self.order = order
         if coeffs is None:

@@ -7,7 +7,7 @@ N = q^q0 sum_r x^r N_r(q), r over packed monomials with q-digit 0, each
 N_r a polynomial in q of degree below span, stored as the one int
 X_r = N_r(2^W), W the width.  This module is the only one that knows the
 row format; it reads packed monomials through `algebra.VarTable`'s digit
-shifts and bias, as the kernel does.
+readers and steps along q by its unit, and never the packed layout itself.
 
 Evaluation at q = 2^W is a ring map Z[q] -> Z, so lifting by a cofactor
 is shifts, products and adds per row (a term c x^s q^k sends X_r into
@@ -70,8 +70,8 @@ import sys
 from array import array
 from functools import lru_cache
 
-from .algebra import (_HALF, EXP_BITS, EXP_LIMIT, ExponentRangeError, Fraction,
-                      LaurentPoly, TableMismatchError, _lcd, _lifted_sum)
+from .algebra import (EXP_BITS, EXP_LIMIT, ExponentRangeError, Fraction, LaurentPoly,
+                      TableMismatchError, _lcd, _lifted_sum)
 
 
 ROW_WIDTH = 64       # bits per q-digit of a fresh encoding; a multiple of 64
@@ -126,16 +126,13 @@ def _row_encode(poly, bound=None, width=ROW_WIDTH, need=1):
     while (need * bound) >> (width - 1):
         width *= 2
     table = poly.table
-    s0 = table._shifts[0]
-    lo, hi = table.digit(min(terms), 0), table.digit(max(terms), 0)
-    # j = (e - off) >> s0 is the q-digit of e less lo; r = e - j x_q - lo x_q
-    off, lo_s = ((lo + _HALF) << s0) - table._bias, lo << s0
+    unit = table.unit_exps("q")
+    lo, hi = table.digit_range(terms, 0)
     rows = {}
     get = rows.get
-    for e, c in terms.items():
-        j = (e - off) >> s0
-        r = e - (j << s0) - lo_s
-        rows[r] = get(r, 0) + (c << width * j)
+    for (e, c), qd in zip(terms.items(), table.digits(terms, 0)):
+        r = e - qd * unit
+        rows[r] = get(r, 0) + (c << width * (qd - lo))
     return _Rows(table, width, lo, hi - lo + 1, rows, bound)
 
 
@@ -159,12 +156,11 @@ def _row_decode(x):
     """The LaurentPoly x holds, with exact bounds."""
     table = x.table
     width = x.width
-    s0 = table._shifts[0]
-    unit = 1 << s0
+    unit = table.unit_exps("q")
     h = 1 << (width - 1)
     terms = {}
     for r, X in x.rows.items():
-        e = r + (x.q0 << s0)
+        e = r + x.q0 * unit
         if -h < X < h:
             terms[e] = X
             continue
@@ -228,16 +224,13 @@ def _row_lift(x, poly):
     slicewise table poly is a cofactor of factors that are all a-free
     (`algebra._reduce_fraction`), so it is a-free, and an a-free product
     is made slice by slice, as here (`weil.WeilTable.mul_terms`)."""
-    table = x.table
-    s0 = table._shifts[0]
-    bias = table._bias
+    table, terms = x.table, poly.terms
+    unit = table.unit_exps("q")
     parts = {}
-    for e, c in poly.terms.items():
-        qd = ((e + bias) >> s0) - _HALF
-        parts.setdefault(e - (qd << s0), []).append((qd, c))
-    qmin = min(qd for ps in parts.values() for qd, _ in ps)
-    qmax = max(qd for ps in parts.values() for qd, _ in ps)
-    norm = sum(map(abs, poly.terms.values()))
+    for (e, c), qd in zip(terms.items(), table.digits(terms, 0)):
+        parts.setdefault(e - qd * unit, []).append((qd, c))
+    qmin, qmax = table.digit_range(terms, 0)
+    norm = sum(map(abs, terms.values()))
     x = _row_fit(x, norm)
     width = x.width
     ints = [(s, sum(c << width * (qd - qmin) for qd, c in ps)) for s, ps in parts.items()]
@@ -304,9 +297,8 @@ def _row_divide(x, factor):
     table = x.table
     m1, m2 = factor
     v = m1 - m2
-    s0 = table._shifts[0]
     vq = table.digit(v, 0)
-    u = v - (vq << s0)
+    u = v - vq * table.unit_exps("q")
     if vq >= x.span:
         return None
     if not u:
@@ -406,9 +398,9 @@ def _row_sum(a, b, lcd):
     None, before anything is encoded or lifted, when the addition is one for
     dicts: a summand has a coefficient that is not an int, or the lifted
     numerators would span fewer than ROW_MIN_SPAN q-digits or more than
-    ROW_MAX_SPAN.  This is the one test: the range is read off bounds that
-    contain the support, every row of the sum lies inside it, and a
-    division only narrows it, so no step after it leaves the rows."""
+    ROW_MAX_SPAN.  This is the one test: the range is read off the support,
+    every row of the sum lies inside it, and a division only narrows it, so
+    no step after it leaves the rows."""
     tried, kept, mul_a, mul_b = lcd
     # the q-digits of the lifted numerators lie in [lo_a, hi_a) and [lo_b, hi_b)
     lo_a, hi_a = _lifted_q_range(a, mul_a)
@@ -453,17 +445,12 @@ def _add(a, b):
 
 def _lifted_q_range(node, polys):
     """[lo, hi) holding the q-exponents of a nonzero summand's numerator
-    times polys."""
+    times polys: a _Rows' own span, otherwise read off the terms."""
     if type(node) is _Rows:
-        lo, hi = node.q0, node.q0 + node.span
+        lo, hi = node.q0, node.q0 + node.span - 1
     else:
-        num = node.num
-        if num.bounds and num.bounds[0]:
-            lo, hi = num.bounds[0]
-            hi += 1
-        else:
-            lo, hi = num.table.digit(min(num.terms), 0), num.table.digit(max(num.terms), 0) + 1
+        lo, hi = node.table.digit_range(node.num.terms, 0)
     for p in polys:
-        plo, phi = p.bounds[0] if p.bounds and p.bounds[0] else p.table.digit_range(p.terms, 0)
+        plo, phi = p.table.digit_range(p.terms, 0)
         lo, hi = lo + plo, hi + phi
-    return lo, hi
+    return lo, hi + 1

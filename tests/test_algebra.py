@@ -111,6 +111,24 @@ def test_table_mismatch_rejected():
         T2.one() + other.one()
 
 
+def test_table_refuses_a_negative_genus():
+    # a table of genus -1 would have no a-variables and equal var_table(0)
+    for make in (var_table, algebra.VarTable):
+        with pytest.raises(ValueError, match="genus must be nonnegative, got -1"):
+            make(-1)
+        with pytest.raises(ValueError, match="genus must be nonnegative, got -2"):
+            make(genus=-2, nz=1)
+
+
+def test_table_refuses_a_negative_nz():
+    for make in (var_table, algebra.VarTable):
+        with pytest.raises(ValueError, match="nz must be nonnegative, got -3"):
+            make(0, -3)
+        with pytest.raises(ValueError, match="nz must be nonnegative, got -1"):
+            make(genus=2, nz=-1)
+    assert var_table(0, 0).names == ("q", "t")
+
+
 # -- canonical binomial factors ----------------------------------------------
 
 
@@ -389,6 +407,14 @@ def test_t_expand_at_depth_zero():
     g = Fraction(T2.monomial(T2.exps(t=-1, q=1)))
     with pytest.raises(NotDivisibleError, match=r"t\^-1"):
         t_expand(g, 0)
+
+
+def test_t_expand_refuses_a_negative_depth():
+    # a depth of -1 would return no coefficients at all
+    f = Fraction(T2.one() + T2.var("t"))
+    with pytest.raises(ValueError, match="depth must be nonnegative, got -1"):
+        t_expand(f, -1)
+    assert t_expand(f, 0) == [Fraction.one(T2)]
 
 
 def test_t_expand_refuses_a_pole():

@@ -215,6 +215,27 @@ def test_substitution_identity_check_can_fail(monkeypatch):
     assert [ok for _, ok in checked] == [True, False, False, False]
 
 
+@pytest.mark.parametrize("cp, rmax", [(CurveParams(genus=g, ell=ell), 3)
+                                      for g, ell in ((0, 1), (1, 3), (2, 5))]
+                         + [(CurveParams(genus=g, ell=2 * g - 2, mode="canonical"), 3)
+                            for g in (1, 2)]
+                         + [(CurveParams(genus=3, ell=7), 2),
+                            (CurveParams(genus=3, ell=4, mode="canonical"), 2)])
+def test_alt_form_is_t_times_sigma_of_the_main_form(cp, rmax):
+    # sigma: q -> q t, t -> 1/t is a monomial map, so it commutes with every
+    # psi_n and with Log, and it sends (q - 1)(1 - t) to t^-1 times the alt
+    # clearer (1 - q t)(1 - t) up to sign: alt IDT_r = t sigma(IDT_r) on whole
+    # polynomials, away from t = 1.  Without the factor t it fails.
+    table = cp.table()
+    images = _sigma(table)
+    alt, main = alt_idt(cp, rmax), idt_star(cp, rmax)
+    assert sorted(alt) == sorted(main) == list(range(1, rmax + 1))
+    for r in range(1, rmax + 1):
+        image = main[r].substitute_monomials(images)
+        assert alt[r] == image.mono_mul(table.exps(t=1)), r
+        assert alt[r] != image, r
+
+
 @pytest.mark.parametrize("cp, rmax", [(CurveParams(genus=0, ell=1), 9),
                                       (CurveParams(genus=1, ell=1), 4),
                                       (CurveParams(genus=2, ell=3), 3)])
@@ -230,6 +251,35 @@ def test_idt_is_symmetric_in_q_and_t(cp, rmax):
     for r, poly in polys.items():
         assert poly.substitute_monomials(swap) == poly, r
     assert polys[rmax].uses_var("t") and polys[rmax].var_range("q") != (0, 0)
+
+
+@pytest.mark.parametrize("cp, rmax", [(CurveParams(genus=g, ell=ell), rmax) for g, ell, rmax in (
+    (0, 1, 8), (0, 2, 4), (0, 3, 4), (1, 1, 5), (1, 2, 4), (1, 3, 3), (2, 3, 4),
+    (2, 4, 3), (3, 5, 3), (3, 6, 2))]
+    + [(CurveParams(genus=g, ell=2 * g - 2, mode="canonical"), rmax)
+       for g, rmax in ((1, 3), (2, 3), (3, 2))])
+def test_idt_degree_ranges_as_observed(cp, rmax):
+    """The q-range and the t-range of IDT_r are both [0, D], with
+    D = ell r(r - 1)/2 + (g - 1) r + 1, and every a_i-range is [-r, r],
+    except [-(r - 1), r - 1] at twisted (1, 1) with r >= 2 and [-1, 1] in
+    canonical mode at genus 1.
+
+    These bounds are observed at these points, not proved (ROADMAP item 17).
+    A failure is a kernel bug or a counterexample to the observation: report
+    it, and do not loosen the bounds to pass.
+    """
+    g, ell = cp.genus, cp.ell
+    for r, poly in idt_star(cp, rmax).items():
+        D = ell * r * (r - 1) // 2 + (g - 1) * r + 1
+        assert poly.var_range("q") == poly.var_range("t") == (0, D), r
+        if cp.mode == "canonical" and g == 1:
+            k = 1
+        elif (cp.mode, g, ell) == ("twisted", 1, 1) and r >= 2:
+            k = r - 1
+        else:
+            k = r
+        for i in range(1, g + 1):
+            assert poly.var_range("a%d" % i) == (-k, k), (r, i)
 
 
 def test_alt_term_weight_one_genus_zero():
@@ -308,6 +358,33 @@ def test_idt_star_refuses_a_short_series():
     cp = CurveParams(genus=1, ell=1)
     with pytest.raises(ValueError, match="shorter or not Weil-invariant"):
         idt_star(cp, 4, series=dt.zstar_series(cp, 2))
+
+
+def _refuses_a_negative_order(cp):
+    for f in (dt.idt_orbits, idt_star):
+        with pytest.raises(ValueError, match="truncation order must be nonnegative, got -1"):
+            f(cp, -1)
+
+
+def test_a_negative_order_is_refused_before_the_shared_memo_is_read(monkeypatch):
+    # a held table of any length serves every order up to it, so a memo read
+    # first would serve order -1 as {}
+    cp = CurveParams(genus=0, ell=1)
+    _refuses_a_negative_order(cp)
+    dt.idt_orbits(cp, 2)
+    _refuses_a_negative_order(cp)
+    with dt.shared() as memo:
+        _refuses_a_negative_order(cp)
+        dt.idt_orbits(cp, 2)
+        assert memo.tables_built == 1
+
+        def building(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(dt, "_idt_orbits", building)
+        _refuses_a_negative_order(cp)
+        assert sorted(dt.idt_orbits(cp, 1)) == [1]
+    _refuses_a_negative_order(cp)
 
 
 @pytest.mark.parametrize("cp", [CurveParams(genus=1, ell=1), CurveParams(genus=2, ell=3)])

@@ -118,6 +118,15 @@ def test_alpha_zero_check_catches_a_sign_mutant(monkeypatch, n, g, verdict):
     assert alpha_zero_check(n, g) is whole is verdict
 
 
+@pytest.mark.parametrize("check, n, genus", [(positive.inductive_property_check, 1, -1),
+                                             (laurent_property_check, 1, -1),
+                                             (alpha_zero_check, 2, -2)])
+def test_property_checks_refuse_a_negative_genus(check, n, genus):
+    # these once ran at genus 0 and returned True
+    with pytest.raises(ValueError, match="genus must be nonnegative, got %d" % genus):
+        check(n, genus)
+
+
 @pytest.mark.parametrize("order, depth", [(0, 8), (-1, 8), (1, -1), (2, -3)])
 def test_rank_below_one_or_negative_depth_is_refused(order, depth, monkeypatch):
     # refused before either table is built
