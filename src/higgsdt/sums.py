@@ -128,11 +128,13 @@ def _row_encode(poly, bound=None, width=ROW_WIDTH, need=1):
     table = poly.table
     unit = table.unit_exps("q")
     lo, hi = table.digit_range(terms, 0)
+    steps = {qd: (qd * unit, width * (qd - lo)) for qd in range(lo, hi + 1)}
     rows = {}
     get = rows.get
     for (e, c), qd in zip(terms.items(), table.digits(terms, 0)):
-        r = e - qd * unit
-        rows[r] = get(r, 0) + (c << width * (qd - lo))
+        step, shift = steps[qd]
+        r = e - step
+        rows[r] = get(r, 0) + (c << shift)
     return _Rows(table, width, lo, hi - lo + 1, rows, bound)
 
 
