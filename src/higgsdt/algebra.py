@@ -13,7 +13,7 @@ drive the whole module and are relied on by callers:
   a factor that coprimality rules out (binomials of distinct primitive
   directions share no factor) is never tried, nor is any factor on a
   numerator whose coefficients do not sum to zero (every factor vanishes
-  where all variables are 1, `_reduce_fraction`); most trial divisions
+  where all variables are 1, `_trial_divide`); most trial divisions
   still fail, and `exact_divide` refuses most of those from two line sums;
   exact division never refuses in-range input: it returns the quotient or
   raises NotDivisibleError;
@@ -70,11 +70,9 @@ vectors, and the packing is linear, so multiplying monomials adds their
 packed ints, an Adams operation multiplies them, and a monomial substitution
 is a linear map.  `VarTable` owns the format: `exps`, `pack`, `unpack`, the
 digit readers `digit`, `digits` and `digit_range`, and the unit steps
-`unit_exps` are the way in and out; `sums` reads its row keys through them.
-The one other reader of the digit layout, which moves with any change of the
-format, is `weil.WeilTable`, a `VarTable`: it reads `_shifts`, `_bias` and
-`DIGIT_BITS` (its `_amask` and `_abias` masks, `_slices`, `_orbit` and
-`restrict_fraction`).
+`unit_exps` are the way in and out, and `tails` gives the packed part from
+one variable on.  `VarTable` is the only reader of the digit layout: `sums`
+reads its row keys and `weil.WeilTable` its a-slices through these.
 
 Every stored exponent lies in [-2^30, 2^30) (`EXP_LIMIT`).  `exps` and `pack`
 refuse anything outside with `ExponentRangeError`, and so does every kernel
@@ -254,6 +252,12 @@ class VarTable:
         off, low = sum(_HALF << t for t in self._shifts[i:]), (1 << s + DIGIT_BITS) - 1
         xs = [(e + off) & low for e in keys]
         return (min(xs) >> s) - _HALF, (max(xs) >> s) - _HALF
+
+    def tails(self, keys, i):
+        """The packed part in variables i, i + 1, ... of every key, in order."""
+        low = (1 << DIGIT_BITS * (self.arity - i)) - 1
+        bias, off = self._bias, self._bias & low
+        return [((e + bias) & low) - off for e in keys]
 
     def check_range(self, keys, scale=1):
         """Refuse unless scale * e stays in range for every key e of keys.
@@ -933,8 +937,22 @@ def _lifted_sum(na, nb, lcd):
     return Fraction._reduced(num, left + tuple(kept))
 
 
-def _reduce_fraction(num, den):
-    """Cancel denominator factors that divide the numerator exactly.
+def _quotient(num, f):
+    """num / f, or None if f does not divide num."""
+    try:
+        return exact_divide(num, f)
+    except NotDivisibleError:
+        return None
+
+
+def _zero_sum(num):
+    return not sum(num.terms.values())
+
+
+def _trial_divide(num, den, divide, zero_sum):
+    """(num with the factors of den that divide it divided out, the factors
+    left), on dicts or rows: divide(num, f) is the quotient or None, and
+    zero_sum(num) is False only where num's coefficients sum to nonzero.
 
     One pass suffices: a factor that does not divide num divides no quotient
     of it.  A numerator whose coefficients do not sum to zero is divisible
@@ -953,24 +971,27 @@ def _reduce_fraction(num, den):
       N_alpha = f * Q_alpha for every alpha, so the stored coefficients sum
       to sum_alpha N_alpha(1) = 0 just the same.
 
-    The test is repeated on each quotient, and once it holds the remaining
-    factors are kept untried.
+    So the factors are tried once each, in den order, and once a quotient
+    provably fails the test the remaining factors are kept untried.
     """
-    if not num.terms:
+    if num.is_zero():
         return num, ()
-    if sum(num.terms.values()):
+    if not zero_sum(num):
         return num, tuple(den)
     kept = []
     factors = iter(den)
     for f in factors:
-        try:
-            num = exact_divide(num, f)
-        except NotDivisibleError:
+        y = divide(num, f)
+        if y is None:
             kept.append(f)
-            continue
-        if sum(num.terms.values()):
+        elif not zero_sum(num := y):
             kept.extend(factors)
     return num, tuple(kept)
+
+
+def _reduce_fraction(num, den):
+    """Cancel the factors of den that divide num: `_trial_divide` on dicts."""
+    return _trial_divide(num, den, _quotient, _zero_sum)
 
 
 def _reduced_product(na, da, nb, db):

@@ -85,7 +85,9 @@ class TruncSeries:
             for m in range(self.order + 1)])
 
     def adams(self, n):
-        """psi_n: T -> T^n and every table variable exponent scaled by n."""
+        """psi_n: T -> T^n and every table variable exponent scaled by n >= 1."""
+        if n < 1:
+            raise ValueError("Adams operations need n >= 1, got %d" % n)
         out = [Fraction.zero(self.table) for _ in range(self.order + 1)]
         for d, c in enumerate(self.coeffs):
             if n * d > self.order:

@@ -55,15 +55,16 @@ bound for the next factor tried.
   the bit-length test bounds it before it is stored, with vq = 0 the gap's
   quotient rows, all equal to the carry, are stored only after every line
   has ended with 0.
-So a sum on rows tries the same factors in the same order as
-`Fraction.__add__` and decides each exactly: it is the same reduced
-Fraction.  A lift refuses an exponent out of range exactly where the dict
-product does: the row keys are scanned, and the q-digits read exactly
-when their range is not proved.  Additions too narrow or too wide along
-q for rows to pay stay on dicts (`_row_sum`), as do coefficients that
-are not ints; products, `Fraction(num, den)` and `exact_divide` keep the
-dict walk, which its line sums and the run walk make cheaper where most
-of their numerators are sparse along q.
+A sum on rows runs the dict path's trial-division loop,
+`algebra._trial_divide`, with `_row_divide` and the all-ones rule as its
+steps, so it tries the same factors in the same order and decides each
+exactly: it is the same reduced Fraction.  A lift refuses an exponent out
+of range exactly where the dict product does: the row keys are scanned,
+and the q-digits read exactly when their range is not proved.  Additions
+too narrow or too wide along q for rows to pay stay on dicts (`_row_sum`),
+as do coefficients that are not ints; products, `Fraction(num, den)` and
+`exact_divide` keep the dict walk, which its line sums and the run walk
+make cheaper where most of their numerators are sparse along q.
 """
 
 import sys
@@ -71,7 +72,7 @@ from array import array
 from functools import lru_cache
 
 from .algebra import (EXP_BITS, EXP_LIMIT, ExponentRangeError, Fraction, LaurentPoly,
-                      TableMismatchError, _lcd, _lifted_sum)
+                      TableMismatchError, _lcd, _lifted_sum, _trial_divide)
 
 
 ROW_WIDTH = 64       # bits per q-digit of a fresh encoding; a multiple of 64
@@ -287,7 +288,7 @@ def _row_add(x, y):
     return _Rows(x.table, x.width, x.q0, span, out, bound)
 
 
-def _row_maybe_zero_sum(x):
+def _row_zero_sum(x):
     """False when x's coefficients provably do not sum to zero: the sum
     of the rows is N(1) modulo 2^width - 1."""
     return not sum(x.rows.values()) % ((1 << x.width) - 1)
@@ -372,30 +373,10 @@ def _row_divide(x, factor):
     return _Rows(table, width, x.q0, span, out, x.bound * need)
 
 
-def _row_reduce(x, den):
-    """`_reduce_fraction` on rows: (x with the factors that divide it
-    divided out, the factors left)."""
-    if not x.rows:
-        return x, ()
-    if not _row_maybe_zero_sum(x):
-        return x, tuple(den)
-    kept = []
-    factors = iter(den)
-    for f in factors:
-        y = _row_divide(x, f)
-        if y is None:
-            kept.append(f)
-            continue
-        x = y
-        if not _row_maybe_zero_sum(x):
-            kept.extend(factors)
-    return x, tuple(kept)
-
-
 def _row_sum(a, b, lcd):
     """a + b on rows for two nonzero summands of `fraction_sum` over their
     lcd (`_lcd`): the _Rows of the sum, its den the one `Fraction.__add__`
-    would leave.
+    would leave, reduced by the loop that `Fraction.__add__` runs.
 
     None, before anything is encoded or lifted, when the addition is one for
     dicts: a summand has a coefficient that is not an int, or the lifted
@@ -417,7 +398,7 @@ def _row_sum(a, b, lcd):
         xa = _row_lift(xa, p)
     for p in mul_b:
         xb = _row_lift(xb, p)
-    num, left = _row_reduce(_row_add(xa, xb), tried)
+    num, left = _trial_divide(_row_add(xa, xb), tried, _row_divide, _row_zero_sum)
     num.den = tuple(sorted(left + tuple(kept))) if num.rows else ()
     return num
 

@@ -26,8 +26,8 @@ its image under the q t flip (`sigma`).
 from functools import lru_cache
 from itertools import permutations, product
 
-from .algebra import (DIGIT_BITS, EXP_BITS, EXP_LIMIT, AlgebraError, ExponentRangeError,
-                      Fraction, LaurentPoly, TableMismatchError, VarTable, var_table)
+from .algebra import (EXP_BITS, EXP_LIMIT, AlgebraError, ExponentRangeError, Fraction,
+                      LaurentPoly, TableMismatchError, VarTable, var_table)
 
 
 class WeilTable(VarTable):
@@ -53,8 +53,7 @@ class WeilTable(VarTable):
     a-free, the case `mul_terms` multiplies as it is.
     """
 
-    __slots__ = ("full", "flip", "slicewise", "_flip", "_amask", "_abias", "_reps",
-                 "_orbits")
+    __slots__ = ("full", "flip", "slicewise", "_flip", "_reps", "_orbits")
 
     def __init__(self, genus, flip="qt"):
         if flip not in ("qt", "q"):
@@ -64,8 +63,6 @@ class WeilTable(VarTable):
         self.flip = flip
         self.slicewise = genus > 0
         self._flip = self.exps(**{v: 1 for v in flip})
-        self._amask = (1 << DIGIT_BITS * genus) - 1   # the a digits are the lowest
-        self._abias = self._bias & self._amask
         self._reps = {}      # a-part -> whether it is a representative
         self._orbits = {}    # representative a-part -> its images, cached
 
@@ -85,10 +82,8 @@ class WeilTable(VarTable):
 
     def _slices(self, terms):
         """terms split by slice: {packed a-part: {e: c}}."""
-        bias, mask, abias = self._bias, self._amask, self._abias
         out = {}
-        for e, c in terms.items():
-            k = ((e + bias) & mask) - abias
+        for (e, c), k in zip(terms.items(), self.tails(terms, 2)):
             s = out.get(k)
             if s is None:
                 out[k] = {e: c}
@@ -109,11 +104,10 @@ class WeilTable(VarTable):
         orbit = self._orbits.get(k)
         if orbit is None:
             alpha = self.unpack(k)[2:]
-            shifts = self._shifts[2:]
             images = {}
             for perm in sorted(set(permutations(alpha)), reverse=True):
                 for signs in product(*[(1, -1) if x else (1,) for x in perm]):
-                    beta = sum(s * x << sh for s, x, sh in zip(signs, perm, shifts))
+                    beta = self.pack((0, 0) + tuple(s * x for s, x in zip(signs, perm)))
                     flipped = sum(x for s, x in zip(signs, perm) if s < 0)
                     images[beta] = beta - k + flipped * self._flip
             orbit = self._orbits[k] = tuple(images.items())
@@ -230,7 +224,7 @@ class WeilTable(VarTable):
         An a-free factor divides an invariant numerator iff it divides each
         representative slice, so the factors that the constructor tries
         again all fail when frac is reduced."""
-        if any((m + self._bias) & self._amask != self._abias for f in frac.den for m in f):
+        if any(any(self.tails(f, 2)) for f in frac.den):
             raise ValueError("restrict_fraction needs an a-free denominator")
         return Fraction(self.restrict(frac.num), frac.den)
 

@@ -930,9 +930,9 @@ def test_weil_fractions_have_a_free_factors(monkeypatch):
     # factor tried or kept over a slicewise table is a-free
     from higgsdt.dt import CurveParams, alt_idt, idt_orbits, substitution_identity_check
     # (the constructor's and products' `_reduce_fraction`, and the sums'
-    # `_row_reduce` on row-packed numerators); and every cofactor a sum on
+    # `_trial_divide` on row-packed numerators); and every cofactor a sum on
     # rows lifts by is a-free, as the row lift needs
-    reduce, row_reduce, seen, row_seen = algebra._reduce_fraction, sums._row_reduce, [], []
+    reduce, row_reduce, seen, row_seen = algebra._reduce_fraction, sums._trial_divide, [], []
     row_lift, lifted = sums._row_lift, []
 
     def check(table, den, record):
@@ -946,10 +946,10 @@ def test_weil_fractions_have_a_free_factors(monkeypatch):
         check(num.table, den, seen)
         return reduce(num, den)
 
-    def row_checking(x, den):
+    def row_checking(x, den, *steps):
         den = tuple(den)
         check(x.table, den, row_seen)
-        return row_reduce(x, den)
+        return row_reduce(x, den, *steps)
 
     def lift_checking(x, poly):
         table = x.table
@@ -959,7 +959,7 @@ def test_weil_fractions_have_a_free_factors(monkeypatch):
         return row_lift(x, poly)
 
     monkeypatch.setattr(algebra, "_reduce_fraction", checking)
-    monkeypatch.setattr(sums, "_row_reduce", row_checking)
+    monkeypatch.setattr(sums, "_trial_divide", row_checking)
     monkeypatch.setattr(sums, "_row_lift", lift_checking)
     _rows_throughout(monkeypatch)
     for genus, ell in ((1, 1), (2, 3)):

@@ -162,6 +162,20 @@ def test_one_report_per_rank(g, ell, order, depth, want):
     assert all(rep.depth == depth for rep in reports)
 
 
+@pytest.mark.parametrize("g, ell, order, depth", [
+    (0, 1, 4, 8), (1, 1, 3, 8), (0, 2, 3, 10), (1, 2, 3, 10), (2, 3, 2, 8),
+    (0, 3, 3, 12), (1, 3, 3, 12), (2, 4, 2, 8), (3, 5, 2, 8),
+])
+def test_entries_are_constant_from_the_observed_degree(g, ell, order, depth):
+    # observed, not proved: the rank-r entries are constant from degree
+    # ell * C(r, 2) - r + 1 on, and not from the degree before it
+    reports = stabilization_check(CurveParams(genus=g, ell=ell), order, depth=depth)
+    assert [rep.r for rep in reports] == list(range(1, order + 1))
+    for rep in reports:
+        assert rep.stable_from == ell * rep.r * (rep.r - 1) // 2 - rep.r + 1, rep
+        assert rep.ok(), rep
+
+
 def test_one_check_builds_each_table_once(monkeypatch):
     calls = []
     for name in ("omega_plus", "idt_star"):

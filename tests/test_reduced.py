@@ -150,3 +150,42 @@ def test_only_algebra_knows_the_factor_form():
     found = {f.name: algebra_only_sites(f.read_text(), FACTOR_FORM)
              for f in files if f.name != "algebra.py"}
     assert {name: sites for name, sites in found.items() if sites} == {}
+
+
+# -- only algebra may read the packed digit layout -----------------------------
+
+# `VarTable`'s layout attributes and the module constants behind them; other
+# modules read monomials through `VarTable`'s digit readers
+LAYOUT_ATTRS = ("_shifts", "_bias", "_spread", "_guards")
+LAYOUT_NAMES = ("DIGIT_BITS", "_HALF", "_DIGIT_MASK")
+
+
+def layout_sites(source):
+    """(line, what) for every read of a layout attribute and every import
+    or attribute read of a layout constant."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_ATTRS + LAYOUT_NAMES:
+            out.append((node.lineno, ".%s" % node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, "import %s" % a.name)
+                    for a in node.names if a.name in LAYOUT_NAMES]
+    return out
+
+
+def test_guard_sees_every_layout_read():
+    source = ("from .algebra import DIGIT_BITS, _HALF\n"
+              "from .algebra import _DIGIT_MASK as m\n"
+              "x = self._bias & self._amask\n"
+              "y = table._shifts[2:]\n"
+              "z = t._spread(1), t._guards, algebra.DIGIT_BITS\n"
+              "w = table.tails(keys, 2), table.digit(e, 0)\n")
+    assert ([line for line, _ in layout_sites(source)]
+            == [1, 1, 2, 3, 4, 5, 5, 5])
+
+
+def test_only_algebra_reads_the_digit_layout():
+    files = sorted(SRC.glob("*.py"))
+    assert "algebra.py" in {f.name for f in files}
+    found = {f.name: layout_sites(f.read_text()) for f in files if f.name != "algebra.py"}
+    assert {name: sites for name, sites in found.items() if sites} == {}

@@ -388,7 +388,7 @@ def test_row_division_is_exact_division(table):
             assert got.bounds == table.exact_bounds(want.terms)
             seen["widened"] += y.width > 64
         seen["divides" if want is not None else "refused"] += 1
-        seen["q only"] += not (f.m1 - f.m2) % (1 << table._shifts[0])
+        seen["q only"] += not (f.m1 - f.m2) % table.unit_exps("q")
     assert min(seen.values()) >= 10, seen
 
 

@@ -86,6 +86,14 @@ def test_adams_is_ring_map_on_series():
             (one + a).adams(2) * (one + b).adams(2)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_adams_refuses_n_below_one_on_any_series(n):
+    # a series with no nonzero coefficient once returned the zero series
+    for s in (TruncSeries(var_table(0), 2), TruncSeries.one(T, 3)):
+        with pytest.raises(ValueError, match="Adams operations need n >= 1, got %d" % n):
+            s.adams(n)
+
+
 def test_series_refuses_negative_order():
     for make in (TruncSeries, TruncSeries.one):
         with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
