@@ -131,6 +131,20 @@ _HALF = 1 << (DIGIT_BITS - 1)   # balanced digits are exact in [-_HALF, _HALF)
 _DIGIT_MASK = (1 << DIGIT_BITS) - 1
 
 
+class _Memo(dict):
+    """A dict that computes fn(key) on its first lookup of key."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class AlgebraError(Exception):
     pass
 
@@ -314,6 +328,24 @@ class VarTable:
         """Render a packed monomial as e.g. 'q^2 t a1^-1'; constant is '1'."""
         return self.format_monomials((exps,))[0]
 
+    def _part_texts(self, names, power):
+        """(text, bare, spaced) in names and the power format: text(e, idx)
+        is the part of the packed monomial e in the variables idx, "" if
+        they all have exponent 0; bare maps an a-part (`tails(keys, 2)`) to
+        its text, "1" for 1, and spaced to " " and its text, "" for 1, each
+        formatted on its first lookup."""
+        shifts, bias, rest = self._shifts, self._bias, range(2, self.arity)
+
+        def text(e, idx):
+            x, bits = e + bias, []
+            for i in idx:
+                d = (x >> shifts[i] & _DIGIT_MASK) - _HALF
+                if d:
+                    bits.append(names[i] if d == 1 else power % (names[i], d))
+            return " ".join(bits)
+        return (text, _Memo(lambda a: text(a, rest) or "1"),
+                _Memo(lambda a: " " + text(a, rest) if a else ""))
+
     def format_monomials(self, keys, names=None, power="%s^%d"):
         """format_exps of every packed monomial of keys, in order.
 
@@ -323,33 +355,81 @@ class VarTable:
         names (default: the table's) and the power format, applied to a
         name and an exponent other than 0 and 1, set the style.
         """
-        names = names or self.names
-        shifts = self._shifts
-        split = shifts[1]              # the (q, t) digits lie at and above it
-        low = (1 << split) - 1
-
-        def text(x, idx):
-            # the part of the biased monomial x in the variables idx
-            bits = []
-            for i in idx:
-                d = (x >> shifts[i] & _DIGIT_MASK) - _HALF
-                if d:
-                    bits.append(names[i] if d == 1 else power % (names[i], d))
-            return " ".join(bits)
-
-        highs, lows, out = {}, {}, []
-        rest = range(2, self.arity)
-        for e in keys:
-            x = e + self._bias
-            lo = x & low
-            hi = highs.get(x - lo)
-            if hi is None:
-                hi = highs[x - lo] = text(x - lo, (0, 1))
-            tail = lows.get(lo)
-            if tail is None:
-                tail = lows[lo] = text(lo, rest)
-            out.append(hi + " " + tail if hi and tail else hi or tail or "1")
+        text, bare, spaced = self._part_texts(names or self.names, power)
+        highs = _Memo(lambda qt: text(qt, (0, 1)))
+        keys = list(keys)
+        out = []
+        for e, a in zip(keys, self.tails(keys, 2)):
+            hi = highs[e - a]
+            out.append(hi + spaced[a] if hi else bare[a])
         return out
+
+    def orbit_groups(self, poly):
+        """The (terms, offsets) groups of the polynomial that poly stands
+        for: its terms are the images e + o of every term e and offset o of
+        a group, all distinct.  Here that is poly itself, one group at
+        offset 0; `weil.WeilTable` gives one group per representative
+        slice."""
+        return ((poly.terms, (0,)),)
+
+    def format_terms(self, groups, names=None, power="%s^%d", piece=4096):
+        """The terms of the polynomial given by (terms, offsets) groups
+        (`orbit_groups`), leading term first: an iterator of pieces
+        (monomials, coefficients), two flat lists of the `format_monomials`
+        texts of the images and of str() of their coefficients.
+
+        The (q, t) part of an image e + o is the sum of e's and o's, and so
+        is its a-part, its part in the other variables (`tails`).  The
+        packed order takes the (q, t) part first, so the images are bucketed
+        by it and the buckets taken in descending order, each with its
+        a-parts sorted descending.  A piece is a run of whole buckets, closed
+        once it holds at least `piece` terms, so only one piece's texts and
+        one bucket's images are held at a time.  Each (q, t) part, distinct
+        a-part and distinct coefficient is formatted once.  names and power
+        set the style, as in `format_monomials`.
+        """
+        # (q, t) part -> [coefficient text, a-part, a-parts of offsets, ...]
+        buckets = {}
+        coeffs = _Memo(str)
+        for terms, offsets in groups:
+            shifts = {}     # an offset's (q, t) part -> the a-parts at it
+            for o, a in zip(offsets, self.tails(offsets, 2)):
+                shifts.setdefault(o - a, []).append(a)
+            for (e, c), a in zip(terms.items(), self.tails(terms, 2)):
+                c = coeffs[c]
+                for d, tails in shifts.items():
+                    b = buckets.get(e - a + d)
+                    if b is None:
+                        buckets[e - a + d] = [c, a, tails]
+                    else:
+                        b += (c, a, tails)
+        text, bare, spaced = self._part_texts(names or self.names, power)
+        monos, texts = [], []
+        for qt in sorted(buckets, reverse=True):
+            flat = buckets.pop(qt)
+            if len(flat) == 3 and len(flat[2]) == 1:
+                # one image, as at genus 0: nothing to sort
+                c, a, (t,) = flat
+                keys = [a + t]
+                texts.append(c)
+            else:
+                row = {}
+                flat = iter(flat)
+                for c, a, tails in zip(flat, flat, flat):
+                    for t in tails:
+                        row[a + t] = c
+                keys = sorted(row, reverse=True)
+                texts += map(row.__getitem__, keys)
+            hi = text(qt, (0, 1))
+            if hi:
+                monos += map(hi.__add__, map(spaced.__getitem__, keys))
+            else:
+                monos += map(bare.__getitem__, keys)
+            if len(monos) >= piece:
+                yield monos, texts
+                monos, texts = [], []
+        if monos:
+            yield monos, texts
 
     # -- constructors -----------------------------------------------------
 
@@ -642,12 +722,9 @@ class LaurentPoly:
         return any(self.table.digits(self.terms, self.table.index[name]))
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in sorted(self.terms.items(), reverse=True):
-            bits.append("%s*%s" % (c, self.table.format_exps(e)))
-        return " + ".join(bits)
+        pieces = self.table.format_terms(((self.terms, (0,)),))
+        return " + ".join(c + "*" + m for monos, coeffs in pieces
+                          for m, c in zip(monos, coeffs)) or "0"
 
 
 class BinomialFactor(NamedTuple):

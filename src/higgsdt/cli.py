@@ -7,9 +7,13 @@ Subcommands:
   specialize  exact values at a curve over F_q given by its L-polynomial
 
 compute takes IDT_r on Weil orbit representatives (`dt.idt_orbits`), sets
-t = 1 on them and expands each once before it writes a byte; the volume is a
-shift of the t = 1 value.  _pairs sorts and formats each printed polynomial
-once, and every format is a template over those pairs, written rank by rank.
+t = 1 on them and shifts that into the volume, all slice by slice, and
+never builds a whole polynomial: `VarTable.format_terms` walks each printed
+polynomial's representatives and their image offsets (`orbit_groups`) in
+print order and hands over the monomial and coefficient texts one (q, t)
+bucket at a time.  Every format is a template over those texts, written
+piece by piece, so neither a rank's text nor the term strings of a whole
+polynomial are held at once.
 
 Exit status: 0 on success, 1 when a verification or comparison fails or
 stdout is closed before the output is written (no traceback), 2 on usage
@@ -32,67 +36,93 @@ from .zeta import ZetaData, specialize_integer
 SCHEMA_VERSION = 1
 
 
-def _pairs(poly, latex=False):
-    """(monomial, str(coefficient)) of each term of poly, leading term first;
-    compute sorts and formats nowhere else.  The keys are distinct, so sorting
-    them alone gives the term order.  Equal coefficients share one string."""
-    table, keys = poly.table, sorted(poly.terms, reverse=True)
+def _formatter(table, latex=False):
+    """pieces(groups): `VarTable.format_terms` of table in the style of the
+    output; compute sorts and formats terms nowhere else."""
     # in latex q and t keep their names; a_i and z_i become \alpha_{i}, \z_{i}
     names = [nm if len(nm) == 1 or not latex
              else "\\%s_{%s}" % ("alpha" if nm[0] == "a" else "z", nm[1:])
              for nm in table.names]
-    monos = table.format_monomials(keys, names, "%s^{%d}" if latex else "%s^%d")
-    text = {c: str(c) for c in set(poly.terms.values())}
-    return [(m, text[poly.terms[e]]) for m, e in zip(monos, keys)]
+    power = "%s^{%d}" if latex else "%s^%d"
+    return lambda groups: table.format_terms(groups, names, power)
 
 
 def poly_pairs(poly):
-    """Deterministic [monomial string, coefficient string] pairs, as in json."""
-    return [[m, c] for m, c in _pairs(poly)]
+    """Deterministic [monomial string, coefficient string] pairs, as in json,
+    of a whole polynomial or of one held on Weil representatives."""
+    table = poly.table
+    return [[m, c] for monos, coeffs in _formatter(table)(table.orbit_groups(poly))
+            for m, c in zip(monos, coeffs)]
 
 
-def _line(pairs, sep):
-    """The signed sum of pairs on one line, "0" if empty; sep goes between a
-    coefficient other than 1 and its monomial."""
-    out, signs = [], ("", "-")  # the leading term: no "+", no space after "-"
-    for mono, c in pairs:
-        mag = c.lstrip("-")
-        body = mag if mono == "1" else mono if mag == "1" else mag + sep + mono
-        out.append(signs[c[0] == "-"] + body)
-        signs = ("+ ", "- ")
-    return " ".join(out) or "0"
+def _fill(write, template, fields, put):
+    """Write template with the i-th field of fields at its i-th NUL, written
+    by put(field, line), line the template's text before it on its line."""
+    texts = template.split("\0")
+    for text, field in zip(texts, fields):
+        write(text)
+        put(field, text[text.rfind("\n") + 1:])
+    write(texts[-1])
 
 
-def _json_list(pairs):
-    """json.dumps(pairs, indent=2) at the depth of a rank's fields.  No string
+def _line(write, pieces, sep):
+    """The signed sum of the terms of pieces on one line, "0" if none; sep
+    goes between a coefficient other than 1 and its monomial."""
+    signs, gap = ("", "-"), ""  # the leading term: no "+", no space after "-"
+    for monos, coeffs in pieces:
+        out = []
+        for mono, c in zip(monos, coeffs):
+            mag = c.lstrip("-")
+            body = mag if mono == "1" else mono if mag == "1" else mag + sep + mono
+            out.append(signs[c[0] == "-"] + body)
+            signs = ("+ ", "- ")
+        write(gap + " ".join(out))
+        gap = " "
+    if not gap:
+        write("0")
+
+
+def _json_list(write, pieces, line):
+    """json.dumps(pairs, indent=2) of the [monomial, coefficient] pairs of
+    pieces, as the value of a key on a line indented like line.  No string
     needs escaping: a monomial is "1" or names q, t, a<i>, z<i> with "^<int>"
     exponents, joined by spaces, and a coefficient is str() of an int, so
     neither holds '"', '\\' or a control or non-ASCII character, the only
     characters json.dumps escapes."""
-    pair = '\n        [\n          "%s",\n          "%s"\n        ]'
-    return "[%s\n      ]" % ",".join(pair % p for p in pairs) if pairs else "[]"
+    pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+    head, mid, tail = pad + '  [' + pad + '    "', '",' + pad + '    "', '"' + pad + '  ]'
+    sep = "["
+    for monos, coeffs in pieces:
+        # head m_1 mid c_1 tail,head m_2 mid c_2 ... tail, in one join
+        frags = [tail + "," + head, None, mid, None] * len(monos)
+        frags[0] = sep + head
+        frags[1::4], frags[3::4] = monos, coeffs
+        write("".join(frags) + tail)
+        sep = ","
+    write("[]" if sep == "[" else pad + "]")
 
 
-# compute --format json up to its first rank, then one rank
+# compute --format json up to its first rank, then one rank, and a rank in
+# text and latex; each NUL is where `_fill` puts a polynomial
 _JSON_HEAD = ('{\n  "schema_version": %d,\n  "params": {\n    "genus": %d,\n'
               '    "ell": %d,\n    "mode": "%s",\n    "rmax": %d\n  },\n  "results": [')
-_JSON_RANK = """
+_JSON_RANK = """%s
     {
       "r": %d,
-      "idt": %s,
-      "idt_t1": %s,
+      "idt": \0,
+      "idt_t1": \0,
       "omega": {
         "sign": %d,
         "half_power_exponent": %d,
-        "poly": %s
+        "poly": \0
       },
-      "volume": %s
+      "volume": %s\0
     }"""
 _TEXT_RANK = """rank %d
-  invariant      %s
-  at t = 1       %s
-  weighted       q^(%d/2) * [%s]
-  %s
+  invariant      \0
+  at t = 1       \0
+  weighted       q^(%d/2) * [\0]
+  %s\0
 """
 
 
@@ -133,51 +163,56 @@ def _rank_bound(text):
 def _cmd_compute(args):
     cp = _curve(args, args.genus, None)
     canonical = cp.mode == "canonical"
-    rows = []   # per rank: r, IDT_r, its t = 1 value, omega, volume (None if canonical)
-    wt, wq = weil_table(cp.genus), weil_table(cp.genus, "q")
+    wt = weil_table(cp.genus)
+    # per rank: r, omega, and the orbit groups of IDT_r, of its t = 1 value
+    # and of the rank's last polynomial: the volume, or if canonical the
+    # t = 1 value again, as A
+    rows = []
     try:
         reps = idt_orbits(cp, args.rmax) if args.rmax >= 1 else {}
-        for r in sorted(reps):
-            # t = 1 is taken on the representatives and each is expanded once;
-            # t1 is t-free, so omega and moduli_volume substitute nothing again
-            t1 = wq.expand(wt.at_t_one(reps[r]))
-            rows.append((r, wt.expand(reps[r]), t1, omega(cp, r, idt_poly=t1),
-                         None if canonical else moduli_volume(cp, r, 1, idt_poly=t1)))
+        for r, idt in reps.items():
+            # t = 1 and the volume's q-shift act on the representatives slice
+            # by slice; t1 is t-free, so omega and moduli_volume substitute
+            # nothing again.  orbit_groups range-checks every image, so a
+            # refusal comes before a byte is written.
+            t1 = wt.at_t_one(idt)
+            end = t1 if canonical else moduli_volume(cp, r, 1, idt_poly=t1)
+            rows.append((r, omega(cp, r, idt_poly=t1),
+                         *(p.table.orbit_groups(p) for p in (idt, t1, end))))
     except ExponentRangeError as e:
         _refuse(args, e)
 
-    # one rank at a time; the t = 1 pairs also serve omega's body and A
+    # one rank at a time, each polynomial one bucket of terms at a time
     write = sys.stdout.write
+    terms = _formatter(wt, args.format == "latex")
     if args.format == "json":
         write(_JSON_HEAD % (SCHEMA_VERSION, cp.genus, cp.ell, cp.mode, args.rmax))
-        for i, (r, idt, t1, hp, volume) in enumerate(rows):
-            t1_text = _json_list(_pairs(t1))
-            last = ('null,\n      "A": ' + t1_text if canonical
-                    else _json_list(_pairs(volume)))
-            write(("," if i else "") + _JSON_RANK % (
-                r, _json_list(_pairs(idt)), t1_text, hp.sign, hp.half,
-                t1_text.replace("\n", "\n  "), last))
+        lead = 'null,\n      "A": ' if canonical else ""
+        for i, (r, hp, idt, t1, end) in enumerate(rows):
+            _fill(write, _JSON_RANK % ("," if i else "", r, hp.sign, hp.half, lead),
+                  (idt, t1, t1, end), lambda g, line: _json_list(write, terms(g), line))
         write("\n  ]\n}\n" if rows else "]\n}\n")
         return 0
 
     if args.format == "csv":
         write("r,field,monomial,coefficient\n")
-        for r, idt, t1, _, volume in rows:
-            for field, poly in (("idt", idt), ("idt_t1", t1), ("volume", volume)):
-                if poly is not None:
-                    write("".join("%d,%s,%s,%s\n" % (r, field, m, c)
-                                  for m, c in _pairs(poly)))
+        # canonical: no volume field, and A is not repeated
+        fields = ("idt", "idt_t1") if canonical else ("idt", "idt_t1", "volume")
+        for r, _, *groups in rows:
+            for field, g in zip(fields, groups):
+                head = "%d,%s," % (r, field)
+                for monos, coeffs in terms(g):
+                    frags = [head, None, ",", None, "\n"] * len(monos)
+                    frags[1::5], frags[3::5] = monos, coeffs
+                    write("".join(frags))
         return 0
 
-    latex = args.format == "latex"
-    sep = " \\, " if latex else " "
+    sep = " \\, " if args.format == "latex" else " "
+    lead = "A value        " if canonical else "volume (d=1)   "
     write("curve: genus %d, twist degree %d, %s mode\n" % (cp.genus, cp.ell, cp.mode))
-    for r, idt, t1, hp, volume in rows:
-        t1_line = _line(_pairs(t1, latex), sep)
-        last = ("A value        " + t1_line if canonical
-                else "volume (d=1)   " + _line(_pairs(volume, latex), sep))
-        write(_TEXT_RANK % (r, _line(_pairs(idt, latex), sep), t1_line, hp.half,
-                            t1_line, last))
+    for r, hp, idt, t1, end in rows:
+        _fill(write, _TEXT_RANK % (r, hp.half, lead), (idt, t1, t1, end),
+              lambda g, line: _line(write, terms(g), sep))
     if not rows:
         write("(empty table: rmax = %d)\n" % args.rmax)
     return 0
@@ -236,7 +271,7 @@ def _cmd_specialize(args):
         _refuse(args, e)
     print("curve over F_%d with point counts %s" % (args.q0, zd.point_counts(3)))
     wt = weil_table(cp.genus)
-    for r in sorted(reps):
+    for r in reps:
         val = specialize_integer(wt.at_t_one(reps[r]), zd)
         print("rank %d value at t = 1: %d" % (r, val))
     return 0

@@ -320,27 +320,41 @@ def _check_rank(r):
         raise ValueError("rank must be at least 1, got %d" % r)
 
 
+def _at_t_one(poly):
+    """IDT_r at t = 1, from IDT_r whole, from its representatives over
+    weil_table(g) (`weil.WeilTable.at_t_one`, which gives those over
+    weil_table(g, "q")), or from either form of its value at t = 1."""
+    table = poly.table
+    if table == weil_table(table.genus):
+        return table.at_t_one(poly)
+    return poly.set_var_one("t")
+
+
 def omega(cp, r, idt_poly=None):
     """Rank-r invariant as a half-power value over IDT_r(q, 1).
 
     Twisted mode: q^{pr/2} * IDT_r(q, 1); canonical mode: q * IDT_r(q, 1).
     The value is independent of the degree d.  idt_poly may be IDT_r or
-    already its value at t = 1.  A rank below 1 is refused.
+    already its value at t = 1, whole or on Weil representatives (as
+    `idt_orbits` and `weil.WeilTable.at_t_one` give them); the body is then
+    the representatives of IDT_r(q, 1) over weil_table(g, "q").  A rank
+    below 1 is refused.
     """
     _check_rank(r)
     if idt_poly is None:
         idt_poly = idt_star(cp, r)[r]
-    body = idt_poly.set_var_one("t")
     half = cp.p * r if cp.mode == "twisted" else 2
-    return HalfPowerValue(1, half, body)
+    return HalfPowerValue(1, half, _at_t_one(idt_poly))
 
 
 def moduli_volume(cp, r, d, idt_poly=None):
     """Volume polynomial of the smooth coprime moduli space:
     (-1)^{pr} q^{(g-1)r^2 + p r(r+1)/2} * IDT_r(q, 1).
 
-    idt_poly may be IDT_r or already its value at t = 1.  A rank below 1 is
-    refused.
+    idt_poly may be IDT_r or already its value at t = 1, whole or on Weil
+    representatives, as in `omega`; t = 1 and the q-power shift act slice
+    by slice, so the volume is then on the representatives over
+    weil_table(g, "q").  A rank below 1 is refused.
     """
     _check_rank(r)
     if cp.mode != "twisted":
@@ -352,7 +366,7 @@ def moduli_volume(cp, r, d, idt_poly=None):
     g, p = cp.genus, cp.p
     e = (g - 1) * r * r + p * (r * (r + 1) // 2)
     sign = -1 if (p * r) % 2 else 1
-    body = idt_poly.set_var_one("t")
+    body = _at_t_one(idt_poly)
     return body.mono_mul(body.table.exps(q=e), sign)
 
 

@@ -36,7 +36,9 @@ class WeilTable(VarTable):
 
     A LaurentPoly over this table holds the representative terms of an
     invariant polynomial; `restrict` and `expand` convert from and to `full`,
-    the ordinary table.  Whatever acts slice by slice acts on the
+    the ordinary table.  `orbit_groups` gives each representative slice with
+    the offsets of its images, the one orbit walk, which `expand` and the
+    ordered formatter `VarTable.format_terms` read.  Whatever acts slice by slice acts on the
     representatives unchanged: sums, scaling, Adams operations, shifts by
     a-free monomials, and products with and exact division by a-free
     polynomials.  Other maps (substitution, evaluation, var_range) see only
@@ -228,18 +230,24 @@ class WeilTable(VarTable):
             raise ValueError("restrict_fraction needs an a-free denominator")
         return Fraction(self.restrict(frac.num), frac.den)
 
-    def expand(self, poly):
-        """The whole invariant polynomial, over `full`, whose representative
-        terms poly holds."""
+    def orbit_groups(self, poly):
+        """One (terms, offsets) group per representative slice of poly: the
+        slice's terms and the offset of each of its image slices, identity
+        first, every image checked by `_images`."""
         self._check(poly, self)
         if not self.genus:
+            return super().orbit_groups(poly)
+        return [(ts, [o for _, o in self._images(k, ts)])
+                for k, ts in self._slices(poly.terms).items()]
+
+    def expand(self, poly):
+        """The whole invariant polynomial, over `full`, whose representative
+        terms poly holds: the images of its `orbit_groups`."""
+        groups = self.orbit_groups(poly)
+        if not self.genus:
             return LaurentPoly(self.full, poly.terms)
-        out = {}
-        for k, ts in self._slices(poly.terms).items():
-            for _, o in self._images(k, ts):
-                for e, c in ts.items():
-                    out[e + o] = c
-        return LaurentPoly(self.full, out)
+        return LaurentPoly(self.full, {e + o: c for ts, offsets in groups
+                                       for o in offsets for e, c in ts.items()})
 
     def at_t_one(self, poly):
         """The representatives over `weil_table(genus, "q")` of the value at

@@ -190,28 +190,51 @@ def test_one_refusal_path():
     assert writes == [] and returns == []
 
 
+# what a function calls to format monomials: the formatters of `VarTable`
+# and the memos of part texts behind them
+FORMATTERS = ("format_terms", "format_monomials", "format_exps", "_part_texts")
+
+
+def call_sites(path):
+    """{function: names it calls} for every function of the file at path,
+    methods as Class.method; a nested function's calls count for it and for
+    the functions around it."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.FunctionDef):
+                out[prefix + child.name] = {ast.unparse(n.func).rsplit(".", 1)[-1]
+                                            for n in ast.walk(child)
+                                            if isinstance(n, ast.Call)}
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+    visit(ast.parse(path.read_text()), "")
+    return out
+
+
 def test_one_render_path():
-    # one function sorts a polynomial's terms and formats its monomials, and
-    # json is written from templates, never through the json encoder
-    tree = ast.parse(CLI.read_text())
-    sorts, formats, encodes = set(), set(), []
-    for fn in tree.body:
-        if not isinstance(fn, ast.FunctionDef):
-            continue
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            call = ast.unparse(node.func)
-            if call.endswith("sorted_terms") or (
-                    call == "sorted" and ".terms" in ast.unparse(node.args[0])):
-                sorts.add(fn.name)
-            elif call.endswith(("format_monomials", "format_exps")):
-                formats.add(fn.name)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in (
-                "dumps", "encode_basestring", "encode_basestring_ascii"):
-            encodes.append(ast.unparse(node))
-    assert sorts == formats and len(sorts) == 1
+    # exactly one function in src/higgsdt sorts printed terms and formats
+    # monomials, the ordered formatter; cli sorts nothing itself, reaches the
+    # formatters only through it, and writes json from templates, never
+    # through the json encoder
+    sorts_and_formats, cli_formats = [], []
+    for path in sorted((SRC / "higgsdt").glob("*.py")):
+        for fn, calls in call_sites(path).items():
+            formats = calls & set(FORMATTERS)
+            if formats and calls & {"sorted", "sort"}:
+                sorts_and_formats.append("%s:%s" % (path.name, fn))
+            if path == CLI:
+                assert not calls & {"sorted", "sort"}, fn
+                cli_formats += [(fn, f) for f in formats]
+    assert sorts_and_formats == ["algebra.py:VarTable.format_terms"]
+    assert [f for _, f in cli_formats] == ["format_terms"]
+    encodes = [ast.unparse(node) for node in ast.walk(ast.parse(CLI.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in (
+                   "dumps", "encode_basestring", "encode_basestring_ascii")]
     assert encodes == []
 
 
@@ -426,6 +449,11 @@ COMPUTE_RENDER_SHA256 = {
     (2, "canonical", 2, "latex"): "d1c4e6778783d265b8c1427e50e0ac7ead514fcf9cb0fe43db418102490dbd88",
     (2, "canonical", 2, "csv"): "ef7a27393a4f1c839375a28e1fc80ff12bd15f6d56f39af6a0d5d03a706c3e3d",
     (2, "canonical", 2, "json"): "82d1011037e647cfe26c4c7f60ea3d2587cf078bfc789f9f430a8ccd04ec9a22",
+    # taken before compute formatted each polynomial from its Weil
+    # representatives: the five-variable point whose json is pinned above
+    (3, 5, 3, "text"): "70e6b59422b3a1fc252dc83164d1b8fe4ac719298b2e00307964c3ae0a3c3819",
+    (3, 5, 3, "latex"): "f1afc35a8806e7cb1b07e2407c7589f0074c2b8fac1a1c6c5dbd610b1f42b5e2",
+    (3, 5, 3, "csv"): "f392fc3d63955eb4190a379052e338d59c0fe1791e7d59a47add44b9c510f091",
 }
 
 

@@ -141,6 +141,28 @@ def test_omega_and_volume_relation():
             assert vol == hp.body.mono_mul(hp.body.table.exps(q=e), sign)
 
 
+@pytest.mark.parametrize("cp", [CurveParams(genus=0, ell=1), CurveParams(genus=1, ell=1),
+                                CurveParams(genus=2, ell=3),
+                                CurveParams(genus=2, ell=2, mode="canonical")],
+                         ids=["0,1", "1,1", "2,3", "2,canonical"])
+def test_omega_and_volume_take_weil_representatives(cp):
+    # IDT_r on the representatives of the q t flip, or its t = 1 value on
+    # those of the q flip, gives the representatives over the q flip of what
+    # the whole IDT_r gives
+    wt, wq = weil_table(cp.genus), weil_table(cp.genus, "q")
+    for r, reps in dt.idt_orbits(cp, 3).items():
+        whole = wt.expand(reps)
+        want = omega(cp, r, idt_poly=whole)
+        for given in (reps, wt.at_t_one(reps)):
+            hp = omega(cp, r, idt_poly=given)
+            assert (hp.sign, hp.half) == (want.sign, want.half)
+            assert hp.body.table == wq and wq.expand(hp.body) == want.body
+            if cp.mode == "twisted":
+                vol = moduli_volume(cp, r, 1, idt_poly=given)
+                assert vol.table == wq
+                assert wq.expand(vol) == moduli_volume(cp, r, 1, idt_poly=whole)
+
+
 def test_volume_rejects_shared_factor():
     cp = CurveParams(genus=0, ell=1)
     with pytest.raises(ValueError):

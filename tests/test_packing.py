@@ -1,5 +1,6 @@
 """Packed monomials: format, range guard, and the kernel against tuple references."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,9 @@ from higgsdt.algebra import (EXP_LIMIT, BinomialFactor, ExponentRangeError, Frac
                              LaurentPoly, NotDivisibleError, binomial_product,
                              canonical_binomial, exact_divide, over_binomials,
                              t_expand, var_table)
+from higgsdt.cli import poly_pairs
+from higgsdt.dt import CurveParams, idt_orbits
+from higgsdt.weil import weil_table
 
 TABLES = [var_table(), var_table(genus=1), var_table(genus=3),
           var_table(genus=3, nz=4)]
@@ -108,6 +112,67 @@ def test_format_monomials_matches_the_column_reference():
     assert t.format_monomials(iter(keys)) == format_by_columns(t, keys, t.names, "%s^%d")
     for table in TABLES:
         assert table.format_monomials([0, table.exps(t=-2)]) == ["1", "t^-2"]
+
+
+def latex_names(table):
+    return [nm if len(nm) == 1 else "\\%s_{%s}" % ("alpha" if nm[0] == "a" else "z", nm[1:])
+            for nm in table.names]
+
+
+def weil_polys(rng, wt):
+    """Weil-invariant polynomials on representatives over wt: the empty and
+    two constant ones, the IDT_r of a curve and their t = 1 values if the
+    flip fits, then random ones."""
+    yield wt.zero()
+    yield wt.one()
+    yield wt.monomial(wt.zero_exps(), -7)
+    cp = CurveParams(genus=wt.genus, ell=2 * wt.genus + 1)
+    for idt in idt_orbits(cp, 2).values():
+        yield idt if wt.flip == "qt" else weil_table(wt.genus).at_t_one(idt)
+    for _ in range(8):
+        terms = {}
+        for _ in range(rng.randint(1, 20)):
+            alpha = sorted((rng.randint(0, 3) for _ in range(wt.genus)), reverse=True)
+            e = wt.pack((rng.randint(-4, 4), rng.randint(-4, 4)) + tuple(alpha))
+            terms[e] = rng.choice((-12, -1, 1, 2, 7, 10 ** 20, -10 ** 20))
+        yield LaurentPoly(wt, terms)
+
+
+@pytest.mark.parametrize("flip", ("qt", "q"))
+@pytest.mark.parametrize("genus", range(4))
+def test_format_terms_matches_the_sorted_column_reference(genus, flip):
+    # the ordered formatter on representatives and their image offsets prints
+    # the whole polynomial's terms leading term first, each monomial as the
+    # column reference formats it, one (q, t) part per piece
+    rng = random.Random(38 + 2 * genus + (flip == "q"))
+    wt = weil_table(genus, flip)
+    full = var_table(genus)
+    for reps in weil_polys(rng, wt):
+        whole = wt.expand(reps)
+        keys = sorted(whole.terms, reverse=True)
+        coeffs = [str(whole.terms[e]) for e in keys]
+        # where each (q, t) part's run of terms ends
+        ends = set(itertools.accumulate(len(list(run)) for _, run in itertools.groupby(
+            zip(full.digits(keys, 0), full.digits(keys, 1)))))
+        for names, power in ((full.names, "%s^%d"), (latex_names(full), "%s^{%d}")):
+            want = (format_by_columns(full, keys, names, power), coeffs)
+            for table, poly in ((wt, reps), (full, whole)):
+                for piece in (1, 7, 4096):
+                    pieces = list(table.format_terms(table.orbit_groups(poly), names,
+                                                     power, piece))
+                    sizes = [len(ms) for ms, _ in pieces]
+                    assert sizes == [len(cs) for _, cs in pieces]
+                    # runs of whole (q, t) parts, each closed at `piece` terms
+                    assert set(itertools.accumulate(sizes)) <= ends
+                    assert all(n >= piece for n in sizes[:-1])
+                    if piece == 1:
+                        assert len(sizes) == len(ends)
+                    assert ([m for ms, _ in pieces for m in ms],
+                            [c for _, cs in pieces for c in cs]) == want
+        pairs = [[m, c] for m, c in zip(format_by_columns(full, keys, full.names, "%s^%d"),
+                                        coeffs)]
+        assert poly_pairs(whole) == poly_pairs(reps) == pairs
+        assert repr(whole) == (" + ".join("%s*%s" % (c, m) for m, c in pairs) or "0")
 
 
 # -- the range guard ----------------------------------------------------------
