@@ -72,7 +72,9 @@ is a linear map.  `VarTable` owns the format: `exps`, `pack`, `unpack`, the
 digit readers `digit`, `digits` and `digit_range`, and the unit steps
 `unit_exps` are the way in and out, and `tails` gives the packed part from
 one variable on.  `VarTable` is the only reader of the digit layout: `sums`
-reads its row keys and `weil.WeilTable` its a-slices through these.
+reads its row keys and `weil.WeilTable` its a-slices through these.  It
+also owns printed order: `format_terms` formats a polynomial given as
+groups of terms with image offsets (`orbit_groups`), leading term first.
 
 Every stored exponent lies in [-2^30, 2^30) (`EXP_LIMIT`).  `exps` and `pack`
 refuse anything outside with `ExponentRangeError`, and so does every kernel
@@ -129,6 +131,7 @@ EXP_BITS = 30
 EXP_LIMIT = 1 << EXP_BITS       # stored exponents lie in [-EXP_LIMIT, EXP_LIMIT)
 _HALF = 1 << (DIGIT_BITS - 1)   # balanced digits are exact in [-_HALF, _HALF)
 _DIGIT_MASK = (1 << DIGIT_BITS) - 1
+PIECE_TERMS = 4096              # `VarTable.format_terms` closes a piece at this many terms
 
 
 class _Memo(dict):
@@ -372,7 +375,7 @@ class VarTable:
         slice."""
         return ((poly.terms, (0,)),)
 
-    def format_terms(self, groups, names=None, power="%s^%d", piece=4096):
+    def format_terms(self, groups, names=None, power="%s^%d"):
         """The terms of the polynomial given by (terms, offsets) groups
         (`orbit_groups`), leading term first: an iterator of pieces
         (monomials, coefficients), two flat lists of the `format_monomials`
@@ -383,8 +386,8 @@ class VarTable:
         packed order takes the (q, t) part first, so the images are bucketed
         by it and the buckets taken in descending order, each with its
         a-parts sorted descending.  A piece is a run of whole buckets, closed
-        once it holds at least `piece` terms, so only one piece's texts and
-        one bucket's images are held at a time.  Each (q, t) part, distinct
+        once it holds at least PIECE_TERMS terms, so only one piece's texts
+        and one bucket's images are held at a time.  Each (q, t) part, distinct
         a-part and distinct coefficient is formatted once.  names and power
         set the style, as in `format_monomials`.
         """
@@ -425,7 +428,7 @@ class VarTable:
                 monos += map(hi.__add__, map(spaced.__getitem__, keys))
             else:
                 monos += map(bare.__getitem__, keys)
-            if len(monos) >= piece:
+            if len(monos) >= PIECE_TERMS:
                 yield monos, texts
                 monos, texts = [], []
         if monos:

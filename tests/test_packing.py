@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from higgsdt import algebra
 from higgsdt.algebra import (EXP_LIMIT, BinomialFactor, ExponentRangeError, Fraction,
                              LaurentPoly, NotDivisibleError, binomial_product,
                              canonical_binomial, exact_divide, over_binomials,
@@ -140,11 +141,12 @@ def weil_polys(rng, wt):
 
 @pytest.mark.parametrize("flip", ("qt", "q"))
 @pytest.mark.parametrize("genus", range(4))
-def test_format_terms_matches_the_sorted_column_reference(genus, flip):
+def test_format_terms_matches_the_sorted_column_reference(genus, flip, monkeypatch):
     # the ordered formatter on representatives and their image offsets prints
     # the whole polynomial's terms leading term first, each monomial as the
-    # column reference formats it, one (q, t) part per piece
+    # column reference formats it, in pieces of whole (q, t) parts
     rng = random.Random(38 + 2 * genus + (flip == "q"))
+    sizes_tried = (1, 7, algebra.PIECE_TERMS)
     wt = weil_table(genus, flip)
     full = var_table(genus)
     for reps in weil_polys(rng, wt):
@@ -157,9 +159,9 @@ def test_format_terms_matches_the_sorted_column_reference(genus, flip):
         for names, power in ((full.names, "%s^%d"), (latex_names(full), "%s^{%d}")):
             want = (format_by_columns(full, keys, names, power), coeffs)
             for table, poly in ((wt, reps), (full, whole)):
-                for piece in (1, 7, 4096):
-                    pieces = list(table.format_terms(table.orbit_groups(poly), names,
-                                                     power, piece))
+                for piece in sizes_tried:
+                    monkeypatch.setattr(algebra, "PIECE_TERMS", piece)
+                    pieces = list(table.format_terms(table.orbit_groups(poly), names, power))
                     sizes = [len(ms) for ms, _ in pieces]
                     assert sizes == [len(cs) for _, cs in pieces]
                     # runs of whole (q, t) parts, each closed at `piece` terms
