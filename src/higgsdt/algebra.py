@@ -387,13 +387,26 @@ class VarTable:
         by it and the buckets taken in descending order, each with its
         a-parts sorted descending.  A piece is a run of whole buckets, closed
         once it holds at least PIECE_TERMS terms, so only one piece's texts
-        and one bucket's images are held at a time.  Each (q, t) part, distinct
-        a-part and distinct coefficient is formatted once.  names and power
-        set the style, as in `format_monomials`.
+        and one bucket's images are held at a time.  Without a-parts (arity
+        2, as at genus 0) every image is a bucket of its own, and the images
+        are sorted at once instead.  Each (q, t) part, distinct a-part and
+        distinct coefficient is formatted once.  names and power set the
+        style, as in `format_monomials`.
         """
+        text, bare, spaced = self._part_texts(names or self.names, power)
+        coeffs = _Memo(str)
+        if self.arity == 2:
+            # one sort and no bucket index: the buckets would hold one image each
+            images = {e + o: c for terms, offsets in groups for o in offsets
+                      for e, c in terms.items()}
+            keys = sorted(images, reverse=True)
+            for i in range(0, len(keys), PIECE_TERMS):
+                piece = keys[i:i + PIECE_TERMS]
+                yield ([text(e, (0, 1)) or "1" for e in piece],
+                       [coeffs[images[e]] for e in piece])
+            return
         # (q, t) part -> [coefficient text, a-part, a-parts of offsets, ...]
         buckets = {}
-        coeffs = _Memo(str)
         for terms, offsets in groups:
             shifts = {}     # an offset's (q, t) part -> the a-parts at it
             for o, a in zip(offsets, self.tails(offsets, 2)):
@@ -406,23 +419,15 @@ class VarTable:
                         buckets[e - a + d] = [c, a, tails]
                     else:
                         b += (c, a, tails)
-        text, bare, spaced = self._part_texts(names or self.names, power)
         monos, texts = [], []
         for qt in sorted(buckets, reverse=True):
-            flat = buckets.pop(qt)
-            if len(flat) == 3 and len(flat[2]) == 1:
-                # one image, as at genus 0: nothing to sort
-                c, a, (t,) = flat
-                keys = [a + t]
-                texts.append(c)
-            else:
-                row = {}
-                flat = iter(flat)
-                for c, a, tails in zip(flat, flat, flat):
-                    for t in tails:
-                        row[a + t] = c
-                keys = sorted(row, reverse=True)
-                texts += map(row.__getitem__, keys)
+            row = {}
+            flat = iter(buckets.pop(qt))
+            for c, a, tails in zip(flat, flat, flat):
+                for t in tails:
+                    row[a + t] = c
+            keys = sorted(row, reverse=True)
+            texts += map(row.__getitem__, keys)
             hi = text(qt, (0, 1))
             if hi:
                 monos += map(hi.__add__, map(spaced.__getitem__, keys))
