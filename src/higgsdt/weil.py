@@ -38,14 +38,14 @@ class WeilTable(VarTable):
     invariant polynomial; `restrict` and `expand` convert from and to `full`,
     the ordinary table.  `orbit_groups` gives each representative slice with
     the offsets of its images, the one orbit walk, which `expand` and the
-    ordered formatter `VarTable.format_terms` read.  Whatever acts slice by slice acts on the
-    representatives unchanged: sums, scaling, Adams operations, shifts by
-    a-free monomials, and products with and exact division by a-free
-    polynomials.  Other maps (substitution, evaluation, var_range) see only
-    the representatives.  The product of two invariant polynomials is the one
-    operation that mixes slices; `mul_terms` computes only its representative
-    slices, so `LaurentPoly.__mul__` serves both forms, and a table mismatch
-    keeps the two apart.
+    ordered formatter `VarTable.format_terms` read.  Whatever acts slice by
+    slice acts on the representatives unchanged: sums, scaling, Adams
+    operations, shifts by a-free monomials, and products with and exact
+    division by a-free polynomials.  Other maps (substitution, evaluation,
+    var_range) see only the representatives.  The product of two invariant
+    polynomials is the one operation that mixes slices; `mul_terms` computes
+    only its representative slices, so `LaurentPoly.__mul__` serves both
+    forms, and a table mismatch keeps the two apart.
 
     Representative terms are in range like any stored term; the images of a
     slice are checked by `_images` before an offset is added.
