@@ -83,6 +83,9 @@ Adams operations, substitutions and t-expansions check their results (or,
 for Adams operations, their inputs) before anything is stored.  A digit never
 carries into its neighbour silently: the sum or difference of two in-range
 exponents still has digits within +-2^31, where the check is exact.
+Outside this module only `VarTable` refuses the range: `check_range` scans
+packed keys and `check_exponents` single exponents, such as the top image
+of a Weil slice or a q-range of `sums`' rows.
 
 Every LaurentPoly carries exponent bounds, so that these checks and the
 ranges `exact_divide` walks need no scan of the terms.  Only those two
@@ -241,9 +244,16 @@ class VarTable:
             raise ValueError("expected %d exponents, got %d" % (self.arity, len(exps)))
         for e in exps:
             if not -EXP_LIMIT <= e < EXP_LIMIT:
+                self.check_exponents(e)
+        return sum(e << s for e, s in zip(exps, self._shifts))
+
+    def check_exponents(self, *exps):
+        """Refuse, with `pack`'s message, an exponent of exps out of range;
+        the two ends of an interval stand for all of it."""
+        for e in exps:
+            if not -EXP_LIMIT <= e < EXP_LIMIT:
                 raise ExponentRangeError("exponent %d outside [-2^%d, 2^%d)"
                                          % (e, EXP_BITS, EXP_BITS))
-        return sum(e << s for e, s in zip(exps, self._shifts))
 
     def unpack(self, e):
         """Exponent vector of a packed monomial."""
@@ -329,7 +339,7 @@ class VarTable:
 
     def format_exps(self, exps):
         """Render a packed monomial as e.g. 'q^2 t a1^-1'; constant is '1'."""
-        return self.format_monomials((exps,))[0]
+        return self._part_texts(self.names, "%s^%d")[0](exps, range(self.arity)) or "1"
 
     def _part_texts(self, names, power):
         """(text, bare, spaced) in names and the power format: text(e, idx)
@@ -349,24 +359,6 @@ class VarTable:
         return (text, _Memo(lambda a: text(a, rest) or "1"),
                 _Memo(lambda a: " " + text(a, rest) if a else ""))
 
-    def format_monomials(self, keys, names=None, power="%s^%d"):
-        """format_exps of every packed monomial of keys, in order.
-
-        A monomial is its (q, t) part times its part in the other variables,
-        and a polynomial has few distinct parts of either kind, so each
-        distinct part is formatted once and the two texts are joined.
-        names (default: the table's) and the power format, applied to a
-        name and an exponent other than 0 and 1, set the style.
-        """
-        text, bare, spaced = self._part_texts(names or self.names, power)
-        highs = _Memo(lambda qt: text(qt, (0, 1)))
-        keys = list(keys)
-        out = []
-        for e, a in zip(keys, self.tails(keys, 2)):
-            hi = highs[e - a]
-            out.append(hi + spaced[a] if hi else bare[a])
-        return out
-
     def orbit_groups(self, poly):
         """The (terms, offsets) groups of the polynomial that poly stands
         for: its terms are the images e + o of every term e and offset o of
@@ -378,8 +370,8 @@ class VarTable:
     def format_terms(self, groups, names=None, power="%s^%d"):
         """The terms of the polynomial given by (terms, offsets) groups
         (`orbit_groups`), leading term first: an iterator of pieces
-        (monomials, coefficients), two flat lists of the `format_monomials`
-        texts of the images and of str() of their coefficients.
+        (monomials, coefficients), two flat lists of the `format_exps` texts
+        of the images and of str() of their coefficients.
 
         The (q, t) part of an image e + o is the sum of e's and o's, and so
         is its a-part, its part in the other variables (`tails`).  The
@@ -390,8 +382,9 @@ class VarTable:
         and one bucket's images are held at a time.  Without a-parts (arity
         2, as at genus 0) every image is a bucket of its own, and the images
         are sorted at once instead.  Each (q, t) part, distinct a-part and
-        distinct coefficient is formatted once.  names and power set the
-        style, as in `format_monomials`.
+        distinct coefficient is formatted once.  names (default: the
+        table's) and the power format, applied to a name and an exponent
+        other than 0 and 1, set the style.
         """
         text, bare, spaced = self._part_texts(names or self.names, power)
         coeffs = _Memo(str)

@@ -40,13 +40,13 @@ IDT_r at t = 1.
 Inside one `shared` block (`verify` runs its suites in one) each of these
 is built once per key and then served: `zstar_orbit_term(cp, la)`, the
 zeta-value term on the representatives of weil_table(g, "q") that
-`substitution_identity_check` and `alt_idt` read, and `idt_orbits(cp, r)`
-without series=, a lower order being read off the longest table built and
-a higher one rebuilding it.  The block's memo is emptied when it exits,
-also on an exception, and outside a block nothing is kept: the cache is
-scoped to a run, not to the process, because tests patch kernel internals
-and then call these functions directly, and because a long-lived process
-would otherwise keep every table it ever built.
+`substitution_identity_check` and `alt_idt` read, and `idt_orbits(cp, r)`,
+a lower order being read off the longest table built and a higher one
+rebuilding it.  The block's memo is emptied when it exits, also on an
+exception, and outside a block nothing is kept: the cache is scoped to a
+run, not to the process, because tests patch kernel internals and then
+call these functions directly, and because a long-lived process would
+otherwise keep every table it ever built.
 """
 
 import math
@@ -224,17 +224,15 @@ def _clear_log(series, order, clearer, what):
     return out
 
 
-def idt_orbits(cp, order, series=None):
+def idt_orbits(cp, order):
     """IDT_r on the representatives of weil_table(g): map r -> the
     representative terms of coefficient r of (q-1)(1-t) Log Z.
 
-    series, if given, must be the main series of cp (`zstar_series`), to at
-    least T^order; a shorter or not Weil-invariant one is refused, and its
-    terms are restricted.  Without it each series term is built on the
-    representatives (`zstar_orbit_term`), and inside `shared` the table is
-    built once per curve: the longest order built serves every lower one.
-    The series, its log and the cleared coefficients are kept by Weil orbit
-    representatives (`weil.WeilTable`), exact by the module docstring.
+    Each series term is built on the representatives (`zstar_orbit_term`),
+    and inside `shared` the table is built once per curve: the longest
+    order built serves every lower one.  The series, its log and the
+    cleared coefficients are kept by Weil orbit representatives
+    (`weil.WeilTable`), exact by the module docstring.
 
     Raises IntegralityError when a coefficient fails to clear; that failure
     is meaningful (it falsifies the integrality property), never masked.
@@ -242,23 +240,24 @@ def idt_orbits(cp, order, series=None):
     """
     check_order(order)
     memo = _shared
-    if series is not None or memo is None:
-        return _idt_orbits(cp, order, series)
+    if memo is None:
+        return _idt_orbits(cp, order)
     held = memo.tables.get(cp)
     if held is not None and len(held) >= order:
         memo.tables_served += 1
     else:
-        held = memo.tables[cp] = _idt_orbits(cp, order, None)
+        held = memo.tables[cp] = _idt_orbits(cp, order)
         memo.tables_built += 1
     return {r: held[r] for r in range(1, order + 1)}
 
 
-def _idt_orbits(cp, order, series):
-    """idt_orbits, built."""
+def _idt_orbits(cp, order, series=None):
+    """idt_orbits, built, or cleared from the series given to `idt_star`."""
     table = weil_table(cp.genus)
     if series is None:
         Z = partition_series(table, order, lambda lam: zstar_orbit_term(cp, lam))
     else:
+        check_order(order)
         if series.order < order or not all(table.is_invariant(c.num) for c in series.coeffs):
             raise ValueError("series= must be the main series of %r to T^%d: it is "
                              "shorter or not Weil-invariant" % (cp, order))
@@ -271,9 +270,12 @@ def _idt_orbits(cp, order, series):
 
 def idt_star(cp, order, series=None):
     """Integer DT polynomials: map r -> coefficient r of (q-1)(1-t) Log Z,
-    every monomial of `idt_orbits` (same arguments, same refusals)."""
+    every monomial of `idt_orbits` (same refusals).  series, if given, must
+    be the main series of cp (`zstar_series`) to at least T^order; a shorter
+    or not Weil-invariant one is refused, and its terms are restricted."""
     table = weil_table(cp.genus)
-    return {r: table.expand(p) for r, p in idt_orbits(cp, order, series).items()}
+    reps = idt_orbits(cp, order) if series is None else _idt_orbits(cp, order, series)
+    return {r: table.expand(p) for r, p in reps.items()}
 
 
 def rank_one_idt(cp):
@@ -304,10 +306,10 @@ def jacobian_poly(table):
 
 @dataclass(frozen=True)
 class HalfPowerValue:
-    """q^{half/2} * body, keeping half-integral q powers symbolic; `omega`
-    always sets sign to 1, which the json output reports."""
+    """q^{half/2} * body, keeping half-integral q powers symbolic.  Its sign
+    is always 1 (`omega`'s values), a constant the json output reports."""
 
-    sign: int
+    sign = 1
     half: int
     body: LaurentPoly
 
@@ -344,7 +346,7 @@ def omega(cp, r, idt_poly=None):
     if idt_poly is None:
         idt_poly = idt_star(cp, r)[r]
     half = cp.p * r if cp.mode == "twisted" else 2
-    return HalfPowerValue(1, half, _at_t_one(idt_poly))
+    return HalfPowerValue(half, _at_t_one(idt_poly))
 
 
 def moduli_volume(cp, r, d, idt_poly=None):

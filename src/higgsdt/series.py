@@ -61,11 +61,17 @@ class TruncSeries:
         """Series with the given degree -> coefficient entries, rest zero."""
         s = cls(table, order)
         for d, c in terms.items():
-            s.coeffs[d] = c
+            s.coeffs[s._degree(d)] = c
         return s
 
     def coefficient(self, d):
-        return self.coeffs[d]
+        return self.coeffs[self._degree(d)]
+
+    def _degree(self, d):
+        if not 0 <= d <= self.order:
+            raise ValueError("degree %d outside 0..%d, the truncation order"
+                             % (d, self.order))
+        return d
 
     def _check(self, other):
         if self.table != other.table or self.order != other.order:

@@ -60,9 +60,10 @@ A sum on rows runs the dict path's trial-division loop,
 steps, so it tries the same factors in the same order and decides each
 exactly: it is the same reduced Fraction.  A lift refuses an exponent out
 of range exactly where the dict product does: the row keys are scanned,
-and the q-digits read exactly when their range is not proved.  Additions
-too narrow or too wide along q for rows to pay stay on dicts (`_row_sum`),
-as do coefficients that are not ints; products, `Fraction(num, den)` and
+and the q-digits read exactly when their range is not proved, both
+through `VarTable`, the one owner of the range.  Additions too narrow or
+too wide along q for rows to pay stay on dicts (`_row_sum`), as do
+coefficients that are not ints; products, `Fraction(num, den)` and
 `exact_divide` keep the dict walk, which its line sums and the run walk
 make cheaper where most of their numerators are sparse along q.
 """
@@ -71,8 +72,8 @@ import sys
 from array import array
 from functools import lru_cache
 
-from .algebra import (EXP_BITS, EXP_LIMIT, ExponentRangeError, Fraction, LaurentPoly,
-                      TableMismatchError, _lcd, _lifted_sum, _trial_divide)
+from .algebra import (ExponentRangeError, Fraction, LaurentPoly, _check_tables, _lcd,
+                      _lifted_sum, _trial_divide)
 
 
 ROW_WIDTH = 64       # bits per q-digit of a fresh encoding; a multiple of 64
@@ -253,15 +254,15 @@ def _row_lift(x, poly):
 
 
 def _row_check_range(x):
-    """Refuse, as a scan of the terms would, a term out of range."""
+    """Refuse, as a scan of the terms would, a term out of range; the exact
+    q-range is read only when [q0, q0 + span) is not in range."""
     table = x.table
     table.check_range(x.rows)
-    if x.rows and not -EXP_LIMIT <= x.q0 <= x.q0 + x.span - 1 < EXP_LIMIT:
-        (lo, hi), = _row_bounds(x)[:1]
-        if not -EXP_LIMIT <= lo <= hi < EXP_LIMIT:
-            raise ExponentRangeError(
-                "exponent range [-2^%d, 2^%d) exceeded at q^%d"
-                % (EXP_BITS, EXP_BITS, lo if lo < -EXP_LIMIT else hi))
+    if x.rows:
+        try:
+            table.check_exponents(x.q0, x.q0 + x.span - 1)
+        except ExponentRangeError:
+            table.check_exponents(*_row_bounds(x)[0])
 
 
 def _row_add(x, y):
@@ -410,15 +411,12 @@ def _add(a, b):
     `Fraction.__add__`, which adds their numerators."""
     if type(a) is Fraction and type(b) is Fraction and not (a.den or b.den):
         return a + b
-    table = a.table
-    if b.table is not table and b.table != table:
-        raise TableMismatchError("operands use different variable tables: %r vs %r"
-                                 % (table, b.table))
+    _check_tables(a, b)
     if a.is_zero():
         return b
     if b.is_zero():
         return a
-    lcd = _lcd(table, a.den, b.den)
+    lcd = _lcd(a.table, a.den, b.den)
     s = _row_sum(a, b, lcd)
     if s is not None:
         return s

@@ -26,8 +26,8 @@ its image under the q t flip (`sigma`).
 from functools import lru_cache
 from itertools import permutations, product
 
-from .algebra import (EXP_BITS, EXP_LIMIT, AlgebraError, ExponentRangeError, Fraction,
-                      LaurentPoly, TableMismatchError, VarTable, var_table)
+from .algebra import (AlgebraError, Fraction, LaurentPoly, TableMismatchError, VarTable,
+                      var_table)
 
 
 class WeilTable(VarTable):
@@ -48,7 +48,8 @@ class WeilTable(VarTable):
     forms, and a table mismatch keeps the two apart.
 
     Representative terms are in range like any stored term; the images of a
-    slice are checked by `_images` before an offset is added.
+    slice are checked by `_images`, through `VarTable.check_exponents`,
+    before an offset is added.
 
     At genus >= 1 the table is `slicewise`: the exponent bounds of a product
     (see `algebra`) are the sums of its factors' only when one factor is
@@ -123,11 +124,9 @@ class WeilTable(VarTable):
             raise AlgebraError("slice %s is not a Weil orbit representative"
                                % self.format_exps(k))
         reach = sum(self.unpack(k)[2:])
-        if reach and max(self.digit(max(terms), 0),
-                         self.digit_range(terms, 1)[1]) + reach >= EXP_LIMIT:
-            raise ExponentRangeError("an image of the slice %s leaves the exponent "
-                                     "range [-2^%d, 2^%d)"
-                                     % (self.format_exps(k), EXP_BITS, EXP_BITS))
+        if reach:
+            self.check_exponents(max(self.digit(max(terms), 0),
+                                     self.digit_range(terms, 1)[1]) + reach)
         return self._orbit(k)
 
     def mul_terms(self, a, b):

@@ -82,7 +82,7 @@ def test_named_exponents_and_rendering():
 
 
 def format_by_columns(table, keys, names, power):
-    """format_monomials a variable at a time: one text per exponent column."""
+    """The texts of keys a variable at a time: one text per exponent column."""
     cols = []
     for i, nm in enumerate(names):
         col = table.digits(keys, i)
@@ -94,8 +94,8 @@ def format_by_columns(table, keys, names, power):
     return [" ".join(filter(None, bits)) or "1" for bits in zip(*cols)]
 
 
-def test_format_monomials_matches_the_column_reference():
-    # the (q, t) and the other parts are formatted once each and joined
+def test_format_exps_matches_the_column_reference():
+    # one key at a time; latex names are covered through `format_terms`
     rng = random.Random(20)
     t = WIDE
     keys = [t.zero_exps()]
@@ -105,14 +105,12 @@ def test_format_monomials_matches_the_column_reference():
         else:
             exps = rand_exps(rng, t.arity)
         keys.append(t.pack(exps))
-    latex = ["\\%s_{%s}" % (nm[0], nm[1:]) if len(nm) > 1 else nm for nm in t.names]
-    for names, power in ((t.names, "%s^%d"), (latex, "%s^{%d}")):
-        got = t.format_monomials(keys, names, power)
-        assert got == format_by_columns(t, keys, names, power)
-    assert got[0] == "1"
-    assert t.format_monomials(iter(keys)) == format_by_columns(t, keys, t.names, "%s^%d")
+    want = format_by_columns(t, keys, t.names, "%s^%d")
+    for e, text in zip(keys, want):
+        assert t.format_exps(e) == text
+    assert want[0] == "1"
     for table in TABLES:
-        assert table.format_monomials([0, table.exps(t=-2)]) == ["1", "t^-2"]
+        assert [table.format_exps(e) for e in (0, table.exps(t=-2))] == ["1", "t^-2"]
 
 
 def latex_names(table):

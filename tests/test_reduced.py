@@ -189,3 +189,45 @@ def test_only_algebra_reads_the_digit_layout():
     assert "algebra.py" in {f.name for f in files}
     found = {f.name: layout_sites(f.read_text()) for f in files if f.name != "algebra.py"}
     assert {name: sites for name, sites in found.items() if sites} == {}
+
+
+# -- only algebra may refuse an exponent range -----------------------------------
+
+# the range's constants; other modules refuse through `VarTable.check_range`
+# and `VarTable.check_exponents`, and may catch ExponentRangeError, not raise it
+RANGE_NAMES = ("EXP_LIMIT", "EXP_BITS")
+
+
+def range_sites(source):
+    """(line, what) for every import or attribute read of a range constant
+    and every construction of an ExponentRangeError."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if ast.unparse(node.func).rsplit(".", 1)[-1] == "ExponentRangeError":
+                out.append((node.lineno, "ExponentRangeError()"))
+        elif isinstance(node, ast.Attribute) and node.attr in RANGE_NAMES:
+            out.append((node.lineno, ".%s" % node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, "import %s" % a.name)
+                    for a in node.names if a.name in RANGE_NAMES]
+    return out
+
+
+def test_guard_sees_every_range_site():
+    source = ("from .algebra import EXP_BITS, ExponentRangeError\n"
+              "from .algebra import EXP_LIMIT as lim\n"
+              "raise ExponentRangeError('exponent %d outside' % e)\n"
+              "raise algebra.ExponentRangeError(algebra.EXP_LIMIT)\n"
+              "try:\n"
+              "    table.check_exponents(lo, hi)\n"
+              "except ExponentRangeError:\n"
+              "    pass\n")
+    assert [line for line, _ in range_sites(source)] == [1, 2, 3, 4, 4]
+
+
+def test_only_algebra_refuses_the_exponent_range():
+    files = sorted(SRC.glob("*.py"))
+    assert "algebra.py" in {f.name for f in files}
+    found = {f.name: range_sites(f.read_text()) for f in files if f.name != "algebra.py"}
+    assert {name: sites for name, sites in found.items() if sites} == {}

@@ -520,7 +520,9 @@ def test_a_lift_past_the_top_of_q_is_refused_on_rows(monkeypatch):
     lift = sums._row_lift
     monkeypatch.setattr(sums, "_row_lift",
                         lambda x, poly: spans.append(x.span) or lift(x, poly))
-    assert _outcome(fraction_sum, [a, b], t) is ExponentRangeError
+    with pytest.raises(ExponentRangeError,
+                       match=r"^exponent %d outside \[-2\^30, 2\^30\)$" % (EXP_LIMIT + 1)):
+        fraction_sum([a, b], t)
     assert spans
     monkeypatch.setattr(sums, "ROW_MIN_SPAN", EXP_LIMIT)
     assert _outcome(fraction_sum, [a, b], t) is ExponentRangeError

@@ -100,6 +100,19 @@ def test_series_refuses_negative_order():
             make(T, -1)
 
 
+@pytest.mark.parametrize("degree", [-1, 4, 5])
+def test_degrees_outside_the_order_are_refused(degree):
+    # a list index once stored degree -1 at T^3, read it back from there,
+    # and failed past the top with a bare IndexError
+    c = Fraction.one(T)
+    msg = "degree %d outside 0..3, the truncation order" % degree
+    with pytest.raises(ValueError, match=msg):
+        TruncSeries.from_terms(T, 3, {degree: c})
+    with pytest.raises(ValueError, match=msg):
+        TruncSeries.from_terms(T, 3, {3: c}).coefficient(degree)
+    assert TruncSeries.from_terms(T, 3, {0: c, 3: c}).coefficient(3) == c
+
+
 def test_exp_needs_zero_constant():
     s = TruncSeries.one(T, 4)
     with pytest.raises(ValueError):

@@ -201,6 +201,10 @@ def test_the_two_forms_do_not_mix():
         wq.expand(wt.one())
 
 
+# `VarTable.check_exponents`'s refusal, the one text of an exponent out of range
+OUTSIDE = r"^exponent %d outside \[-2\^30, 2\^30\)$"
+
+
 def test_refusals():
     wt = weil_table(2)
     # a slice that is not a representative
@@ -208,9 +212,9 @@ def test_refusals():
         wt.expand(LaurentPoly(wt, {wt.pack((0, 0, 0, 1)): 1}))
     # sigma_1 adds 2 to the q exponent of q^(2^30 - 2) a1^2: out of range
     edge = LaurentPoly(wt, {wt.pack((EXP_LIMIT - 2, 0, 2, 0)): 1})
-    with pytest.raises(ExponentRangeError):
+    with pytest.raises(ExponentRangeError, match=OUTSIDE % EXP_LIMIT):
         wt.expand(edge)
-    with pytest.raises(ExponentRangeError):
+    with pytest.raises(ExponentRangeError, match=OUTSIDE % EXP_LIMIT):
         edge * LaurentPoly(wt, {wt.pack((0, 0, 1, 1)): 1})
     # one step less stays in range
     ok = LaurentPoly(wt, {wt.pack((EXP_LIMIT - 3, 0, 2, 0)): 1})
@@ -224,7 +228,7 @@ def test_refusals():
         weil_table(2, "t")
     # the q flip moves only q, and its range check reads q as the other does
     wq = weil_table(2, "q")
-    with pytest.raises(ExponentRangeError):
+    with pytest.raises(ExponentRangeError, match=OUTSIDE % EXP_LIMIT):
         wq.expand(LaurentPoly(wq, {wq.pack((EXP_LIMIT - 2, 0, 2, 0)): 1}))
     assert len(wq.expand(LaurentPoly(wq, {wq.pack((EXP_LIMIT - 3, 0, 2, 0)): 1})).terms) == 4
 
