@@ -243,7 +243,7 @@ class VarTable:
         if len(exps) != self.arity:
             raise ValueError("expected %d exponents, got %d" % (self.arity, len(exps)))
         for e in exps:
-            if not -EXP_LIMIT <= e < EXP_LIMIT:
+            if not -EXP_LIMIT <= e < EXP_LIMIT:     # tested inline: pack is hot
                 self.check_exponents(e)
         return sum(e << s for e, s in zip(exps, self._shifts))
 
